@@ -33,8 +33,8 @@ class FlowField:
             raise ValueError("angles and valid must be 2-D arrays of equal shape")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        if np.any(val & ((ang < 0.0) | (ang >= math.pi))):
-            raise ValueError("valid angles must lie in [0, pi)")
+        if np.any(val & ~((ang >= 0.0) & (ang < math.pi))):
+            raise ValueError("valid angles must be finite and lie in [0, pi)")
         ang = np.where(val, ang, 0.0)
         ang.setflags(write=False)
         val.setflags(write=False)
@@ -164,16 +164,23 @@ def load_flow_csv(path) -> FlowField:
         raise ValueError(f"{path}: unexpected flow CSV header {lines[0]!r}")
     has_coh = len(header) >= 5 and header[4] == "coherence"
     xs, ys, thetas, valids, cohs = [], [], [], [], []
-    for ln in lines[1:]:
+    n_fields = 5 if has_coh else 4
+    for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
         parts = ln.split(",")
-        xs.append(float(parts[0]))
-        ys.append(float(parts[1]))
-        thetas.append(float(parts[2]))
-        valids.append(int(parts[3]))
-        if has_coh:
-            cohs.append(float(parts[4]))
+        try:
+            if len(parts) < n_fields:
+                raise ValueError(f"expected {n_fields} fields")
+            x, y, theta, v = float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3])
+            coh = float(parts[4]) if has_coh else 0.0
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: malformed row {ln!r} ({err})") from None
+        xs.append(x)
+        ys.append(y)
+        thetas.append(theta)
+        valids.append(v)
+        cohs.append(coh)
     ux = np.unique(np.asarray(xs))
     uy = np.unique(np.asarray(ys))
     gw, gh = len(ux), len(uy)
@@ -190,4 +197,7 @@ def load_flow_csv(path) -> FlowField:
     angles = np.asarray(thetas, dtype=np.float64).reshape(gh, gw)
     valid = np.asarray(valids, dtype=int).reshape(gh, gw).astype(bool)
     coherence = np.asarray(cohs, dtype=np.float64).reshape(gh, gw) if has_coh else None
-    return FlowField(angles, valid, int(round(stride)), (float(ux[0]), float(uy[0])), coherence)
+    try:
+        return FlowField(angles, valid, int(round(stride)), (float(ux[0]), float(uy[0])), coherence)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -65,6 +65,14 @@ def gradient(image: GrayImage) -> GradientField:
     return GradientField(gx, gy)
 
 
+def check_window(window_half: int, weight_sigma: float | None) -> None:
+    """Reject a negative window half size or a non-positive weight sigma."""
+    if window_half < 0:
+        raise ValueError(f"gradient window half size must be >= 0, got {window_half}")
+    if weight_sigma is not None and not weight_sigma > 0:
+        raise ValueError(f"gradient weight sigma must be positive or None, got {weight_sigma}")
+
+
 def _window_weights(window_half: int, weight_sigma: float | None) -> np.ndarray:
     offs = np.arange(-window_half, window_half + 1, dtype=np.float64)
     if weight_sigma is None:
@@ -130,6 +138,7 @@ def compute_flow_field_gradient(
     invalid where coherence < ``coherence_threshold`` or where the local
     patch variance is below the background threshold.
     """
+    check_window(window_half, weight_sigma)
     cfg = cfg or FlowConfig()
     grad = gradient(image)
     kernel = _window_weights(window_half, weight_sigma)

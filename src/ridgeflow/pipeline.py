@@ -17,7 +17,7 @@ from .binarize import BinarizeConfig, binarize_image
 from .contour import binarize_image_contour, enhance_image_contour
 from .enhance import EnhanceConfig, enhance_image
 from .flowfield import FlowField, angular_distance, interior_site_mask
-from .gradient import compute_flow_field_gradient
+from .gradient import check_window, compute_flow_field_gradient
 from .image import BinaryImage, GrayImage
 from .projection import FlowConfig, compute_flow_field
 
@@ -34,7 +34,7 @@ class PipelineConfig:
     binarize: BinarizeConfig = field(default_factory=BinarizeConfig)
     enhance: EnhanceConfig = field(default_factory=EnhanceConfig)
     gradient_window_half: int = 8
-    gradient_weight_sigma: float = 4.0
+    gradient_weight_sigma: float | None = 4.0
     coherence_threshold: float = 0.1
 
     def __post_init__(self):
@@ -44,6 +44,7 @@ class PipelineConfig:
             raise ValueError(f"path_mode must be one of {PATH_MODES}")
         if self.flow_method not in FLOW_METHODS:
             raise ValueError(f"flow_method must be one of {FLOW_METHODS}")
+        check_window(self.gradient_window_half, self.gradient_weight_sigma)
 
 
 @dataclass(eq=False)

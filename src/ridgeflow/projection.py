@@ -9,14 +9,16 @@ statistic meaningful where a ridge ends inside the window.
 
 Two interchangeable evaluators exist: a direct one that samples the source
 image along every segment, and a fast one that rotates the image once per
-candidate angle so all segments become axis-aligned runs over precomputed
-prefix sums of values and squared values.
+candidate angle so all segments become axis-aligned runs. From column prefix
+sums of the rotated values and squared values it builds one dense map of the
+mean deviation over the whole rotated canvas per angle; each site is then a
+single lookup into that map.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,17 +83,21 @@ class FlowConfig:
         return [k * self.fine_step for k in range(-m, m + 1)]
 
 
-def _segment_deviation(vals: np.ndarray) -> np.ndarray:
-    """One-pass std over the last axis, NaN-aware; NaN where <2 samples."""
-    ok = ~np.isnan(vals)
-    n = ok.sum(axis=-1)
-    s1 = np.where(ok, vals, 0.0).sum(axis=-1)
-    s2 = np.where(ok, vals * vals, 0.0).sum(axis=-1)
+def _span_deviation(n: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Std from sample count, sum and sum of squares; NaN where <2 samples."""
     nf = np.maximum(n, 1)
     mean = s1 / nf
     var = s2 / nf - mean * mean
     var = np.where(var < _VAR_EPS, 0.0, var)
     return np.where(n >= 2, np.sqrt(var), np.nan)
+
+
+def _segment_deviation(vals: np.ndarray) -> np.ndarray:
+    """One-pass std over the last axis, NaN-aware; NaN where <2 samples."""
+    ok = ~np.isnan(vals)
+    s1 = np.where(ok, vals, 0.0).sum(axis=-1)
+    s2 = np.where(ok, vals * vals, 0.0).sum(axis=-1)
+    return _span_deviation(ok.sum(axis=-1), s1, s2)
 
 
 def _perp_deviations(img: np.ndarray, qx: np.ndarray, qy: np.ndarray, alpha: float, cfg: FlowConfig) -> np.ndarray:
@@ -108,10 +114,7 @@ def _perp_deviations(img: np.ndarray, qx: np.ndarray, qy: np.ndarray, alpha: flo
         return full
     lo = _segment_deviation(vals[..., : s + 1])
     hi = _segment_deviation(vals[..., s:])
-    stacked = np.stack([full, lo, hi])
-    all_nan = np.isnan(stacked).all(axis=0)
-    out = np.nanmin(np.where(np.isnan(stacked), np.inf, stacked), axis=0)
-    return np.where(all_nan, np.nan, out)
+    return np.fmin(np.fmin(full, lo), hi)
 
 
 def _mean_deviation_direct(img: np.ndarray, px: np.ndarray, py: np.ndarray, alpha: float, cfg: FlowConfig) -> np.ndarray:
@@ -181,94 +184,87 @@ class DirectDeviationEvaluator:
         )
 
 
-class _RotatedStats:
-    """Prefix sums of one rotated raster: counts, values, squared values."""
+def _mean_deviation_map(rr: RotatedRaster, cfg: FlowConfig) -> np.ndarray:
+    """Mean deviation at every rotated lattice site, NaN where undefined.
 
-    def __init__(self, rr: RotatedRaster):
-        self.rr = rr
-        h, w = rr.values.shape
-        self.h = h
-        self.w = w
-        v = np.where(rr.valid, rr.values, 0.0)
-        self.pn = np.zeros((h + 1, w))
-        self.p1 = np.zeros((h + 1, w))
-        self.p2 = np.zeros((h + 1, w))
-        self.pn[1:] = np.cumsum(rr.valid, axis=0)
-        self.p1[1:] = np.cumsum(v, axis=0)
-        self.p2[1:] = np.cumsum(v * v, axis=0)
+    Row r, column c of the result is the site (c - t, r - s) of the rotated
+    canvas, so the map covers every site whose window touches the canvas.
+    Perpendicular spans are vertical runs clipped to the canvas rows, read
+    as row-shifted slices of edge-padded column prefix sums; the upper half
+    span of a row is the lower half span of the row s below it. The tangent
+    mean adds the 2t+1 column-shifted copies of the span deviations in
+    order, columns off the canvas counting as undefined.
+    """
+    t = cfg.tangent_half_length
+    s = cfg.perp_half_length
+    h, w = rr.values.shape
 
-    def span_stats(self, cols: np.ndarray, y0: np.ndarray, y1: np.ndarray):
-        """Count/sum/sum-of-squares over rows [y0, y1] of each column."""
-        a = np.clip(y0, 0, self.h)
-        b = np.clip(y1 + 1, 0, self.h)
-        b = np.maximum(b, a)
-        n = self.pn[b, cols] - self.pn[a, cols]
-        s1 = self.p1[b, cols] - self.p1[a, cols]
-        s2 = self.p2[b, cols] - self.p2[a, cols]
-        return n, s1, s2
+    def prefix(v: np.ndarray) -> np.ndarray:
+        # row j holds the column sums over canvas rows [0, j - 2s), clipped
+        p = np.zeros((h + 4 * s + 1, w))
+        p[2 * s + 1 : 2 * s + 1 + h] = np.cumsum(v, axis=0)
+        p[2 * s + 1 + h :] = p[2 * s + h]
+        return p
 
+    pn, p1, p2 = prefix(rr.valid), prefix(rr.values), prefix(rr.values * rr.values)
 
-def _span_deviation(n: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    nf = np.maximum(n, 1)
-    mean = s1 / nf
-    var = s2 / nf - mean * mean
-    var = np.where(var < _VAR_EPS, 0.0, var)
-    return np.where(n >= 2, np.sqrt(var), np.nan)
+    def runs(length: int, n: int) -> np.ndarray:
+        """Deviations of the runs of ``length`` rows from canvas rows -2s .. n-2s-1."""
+        b = slice(length, length + n)
+        return _span_deviation(pn[b] - pn[:n], p1[b] - p1[:n], p2[b] - p2[:n])
+
+    rows = h + 2 * s
+    sig = runs(2 * s + 1, rows)
+    if cfg.use_half_line_rule:
+        half = runs(s + 1, rows + s)
+        sig = np.fmin(np.fmin(sig, half[:rows]), half[s:])
+    ok = ~np.isnan(sig)
+    out_w = w + 2 * t
+    padded = np.zeros((rows, w + 4 * t))
+    padded[:, 2 * t : 2 * t + w] = np.where(ok, sig, 0.0)
+    sig_sum = np.zeros((rows, out_w))
+    for i in range(2 * t + 1):
+        sig_sum += padded[:, i : i + out_w]
+    cnt = np.zeros((rows, w + 4 * t + 1), dtype=np.int64)
+    cnt[:, 2 * t + 1 : 2 * t + 1 + w] = ok
+    cnt = np.cumsum(cnt, axis=1)
+    sig_cnt = cnt[:, 2 * t + 1 :] - cnt[:, :out_w]
+    return np.where(sig_cnt > 0, sig_sum / np.maximum(sig_cnt, 1), np.nan)
 
 
 class RotatedDeviationEvaluator:
-    """Fast evaluator: one rotation plus prefix sums per candidate angle.
+    """Fast evaluator: one dense mean-deviation map per candidate angle.
 
     Rotating by -alpha turns tangent segments into horizontal runs and the
-    perpendiculars into vertical runs, so every deviation reduces to prefix
-    sum lookups of values and squared values. Grid sites are snapped to the
-    nearest rotated lattice point, so results match the direct evaluator up
-    to sub-pixel resampling.
+    perpendiculars into vertical runs, so the mean deviation of every
+    rotated lattice site comes from prefix sums of values and squared
+    values in one pass over the canvas. Grid sites are snapped to the
+    nearest rotated lattice point and read from the map, so results match
+    the direct evaluator up to sub-pixel resampling. Only the rotation
+    geometry and the map are kept per angle.
     """
 
     def __init__(self, image: GrayImage, cfg: FlowConfig):
         self._img = image.as_float()
         self._cfg = cfg
-        self._cache: dict[float, _RotatedStats] = {}
+        self._cache: dict[float, tuple[RotatedRaster, np.ndarray]] = {}
 
-    def _stats(self, alpha: float) -> _RotatedStats:
-        st = self._cache.get(alpha)
-        if st is None:
-            st = _RotatedStats(rotate_raster(self._img, alpha, (_STAT_OFFSET, _STAT_OFFSET)))
-            self._cache[alpha] = st
-        return st
+    def _map(self, alpha: float) -> tuple[RotatedRaster, np.ndarray]:
+        hit = self._cache.get(alpha)
+        if hit is None:
+            rr = rotate_raster(self._img, alpha, (_STAT_OFFSET, _STAT_OFFSET))
+            hit = self._cache[alpha] = (replace(rr, values=None, valid=None), _mean_deviation_map(rr, self._cfg))
+        return hit
 
     def mean_deviation(self, alpha: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        cfg = self._cfg
-        alpha = float(alpha)
-        st = self._stats(alpha)
-        rx, ry = st.rr.to_rotated(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
-        cx = np.floor(rx + 0.5).astype(np.int64)
-        cy = np.floor(ry + 0.5).astype(np.int64)
-
-        t = cfg.tangent_half_length
-        s = cfg.perp_half_length
-        sig_sum = np.zeros(cx.shape)
-        sig_cnt = np.zeros(cx.shape, dtype=np.int64)
-        for i in range(-t, t + 1):
-            col = cx + i
-            col_ok = (col >= 0) & (col < st.w)
-            colc = np.clip(col, 0, st.w - 1)
-            n, s1, s2 = st.span_stats(colc, cy - s, cy + s)
-            sig = _span_deviation(n, s1, s2)
-            if cfg.use_half_line_rule:
-                n, s1, s2 = st.span_stats(colc, cy - s, cy)
-                lo = _span_deviation(n, s1, s2)
-                n, s1, s2 = st.span_stats(colc, cy, cy + s)
-                hi = _span_deviation(n, s1, s2)
-                stacked = np.stack([sig, lo, hi])
-                all_nan = np.isnan(stacked).all(axis=0)
-                sig = np.nanmin(np.where(np.isnan(stacked), np.inf, stacked), axis=0)
-                sig = np.where(all_nan, np.nan, sig)
-            ok = col_ok & ~np.isnan(sig)
-            sig_sum += np.where(ok, sig, 0.0)
-            sig_cnt += ok
-        return np.where(sig_cnt > 0, sig_sum / np.maximum(sig_cnt, 1), np.nan)
+        geometry, mu = self._map(float(alpha))
+        rx, ry = geometry.to_rotated(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
+        col = np.floor(rx + 0.5).astype(np.int64) + self._cfg.tangent_half_length
+        row = np.floor(ry + 0.5).astype(np.int64) + self._cfg.perp_half_length
+        inside = (row >= 0) & (row < mu.shape[0]) & (col >= 0) & (col < mu.shape[1])
+        out = np.full(col.shape, np.nan)
+        out[inside] = mu[row[inside], col[inside]]
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import math
 import numpy as np
 
 import ridgeflow as rf
+from ridgeflow.image import rotate_raster
+from ridgeflow.projection import _STAT_OFFSET
 
 INTERIOR_MARGIN = 16  # tangent + perpendicular half lengths at defaults
 
@@ -66,3 +68,63 @@ def inner_pixel_mask(height: int, width: int, margin: int = INTERIOR_MARGIN) -> 
     m = np.zeros((height, width), dtype=bool)
     m[margin:-margin, margin:-margin] = True
     return m
+
+
+def _prefix_span_deviation(n: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    nf = np.maximum(n, 1)
+    mean = s1 / nf
+    var = s2 / nf - mean * mean
+    var = np.where(var < 1e-9, 0.0, var)
+    return np.where(n >= 2, np.sqrt(var), np.nan)
+
+
+class PerSitePrefixEvaluator:
+    """Per-site prefix-sum evaluator, the reference for the dense-map fast path.
+
+    Same rotation as ``RotatedDeviationEvaluator``, but every site makes its
+    own 2t+1 column lookups, each taking up to three span statistics from the
+    column prefix sums of counts, values and squared values.
+    """
+
+    def __init__(self, image: rf.GrayImage, cfg: rf.FlowConfig):
+        self._img = image.as_float()
+        self._cfg = cfg
+
+    def mean_deviation(self, alpha: float, xs, ys) -> np.ndarray:
+        cfg = self._cfg
+        rr = rotate_raster(self._img, float(alpha), (_STAT_OFFSET, _STAT_OFFSET))
+        h, w = rr.values.shape
+        v = np.where(rr.valid, rr.values, 0.0)
+        pn = np.zeros((h + 1, w))
+        p1 = np.zeros((h + 1, w))
+        p2 = np.zeros((h + 1, w))
+        pn[1:] = np.cumsum(rr.valid, axis=0)
+        p1[1:] = np.cumsum(v, axis=0)
+        p2[1:] = np.cumsum(v * v, axis=0)
+
+        def span_deviation(cols, y0, y1):
+            a = np.clip(y0, 0, h)
+            b = np.maximum(np.clip(y1 + 1, 0, h), a)
+            return _prefix_span_deviation(pn[b, cols] - pn[a, cols], p1[b, cols] - p1[a, cols], p2[b, cols] - p2[a, cols])
+
+        rx, ry = rr.to_rotated(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
+        cx = np.floor(rx + 0.5).astype(np.int64)
+        cy = np.floor(ry + 0.5).astype(np.int64)
+        t = cfg.tangent_half_length
+        s = cfg.perp_half_length
+        sig_sum = np.zeros(cx.shape)
+        sig_cnt = np.zeros(cx.shape, dtype=np.int64)
+        for i in range(-t, t + 1):
+            col = cx + i
+            col_ok = (col >= 0) & (col < w)
+            colc = np.clip(col, 0, w - 1)
+            sig = span_deviation(colc, cy - s, cy + s)
+            if cfg.use_half_line_rule:
+                stacked = np.stack([sig, span_deviation(colc, cy - s, cy), span_deviation(colc, cy, cy + s)])
+                all_nan = np.isnan(stacked).all(axis=0)
+                sig = np.nanmin(np.where(np.isnan(stacked), np.inf, stacked), axis=0)
+                sig = np.where(all_nan, np.nan, sig)
+            ok = col_ok & ~np.isnan(sig)
+            sig_sum += np.where(ok, sig, 0.0)
+            sig_cnt += ok
+        return np.where(sig_cnt > 0, sig_sum / np.maximum(sig_cnt, 1), np.nan)

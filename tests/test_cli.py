@@ -53,6 +53,31 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
 
+    def test_viz_nan_flow_is_data_error(self, sample, tmp_path, capsys):
+        img_path, _ = sample
+        flow_csv = tmp_path / "nan.csv"
+        flow_csv.write_text("x,y,theta_radians,valid\n0,0,nan,1\n2,0,0.1,1\n", encoding="ascii")
+        svg_out = tmp_path / "o.svg"
+        assert run_cli(["viz", str(img_path), "--flow", str(flow_csv), "--out", str(svg_out)]) == 2
+        assert "nan.csv: valid angles must be finite" in capsys.readouterr().err
+        assert not svg_out.exists()
+
+    def test_short_flow_row_is_data_error(self, sample, tmp_path, capsys):
+        img_path, _ = sample
+        flow_csv = tmp_path / "short.csv"
+        flow_csv.write_text("x,y,theta_radians,valid\n0,0,0.1\n", encoding="ascii")
+        rc = run_cli(["viz", str(img_path), "--flow", str(flow_csv), "--out", str(tmp_path / "o.svg")])
+        assert rc == 2
+        assert "short.csv:2: malformed row" in capsys.readouterr().err
+
+    def test_negative_gradient_window_is_data_error(self, sample, tmp_path, capsys):
+        img_path, _ = sample
+        argv = ["flow", str(img_path), "--out", str(tmp_path / "f.csv"), "--method", "gradient"]
+        assert run_cli(argv + ["--grad-window-half", "-1"]) == 2
+        assert "window half size" in capsys.readouterr().err
+        assert run_cli(argv + ["--grad-weight-sigma", "0"]) == 2
+        assert "weight sigma" in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_synth_writes_image_and_truth(self, tmp_path):

@@ -142,6 +142,18 @@ class TestGradientFlowField:
         flow = rf.compute_flow_field_gradient(rf.GrayImage(np.full((64, 64), 80, dtype=np.int64)))
         assert not flow.valid.any()
 
+    @pytest.mark.parametrize("kw", [{"window_half": -1}, {"weight_sigma": 0.0},
+                                    {"weight_sigma": -1.0}, {"weight_sigma": math.nan}])
+    def test_rejects_bad_window_parameters(self, kw):
+        img, _ = sinusoid(30)
+        with pytest.raises(ValueError, match="gradient"):
+            rf.compute_flow_field_gradient(img, **kw)
+
+    def test_uniform_weights_allowed(self):
+        img, _ = sinusoid(30)
+        flow = rf.compute_flow_field_gradient(img, weight_sigma=None)
+        assert flow.valid.any()
+
     def test_sinusoid_accuracy(self):
         img, truth = sinusoid(30)
         flow = rf.compute_flow_field_gradient(img)

@@ -308,3 +308,33 @@ class TestFlowCsv:
         p = tmp_path / "f.csv"
         rf.save_flow_csv(flow, p)
         assert p.read_text().splitlines()[0] == "x,y,theta_radians,valid"
+
+    @pytest.mark.parametrize("row", ["2,0,0.1", "2,0", "2,0,abc,1", "2,0,0.1,1.0"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        p = tmp_path / "f.csv"
+        p.write_text("x,y,theta_radians,valid\n0,0,0.1,1\n" + row + "\n", encoding="ascii")
+        with pytest.raises(ValueError, match=r"f\.csv:3: malformed row"):
+            rf.load_flow_csv(p)
+
+    def test_short_coherence_row_is_malformed(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("x,y,theta_radians,valid,coherence\n0,0,0.1,1,0.5\n2,0,0.1,1\n", encoding="ascii")
+        with pytest.raises(ValueError, match=r"f\.csv:3: malformed row"):
+            rf.load_flow_csv(p)
+
+    def test_nan_angle_in_csv_names_file(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("x,y,theta_radians,valid\n0,0,nan,1\n2,0,0.1,1\n", encoding="ascii")
+        with pytest.raises(ValueError, match=r"f\.csv: valid angles must be finite"):
+            rf.load_flow_csv(p)
+
+
+class TestFlowFieldContract:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, math.pi, -0.1])
+    def test_valid_angle_outside_range_or_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="valid angles must be finite"):
+            rf.FlowField(np.array([[bad, 0.1]]), np.array([[True, True]]), 2)
+
+    def test_non_finite_angle_at_invalid_site_is_zeroed(self):
+        flow = rf.FlowField(np.array([[np.nan, 0.1]]), np.array([[False, True]]), 2)
+        assert flow.angles.tolist() == [[0.0, 0.1]]

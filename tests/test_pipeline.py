@@ -24,6 +24,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             rf.PipelineConfig(flow_method="fft")
 
+    @pytest.mark.parametrize("kw", [{"gradient_window_half": -1}, {"gradient_weight_sigma": 0.0},
+                                    {"gradient_weight_sigma": -2.0}, {"gradient_weight_sigma": math.nan}])
+    def test_gradient_parameters_validated(self, kw):
+        with pytest.raises(ValueError, match="gradient"):
+            rf.PipelineConfig(**kw)
+
+    def test_gradient_uniform_weights_and_zero_window_allowed(self):
+        cfg = rf.PipelineConfig(gradient_window_half=0, gradient_weight_sigma=None)
+        assert cfg.gradient_weight_sigma is None
+
 
 class TestRunIteration:
     def test_constant_image(self):
