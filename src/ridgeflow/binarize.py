@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flowfield import FlowField, angles_at
-from .image import BinaryImage, GrayImage, Point, bilinear_many
+from .flowfield import FlowField, angles_at, check_flow_grid
+from .image import BinaryImage, GrayImage, Point, bilinear_many, row_bands
 
 
 # Decision margin: means closer than this count as a tie (valley). Intensity
@@ -66,10 +66,12 @@ def binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None
     Pixels with no defined orientation are classified as valley (1).
     """
     cfg = cfg or BinarizeConfig()
+    check_flow_grid(flow, image.width, image.height)
     img = image.as_float()
-    X, Y = np.meshgrid(np.arange(image.width, dtype=np.float64), np.arange(image.height, dtype=np.float64))
-    theta, defined = angles_at(flow, X, Y)
-    g = _directional_mean(img, X, Y, theta, cfg.line_half_length)
-    h = _directional_mean(img, X, Y, theta + math.pi / 2.0, cfg.line_half_length)
-    ridge = defined & ~np.isnan(g) & ~np.isnan(h) & (g < h - _TIE_EPS)
+    ridge = np.empty((image.height, image.width), dtype=bool)
+    for rows, X, Y in row_bands(image.width, image.height):
+        theta, defined = angles_at(flow, X, Y)
+        g = _directional_mean(img, X, Y, theta, cfg.line_half_length)
+        h = _directional_mean(img, X, Y, theta + math.pi / 2.0, cfg.line_half_length)
+        ridge[rows] = defined & ~np.isnan(g) & ~np.isnan(h) & (g < h - _TIE_EPS)
     return BinaryImage(np.where(ridge, 0, 1).astype(np.int64))

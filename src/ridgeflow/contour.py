@@ -15,8 +15,8 @@ import numpy as np
 
 from .binarize import _TIE_EPS, BinarizeConfig, BinaryImage, _directional_mean
 from .enhance import EnhanceConfig, gaussian_kernel
-from .flowfield import FlowField, angle_at, angles_at
-from .image import GrayImage, Point, bilinear_many
+from .flowfield import FlowField, angle_at, angles_at, check_flow_grid
+from .image import GrayImage, Point, bilinear_many, row_bands
 
 
 @dataclass
@@ -171,18 +171,19 @@ def enhance_pixel_contour(
 
 def binarize_image_contour(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None = None) -> BinaryImage:
     cfg = cfg or BinarizeConfig()
+    check_flow_grid(flow, image.width, image.height)
     img = image.as_float()
-    X, Y = np.meshgrid(np.arange(image.width, dtype=np.float64), np.arange(image.height, dtype=np.float64))
-    theta, defined = angles_at(flow, X, Y)
-
-    px, py, ok = _trace_batch(flow, X, Y, cfg.line_half_length, (image.width, image.height))
-    vals = bilinear_many(img, px, py)
-    use = ok & ~np.isnan(vals)
-    n = use.sum(axis=0)
-    g = np.where(n > 0, np.where(use, vals, 0.0).sum(axis=0) / np.maximum(n, 1), np.nan)
-    g = g.reshape(X.shape)
-    h = _directional_mean(img, X, Y, theta + math.pi / 2.0, cfg.line_half_length)
-    ridge = defined & ~np.isnan(g) & ~np.isnan(h) & (g < h - _TIE_EPS)
+    ridge = np.empty((image.height, image.width), dtype=bool)
+    for rows, X, Y in row_bands(image.width, image.height):
+        theta, defined = angles_at(flow, X, Y)
+        px, py, ok = _trace_batch(flow, X, Y, cfg.line_half_length, (image.width, image.height))
+        vals = bilinear_many(img, px, py)
+        use = ok & ~np.isnan(vals)
+        n = use.sum(axis=0)
+        g = np.where(n > 0, np.where(use, vals, 0.0).sum(axis=0) / np.maximum(n, 1), np.nan)
+        g = g.reshape(X.shape)
+        h = _directional_mean(img, X, Y, theta + math.pi / 2.0, cfg.line_half_length)
+        ridge[rows] = defined & ~np.isnan(g) & ~np.isnan(h) & (g < h - _TIE_EPS)
     return BinaryImage(np.where(ridge, 0, 1).astype(np.int64))
 
 
@@ -195,11 +196,14 @@ def contour_enhance_values(
             f"binary dimensions {binary.width}x{binary.height} do not match "
             f"image {image.width}x{image.height}"
         )
+    check_flow_grid(flow, image.width, image.height)
     img = image.as_float()
-    X, Y = np.meshgrid(np.arange(image.width, dtype=np.float64), np.arange(image.height, dtype=np.float64))
-    _, defined = angles_at(flow, X, Y)
-    blended = _contour_blend(img, binary.bits, flow, X.ravel(), Y.ravel(), cfg).reshape(X.shape)
-    return np.where(defined, blended, img)
+    out = np.empty_like(img)
+    for rows, X, Y in row_bands(image.width, image.height):
+        _, defined = angles_at(flow, X, Y)
+        blended = _contour_blend(img, binary.bits, flow, X.ravel(), Y.ravel(), cfg).reshape(X.shape)
+        out[rows] = np.where(defined, blended, img[rows])
+    return out
 
 
 def enhance_image_contour(

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binarize import BinaryImage
-from .flowfield import FlowField, angles_at
-from .image import GrayImage, Point, bilinear_many
+from .flowfield import FlowField, angles_at, check_flow_grid
+from .image import GrayImage, Point, bilinear_many, row_bands
 
 
 @dataclass
@@ -91,11 +91,14 @@ def enhance_values(
             f"binary dimensions {binary.width}x{binary.height} do not match "
             f"image {image.width}x{image.height}"
         )
+    check_flow_grid(flow, image.width, image.height)
     img = image.as_float()
-    X, Y = np.meshgrid(np.arange(image.width, dtype=np.float64), np.arange(image.height, dtype=np.float64))
-    theta, defined = angles_at(flow, X, Y)
-    blended = _masked_directional_blend(img, binary.bits, X, Y, theta, cfg)
-    return np.where(defined, blended, img)
+    out = np.empty_like(img)
+    for rows, X, Y in row_bands(image.width, image.height):
+        theta, defined = angles_at(flow, X, Y)
+        blended = _masked_directional_blend(img, binary.bits, X, Y, theta, cfg)
+        out[rows] = np.where(defined, blended, img[rows])
+    return out
 
 
 def enhance_image(

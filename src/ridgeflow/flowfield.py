@@ -44,6 +44,8 @@ class FlowField:
             coh = np.asarray(self.coherence, dtype=np.float64)
             if coh.shape != ang.shape:
                 raise ValueError("coherence must match the grid shape")
+            if not np.all((coh >= 0.0) & (coh <= 1.0)):
+                raise ValueError("coherence must be finite and lie in [0, 1]")
             coh.setflags(write=False)
             self.coherence = coh
 
@@ -60,6 +62,16 @@ class FlowField:
 
     def site_ys(self) -> np.ndarray:
         return self.origin[1] + np.arange(self.grid_height) * self.stride
+
+
+def check_flow_grid(flow: FlowField, width: int, height: int) -> None:
+    """Raise ValueError unless ``flow`` has the stride grid of a width x height image."""
+    need = (math.ceil(height / flow.stride), math.ceil(width / flow.stride))
+    if flow.angles.shape != need:
+        raise ValueError(
+            f"flow grid {flow.grid_width}x{flow.grid_height} (stride {flow.stride}) does not match "
+            f"image {width}x{height}, which needs a {need[1]}x{need[0]} grid"
+        )
 
 
 def angular_distance(a, b):
@@ -143,14 +155,14 @@ def save_flow_csv(flow: FlowField, path) -> None:
     if flow.coherence is not None:
         cols += ",coherence"
     lines = [cols]
-    xs = flow.site_xs()
-    ys = flow.site_ys()
-    for iy in range(flow.grid_height):
-        for ix in range(flow.grid_width):
-            row = f"{xs[ix]:g},{ys[iy]:g},{flow.angles[iy, ix]:.6f},{int(flow.valid[iy, ix])}"
-            if flow.coherence is not None:
-                row += f",{flow.coherence[iy, ix]:.6f}"
-            lines.append(row)
+    # plain Python values: formatting numpy scalars one by one is slow
+    xs = [f"{x:g}," for x in flow.site_xs().tolist()]
+    for iy, y in enumerate(flow.site_ys().tolist()):
+        head = [f"{x}{y:g}," for x in xs]
+        rows = [f"{h}{a:.6f},{int(v)}" for h, a, v in zip(head, flow.angles[iy].tolist(), flow.valid[iy].tolist())]
+        if flow.coherence is not None:
+            rows = [f"{r},{c:.6f}" for r, c in zip(rows, flow.coherence[iy].tolist())]
+        lines += rows
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -173,6 +185,8 @@ def load_flow_csv(path) -> FlowField:
             if len(parts) < n_fields:
                 raise ValueError(f"expected {n_fields} fields")
             x, y, theta, v = float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3])
+            if v not in (0, 1):
+                raise ValueError(f"valid must be 0 or 1, not {v}")
             coh = float(parts[4]) if has_coh else 0.0
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: malformed row {ln!r} ({err})") from None

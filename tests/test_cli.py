@@ -62,6 +62,15 @@ class TestExitCodes:
         assert "nan.csv: valid angles must be finite" in capsys.readouterr().err
         assert not svg_out.exists()
 
+    def test_bad_valid_flag_and_nan_coherence_is_data_error(self, sample, tmp_path, capsys):
+        img_path, _ = sample
+        flow_csv = tmp_path / "flag.csv"
+        flow_csv.write_text("x,y,theta_radians,valid,coherence\n0,0,0.1,7,nan\n", encoding="ascii")
+        svg_out = tmp_path / "o.svg"
+        assert run_cli(["viz", str(img_path), "--flow", str(flow_csv), "--out", str(svg_out)]) == 2
+        assert "flag.csv:2: malformed row" in capsys.readouterr().err
+        assert not svg_out.exists()
+
     def test_short_flow_row_is_data_error(self, sample, tmp_path, capsys):
         img_path, _ = sample
         flow_csv = tmp_path / "short.csv"

@@ -322,6 +322,20 @@ class TestFlowCsv:
         with pytest.raises(ValueError, match=r"f\.csv:3: malformed row"):
             rf.load_flow_csv(p)
 
+    @pytest.mark.parametrize("flag", ["7", "-1", "2"])
+    def test_valid_other_than_zero_or_one_names_file_and_line(self, tmp_path, flag):
+        p = tmp_path / "f.csv"
+        p.write_text(f"x,y,theta_radians,valid\n0,0,0.1,1\n2,0,0.1,{flag}\n", encoding="ascii")
+        with pytest.raises(ValueError, match=r"f\.csv:3: malformed row .*valid must be 0 or 1"):
+            rf.load_flow_csv(p)
+
+    @pytest.mark.parametrize("coh", ["nan", "inf", "-0.5", "1.5"])
+    def test_bad_coherence_in_csv_names_file(self, tmp_path, coh):
+        p = tmp_path / "f.csv"
+        p.write_text(f"x,y,theta_radians,valid,coherence\n0,0,0.1,1,{coh}\n2,0,0.1,0,0.5\n", encoding="ascii")
+        with pytest.raises(ValueError, match=r"f\.csv: coherence must be finite and lie in \[0, 1\]"):
+            rf.load_flow_csv(p)
+
     def test_nan_angle_in_csv_names_file(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("x,y,theta_radians,valid\n0,0,nan,1\n2,0,0.1,1\n", encoding="ascii")
@@ -334,6 +348,16 @@ class TestFlowFieldContract:
     def test_valid_angle_outside_range_or_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="valid angles must be finite"):
             rf.FlowField(np.array([[bad, 0.1]]), np.array([[True, True]]), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-9, 1.0 + 1e-9])
+    def test_coherence_outside_unit_interval_or_non_finite_rejected(self, bad):
+        # checked at invalid sites too: the CSV writes coherence for every site
+        with pytest.raises(ValueError, match=r"coherence must be finite and lie in \[0, 1\]"):
+            rf.FlowField(np.zeros((1, 2)), np.array([[False, True]]), 2, coherence=np.array([[bad, 0.5]]))
+
+    def test_coherence_bounds_are_inclusive(self):
+        flow = rf.FlowField(np.zeros((1, 2)), np.ones((1, 2), dtype=bool), 2, coherence=np.array([[0.0, 1.0]]))
+        assert flow.coherence.tolist() == [[0.0, 1.0]]
 
     def test_non_finite_angle_at_invalid_site_is_zeroed(self):
         flow = rf.FlowField(np.array([[np.nan, 0.1]]), np.array([[False, True]]), 2)

@@ -1,0 +1,140 @@
+"""Row-banded per-pixel stages: band-size independence, bounded memory and
+the flow/image grid contract of binarize, enhance and their contour variants."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import ridgeflow as rf
+import ridgeflow.image as rimage
+import ridgeflow.projection as rproj
+
+W, H = 131, 97  # non-square; 7 rows per band does not divide H
+
+
+def _stages(img, flow):
+    """Outputs of the four image-level stages, each as raw bytes."""
+    binary = rf.binarize_image(img, flow)
+    contour_binary = rf.binarize_image_contour(img, flow)
+    return [
+        binary.bits.tobytes(),
+        rf.enhance_values(img, binary, flow).tobytes(),
+        contour_binary.bits.tobytes(),
+        rf.contour_enhance_values(img, contour_binary, flow).tobytes(),
+    ]
+
+
+@pytest.fixture(scope="module")
+def noisy():
+    img, _ = rf.generate(rf.SyntheticSpec(width=W, height=H, pattern="concentric", period=9.0,
+                                          noise_sigma=40.0, rng_seed=11))
+    px = img.pixels.astype(np.int64)
+    px[:, :40] = 128  # flat background: invalid sites and undefined pixels
+    return rf.GrayImage(px)
+
+
+class TestRowBands:
+    @pytest.mark.parametrize("band_pixels, n_bands", [(1, H), (7 * W + 3, math.ceil(H / 7)), (H * W, 1)])
+    def test_bands_cover_each_row_once_in_order(self, monkeypatch, band_pixels, n_bands):
+        monkeypatch.setattr(rimage, "BAND_PIXELS", band_pixels)
+        bands = list(rimage.row_bands(W, H))
+        assert len(bands) == n_bands
+        rows = np.concatenate([np.arange(H)[r] for r, _, _ in bands])
+        assert rows.tolist() == list(range(H))
+        for r, xs, ys in bands:
+            want_y, want_x = np.mgrid[r, 0:W]
+            assert xs.dtype == ys.dtype == np.float64
+            assert np.array_equal(xs, want_x) and np.array_equal(ys, want_y)
+
+    @pytest.mark.parametrize("method", ["projection", "gradient"])
+    def test_outputs_byte_identical_across_band_sizes(self, noisy, monkeypatch, method):
+        flow = rf.compute_flow_field(noisy) if method == "projection" else rf.compute_flow_field_gradient(noisy)
+        assert flow.valid.any() and not flow.valid.all()
+        outs = []
+        for band_pixels in (1, 7 * W + 3, H * W):
+            monkeypatch.setattr(rimage, "BAND_PIXELS", band_pixels)
+            outs.append(_stages(noisy, flow))
+        assert outs[0] == outs[2]
+        assert outs[1] == outs[2]
+
+
+class TestBandedFlowStage:
+    """Rotation and the per-angle deviation maps run in row bands too."""
+
+    @pytest.mark.parametrize("sampling_offset", [(0.0, 0.0), (rproj._STAT_OFFSET, rproj._STAT_OFFSET)])
+    def test_rotation_maps_and_flow_byte_identical_across_band_sizes(self, noisy, monkeypatch, sampling_offset):
+        values = noisy.as_float()
+        cfg = rf.FlowConfig()
+        outs = []
+        for band_pixels in (1, 7 * W + 3, 4 * H * W):
+            monkeypatch.setattr(rimage, "BAND_PIXELS", band_pixels)
+            monkeypatch.setattr(rproj, "_MAP_BAND_PIXELS", band_pixels)
+            got = []
+            for alpha in (0.0, 0.3, math.pi / 4, math.pi / 2, 2.9):
+                rr = rimage.rotate_raster(values, alpha, sampling_offset)
+                got += [rr.values.tobytes(), rr.valid.tobytes(), rproj._mean_deviation_map(rr, cfg).tobytes()]
+            flow = rf.compute_flow_field(noisy)
+            got += [flow.angles.tobytes(), flow.valid.tobytes()]
+            outs.append(got)
+        assert outs[0] == outs[2]
+        assert outs[1] == outs[2]
+
+
+class TestBoundedMemory:
+    # Traced peaks measured at 512x512 with 8192-pixel bands: about 20 MiB for
+    # either pair (whole-image gathers took 507 MiB and 512 MiB). The ceiling
+    # leaves headroom for the O(H*W) inputs and outputs; do not raise it.
+    CEILING_MIB = 40.0
+
+    @staticmethod
+    def _peak_mib(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        return rf.generate(rf.SyntheticSpec(width=512, height=512, pattern="concentric",
+                                            noise_sigma=40.0, rng_seed=3))
+
+    def test_binarize_and_enhance_peak_is_bounded(self, large):
+        img, flow = large
+        peak = self._peak_mib(lambda: rf.enhance_image(img, rf.binarize_image(img, flow), flow))
+        assert peak < self.CEILING_MIB
+
+    def test_contour_binarize_and_enhance_peak_is_bounded(self, large):
+        img, flow = large
+        peak = self._peak_mib(lambda: rf.enhance_image_contour(img, rf.binarize_image_contour(img, flow), flow))
+        assert peak < self.CEILING_MIB
+
+
+class TestFlowGridContract:
+    @pytest.fixture(scope="class")
+    def mismatch(self):
+        small, _ = rf.generate(rf.SyntheticSpec(width=64, height=64, pattern="parallel", rng_seed=1))
+        big, _ = rf.generate(rf.SyntheticSpec(width=128, height=128, pattern="parallel", rng_seed=1))
+        return big, rf.compute_flow_field(small)
+
+    def test_binarize_rejects_flow_of_other_image(self, mismatch):
+        big, flow = mismatch
+        for binarize in (rf.binarize_image, rf.binarize_image_contour):
+            with pytest.raises(ValueError, match=r"flow grid 32x32 .* image 128x128, which needs a 64x64 grid"):
+                binarize(big, flow)
+
+    def test_enhance_rejects_flow_of_other_image(self, mismatch):
+        big, flow = mismatch
+        binary = rf.BinaryImage(np.ones((128, 128), dtype=np.int64))
+        for enhance in (rf.enhance_values, rf.enhance_image, rf.contour_enhance_values, rf.enhance_image_contour):
+            with pytest.raises(ValueError, match=r"flow grid 32x32 .* image 128x128"):
+                enhance(big, binary, flow)
+
+    def test_check_uses_ceiling_of_size_over_stride(self):
+        flow = rf.FlowField(np.zeros((3, 4)), np.ones((3, 4), dtype=bool), 3)
+        rf.binarize_image(rf.GrayImage(np.zeros((7, 10), dtype=np.int64)), flow)
+        with pytest.raises(ValueError, match=r"which needs a 4x4 grid"):
+            rf.binarize_image(rf.GrayImage(np.zeros((10, 10), dtype=np.int64)), flow)
