@@ -33,31 +33,58 @@ class BinarizeConfig:
             raise ValueError("line_half_length must be >= 1")
 
 
-def _directional_mean(img: np.ndarray, xs, ys, theta, half_length: int) -> np.ndarray:
-    """Mean of in-bounds samples along the line at ``theta``; NaN if none."""
-    offs = np.arange(-half_length, half_length + 1, dtype=np.float64)
-    shape = (offs.size,) + (1,) * np.ndim(xs)
-    offs = offs.reshape(shape)
-    X = xs + offs * np.cos(theta)
-    Y = ys + offs * np.sin(theta)
-    vals = bilinear_many(img, X, Y)
-    ok = ~np.isnan(vals)
-    n = ok.sum(axis=0)
-    s = np.where(ok, vals, 0.0).sum(axis=0)
+def _line_path(flow, xs, ys, theta, defined, half: int, bounds):
+    """The straight sampling path: ``half`` unit steps each way along ``theta``, all kept.
+
+    Paths are described in the contour module docstring.
+    """
+    offs = np.arange(-half, half + 1, dtype=np.float64)
+    offs = offs.reshape((offs.size,) + (1,) * np.ndim(xs))
+    return xs + offs * np.cos(theta), ys + offs * np.sin(theta), True
+
+
+def _path_mean(img: np.ndarray, path, flow, xs, ys, theta, defined, half: int) -> np.ndarray:
+    """Mean of the in-bounds samples that ``path`` keeps; NaN if none."""
+    h, w = img.shape
+    px, py, ok = path(flow, xs, ys, theta, defined, half, (w, h))
+    vals = bilinear_many(img, px, py)
+    use = ok & ~np.isnan(vals)
+    n = use.sum(axis=0)
+    s = np.where(use, vals, 0.0).sum(axis=0)
     return np.where(n > 0, s / np.maximum(n, 1), np.nan)
+
+
+def _is_ridge(img: np.ndarray, path, flow, xs, ys, theta, defined, half: int) -> np.ndarray:
+    """Ridge mask: the mean along ``path`` is below the straight orthogonal mean."""
+    g = _path_mean(img, path, flow, xs, ys, theta, defined, half)
+    h = _path_mean(img, _line_path, flow, xs, ys, theta + math.pi / 2.0, defined, half)
+    return defined & ~np.isnan(g) & ~np.isnan(h) & (g < h - _TIE_EPS)
+
+
+def _binarize_pixel(image: GrayImage, p: Point, angles, cfg: BinarizeConfig | None, path, flow) -> int:
+    """Bit at ``p``; ``angles`` is (theta, defined), each of shape (1,)."""
+    cfg = cfg or BinarizeConfig()
+    xs = np.array([p[0]], dtype=np.float64)
+    ys = np.array([p[1]], dtype=np.float64)
+    ridge = _is_ridge(image.as_float(), path, flow, xs, ys, *angles, cfg.line_half_length)
+    return 0 if ridge[0] else 1
 
 
 def binarize_pixel(image: GrayImage, p: Point, theta: float, cfg: BinarizeConfig | None = None) -> int:
     """Bit at ``p`` given orientation ``theta`` (pi-periodic)."""
+    return _binarize_pixel(image, p, (np.array([theta]), np.array([True])), cfg, _line_path, None)
+
+
+def _binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None, path) -> BinaryImage:
+    """Classify every pixel along ``path``, in row bands."""
     cfg = cfg or BinarizeConfig()
+    check_flow_grid(flow, image.width, image.height)
     img = image.as_float()
-    px = np.float64(p[0])
-    py = np.float64(p[1])
-    g = _directional_mean(img, px, py, theta, cfg.line_half_length)
-    h = _directional_mean(img, px, py, theta + math.pi / 2.0, cfg.line_half_length)
-    if math.isnan(g) or math.isnan(h):
-        return 1
-    return 0 if g < h - _TIE_EPS else 1
+    ridge = np.empty((image.height, image.width), dtype=bool)
+    for rows, X, Y in row_bands(image.width, image.height):
+        theta, defined = angles_at(flow, X, Y)
+        ridge[rows] = _is_ridge(img, path, flow, X, Y, theta, defined, cfg.line_half_length)
+    return BinaryImage(np.where(ridge, 0, 1).astype(np.int64))
 
 
 def binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None = None) -> BinaryImage:
@@ -65,13 +92,4 @@ def binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None
 
     Pixels with no defined orientation are classified as valley (1).
     """
-    cfg = cfg or BinarizeConfig()
-    check_flow_grid(flow, image.width, image.height)
-    img = image.as_float()
-    ridge = np.empty((image.height, image.width), dtype=bool)
-    for rows, X, Y in row_bands(image.width, image.height):
-        theta, defined = angles_at(flow, X, Y)
-        g = _directional_mean(img, X, Y, theta, cfg.line_half_length)
-        h = _directional_mean(img, X, Y, theta + math.pi / 2.0, cfg.line_half_length)
-        ridge[rows] = defined & ~np.isnan(g) & ~np.isnan(h) & (g < h - _TIE_EPS)
-    return BinaryImage(np.where(ridge, 0, 1).astype(np.int64))
+    return _binarize_image(image, flow, cfg, _line_path)

@@ -16,10 +16,9 @@ from .binarize import BinarizeConfig, binarize_image
 from .contour import binarize_image_contour, enhance_image_contour
 from .enhance import EnhanceConfig, enhance_image
 from .flowfield import load_flow_csv, save_flow_csv
-from .gradient import compute_flow_field_gradient
 from .image import GrayImage, binary_as_gray, invert, load_pgm, save_pgm
-from .pipeline import PipelineConfig, compare_methods, run_pipeline, save_comparison_csv, summary_lines
-from .projection import FlowConfig, compute_flow_field
+from .pipeline import PipelineConfig, _flow_for, compare_methods, run_pipeline, save_comparison_csv, summary_lines
+from .projection import FlowConfig
 from .synth import PATTERNS, SyntheticSpec, generate
 from .viz import render_flow_overlay
 
@@ -71,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow = sub.add_parser("flow", help="estimate an orientation flow field", parents=[], add_help=True)
     p_flow.add_argument("input", help="input PGM image")
     p_flow.add_argument("--out", help="output flow CSV path")
-    p_flow.add_argument("--direct", action="store_true", help="use the direct sampling path (reference, slower)")
     _add_flow_flags(p_flow)
 
     p_bin = sub.add_parser("binarize", help="classify pixels into ridge/valley")
@@ -143,19 +141,6 @@ def _flow_config(args) -> FlowConfig:
     )
 
 
-def _compute_flow(image: GrayImage, args, sampling: str = "rotated"):
-    cfg = _flow_config(args)
-    if args.method == "gradient":
-        return compute_flow_field_gradient(
-            image,
-            cfg,
-            window_half=args.grad_window_half,
-            weight_sigma=args.grad_weight_sigma,
-            coherence_threshold=args.coherence_threshold,
-        )
-    return compute_flow_field(image, cfg, sampling=sampling)
-
-
 def _pipeline_config(args) -> PipelineConfig:
     return PipelineConfig(
         iterations=getattr(args, "iterations", 2),
@@ -182,20 +167,20 @@ def _require_out(args, attr: str, parser_hint: str) -> str:
 
 def _classify(image: GrayImage, args):
     """Flow plus binary image honoring --path and --invert-polarity."""
-    flow = _compute_flow(image, args)
+    cfg = _pipeline_config(args)
+    flow = _flow_for(image, cfg)
     source = invert(image) if args.invert_polarity else image
-    bin_cfg = BinarizeConfig(line_half_length=args.bin_half)
     if args.path == "contour":
-        binary = binarize_image_contour(source, flow, bin_cfg)
+        binary = binarize_image_contour(source, flow, cfg.binarize)
     else:
-        binary = binarize_image(source, flow, bin_cfg)
+        binary = binarize_image(source, flow, cfg.binarize)
     return flow, binary
 
 
 def _cmd_flow(args) -> int:
     image = load_pgm(args.input)
     out = _require_out(args, "out", "flow")
-    field = _compute_flow(image, args, sampling="direct" if args.direct else "rotated")
+    field = _flow_for(image, _pipeline_config(args))
     save_flow_csv(field, out)
     return 0
 
@@ -212,7 +197,7 @@ def _cmd_enhance(args) -> int:
     image = load_pgm(args.input)
     out = _require_out(args, "out", "enhance")
     flow, binary = _classify(image, args)
-    enh_cfg = EnhanceConfig(gaussian_sigma=args.sigma, kernel_half_length=args.kernel_half)
+    enh_cfg = _pipeline_config(args).enhance
     if args.path == "contour":
         enhanced = enhance_image_contour(image, binary, flow, enh_cfg)
     else:
@@ -272,7 +257,7 @@ def _cmd_synth(args) -> int:
 def _cmd_viz(args) -> int:
     image = load_pgm(args.input)
     out = _require_out(args, "out", "viz")
-    flow = load_flow_csv(args.flow) if args.flow else _compute_flow(image, args)
+    flow = load_flow_csv(args.flow) if args.flow else _flow_for(image, _pipeline_config(args))
     render_flow_overlay(image, flow, out)
     return 0
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binarize import BinaryImage
+from .binarize import BinaryImage, _line_path
 from .flowfield import FlowField, angles_at, check_flow_grid
 from .image import GrayImage, Point, bilinear_many, row_bands
 
@@ -36,26 +36,20 @@ def gaussian_kernel(sigma: float, half_length: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _masked_directional_blend(
-    img: np.ndarray, bits: np.ndarray, xs, ys, theta, cfg: EnhanceConfig
+def _masked_blend(
+    img: np.ndarray, bits: np.ndarray, path, flow, xs, ys, theta, defined, cfg: EnhanceConfig
 ) -> np.ndarray:
-    """Gaussian-weighted mean along ``theta`` over same-class samples."""
+    """Gaussian-weighted mean over the samples of ``path`` that share the seed's class."""
     h, w = img.shape
     k = cfg.kernel_half_length
-    weights = gaussian_kernel(cfg.gaussian_sigma, k)
-    offs = np.arange(-k, k + 1, dtype=np.float64)
-    shape = (offs.size,) + (1,) * np.ndim(xs)
-    offs = offs.reshape(shape)
-    wcol = weights.reshape(shape)
-
-    X = xs + offs * np.cos(theta)
-    Y = ys + offs * np.sin(theta)
-    vals = bilinear_many(img, X, Y)
-    inb = ~np.isnan(vals)
+    wcol = gaussian_kernel(cfg.gaussian_sigma, k).reshape((2 * k + 1,) + (1,) * np.ndim(xs))
+    px, py, ok = path(flow, xs, ys, theta, defined, k, (w, h))
+    vals = bilinear_many(img, px, py)
+    inb = ok & ~np.isnan(vals)
 
     # binary class at the nearest pixel of each sample
-    xi = np.clip(np.floor(X + 0.5).astype(np.int64), 0, w - 1)
-    yi = np.clip(np.floor(Y + 0.5).astype(np.int64), 0, h - 1)
+    xi = np.clip(np.floor(px + 0.5).astype(np.int64), 0, w - 1)
+    yi = np.clip(np.floor(py + 0.5).astype(np.int64), 0, h - 1)
     center_x = np.clip(np.floor(np.asarray(xs) + 0.5).astype(np.int64), 0, w - 1)
     center_y = np.clip(np.floor(np.asarray(ys) + 0.5).astype(np.int64), 0, h - 1)
     same = bits[yi, xi] == bits[center_y, center_x]
@@ -69,22 +63,29 @@ def _masked_directional_blend(
     return np.where(den > 0, out, center_val)
 
 
+def _enhance_pixel(
+    image: GrayImage, binary: BinaryImage, p: Point, angles, cfg: EnhanceConfig | None, path, flow
+) -> float:
+    """Smoothed intensity at ``p`` for ``angles`` = (theta, defined); its bilinear sample where undefined."""
+    cfg = cfg or EnhanceConfig()
+    img = image.as_float()
+    xs = np.array([p[0]], dtype=np.float64)
+    ys = np.array([p[1]], dtype=np.float64)
+    blended = _masked_blend(img, binary.bits, path, flow, xs, ys, *angles, cfg)
+    return float(np.where(angles[1], blended, bilinear_many(img, xs, ys))[0])
+
+
 def enhance_pixel(
     image: GrayImage, binary: BinaryImage, p: Point, theta: float, cfg: EnhanceConfig | None = None
 ) -> float:
     """Smoothed intensity at ``p`` (pre-rounding)."""
-    cfg = cfg or EnhanceConfig()
-    return float(
-        _masked_directional_blend(
-            image.as_float(), binary.bits, np.float64(p[0]), np.float64(p[1]), theta, cfg
-        )
-    )
+    return _enhance_pixel(image, binary, p, (np.array([theta]), np.array([True])), cfg, _line_path, None)
 
 
-def enhance_values(
-    image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None = None
+def _enhance_values(
+    image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None, path
 ) -> np.ndarray:
-    """Full-image smoothing before rounding; pass-through where flow is undefined."""
+    """Smooth every pixel along ``path``, in row bands; pass-through where flow is undefined."""
     cfg = cfg or EnhanceConfig()
     if (binary.height, binary.width) != (image.height, image.width):
         raise ValueError(
@@ -96,9 +97,16 @@ def enhance_values(
     out = np.empty_like(img)
     for rows, X, Y in row_bands(image.width, image.height):
         theta, defined = angles_at(flow, X, Y)
-        blended = _masked_directional_blend(img, binary.bits, X, Y, theta, cfg)
+        blended = _masked_blend(img, binary.bits, path, flow, X, Y, theta, defined, cfg)
         out[rows] = np.where(defined, blended, img[rows])
     return out
+
+
+def enhance_values(
+    image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None = None
+) -> np.ndarray:
+    """Full-image smoothing before rounding; pass-through where flow is undefined."""
+    return _enhance_values(image, binary, flow, cfg, _line_path)
 
 
 def enhance_image(

@@ -175,16 +175,19 @@ def load_flow_csv(path) -> FlowField:
     if header[:4] != ["x", "y", "theta_radians", "valid"]:
         raise ValueError(f"{path}: unexpected flow CSV header {lines[0]!r}")
     has_coh = len(header) >= 5 and header[4] == "coherence"
-    xs, ys, thetas, valids, cohs = [], [], [], [], []
+    xs, ys, thetas, valids, cohs, linenos = [], [], [], [], [], []
     n_fields = 5 if has_coh else 4
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
+        linenos.append(lineno)
         parts = ln.split(",")
         try:
             if len(parts) < n_fields:
                 raise ValueError(f"expected {n_fields} fields")
             x, y, theta, v = float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError("site coordinates must be finite")
             if v not in (0, 1):
                 raise ValueError(f"valid must be 0 or 1, not {v}")
             coh = float(parts[4]) if has_coh else 0.0
@@ -195,6 +198,8 @@ def load_flow_csv(path) -> FlowField:
         thetas.append(theta)
         valids.append(v)
         cohs.append(coh)
+    if not xs:
+        raise ValueError(f"{path}: no sites")
     ux = np.unique(np.asarray(xs))
     uy = np.unique(np.asarray(ys))
     gw, gh = len(ux), len(uy)
@@ -208,10 +213,22 @@ def load_flow_csv(path) -> FlowField:
         stride = 1.0
     if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
         raise ValueError(f"{path}: non-integer grid stride {stride}")
+    stride = int(round(stride))
+    # row i must be site (i % gw, i // gw), with one stride on both axes
+    i = np.arange(len(xs))
+    ex = ux[0] + (i % gw) * stride
+    ey = uy[0] + (i // gw) * stride
+    off = np.flatnonzero((np.abs(np.asarray(xs) - ex) > 1e-6) | (np.abs(np.asarray(ys) - ey) > 1e-6))
+    if off.size:
+        j = off[0]
+        raise ValueError(
+            f"{path}:{linenos[j]}: site ({xs[j]:g}, {ys[j]:g}) should be ({ex[j]:g}, {ey[j]:g}); rows must "
+            f"list the grid at origin ({ux[0]:g}, {uy[0]:g}) with stride {stride} in row-major order"
+        )
     angles = np.asarray(thetas, dtype=np.float64).reshape(gh, gw)
     valid = np.asarray(valids, dtype=int).reshape(gh, gw).astype(bool)
     coherence = np.asarray(cohs, dtype=np.float64).reshape(gh, gw) if has_coh else None
     try:
-        return FlowField(angles, valid, int(round(stride)), (float(ux[0]), float(uy[0])), coherence)
+        return FlowField(angles, valid, stride, (float(ux[0]), float(uy[0])), coherence)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None

@@ -8,7 +8,7 @@ iteration. Binarization happens before enhancement inside an iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -145,14 +145,8 @@ def compare_methods(
     interior_margin: float | None = None,
 ) -> ComparisonReport:
     cfg = cfg or PipelineConfig()
-    proj = compute_flow_field(image, cfg.flow)
-    grad = compute_flow_field_gradient(
-        image,
-        cfg.flow,
-        window_half=cfg.gradient_window_half,
-        weight_sigma=cfg.gradient_weight_sigma,
-        coherence_threshold=cfg.coherence_threshold,
-    )
+    proj = _flow_for(image, replace(cfg, flow_method="projection"))
+    grad = _flow_for(image, replace(cfg, flow_method="gradient"))
 
     gh, gw = proj.angles.shape
     xs = np.tile(proj.site_xs(), gh)

@@ -79,6 +79,15 @@ class TestExitCodes:
         assert rc == 2
         assert "short.csv:2: malformed row" in capsys.readouterr().err
 
+    def test_misplaced_flow_site_is_data_error(self, sample, tmp_path, capsys):
+        img_path, _ = sample
+        flow_csv = tmp_path / "uneven.csv"
+        flow_csv.write_text("x,y,theta_radians,valid\n0,0,0.1,1\n2,0,0.1,1\n5,0,0.1,1\n", encoding="ascii")
+        svg_out = tmp_path / "o.svg"
+        assert run_cli(["viz", str(img_path), "--flow", str(flow_csv), "--out", str(svg_out)]) == 2
+        assert "uneven.csv:4: site (5, 0) should be (4, 0)" in capsys.readouterr().err
+        assert not svg_out.exists()
+
     def test_negative_gradient_window_is_data_error(self, sample, tmp_path, capsys):
         img_path, _ = sample
         argv = ["flow", str(img_path), "--out", str(tmp_path / "f.csv"), "--method", "gradient"]

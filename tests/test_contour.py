@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import ridgeflow as rf
+import ridgeflow.binarize as rbinarize
+import ridgeflow.contour as rcontour
+import ridgeflow.enhance as renhance
 
 from oracles import inner_pixel_mask, manual_bilinear
 
@@ -109,20 +112,72 @@ class TestContourOps:
         assert rf.binarize_pixel_contour(img, rf.Point(24, 24), flow) == 1
         assert rf.enhance_pixel_contour(img, binary, rf.Point(24, 24), flow) == pytest.approx(99.0, abs=1e-12)
 
-    def test_image_ops_match_pixel_ops(self):
+    @pytest.mark.parametrize("path", ["linear", "contour"])
+    def test_image_ops_match_pixel_ops(self, path):
         spec = rf.SyntheticSpec(width=64, height=64, pattern="parallel",
                                 orientation=math.radians(30), period=8.0, noise_sigma=10.0, rng_seed=11)
         img, _ = rf.generate(spec)
         flow = rf.compute_flow_field(img)
-        binary_c = rf.binarize_image_contour(img, flow)
-        enhanced_c = rf.contour_enhance_values(img, binary_c, flow)
+        if path == "contour":
+            binary = rf.binarize_image_contour(img, flow)
+            enhanced = rf.contour_enhance_values(img, binary, flow)
+            bit_at = lambda p: rf.binarize_pixel_contour(img, p, flow)
+            value_at = lambda p: rf.enhance_pixel_contour(img, binary, p, flow)
+        else:
+            binary = rf.binarize_image(img, flow)
+            enhanced = rf.enhance_values(img, binary, flow)
+            bit_at = lambda p: rf.binarize_pixel(img, p, rf.angle_at(flow, p))
+            value_at = lambda p: rf.enhance_pixel(img, binary, p, rf.angle_at(flow, p))
         rng = np.random.RandomState(5)
         for _ in range(30):
             x = int(rng.randint(10, 54))
             y = int(rng.randint(10, 54))
-            assert binary_c.bits[y, x] == rf.binarize_pixel_contour(img, rf.Point(x, y), flow)
-            want = rf.enhance_pixel_contour(img, binary_c, rf.Point(x, y), flow)
-            assert enhanced_c[y, x] == pytest.approx(want, abs=1e-9)
+            assert binary.bits[y, x] == bit_at(rf.Point(x, y))
+            # pixel and image sums run in different orders (about 1e-13 apart)
+            assert enhanced[y, x] == pytest.approx(value_at(rf.Point(x, y)), abs=1e-9)
+
+    def test_samples_end_where_the_contour_stops(self):
+        # the orientation is defined only for x < 6, so the contour through
+        # (4, 8) stops at x = 6; the steps past the stop (x = 7) do not count
+        pixels = np.full((16, 16), 30, dtype=np.int64)
+        pixels[8, :7] = 0
+        pixels[8, 7] = 255
+        img = rf.GrayImage(pixels)
+        valid = np.zeros((8, 8), dtype=bool)
+        valid[:, :3] = True
+        flow = rf.FlowField(np.zeros((8, 8)), valid, 2)
+        p = rf.Point(4.0, 8.0)
+        assert [q.x for q in rf.trace_contour(flow, p, 4, bounds=(16, 16)).points] == [0, 1, 2, 3, 4, 5, 6]
+        assert rf.binarize_pixel_contour(img, p, flow) == 0
+        assert rf.binarize_image_contour(img, flow).bits[8, 4] == 0
+        ones = rf.BinaryImage(np.ones((16, 16), dtype=np.int64))
+        cfg = rf.EnhanceConfig(gaussian_sigma=2.0, kernel_half_length=4)
+        assert rf.enhance_pixel_contour(img, ones, p, flow, cfg) == 0.0
+        assert rf.contour_enhance_values(img, ones, flow, cfg)[8, 4] == 0.0
+
+    @pytest.mark.parametrize("stage, lookups_per_pixel", [
+        ("binarize_image", 1),
+        ("enhance_values", 1),
+        ("binarize_image_contour", 7),  # the seed, then 2 * (4 - 1) steps
+        ("contour_enhance_values", 17),  # the seed, then 2 * (9 - 1) steps
+    ])
+    def test_orientation_lookups_per_pixel(self, monkeypatch, stage, lookups_per_pixel):
+        spec = rf.SyntheticSpec(width=64, height=64, pattern="concentric", period=8.0)
+        img, flow = rf.generate(spec)
+        binary = rf.binarize_image(img, flow)
+        points = []
+
+        def counting_angles_at(flow, xs, ys):
+            points.append(np.size(xs))
+            return rf.angles_at(flow, xs, ys)
+
+        for module in (rbinarize, renhance, rcontour):
+            monkeypatch.setattr(module, "angles_at", counting_angles_at)
+        if stage in ("binarize_image", "binarize_image_contour"):
+            getattr(rf, stage)(img, flow)
+        else:
+            getattr(rf, stage)(img, binary, flow)
+        assert sum(points) == lookups_per_pixel * 64 * 64
 
     def test_contour_enhancement_close_to_linear_on_straight_ridges(self):
         spec = rf.SyntheticSpec(width=128, height=128, pattern="parallel",

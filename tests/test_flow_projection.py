@@ -309,7 +309,7 @@ class TestFlowCsv:
         rf.save_flow_csv(flow, p)
         assert p.read_text().splitlines()[0] == "x,y,theta_radians,valid"
 
-    @pytest.mark.parametrize("row", ["2,0,0.1", "2,0", "2,0,abc,1", "2,0,0.1,1.0"])
+    @pytest.mark.parametrize("row", ["2,0,0.1", "2,0", "2,0,abc,1", "2,0,0.1,1.0", "2,nan,0.1,1", "inf,0,0.1,1"])
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         p = tmp_path / "f.csv"
         p.write_text("x,y,theta_radians,valid\n0,0,0.1,1\n" + row + "\n", encoding="ascii")
@@ -340,6 +340,23 @@ class TestFlowCsv:
         p = tmp_path / "f.csv"
         p.write_text("x,y,theta_radians,valid\n0,0,nan,1\n2,0,0.1,1\n", encoding="ascii")
         with pytest.raises(ValueError, match=r"f\.csv: valid angles must be finite"):
+            rf.load_flow_csv(p)
+
+    @pytest.mark.parametrize("body, line", [
+        ("0,0,0.1,1\n2,0,0.1,1\n5,0,0.1,1\n", 4),  # x values {0, 2, 5}
+        ("0,0,0.1,1\n0,2,0.2,1\n2,0,0.3,1\n2,2,0.4,1\n", 3),  # column-major rows
+        ("0,0,0.1,1\n2,0,0.1,1\n0,3,0.1,1\n2,3,0.1,1\n", 4),  # y spacing 3, x spacing 2
+    ], ids=["uneven-x", "column-major", "y-spacing-differs"])
+    def test_misplaced_site_names_file_and_line(self, tmp_path, body, line):
+        p = tmp_path / "f.csv"
+        p.write_text("x,y,theta_radians,valid\n" + body, encoding="ascii")
+        with pytest.raises(ValueError, match=rf"f\.csv:{line}: site .* row-major order"):
+            rf.load_flow_csv(p)
+
+    def test_header_only_csv_names_file(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("x,y,theta_radians,valid\n", encoding="ascii")
+        with pytest.raises(ValueError, match=r"f\.csv: no sites"):
             rf.load_flow_csv(p)
 
 

@@ -141,6 +141,18 @@ class TestCompareMethods:
         assert report.mae_projection <= math.pi / 32
         assert report.mae_gradient <= math.pi / 32
 
+    def test_each_half_runs_its_own_method_with_the_given_settings(self):
+        img, _ = noisy()
+        cfg = rf.PipelineConfig(flow_method="gradient", flow=rf.FlowConfig(stride=3),
+                                gradient_window_half=5, coherence_threshold=0.2)
+        report = rf.compare_methods(img, cfg=cfg)
+        proj = rf.compute_flow_field(img, cfg.flow)
+        grad = rf.compute_flow_field_gradient(img, cfg.flow, window_half=5, coherence_threshold=0.2)
+        assert np.array_equal(report.theta_projection, proj.angles.ravel())
+        assert np.array_equal(report.valid_projection, proj.valid.ravel())
+        assert np.array_equal(report.theta_gradient, grad.angles.ravel())
+        assert np.array_equal(report.valid_gradient, grad.valid.ravel())
+
     def test_without_truth_reports_disagreement(self):
         img, _ = noisy()
         report = rf.compare_methods(img, interior_margin=16)
