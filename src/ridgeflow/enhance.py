@@ -36,6 +36,17 @@ def gaussian_kernel(sigma: float, half_length: int) -> np.ndarray:
     return w / w.sum()
 
 
+def _nearest(coords, size: int) -> np.ndarray:
+    """Index of the nearest pixel along one axis, clamped into [0, size - 1].
+
+    The clamp comes before the cast, so a NaN maps to 0 without an
+    invalid-cast warning.
+    """
+    c = np.add(coords, 0.5)
+    np.floor(c, out=c)
+    return np.fmin(np.fmax(c, 0.0, out=c), size - 1.0, out=c).astype(np.intp)
+
+
 def _masked_blend(
     img: np.ndarray, bits: np.ndarray, path, flow, xs, ys, theta, defined, cfg: EnhanceConfig
 ) -> np.ndarray:
@@ -48,10 +59,10 @@ def _masked_blend(
     inb = ok & ~np.isnan(vals)
 
     # binary class at the nearest pixel of each sample
-    xi = np.clip(np.floor(px + 0.5).astype(np.int64), 0, w - 1)
-    yi = np.clip(np.floor(py + 0.5).astype(np.int64), 0, h - 1)
-    center_x = np.clip(np.floor(np.asarray(xs) + 0.5).astype(np.int64), 0, w - 1)
-    center_y = np.clip(np.floor(np.asarray(ys) + 0.5).astype(np.int64), 0, h - 1)
+    xi = _nearest(px, w)
+    yi = _nearest(py, h)
+    center_x = _nearest(xs, w)
+    center_y = _nearest(ys, h)
     same = bits[yi, xi] == bits[center_y, center_x]
 
     use = inb & same
@@ -66,8 +77,13 @@ def _masked_blend(
 def _enhance_pixel(
     image: GrayImage, binary: BinaryImage, p: Point, angles, cfg: EnhanceConfig | None, path, flow
 ) -> float:
-    """Smoothed intensity at ``p`` for ``angles`` = (theta, defined); its bilinear sample where undefined."""
+    """Smoothed intensity at ``p`` for ``angles`` = (theta, defined); its bilinear sample where undefined.
+
+    NaN where ``p`` is not finite: there is no pixel to fall back on.
+    """
     cfg = cfg or EnhanceConfig()
+    if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+        return math.nan
     img = image.as_float()
     xs = np.array([p[0]], dtype=np.float64)
     ys = np.array([p[1]], dtype=np.float64)
@@ -78,7 +94,7 @@ def _enhance_pixel(
 def enhance_pixel(
     image: GrayImage, binary: BinaryImage, p: Point, theta: float, cfg: EnhanceConfig | None = None
 ) -> float:
-    """Smoothed intensity at ``p`` (pre-rounding)."""
+    """Smoothed intensity at ``p`` (pre-rounding); NaN where ``p`` is not finite."""
     return _enhance_pixel(image, binary, p, (np.array([theta]), np.array([True])), cfg, _line_path, None)
 
 

@@ -195,37 +195,62 @@ def bilinear_many(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     """Bilinear samples of a float raster; NaN where a needed pixel is outside.
 
     Coordinates within 1e-9 of the raster edge count as inside, so exact
-    boundary samples survive the rounding noise of rotation transforms.
-    The four corners are read with flat ``take`` indices, which is faster
-    than 2-D fancy indexing; the weighted sum keeps one fixed order.
+    boundary samples survive the rounding noise of rotation transforms;
+    non-finite coordinates are outside. The four corners are read with flat
+    ``take`` indices, which is faster than 2-D fancy indexing, and every
+    temporary is reused in place; the weighted sum keeps one fixed order.
     """
     eps = 1e-9
     h, w = values.shape
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    inside = (xs >= -eps) & (xs <= w - 1.0 + eps) & (ys >= -eps) & (ys <= h - 1.0 + eps)
-    xc = np.clip(xs, 0.0, w - 1.0)
-    yc = np.clip(ys, 0.0, h - 1.0)
-    fx = np.floor(xc)
-    fy = np.floor(yc)
-    x0 = fx.astype(np.intp)
-    y0 = fy.astype(np.intp)
-    fx = xc - fx
-    fy = yc - fy
+    shape = np.shape(xs)
+    # at least 1-D, so the in-place steps below have arrays to write into
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
+    outside = ~((xs >= -eps) & (xs <= w - 1.0 + eps) & (ys >= -eps) & (ys <= h - 1.0 + eps))
+    # fmax/fmin map NaN to the edge, so the index cast below stays valid
+    fx = np.fmax(xs, 0.0)
+    fy = np.fmax(ys, 0.0)
+    np.fmin(fx, w - 1.0, out=fx)
+    np.fmin(fy, h - 1.0, out=fy)
+    x0 = np.floor(fx)
+    y0 = np.floor(fy)
+    fx -= x0
+    fy -= y0
     gx = 1.0 - fx
     gy = 1.0 - fy
     # flat index of (y0, x0); the right and lower neighbours clamp at the edge
-    dx = (x0 < w - 1).astype(np.intp)
-    dy = (y0 < h - 1) * w
-    corner = y0 * w + x0
-    flat = values.ravel()
-    v = flat.take(corner) * gx * gy
-    v += flat.take(corner + dx) * fx * gy
-    corner += dy
-    v += flat.take(corner) * gx * fy
+    dx = x0 < w - 1.0
+    dy = y0 < h - 1.0
+    y0 *= w
+    y0 += x0
+    corner = y0.astype(np.intp)
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    # The corner positions are spent, so their buffers take the terms. The
+    # index walks (x0, y0), (x0+1, y0), (x0, y0+1), (x0+1, y0+1) in place;
+    # every index is in range, and mode="clip" skips the copy that ``take``
+    # makes for ``out`` in its default mode.
+    v = flat.take(corner, out=x0, mode="clip")
+    v *= gx
+    v *= gy
+    t = y0
     corner += dx
-    v += flat.take(corner) * fx * fy
-    return np.where(inside, v, np.nan)
+    flat.take(corner, out=t, mode="clip")
+    t *= fx
+    t *= gy
+    v += t
+    np.add(corner, w, out=corner, where=dy)
+    corner -= dx
+    flat.take(corner, out=t, mode="clip")
+    t *= gx
+    t *= fy
+    v += t
+    corner += dx
+    flat.take(corner, out=t, mode="clip")
+    t *= fx
+    t *= fy
+    v += t
+    np.copyto(v, np.nan, where=outside)
+    return v.reshape(shape)
 
 
 # Pixels per band of the per-pixel stages (binarize, enhance and their

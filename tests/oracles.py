@@ -36,6 +36,87 @@ def manual_bilinear(arr: np.ndarray, x: float, y: float) -> float:
     )
 
 
+def reference_bilinear_many(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``image.bilinear_many`` as it was before its in-place rewrite: np.clip, fresh temporaries.
+
+    Finite coordinates only; a NaN coordinate makes an invalid index here.
+    """
+    eps = 1e-9
+    h, w = values.shape
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    inside = (xs >= -eps) & (xs <= w - 1.0 + eps) & (ys >= -eps) & (ys <= h - 1.0 + eps)
+    xc = np.clip(xs, 0.0, w - 1.0)
+    yc = np.clip(ys, 0.0, h - 1.0)
+    fx = np.floor(xc)
+    fy = np.floor(yc)
+    x0 = fx.astype(np.intp)
+    y0 = fy.astype(np.intp)
+    fx = xc - fx
+    fy = yc - fy
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    dx = (x0 < w - 1).astype(np.intp)
+    dy = (y0 < h - 1) * w
+    corner = y0 * w + x0
+    flat = values.ravel()
+    v = flat.take(corner) * gx * gy
+    v += flat.take(corner + dx) * fx * gy
+    corner += dy
+    v += flat.take(corner) * gx * fy
+    corner += dx
+    v += flat.take(corner) * fx * fy
+    return np.where(inside, v, np.nan)
+
+
+def reference_angles_at(flow: rf.FlowField, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """``flowfield.angles_at`` as it was before the site table: per corner a
+    bounds test, clipped 2-D indexing and cos/sin of the doubled site angle.
+
+    A non-finite point casts to an arbitrary index whose corners fail the
+    bounds test; numpy warns about that cast and the infinite weights.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    gx = (xs - flow.origin[0]) / flow.stride
+    gy = (ys - flow.origin[1]) / flow.stride
+    x0 = np.floor(gx).astype(np.int64)
+    y0 = np.floor(gy).astype(np.int64)
+    fx = gx - x0
+    fy = gy - y0
+
+    gw, gh = flow.grid_width, flow.grid_height
+    vx = np.zeros(xs.shape, dtype=np.float64)
+    vy = np.zeros(xs.shape, dtype=np.float64)
+    wsum = np.zeros(xs.shape, dtype=np.float64)
+    for ddx, ddy, wgt in (
+        (0, 0, (1.0 - fx) * (1.0 - fy)),
+        (1, 0, fx * (1.0 - fy)),
+        (0, 1, (1.0 - fx) * fy),
+        (1, 1, fx * fy),
+    ):
+        cx = x0 + ddx
+        cy = y0 + ddy
+        ok = (cx >= 0) & (cx < gw) & (cy >= 0) & (cy < gh)
+        cxc = np.clip(cx, 0, gw - 1)
+        cyc = np.clip(cy, 0, gh - 1)
+        ok &= flow.valid[cyc, cxc]
+        w = np.where(ok, wgt, 0.0)
+        doubled = 2.0 * flow.angles[cyc, cxc]
+        vx += w * np.cos(doubled)
+        vy += w * np.sin(doubled)
+        wsum += w
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        nx = vx / wsum
+        ny = vy / wsum
+    defined = (wsum > 0.0) & (np.hypot(np.where(wsum > 0, nx, 0.0), np.where(wsum > 0, ny, 0.0)) >= 1e-6)
+    theta = np.where(defined, 0.5 * np.arctan2(np.where(defined, ny, 0.0), np.where(defined, nx, 1.0)), 0.0)
+    theta = np.where(defined, np.mod(theta, math.pi), 0.0)
+    theta = np.where(theta >= math.pi, 0.0, theta)
+    return theta, defined
+
+
 def two_pass_std(vals) -> float:
     vals = np.asarray([v for v in vals if not math.isnan(v)], dtype=np.float64)
     if vals.size < 2:

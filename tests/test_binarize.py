@@ -41,6 +41,12 @@ class TestBinarizePixel:
             theta = rng.uniform(0, math.pi)
             assert rf.binarize_pixel(img, p, theta) == rf.binarize_pixel(img, p, theta + math.pi)
 
+    def test_non_finite_point_or_angle_is_valley(self):
+        img = dark_stripe_image()
+        assert rf.binarize_pixel(img, rf.Point(math.nan, 4.0), math.pi / 2) == 1
+        assert rf.binarize_pixel(img, rf.Point(4.0, math.inf), math.pi / 2) == 1
+        assert rf.binarize_pixel(img, rf.Point(4.0, 4.0), math.nan) == 1
+
 
 class TestBinarizeImage:
     def test_constant_image_is_all_valley(self):

@@ -47,6 +47,14 @@ class TestEnhancePixel:
         binary = rf.BinaryImage(np.zeros((24, 24), dtype=np.int64))
         assert rf.enhance_pixel(img, binary, rf.Point(12, 12), 0.3) == pytest.approx(133.0, abs=1e-12)
 
+    def test_non_finite_point_is_nan(self):
+        img = rf.GrayImage(np.full((24, 24), 133, dtype=np.int64))
+        binary = rf.BinaryImage(np.zeros((24, 24), dtype=np.int64))
+        for p in (rf.Point(math.nan, 12.0), rf.Point(12.0, -math.inf)):
+            assert math.isnan(rf.enhance_pixel(img, binary, p, 0.3))
+        # an undefined orientation passes the pixel through
+        assert rf.enhance_pixel(img, binary, rf.Point(12.0, 12.0), math.nan) == 133.0
+
     def test_singleton_class_returns_center(self):
         rng = np.random.RandomState(9)
         img = rf.GrayImage(rng.randint(0, 256, size=(24, 24)).astype(np.int64))

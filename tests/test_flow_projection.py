@@ -105,6 +105,11 @@ class TestPerpendicularDeviation:
         img = constant_image(size=48)
         assert rf.perpendicular_deviation(img, rf.Point(-30, -30), 0.3) is None
 
+    def test_undefined_at_non_finite_point(self):
+        img = constant_image(size=48)
+        assert rf.perpendicular_deviation(img, rf.Point(math.nan, 24.0), 0.3) is None
+        assert rf.perpendicular_deviation(img, rf.Point(24.0, math.inf), 0.3) is None
+
 
 class TestMeanDeviation:
     def test_constant_image(self):
@@ -302,6 +307,17 @@ class TestFlowCsv:
         p2 = tmp_path / "g.csv"
         rf.save_flow_csv(back, p2)
         assert p.read_bytes() == p2.read_bytes()
+
+    def test_angle_just_below_pi_round_trips(self, tmp_path):
+        # these print as 3.141593 at 6 decimals, which is >= pi: they are written as 0
+        wrap = [math.nextafter(math.pi, 0.0), math.pi - 1e-7, math.pi - 1.5e-7]
+        keep = [math.pi - 2e-7, math.pi - 5e-7, 1.0]
+        angles = np.array([wrap + keep])
+        p = tmp_path / "f.csv"
+        rf.save_flow_csv(rf.FlowField(angles, np.ones(angles.shape, dtype=bool), 2), p)
+        back = rf.load_flow_csv(p)
+        assert back.angles.tolist() == [[0.0, 0.0, 0.0, 3.141592, 3.141592, 1.0]]
+        assert rf.angular_distance(back.angles, angles).max() < 5e-7
 
     def test_header(self, tmp_path):
         flow = rf.FlowField(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool), 2)

@@ -89,6 +89,10 @@ class TestBilinear:
         img = rf.GrayImage(np.zeros((4, 4), dtype=np.int64))
         assert rf.sample_bilinear(img, rf.Point(-0.5, 0.0)) is None
         assert rf.sample_bilinear(img, rf.Point(0.0, 3.4)) is None
+        # non-finite coordinates are outside too, whichever axis carries them
+        for bad in (math.nan, math.inf, -math.inf):
+            assert rf.sample_bilinear(img, rf.Point(bad, 1.0)) is None
+            assert rf.sample_bilinear(img, rf.Point(1.0, bad)) is None
 
     def test_matches_manual_oracle(self):
         rng = np.random.RandomState(11)
