@@ -123,7 +123,10 @@ def binarize_pixel_contour(
 def enhance_pixel_contour(
     image: GrayImage, binary: BinaryImage, p: Point, flow: FlowField, cfg: EnhanceConfig | None = None
 ) -> float:
-    """Like enhance_pixel, but the Gaussian runs along the contour through ``p``."""
+    """Like enhance_pixel, but the Gaussian runs along the contour through ``p``.
+
+    NaN where ``p`` is outside the raster, as for ``enhance_pixel``.
+    """
     return _enhance_pixel(image, binary, p, angles_at(flow, [p[0]], [p[1]]), cfg, _trace_batch, flow)
 
 

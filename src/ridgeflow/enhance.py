@@ -79,22 +79,25 @@ def _enhance_pixel(
 ) -> float:
     """Smoothed intensity at ``p`` for ``angles`` = (theta, defined); its bilinear sample where undefined.
 
-    NaN where ``p`` is not finite: there is no pixel to fall back on.
+    NaN where ``p`` is outside the raster by the predicate of
+    ``sample_bilinear`` (non-finite points included): there is no pixel to
+    fall back on.
     """
     cfg = cfg or EnhanceConfig()
-    if not (math.isfinite(p[0]) and math.isfinite(p[1])):
-        return math.nan
     img = image.as_float()
     xs = np.array([p[0]], dtype=np.float64)
     ys = np.array([p[1]], dtype=np.float64)
+    sample = bilinear_many(img, xs, ys)
+    if math.isnan(sample[0]):
+        return math.nan
     blended = _masked_blend(img, binary.bits, path, flow, xs, ys, *angles, cfg)
-    return float(np.where(angles[1], blended, bilinear_many(img, xs, ys))[0])
+    return float(np.where(angles[1], blended, sample)[0])
 
 
 def enhance_pixel(
     image: GrayImage, binary: BinaryImage, p: Point, theta: float, cfg: EnhanceConfig | None = None
 ) -> float:
-    """Smoothed intensity at ``p`` (pre-rounding); NaN where ``p`` is not finite."""
+    """Smoothed intensity at ``p`` (pre-rounding); NaN where ``p`` is outside the raster."""
     return _enhance_pixel(image, binary, p, (np.array([theta]), np.array([True])), cfg, _line_path, None)
 
 

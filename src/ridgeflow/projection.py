@@ -10,15 +10,16 @@ statistic meaningful where a ridge ends inside the window.
 Two interchangeable evaluators exist: a direct one that samples the source
 image along every segment, and a fast one that rotates the image once per
 candidate angle so all segments become axis-aligned runs. From column prefix
-sums of the rotated values and squared values it builds one dense map of the
-mean deviation over the whole rotated canvas per angle; each site is then a
-single lookup into that map.
+sums of the rotated values and squared values it builds the mean-deviation
+map of the rotated canvas, over only the map rows the queried sites fall on;
+each site is then a single lookup into that map. The search asks for each
+distinct candidate angle once, so no map outlives its call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,8 +194,17 @@ class DirectDeviationEvaluator:
         )
 
 
-def _mean_deviation_map(rr: RotatedRaster, cfg: FlowConfig) -> np.ndarray:
-    """Mean deviation at every rotated lattice site, NaN where undefined.
+def _scratch(work: dict[str, np.ndarray], key: str, shape: tuple[int, int]) -> np.ndarray:
+    """A float64 view of ``shape`` on the reusable buffer ``work[key]``, grown as needed."""
+    n = shape[0] * shape[1]
+    if key not in work or work[key].size < n:
+        work[key] = None  # free the smaller buffer before allocating its successor
+        work[key] = np.empty(n)
+    return work[key][:n].reshape(shape)
+
+
+def _mean_deviation_map(rr: RotatedRaster, cfg: FlowConfig, need: np.ndarray, work: dict[str, np.ndarray]) -> np.ndarray:
+    """Mean deviation at the rotated lattice sites of the ``need`` rows, NaN where undefined.
 
     Row r, column c of the result is the site (c - t, r - s) of the rotated
     canvas, so the map covers every site whose window touches the canvas.
@@ -205,20 +215,32 @@ def _mean_deviation_map(rr: RotatedRaster, cfg: FlowConfig) -> np.ndarray:
     order, columns off the canvas counting as undefined. The prefix sums
     cover the whole canvas; everything after them runs in bands of map
     rows, so the temporaries stay small.
+
+    Every map row depends only on the prefix sums, so any subset of rows
+    comes out with the same bytes. ``need`` flags the map rows to build:
+    only the bands holding a needed row are built, each trimmed to its
+    first..last needed row, and the other rows are left unset. The prefix
+    sums and the map live in the buffers of ``work``, which the next call
+    reuses, so the result is a view that the next call overwrites.
     """
     t = cfg.tangent_half_length
     s = cfg.perp_half_length
     h, w = rr.values.shape
 
-    def prefix(v: np.ndarray) -> np.ndarray:
-        # row j holds the column sums over canvas rows [0, j - 2s), clipped
-        p = np.empty((h + 4 * s + 1, w))
+    def prefix(key: str, v: np.ndarray | None) -> np.ndarray:
+        # row j holds the column sums over canvas rows [0, j - 2s), clipped;
+        # v None sums the squared values, squared into the buffer and summed
+        # in place, so they need no canvas of their own
+        p = _scratch(work, key, (h + 4 * s + 1, w))
         p[: 2 * s + 1] = 0.0
-        np.cumsum(v, axis=0, out=p[2 * s + 1 : 2 * s + 1 + h])
+        body = p[2 * s + 1 : 2 * s + 1 + h]
+        if v is None:
+            v = np.multiply(rr.values, rr.values, out=body)
+        np.cumsum(v, axis=0, out=body)
         p[2 * s + 1 + h :] = p[2 * s + h]
         return p
 
-    pn, p1, p2 = prefix(rr.valid), prefix(rr.values), prefix(rr.values * rr.values)
+    pn, p1, p2 = prefix("pn", rr.valid), prefix("p1", rr.values), prefix("p2", None)
 
     def runs(length: int, r0: int, r1: int) -> np.ndarray:
         """Deviations of the runs of ``length`` rows from canvas rows r0-2s .. r1-2s-1."""
@@ -227,8 +249,12 @@ def _mean_deviation_map(rr: RotatedRaster, cfg: FlowConfig) -> np.ndarray:
         return _span_deviation(pn[b] - pn[a], p1[b] - p1[a], p2[b] - p2[a])
 
     out_w = w + 2 * t
-    out = np.empty((h + 2 * s, out_w))
+    out = _scratch(work, "map", (h + 2 * s, out_w))
     for rows in band_rows(out_w, out.shape[0], _MAP_BAND_PIXELS):
+        hit = np.flatnonzero(need[rows])
+        if hit.size == 0:
+            continue
+        rows = slice(rows.start + int(hit[0]), rows.start + int(hit[-1]) + 1)
         r0, r1 = rows.start, rows.stop
         sig = runs(2 * s + 1, r0, r1)
         if cfg.use_half_line_rule:
@@ -252,37 +278,41 @@ def _mean_deviation_map(rr: RotatedRaster, cfg: FlowConfig) -> np.ndarray:
 
 
 class RotatedDeviationEvaluator:
-    """Fast evaluator: one dense mean-deviation map per candidate angle.
+    """Fast evaluator: the mean deviations of an angle read from its map.
 
     Rotating by -alpha turns tangent segments into horizontal runs and the
     perpendiculars into vertical runs, so the mean deviation of every
     rotated lattice site comes from prefix sums of values and squared
     values in one pass over the canvas. Grid sites are snapped to the
     nearest rotated lattice point and read from the map, so results match
-    the direct evaluator up to sub-pixel resampling. Only the rotation
-    geometry and the map are kept per angle.
+    the direct evaluator up to sub-pixel resampling. Each call rotates the
+    image, builds the map over only the rows its sites fall on, reads them
+    and drops the canvas; nothing is kept per angle. The prefix sums and
+    the map reuse private buffers sized to the largest canvas seen, since
+    allocating them afresh for every angle makes the allocator return
+    their pages to the system and fault them in again.
     """
 
     def __init__(self, image: GrayImage, cfg: FlowConfig):
         self._img = image.as_float()
         self._cfg = cfg
-        self._cache: dict[float, tuple[RotatedRaster, np.ndarray]] = {}
-
-    def _map(self, alpha: float) -> tuple[RotatedRaster, np.ndarray]:
-        hit = self._cache.get(alpha)
-        if hit is None:
-            rr = rotate_raster(self._img, alpha, (_STAT_OFFSET, _STAT_OFFSET))
-            hit = self._cache[alpha] = (replace(rr, values=None, valid=None), _mean_deviation_map(rr, self._cfg))
-        return hit
+        self._work: dict[str, np.ndarray] = {}
 
     def mean_deviation(self, alpha: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        geometry, mu = self._map(float(alpha))
-        rx, ry = geometry.to_rotated(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
-        col = np.floor(rx + 0.5).astype(np.int64) + self._cfg.tangent_half_length
-        row = np.floor(ry + 0.5).astype(np.int64) + self._cfg.perp_half_length
-        inside = (row >= 0) & (row < mu.shape[0]) & (col >= 0) & (col < mu.shape[1])
+        rr = rotate_raster(self._img, float(alpha), (_STAT_OFFSET, _STAT_OFFSET))
+        rx, ry = rr.to_rotated(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
+        t = self._cfg.tangent_half_length
+        s = self._cfg.perp_half_length
+        map_h = rr.values.shape[0] + 2 * s
+        col = np.floor(rx + 0.5).astype(np.int64) + t
+        row = np.floor(ry + 0.5).astype(np.int64) + s
+        inside = (row >= 0) & (row < map_h) & (col >= 0) & (col < rr.values.shape[1] + 2 * t)
+        row = row[inside]
+        need = np.zeros(map_h, dtype=bool)
+        need[row] = True
+        mu = _mean_deviation_map(rr, self._cfg, need, self._work)
         out = np.full(col.shape, np.nan)
-        out[inside] = mu[row[inside], col[inside]]
+        out[inside] = mu[row, col[inside]]
         return out
 
 
@@ -305,18 +335,22 @@ def _search_orientations(mean_deviation, px: np.ndarray, py: np.ndarray, cfg: Fl
     best_mu = filled[best_idx, np.arange(n_sites)]
 
     offsets = cfg.fine_offsets()
+    cand_alpha = np.stack([np.mod(best_alpha + off, math.pi) for off in offsets])
     cand_mu = np.full((len(offsets), n_sites), np.inf)
-    cand_alpha = np.zeros((len(offsets), n_sites))
-    for oi, off in enumerate(offsets):
-        alphas = np.mod(best_alpha + off, math.pi)
-        cand_alpha[oi] = alphas
-        if off == 0.0:
-            cand_mu[oi] = best_mu
-            continue
-        for a in np.unique(alphas[defined]):
-            sel = defined & (alphas == a)
-            vals = mean_deviation(float(a), px[sel], py[sel])
-            cand_mu[oi, sel] = np.where(np.isnan(vals), np.inf, vals)
+    cand_mu[[off == 0.0 for off in offsets]] = best_mu
+    # A fine angle can be reached from two coarse optima (at the defaults,
+    # 4k+2 from k and k+1), so each distinct angle is asked for once, on the
+    # union of its sites, and each site's value goes to every offset that
+    # reached it. Both evaluators work per site, so the grouping does not
+    # change any value.
+    fine = np.array([[off != 0.0] for off in offsets]) & defined
+    for a in np.unique(cand_alpha[fine]):
+        hit = fine & (cand_alpha == a)
+        sel = hit.any(axis=0)
+        vals = mean_deviation(float(a), px[sel], py[sel])
+        mu_a = np.full(n_sites, np.inf)
+        mu_a[sel] = np.where(np.isnan(vals), np.inf, vals)
+        np.copyto(cand_mu, mu_a, where=hit)
     # argmin over candidates; exact mu ties resolve toward the smaller angle
     min_mu = cand_mu.min(axis=0)
     tie_alpha = np.where(cand_mu == min_mu, cand_alpha, np.inf)

@@ -7,12 +7,13 @@ calling back into the code paths they check.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 import ridgeflow as rf
-from ridgeflow.image import rotate_raster
-from ridgeflow.projection import _STAT_OFFSET
+from ridgeflow.image import band_rows, rotate_raster
+from ridgeflow.projection import _MAP_BAND_PIXELS, _STAT_OFFSET, _span_deviation, patch_variance_grid
 
 INTERIOR_MARGIN = 16  # tangent + perpendicular half lengths at defaults
 
@@ -209,3 +210,133 @@ class PerSitePrefixEvaluator:
             sig_sum += np.where(ok, sig, 0.0)
             sig_cnt += ok
         return np.where(sig_cnt > 0, sig_sum / np.maximum(sig_cnt, 1), np.nan)
+
+
+# ---------------------------------------------------------------------------
+# The offset-major search with a per-angle map cache, kept verbatim as the
+# reference for the angle-major, cache-free search in ``projection``. The
+# cache was needed because a fine angle can be reached from two coarse
+# optima and this search asks for it once per offset.
+
+
+def reference_mean_deviation_map(rr, cfg: rf.FlowConfig) -> np.ndarray:
+    """Whole-canvas mean-deviation map, built in bands of map rows."""
+    t = cfg.tangent_half_length
+    s = cfg.perp_half_length
+    h, w = rr.values.shape
+
+    def prefix(v: np.ndarray) -> np.ndarray:
+        # row j holds the column sums over canvas rows [0, j - 2s), clipped
+        p = np.empty((h + 4 * s + 1, w))
+        p[: 2 * s + 1] = 0.0
+        np.cumsum(v, axis=0, out=p[2 * s + 1 : 2 * s + 1 + h])
+        p[2 * s + 1 + h :] = p[2 * s + h]
+        return p
+
+    pn, p1, p2 = prefix(rr.valid), prefix(rr.values), prefix(rr.values * rr.values)
+
+    def runs(length: int, r0: int, r1: int) -> np.ndarray:
+        """Deviations of the runs of ``length`` rows from canvas rows r0-2s .. r1-2s-1."""
+        a = slice(r0, r1)
+        b = slice(r0 + length, r1 + length)
+        return _span_deviation(pn[b] - pn[a], p1[b] - p1[a], p2[b] - p2[a])
+
+    out_w = w + 2 * t
+    out = np.empty((h + 2 * s, out_w))
+    for rows in band_rows(out_w, out.shape[0], _MAP_BAND_PIXELS):
+        r0, r1 = rows.start, rows.stop
+        sig = runs(2 * s + 1, r0, r1)
+        if cfg.use_half_line_rule:
+            half = runs(s + 1, r0, r1 + s)
+            np.fmin(sig, half[: r1 - r0], out=sig)
+            np.fmin(sig, half[s:], out=sig)
+        ok = ~np.isnan(sig)
+        padded = np.zeros((r1 - r0, w + 4 * t))
+        np.copyto(padded[:, 2 * t : 2 * t + w], sig, where=ok)
+        sig_sum = out[rows]
+        sig_sum[...] = 0.0
+        for i in range(2 * t + 1):
+            sig_sum += padded[:, i : i + out_w]
+        cnt = np.zeros((r1 - r0, w + 4 * t + 1), dtype=np.int64)
+        cnt[:, 2 * t + 1 : 2 * t + 1 + w] = ok
+        np.cumsum(cnt, axis=1, out=cnt)
+        sig_cnt = cnt[:, 2 * t + 1 :] - cnt[:, :out_w]
+        np.divide(sig_sum, np.maximum(sig_cnt, 1), out=sig_sum)
+        np.copyto(sig_sum, np.nan, where=sig_cnt == 0)
+    return out
+
+
+class CachedRotatedEvaluator:
+    """Dense-map evaluator that keeps the rotation geometry and the map of every angle it built."""
+
+    def __init__(self, image: rf.GrayImage, cfg: rf.FlowConfig):
+        self._img = image.as_float()
+        self._cfg = cfg
+        self._cache = {}
+
+    def _map(self, alpha: float):
+        hit = self._cache.get(alpha)
+        if hit is None:
+            rr = rotate_raster(self._img, alpha, (_STAT_OFFSET, _STAT_OFFSET))
+            hit = self._cache[alpha] = (replace(rr, values=None, valid=None), reference_mean_deviation_map(rr, self._cfg))
+        return hit
+
+    def mean_deviation(self, alpha: float, xs, ys) -> np.ndarray:
+        geometry, mu = self._map(float(alpha))
+        rx, ry = geometry.to_rotated(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
+        col = np.floor(rx + 0.5).astype(np.int64) + self._cfg.tangent_half_length
+        row = np.floor(ry + 0.5).astype(np.int64) + self._cfg.perp_half_length
+        inside = (row >= 0) & (row < mu.shape[0]) & (col >= 0) & (col < mu.shape[1])
+        out = np.full(col.shape, np.nan)
+        out[inside] = mu[row[inside], col[inside]]
+        return out
+
+
+def reference_search_orientations(mean_deviation, px: np.ndarray, py: np.ndarray, cfg: rf.FlowConfig):
+    """Coarse argmin then fine refinement, offset by offset; returns (theta, defined) arrays."""
+    n_sites = px.shape[0]
+    if n_sites == 0:
+        return np.zeros(0), np.zeros(0, dtype=bool)
+
+    coarse = cfg.coarse_angles()
+    mu = np.stack([mean_deviation(a, px, py) for a in coarse])
+    filled = np.where(np.isnan(mu), np.inf, mu)
+    defined = ~np.isinf(filled).all(axis=0)
+    best_idx = np.argmin(filled, axis=0)  # ties -> smaller angle
+    best_alpha = coarse[best_idx]
+    best_mu = filled[best_idx, np.arange(n_sites)]
+
+    offsets = cfg.fine_offsets()
+    cand_mu = np.full((len(offsets), n_sites), np.inf)
+    cand_alpha = np.zeros((len(offsets), n_sites))
+    for oi, off in enumerate(offsets):
+        alphas = np.mod(best_alpha + off, math.pi)
+        cand_alpha[oi] = alphas
+        if off == 0.0:
+            cand_mu[oi] = best_mu
+            continue
+        for a in np.unique(alphas[defined]):
+            sel = defined & (alphas == a)
+            vals = mean_deviation(float(a), px[sel], py[sel])
+            cand_mu[oi, sel] = np.where(np.isnan(vals), np.inf, vals)
+    # argmin over candidates; exact mu ties resolve toward the smaller angle
+    min_mu = cand_mu.min(axis=0)
+    tie_alpha = np.where(cand_mu == min_mu, cand_alpha, np.inf)
+    alpha_star = np.where(defined, tie_alpha.min(axis=0), 0.0)
+    theta = np.mod(alpha_star + math.pi / 2.0, math.pi)
+    return np.where(defined, theta, 0.0), defined
+
+
+def reference_flow_field(image: rf.GrayImage, cfg: rf.FlowConfig) -> rf.FlowField:
+    """``compute_flow_field`` with the cached evaluator and the offset-major search."""
+    foreground = patch_variance_grid(image, cfg) >= cfg.background_variance_threshold
+    gy, gx = np.nonzero(foreground)
+    theta, ok = reference_search_orientations(
+        CachedRotatedEvaluator(image, cfg).mean_deviation,
+        (gx * cfg.stride).astype(np.float64), (gy * cfg.stride).astype(np.float64), cfg,
+    )
+    angles = np.zeros(foreground.shape)
+    valid = np.zeros(foreground.shape, dtype=bool)
+    angles[gy, gx] = theta
+    valid[gy, gx] = ok
+    return rf.FlowField(angles, valid, cfg.stride)

@@ -55,6 +55,22 @@ class TestEnhancePixel:
         # an undefined orientation passes the pixel through
         assert rf.enhance_pixel(img, binary, rf.Point(12.0, 12.0), math.nan) == 133.0
 
+    def test_point_outside_the_raster_is_nan(self):
+        # an 8x8 ramp: a clamped edge pixel would read 0.0 at (-100, -100)
+        # and 31.0 at (100, 3); both are outside, as for sample_bilinear
+        img = rf.GrayImage(np.arange(64, dtype=np.int64).reshape(8, 8) // 2)
+        binary = rf.BinaryImage(np.zeros((8, 8), dtype=np.int64))
+        flow = rf.FlowField(np.zeros((4, 4)), np.ones((4, 4), dtype=bool), 2)
+        outside = [(-100.0, -100.0), (100.0, 3.0), (3.0, 7.5), (-0.5, 3.0)]
+        inside = [(0.0, 0.0), (7.0, 7.0), (7.0 + 1e-10, 3.0), (3.25, 4.5)]
+        for x, y in outside + inside:
+            p = rf.Point(x, y)
+            want_nan = rf.sample_bilinear(img, p) is None
+            assert want_nan == ((x, y) in outside)
+            for theta in (0.3, math.nan):
+                assert math.isnan(rf.enhance_pixel(img, binary, p, theta)) == want_nan
+            assert math.isnan(rf.enhance_pixel_contour(img, binary, p, flow)) == want_nan
+
     def test_singleton_class_returns_center(self):
         rng = np.random.RandomState(9)
         img = rf.GrayImage(rng.randint(0, 256, size=(24, 24)).astype(np.int64))
