@@ -38,17 +38,13 @@ from .gradient import (
 from .image import (
     BinaryImage,
     GrayImage,
-    LineSegment,
     PgmFormatError,
     Point,
     binary_as_gray,
     invert,
-    line_points,
     load_pgm,
-    rotate_image,
     sample_bilinear,
     save_pgm,
-    squared_intensities,
 )
 from .pipeline import (
     ComparisonReport,
@@ -86,7 +82,6 @@ __all__ = [
     "GradientField",
     "GrayImage",
     "IterationRecord",
-    "LineSegment",
     "PgmFormatError",
     "PipelineConfig",
     "PipelineResult",
@@ -118,14 +113,12 @@ __all__ = [
     "gradient",
     "interior_site_mask",
     "invert",
-    "line_points",
     "load_flow_csv",
     "load_pgm",
     "mean_perpendicular_deviation",
     "patch_variance_grid",
     "perpendicular_deviation",
     "render_flow_overlay",
-    "rotate_image",
     "run_iteration",
     "run_pipeline",
     "sample_bilinear",
@@ -134,7 +127,6 @@ __all__ = [
     "save_pgm",
     "second_moment_matrix",
     "seeded_normals",
-    "squared_intensities",
     "summary_lines",
     "tensor_orientation",
     "trace_contour",

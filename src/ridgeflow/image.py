@@ -97,30 +97,6 @@ def invert(image: GrayImage) -> GrayImage:
     return GrayImage(255 - image.pixels.astype(np.int64))
 
 
-@dataclass
-class LineSegment:
-    """2*half_length+1 sample sites spaced evenly along a direction."""
-
-    center: Point
-    angle: float
-    half_length: int
-    spacing: float = 1.0
-
-    def __post_init__(self):
-        if self.half_length < 1:
-            raise ValueError("half_length must be >= 1")
-        if not self.spacing > 0:
-            raise ValueError("spacing must be positive")
-
-
-def line_points(seg: LineSegment) -> list[Point]:
-    """Sample sites of ``seg``, ordered; index ``half_length`` is the center."""
-    ux = math.cos(seg.angle) * seg.spacing
-    uy = math.sin(seg.angle) * seg.spacing
-    cx, cy = seg.center
-    return [Point(cx + k * ux, cy + k * uy) for k in range(-seg.half_length, seg.half_length + 1)]
-
-
 # ---------------------------------------------------------------------------
 # PGM (binary P5) I/O
 
@@ -289,19 +265,34 @@ def sample_bilinear(image: GrayImage, p: Point) -> float | None:
     return None if math.isnan(v) else float(v)
 
 
-@dataclass(eq=False)
-class RotatedRaster:
-    """Image resampled so source lines at ``angle`` run along output rows."""
+@dataclass(frozen=True)
+class RotationFrame:
+    """The canvas of a raster rotated about its center by -angle, and the map onto it.
 
-    values: np.ndarray  # float64, 0.0 where invalid
-    valid: np.ndarray  # bool, False where mapped from outside the source
+    ``shape`` is the (rows, columns) of the rotated bounding box. Only
+    geometry lives here, so callers can place points on the canvas before
+    any pixel is resampled.
+    """
+
     angle: float
     src_center: tuple[float, float]
     dst_center: tuple[float, float]
-    source_offset: tuple[float, float] = (0.0, 0.0)
+    source_offset: tuple[float, float]
+    shape: tuple[int, int]
+
+    @classmethod
+    def of(cls, shape: tuple[int, int], angle: float, source_offset: tuple[float, float]) -> "RotationFrame":
+        """The frame of rotating a raster of ``shape`` (rows, columns) by -angle."""
+        h, w = shape
+        c = abs(math.cos(angle))
+        s = abs(math.sin(angle))
+        out_w = max(1, math.ceil(w * c + h * s - 1e-9))
+        out_h = max(1, math.ceil(w * s + h * c - 1e-9))
+        return cls(angle, ((w - 1) / 2.0, (h - 1) / 2.0), ((out_w - 1) / 2.0, (out_h - 1) / 2.0),
+                   source_offset, (out_h, out_w))
 
     def to_rotated(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map source coordinates into this raster's coordinates."""
+        """Map source coordinates onto the whole canvas."""
         c = math.cos(self.angle)
         s = math.sin(self.angle)
         dx = np.asarray(xs, dtype=np.float64) - self.src_center[0] - self.source_offset[0]
@@ -309,51 +300,71 @@ class RotatedRaster:
         return self.dst_center[0] + c * dx + s * dy, self.dst_center[1] - s * dx + c * dy
 
 
+@dataclass(eq=False)
+class RotatedRaster:
+    """A window of an image resampled so source lines at the frame's angle run along rows.
+
+    ``values[i, j]`` is canvas pixel (row ``origin[0] + i``, column
+    ``origin[1] + j``) of ``frame``.
+    """
+
+    values: np.ndarray  # float64, 0.0 where invalid
+    valid: np.ndarray  # bool, False where mapped from outside the source
+    frame: RotationFrame
+    origin: tuple[int, int]
+
+
 def rotate_raster(
-    values: np.ndarray, angle: float, source_offset: tuple[float, float] = (0.0, 0.0)
+    values: np.ndarray,
+    angle: float,
+    source_offset: tuple[float, float] = (0.0, 0.0),
+    window: tuple[slice, slice] | None = None,
 ) -> RotatedRaster:
     """Rotate a float raster about its center by -angle (bilinear resampling).
 
-    The output canvas covers the rotated bounding box; pixels that map from
-    outside the source are flagged invalid and set to 0. Rows are resampled
-    in bands, so the sampling temporaries stay small. ``source_offset``
-    shifts every source sample position by a constant amount, letting callers
-    force interpolation even for lattice-preserving angles.
+    The canvas covers the rotated bounding box; pixels that map from
+    outside the source are flagged invalid and set to 0. ``window``, a
+    (rows, columns) pair of slices of the canvas, clipped to it, limits the
+    output to that part; every pixel comes out as in the whole canvas.
+    ``source_offset`` shifts every source sample position by a constant
+    amount, letting callers force interpolation even for lattice-preserving
+    angles.
+
+    Rows are resampled in bands, so the sampling temporaries stay small.
+    Each band samples only the columns whose source position can be in
+    bounds on the band's first or last row (and so on any row between),
+    widened by a source pixel and a column; the rest stay 0 and invalid,
+    and ``bilinear_many`` alone decides validity inside that interval.
     """
     h, w = values.shape
+    frame = RotationFrame.of((h, w), angle, source_offset)
+    rows, cols = (range(n)[sl] for n, sl in zip(frame.shape, window or (slice(None), slice(None))))
     c = math.cos(angle)
     s = math.sin(angle)
-    out_w = max(1, math.ceil(w * abs(c) + h * abs(s) - 1e-9))
-    out_h = max(1, math.ceil(w * abs(s) + h * abs(c) - 1e-9))
-    src_center = ((w - 1) / 2.0, (h - 1) / 2.0)
-    dst_center = ((out_w - 1) / 2.0, (out_h - 1) / 2.0)
-    out = np.empty((out_h, out_w))
-    valid = np.empty((out_h, out_w), dtype=bool)
-    dx = (np.arange(out_w, dtype=np.float64) - dst_center[0])[None, :]
-    for rows in band_rows(out_w, out_h):
-        dy = (np.arange(rows.start, rows.stop, dtype=np.float64) - dst_center[1])[:, None]
-        sx = src_center[0] + source_offset[0] + c * dx - s * dy
-        sy = src_center[1] + source_offset[1] + s * dx + c * dy
+    (scx, scy), (dcx, dcy) = frame.src_center, frame.dst_center
+    out = np.zeros((len(rows), len(cols)))
+    valid = np.zeros((len(rows), len(cols)), dtype=bool)
+    dx = (np.arange(cols.start, cols.stop, dtype=np.float64) - dcx)[None, :]
+    for band in band_rows(max(len(cols), 1), len(rows)):
+        y0, y1 = rows[band.start], rows[band.stop - 1]
+        # each source coordinate, base + k * dx + m * dy, must lie in
+        # [-1, size]: per row an interval of dx, and over the band's rows one
+        # within the hull of the intervals of its first and last row
+        lo, hi = -math.inf, math.inf
+        for k, m, base, size in ((c, -s, scx + source_offset[0], w), (s, c, scy + source_offset[1], h)):
+            if k != 0.0:
+                ends = [(edge - base - m * (y - dcy)) / k for edge in (-1.0, size) for y in (y0, y1)]
+                lo = max(lo, min(ends))
+                hi = min(hi, max(ends))
+        a = max(math.floor(lo + dcx) - 1 - cols.start, 0)
+        b = min(math.ceil(hi + dcx) + 2 - cols.start, len(cols))
+        if a >= b:
+            continue
+        dy = (np.arange(y0, y1 + 1, dtype=np.float64) - dcy)[:, None]
+        sx = scx + source_offset[0] + c * dx[:, a:b] - s * dy
+        sy = scy + source_offset[1] + s * dx[:, a:b] + c * dy
         sampled = bilinear_many(values, sx, sy)
         ok = ~np.isnan(sampled)
-        valid[rows] = ok
-        out[rows] = np.where(ok, sampled, 0.0)
-    return RotatedRaster(out, valid, angle, src_center, dst_center, source_offset)
-
-
-def rotate_image(image: GrayImage, alpha: float) -> tuple[GrayImage, np.ndarray]:
-    """Rotate so lines at angle ``alpha`` become horizontal rows.
-
-    Returns the rotated image and a validity mask; masked-out pixels were
-    mapped from outside the source raster and hold value 0.
-    """
-    if not 0.0 <= alpha < math.pi:
-        raise ValueError("alpha must lie in [0, pi)")
-    rr = rotate_raster(image.as_float(), alpha)
-    return GrayImage.from_float(rr.values), rr.valid.copy()
-
-
-def squared_intensities(image: GrayImage) -> np.ndarray:
-    """Element-wise squared intensities, for one-pass variance Var = E[I^2] - E[I]^2."""
-    f = image.as_float()
-    return f * f
+        valid[band, a:b] = ok
+        np.copyto(out[band, a:b], sampled, where=ok)
+    return RotatedRaster(out, valid, frame, (rows.start, cols.start))

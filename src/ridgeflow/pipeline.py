@@ -45,6 +45,8 @@ class PipelineConfig:
         if self.flow_method not in FLOW_METHODS:
             raise ValueError(f"flow_method must be one of {FLOW_METHODS}")
         check_window(self.gradient_window_half, self.gradient_weight_sigma)
+        if not math.isfinite(self.coherence_threshold):
+            raise ValueError(f"coherence_threshold must be finite, got {self.coherence_threshold}")
 
 
 @dataclass(eq=False)
@@ -145,6 +147,8 @@ def compare_methods(
     interior_margin: float | None = None,
 ) -> ComparisonReport:
     cfg = cfg or PipelineConfig()
+    if interior_margin is not None and not math.isfinite(interior_margin):
+        raise ValueError(f"interior_margin must be finite, got {interior_margin}")
     proj = _flow_for(image, replace(cfg, flow_method="projection"))
     grad = _flow_for(image, replace(cfg, flow_method="gradient"))
 

@@ -9,11 +9,13 @@ statistic meaningful where a ridge ends inside the window.
 
 Two interchangeable evaluators exist: a direct one that samples the source
 image along every segment, and a fast one that rotates the image once per
-candidate angle so all segments become axis-aligned runs. From column prefix
-sums of the rotated values and squared values it builds the mean-deviation
-map of the rotated canvas, over only the map rows the queried sites fall on;
-each site is then a single lookup into that map. The search asks for each
-distinct candidate angle once, so no map outlives its call.
+candidate angle so all segments become axis-aligned runs. It rotates only
+the window of the canvas its queried sites read, and from column prefix
+sums of the rotated values and squared values, streamed one band of rows
+at a time, it builds the mean-deviation map over only the rows the sites
+fall on; each site is then a single lookup into its band of that map. The
+search asks for each distinct candidate angle once, so no map outlives its
+call, and neither the map nor the prefix sums is ever canvas-sized.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flowfield import FlowField
-from .image import GrayImage, Point, RotatedRaster, band_rows, bilinear_many, rotate_raster
+from .image import GrayImage, Point, RotatedRaster, RotationFrame, band_rows, bilinear_many, rotate_raster
 
 # Variances below this are floating-point dust from interpolation; treating
 # them as exact zeros keeps argmin ties deterministic on flat regions.
@@ -68,6 +70,9 @@ class FlowConfig:
     use_half_line_rule: bool = True
 
     def __post_init__(self):
+        for name in ("coarse_step", "fine_step", "fine_half_range", "background_variance_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.tangent_half_length < 1 or self.perp_half_length < 1:
             raise ValueError("segment half lengths must be >= 1")
         n = round(math.pi / self.coarse_step) if self.coarse_step > 0 else 0
@@ -194,86 +199,101 @@ class DirectDeviationEvaluator:
         )
 
 
-def _scratch(work: dict[str, np.ndarray], key: str, shape: tuple[int, int]) -> np.ndarray:
+def _scratch(work: dict[str, np.ndarray], key: str, shape: tuple[int, ...]) -> np.ndarray:
     """A float64 view of ``shape`` on the reusable buffer ``work[key]``, grown as needed."""
-    n = shape[0] * shape[1]
+    n = math.prod(shape)
     if key not in work or work[key].size < n:
         work[key] = None  # free the smaller buffer before allocating its successor
         work[key] = np.empty(n)
     return work[key][:n].reshape(shape)
 
 
-def _mean_deviation_map(rr: RotatedRaster, cfg: FlowConfig, need: np.ndarray, work: dict[str, np.ndarray]) -> np.ndarray:
-    """Mean deviation at the rotated lattice sites of the ``need`` rows, NaN where undefined.
+def _site_mean_deviations(
+    rr: RotatedRaster, cfg: FlowConfig, row: np.ndarray, col: np.ndarray, work: dict[str, np.ndarray]
+) -> np.ndarray:
+    """Mean deviation at the map sites (``row``, ``col``) of the canvas ``rr``, NaN where undefined.
 
-    Row r, column c of the result is the site (c - t, r - s) of the rotated
-    canvas, so the map covers every site whose window touches the canvas.
-    Perpendicular spans are vertical runs clipped to the canvas rows, read
-    as row-shifted slices of edge-padded column prefix sums; the upper half
-    span of a row is the lower half span of the row s below it. The tangent
-    mean adds the 2t+1 column-shifted copies of the span deviations in
-    order, columns off the canvas counting as undefined. The prefix sums
-    cover the whole canvas; everything after them runs in bands of map
-    rows, so the temporaries stay small.
+    Map row r, column c is the site (c - t, r - s) of the canvas, so the map
+    covers every site whose window touches the canvas. Perpendicular spans
+    are vertical runs clipped to the canvas rows, read as row-shifted
+    slices of column prefix sums; the upper half span of a row is the lower
+    half span of the row s below it. The tangent mean adds the 2t+1
+    column-shifted copies of the span deviations in order, columns off the
+    canvas counting as undefined.
 
-    Every map row depends only on the prefix sums, so any subset of rows
-    comes out with the same bytes. ``need`` flags the map rows to build:
-    only the bands holding a needed row are built, each trimmed to its
-    first..last needed row, and the other rows are left unset. The prefix
-    sums and the map live in the buffers of ``work``, which the next call
-    reuses, so the result is a view that the next call overwrites.
+    The map is built in bands of rows, only where a site falls, each band
+    trimmed to its first..last site row, and each band's sites are read
+    from it. The prefix sums are streamed too: a band's buffer holds prefix
+    rows r0 .. r1 + 2s, starting from row r0 carried over from the rows
+    before and adding one canvas row per row, as ``np.cumsum`` does, so
+    every value has the bytes of the whole-canvas map. Nothing is
+    canvas-sized; the prefix buffer lives in ``work`` for the next call.
     """
     t = cfg.tangent_half_length
     s = cfg.perp_half_length
     h, w = rr.values.shape
+    out = np.full(row.shape, np.nan)
+    if row.size == 0:
+        return out
+    order = np.argsort(row, kind="stable")
+    srow = row[order]
+    carry = np.zeros((3, w))  # prefix row ``at`` of counts, values and squares
+    at = 0
 
-    def prefix(key: str, v: np.ndarray | None) -> np.ndarray:
-        # row j holds the column sums over canvas rows [0, j - 2s), clipped;
-        # v None sums the squared values, squared into the buffer and summed
-        # in place, so they need no canvas of their own
-        p = _scratch(work, key, (h + 4 * s + 1, w))
-        p[: 2 * s + 1] = 0.0
-        body = p[2 * s + 1 : 2 * s + 1 + h]
-        if v is None:
-            v = np.multiply(rr.values, rr.values, out=body)
-        np.cumsum(v, axis=0, out=body)
-        p[2 * s + 1 + h :] = p[2 * s + h]
+    def prefix(r0: int, r1: int) -> np.ndarray:
+        """Prefix rows [r0, r1), r0 the carried row; row j sums canvas rows [0, j - 2s), clipped."""
+        p = _scratch(work, "prefix", (3, r1 - r0, w))
+        p[:, 0] = carry
+        ka, kb = (min(max(k, 0), h) for k in (r0 - 2 * s, r1 - 2 * s - 1))
+        ia, ib = ka - r0 + 2 * s + 1, kb - r0 + 2 * s + 1
+        p[:, 1:ia] = 0.0
+        p[:, ib:] = 0.0
+        p[0, ia:ib] = rr.valid[ka:kb]
+        p[1, ia:ib] = rr.values[ka:kb]
+        np.multiply(rr.values[ka:kb], rr.values[ka:kb], out=p[2, ia:ib])
+        np.cumsum(p, axis=1, out=p)
         return p
 
-    pn, p1, p2 = prefix("pn", rr.valid), prefix("p1", rr.values), prefix("p2", None)
-
-    def runs(length: int, r0: int, r1: int) -> np.ndarray:
-        """Deviations of the runs of ``length`` rows from canvas rows r0-2s .. r1-2s-1."""
-        a = slice(r0, r1)
-        b = slice(r0 + length, r1 + length)
-        return _span_deviation(pn[b] - pn[a], p1[b] - p1[a], p2[b] - p2[a])
+    def runs(p: np.ndarray, length: int, n: int) -> np.ndarray:
+        """Deviations of the runs of ``length`` rows from each of the first ``n`` rows of ``p``."""
+        d = p[:, length : n + length] - p[:, :n]
+        return _span_deviation(d[0], d[1], d[2])
 
     out_w = w + 2 * t
-    out = _scratch(work, "map", (h + 2 * s, out_w))
-    for rows in band_rows(out_w, out.shape[0], _MAP_BAND_PIXELS):
-        hit = np.flatnonzero(need[rows])
-        if hit.size == 0:
+    lo = 0
+    for band in band_rows(out_w, int(srow[-1]) + 1, _MAP_BAND_PIXELS):
+        hi = int(np.searchsorted(srow, band.stop))
+        if hi == lo:
             continue
-        rows = slice(rows.start + int(hit[0]), rows.start + int(hit[-1]) + 1)
-        r0, r1 = rows.start, rows.stop
-        sig = runs(2 * s + 1, r0, r1)
+        r0, r1 = int(srow[lo]), int(srow[hi - 1]) + 1
+        while at < r0:  # carry over rows no site needs, a band at a time
+            stop = min(r0, at + band.stop - band.start)
+            carry[...] = prefix(at, stop + 1)[:, -1]
+            at = stop
+        p = prefix(r0, r1 + 2 * s + 1)
+        sig = runs(p, 2 * s + 1, r1 - r0)
         if cfg.use_half_line_rule:
-            half = runs(s + 1, r0, r1 + s)
+            half = runs(p, s + 1, r1 - r0 + s)
             np.fmin(sig, half[: r1 - r0], out=sig)
             np.fmin(sig, half[s:], out=sig)
+        carry[...] = p[:, r1 - r0]
+        at = r1
         ok = ~np.isnan(sig)
         padded = np.zeros((r1 - r0, w + 4 * t))
         np.copyto(padded[:, 2 * t : 2 * t + w], sig, where=ok)
-        sig_sum = out[rows]
-        sig_sum[...] = 0.0
+        sig_sum = np.zeros((r1 - r0, out_w))
         for i in range(2 * t + 1):
             sig_sum += padded[:, i : i + out_w]
         cnt = np.zeros((r1 - r0, w + 4 * t + 1), dtype=np.int64)
         cnt[:, 2 * t + 1 : 2 * t + 1 + w] = ok
         np.cumsum(cnt, axis=1, out=cnt)
-        sig_cnt = cnt[:, 2 * t + 1 :] - cnt[:, :out_w]
-        np.divide(sig_sum, np.maximum(sig_cnt, 1), out=sig_sum)
-        np.copyto(sig_sum, np.nan, where=sig_cnt == 0)
+        sites = order[lo:hi]
+        r, c = srow[lo:hi] - r0, col[sites]
+        sig_cnt = cnt[r, c + 2 * t + 1] - cnt[r, c]
+        vals = np.divide(sig_sum[r, c], np.maximum(sig_cnt, 1))
+        np.copyto(vals, np.nan, where=sig_cnt == 0)
+        out[sites] = vals
+        lo = hi
     return out
 
 
@@ -283,14 +303,15 @@ class RotatedDeviationEvaluator:
     Rotating by -alpha turns tangent segments into horizontal runs and the
     perpendiculars into vertical runs, so the mean deviation of every
     rotated lattice site comes from prefix sums of values and squared
-    values in one pass over the canvas. Grid sites are snapped to the
-    nearest rotated lattice point and read from the map, so results match
-    the direct evaluator up to sub-pixel resampling. Each call rotates the
-    image, builds the map over only the rows its sites fall on, reads them
-    and drops the canvas; nothing is kept per angle. The prefix sums and
-    the map reuse private buffers sized to the largest canvas seen, since
-    allocating them afresh for every angle makes the allocator return
-    their pages to the system and fault them in again.
+    values. Grid sites are snapped to the nearest rotated lattice point of
+    the whole canvas, so results match the direct evaluator up to sub-pixel
+    resampling. Each call then rotates only the window its sites read:
+    columns within t of a site, and rows from the top of the canvas, where
+    the prefix sums start, to s below the last site. It builds the map
+    bands its sites fall on, reads them and drops the window; nothing is
+    kept per angle. The prefix buffer is private and sized to the largest
+    band seen, since allocating it afresh for every angle makes the
+    allocator return its pages to the system and fault them in again.
     """
 
     def __init__(self, image: GrayImage, cfg: FlowConfig):
@@ -299,20 +320,23 @@ class RotatedDeviationEvaluator:
         self._work: dict[str, np.ndarray] = {}
 
     def mean_deviation(self, alpha: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        rr = rotate_raster(self._img, float(alpha), (_STAT_OFFSET, _STAT_OFFSET))
-        rx, ry = rr.to_rotated(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
         t = self._cfg.tangent_half_length
         s = self._cfg.perp_half_length
-        map_h = rr.values.shape[0] + 2 * s
+        offset = (_STAT_OFFSET, _STAT_OFFSET)
+        frame = RotationFrame.of(self._img.shape, float(alpha), offset)
+        rx, ry = frame.to_rotated(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
         col = np.floor(rx + 0.5).astype(np.int64) + t
         row = np.floor(ry + 0.5).astype(np.int64) + s
-        inside = (row >= 0) & (row < map_h) & (col >= 0) & (col < rr.values.shape[1] + 2 * t)
-        row = row[inside]
-        need = np.zeros(map_h, dtype=bool)
-        need[row] = True
-        mu = _mean_deviation_map(rr, self._cfg, need, self._work)
-        out = np.full(col.shape, np.nan)
-        out[inside] = mu[row, col[inside]]
+        h, w = frame.shape
+        inside = (row >= 0) & (row < h + 2 * s) & (col >= 0) & (col < w + 2 * t)
+        row, col = row[inside], col[inside]
+        # map row r reads canvas rows up to r, map column c canvas columns c - 2t .. c
+        window = (slice(0, 0), slice(0, 0))
+        if row.size:
+            window = (slice(0, int(row.max()) + 1), slice(max(int(col.min()) - 2 * t, 0), int(col.max()) + 1))
+        rr = rotate_raster(self._img, float(alpha), offset, window)
+        out = np.full(inside.shape, np.nan)
+        out[inside] = _site_mean_deviations(rr, self._cfg, row, col - rr.origin[1], self._work)
         return out
 
 
@@ -327,12 +351,15 @@ def _search_orientations(mean_deviation, px: np.ndarray, py: np.ndarray, cfg: Fl
         return np.zeros(0), np.zeros(0, dtype=bool)
 
     coarse = cfg.coarse_angles()
-    mu = np.stack([mean_deviation(a, px, py) for a in coarse])
-    filled = np.where(np.isnan(mu), np.inf, mu)
-    defined = ~np.isinf(filled).all(axis=0)
-    best_idx = np.argmin(filled, axis=0)  # ties -> smaller angle
+    mu = np.empty((len(coarse), n_sites))
+    for mu_a, a in zip(mu, coarse):
+        mu_a[...] = mean_deviation(a, px, py)
+        np.copyto(mu_a, np.inf, where=np.isnan(mu_a))
+    defined = ~np.isinf(mu).all(axis=0)
+    best_idx = np.argmin(mu, axis=0)  # ties -> smaller angle
     best_alpha = coarse[best_idx]
-    best_mu = filled[best_idx, np.arange(n_sites)]
+    best_mu = mu[best_idx, np.arange(n_sites)]
+    del mu  # the fine search below needs only the coarse optima
 
     offsets = cfg.fine_offsets()
     cand_alpha = np.stack([np.mod(best_alpha + off, math.pi) for off in offsets])

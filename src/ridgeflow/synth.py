@@ -62,6 +62,9 @@ class SyntheticSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("orientation", "period", "amplitude", "offset", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.width < 1 or self.height < 1:
             raise ValueError("dimensions must be positive")
         if self.pattern not in PATTERNS:

@@ -7,15 +7,118 @@ calling back into the code paths they check.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 import ridgeflow as rf
-from ridgeflow.image import band_rows, rotate_raster
+from ridgeflow.image import band_rows, bilinear_many, rotate_raster
 from ridgeflow.projection import _MAP_BAND_PIXELS, _STAT_OFFSET, _span_deviation, patch_variance_grid
 
 INTERIOR_MARGIN = 16  # tangent + perpendicular half lengths at defaults
+
+
+# ---------------------------------------------------------------------------
+# Helpers that only tests use, moved out of ``ridgeflow.image``
+
+
+@dataclass
+class LineSegment:
+    """2*half_length+1 sample sites spaced evenly along a direction."""
+
+    center: rf.Point
+    angle: float
+    half_length: int
+    spacing: float = 1.0
+
+    def __post_init__(self):
+        if self.half_length < 1:
+            raise ValueError("half_length must be >= 1")
+        if not self.spacing > 0:
+            raise ValueError("spacing must be positive")
+
+
+def line_points(seg: LineSegment) -> list[rf.Point]:
+    """Sample sites of ``seg``, ordered; index ``half_length`` is the center."""
+    ux = math.cos(seg.angle) * seg.spacing
+    uy = math.sin(seg.angle) * seg.spacing
+    cx, cy = seg.center
+    return [rf.Point(cx + k * ux, cy + k * uy) for k in range(-seg.half_length, seg.half_length + 1)]
+
+
+def rotate_image(image: rf.GrayImage, alpha: float) -> tuple[rf.GrayImage, np.ndarray]:
+    """Rotate so lines at angle ``alpha`` become horizontal rows.
+
+    Returns the rotated image and a validity mask; masked-out pixels were
+    mapped from outside the source raster and hold value 0.
+    """
+    if not 0.0 <= alpha < math.pi:
+        raise ValueError("alpha must lie in [0, pi)")
+    rr = rotate_raster(image.as_float(), alpha)
+    return rf.GrayImage.from_float(rr.values), rr.valid.copy()
+
+
+def squared_intensities(image: rf.GrayImage) -> np.ndarray:
+    """Element-wise squared intensities, for one-pass variance Var = E[I^2] - E[I]^2."""
+    f = image.as_float()
+    return f * f
+
+
+# ---------------------------------------------------------------------------
+# The whole-canvas rotation, kept verbatim as the reference for the
+# in-source, windowed ``image.rotate_raster``.
+
+
+@dataclass(eq=False)
+class ReferenceRotatedRaster:
+    """Image resampled so source lines at ``angle`` run along output rows."""
+
+    values: np.ndarray  # float64, 0.0 where invalid
+    valid: np.ndarray  # bool, False where mapped from outside the source
+    angle: float
+    src_center: tuple[float, float]
+    dst_center: tuple[float, float]
+    source_offset: tuple[float, float] = (0.0, 0.0)
+
+    def to_rotated(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Map source coordinates into this raster's coordinates."""
+        c = math.cos(self.angle)
+        s = math.sin(self.angle)
+        dx = np.asarray(xs, dtype=np.float64) - self.src_center[0] - self.source_offset[0]
+        dy = np.asarray(ys, dtype=np.float64) - self.src_center[1] - self.source_offset[1]
+        return self.dst_center[0] + c * dx + s * dy, self.dst_center[1] - s * dx + c * dy
+
+
+def reference_rotate_raster(
+    values: np.ndarray, angle: float, source_offset: tuple[float, float] = (0.0, 0.0)
+) -> ReferenceRotatedRaster:
+    """Rotate a float raster about its center by -angle (bilinear resampling).
+
+    The output canvas covers the rotated bounding box; pixels that map from
+    outside the source are flagged invalid and set to 0. Rows are resampled
+    in bands, so the sampling temporaries stay small. ``source_offset``
+    shifts every source sample position by a constant amount, letting callers
+    force interpolation even for lattice-preserving angles.
+    """
+    h, w = values.shape
+    c = math.cos(angle)
+    s = math.sin(angle)
+    out_w = max(1, math.ceil(w * abs(c) + h * abs(s) - 1e-9))
+    out_h = max(1, math.ceil(w * abs(s) + h * abs(c) - 1e-9))
+    src_center = ((w - 1) / 2.0, (h - 1) / 2.0)
+    dst_center = ((out_w - 1) / 2.0, (out_h - 1) / 2.0)
+    out = np.empty((out_h, out_w))
+    valid = np.empty((out_h, out_w), dtype=bool)
+    dx = (np.arange(out_w, dtype=np.float64) - dst_center[0])[None, :]
+    for rows in band_rows(out_w, out_h):
+        dy = (np.arange(rows.start, rows.stop, dtype=np.float64) - dst_center[1])[:, None]
+        sx = src_center[0] + source_offset[0] + c * dx - s * dy
+        sy = src_center[1] + source_offset[1] + s * dx + c * dy
+        sampled = bilinear_many(values, sx, sy)
+        ok = ~np.isnan(sampled)
+        valid[rows] = ok
+        out[rows] = np.where(ok, sampled, 0.0)
+    return ReferenceRotatedRaster(out, valid, angle, src_center, dst_center, source_offset)
 
 
 def manual_bilinear(arr: np.ndarray, x: float, y: float) -> float:
@@ -174,7 +277,7 @@ class PerSitePrefixEvaluator:
 
     def mean_deviation(self, alpha: float, xs, ys) -> np.ndarray:
         cfg = self._cfg
-        rr = rotate_raster(self._img, float(alpha), (_STAT_OFFSET, _STAT_OFFSET))
+        rr = reference_rotate_raster(self._img, float(alpha), (_STAT_OFFSET, _STAT_OFFSET))
         h, w = rr.values.shape
         v = np.where(rr.valid, rr.values, 0.0)
         pn = np.zeros((h + 1, w))
@@ -277,7 +380,7 @@ class CachedRotatedEvaluator:
     def _map(self, alpha: float):
         hit = self._cache.get(alpha)
         if hit is None:
-            rr = rotate_raster(self._img, alpha, (_STAT_OFFSET, _STAT_OFFSET))
+            rr = reference_rotate_raster(self._img, alpha, (_STAT_OFFSET, _STAT_OFFSET))
             hit = self._cache[alpha] = (replace(rr, values=None, valid=None), reference_mean_deviation_map(rr, self._cfg))
         return hit
 

@@ -97,6 +97,18 @@ class TestExitCodes:
         assert "weight sigma" in capsys.readouterr().err
 
 
+    def test_non_finite_settings_are_data_errors(self, sample, tmp_path, capsys):
+        img_path, _ = sample
+        out = tmp_path / "f.csv"
+        assert run_cli(["flow", str(img_path), "--out", str(out), "--bg-var-threshold", "nan"]) == 2
+        assert "background_variance_threshold must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        syn = tmp_path / "s.pgm"
+        assert run_cli(["synth", "--out", str(syn), "--noise-sigma", "nan"]) == 2
+        assert "noise_sigma must be finite" in capsys.readouterr().err
+        assert not syn.exists()
+
+
 class TestSubcommands:
     def test_synth_writes_image_and_truth(self, tmp_path):
         out = tmp_path / "s.pgm"

@@ -8,7 +8,7 @@ import ridgeflow.binarize as rbinarize
 import ridgeflow.contour as rcontour
 import ridgeflow.enhance as renhance
 
-from oracles import inner_pixel_mask, manual_bilinear
+from oracles import LineSegment, inner_pixel_mask, line_points, manual_bilinear
 
 
 def uniform_flow(theta=math.pi / 4, grid=16, stride=2):
@@ -22,7 +22,7 @@ class TestTraceContour:
         path = rf.trace_contour(flow, p, 5)
         assert len(path.points) == 11
         assert path.points[path.seed_index] == p
-        want = rf.line_points(rf.LineSegment(p, math.pi / 4, 5, 1.0))
+        want = line_points(LineSegment(p, math.pi / 4, 5, 1.0))
         for got, exp in zip(path.points, want):
             assert abs(got.x - exp.x) < 1e-9
             assert abs(got.y - exp.y) < 1e-9

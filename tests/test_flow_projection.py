@@ -6,7 +6,7 @@ import pytest
 import ridgeflow as rf
 from ridgeflow.projection import _STAT_OFFSET
 
-from oracles import flow_mae, two_pass_std
+from oracles import flow_mae, rotate_image, two_pass_std
 
 
 def constant_image(value=77, size=48):
@@ -34,6 +34,12 @@ class TestConfig:
             rf.FlowConfig(stride=0)
         with pytest.raises(ValueError):
             rf.FlowConfig(fine_half_range=math.pi / 2)
+
+    @pytest.mark.parametrize("name", ["coarse_step", "fine_step", "fine_half_range", "background_variance_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_setting_is_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            rf.FlowConfig(**{name: value})
 
 
 class TestPerpendicularDeviation:
@@ -218,12 +224,12 @@ class TestFlowField:
         spec = rf.SyntheticSpec(width=64, height=64, pattern="parallel",
                                 orientation=math.radians(30), period=8.0)
         img, _ = rf.generate(spec)
-        rotated, _ = rf.rotate_image(img, math.pi / 2)
+        rotated, _ = rotate_image(img, math.pi / 2)
         rr = rotate_raster(img.as_float(), math.pi / 2)
         cfg = rf.FlowConfig()
         for x, y in [(31, 31), (26, 35), (36, 27)]:
             ta = rf.dominant_orientation(img, rf.Point(x, y), cfg)
-            bx, by = rr.to_rotated(np.array([float(x)]), np.array([float(y)]))
+            bx, by = rr.frame.to_rotated(np.array([float(x)]), np.array([float(y)]))
             tb = rf.dominant_orientation(rotated, rf.Point(float(bx[0]), float(by[0])), cfg)
             assert float(rf.angular_distance((ta + math.pi / 2) % math.pi, tb)) <= cfg.fine_step
 

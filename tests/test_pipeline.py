@@ -24,6 +24,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             rf.PipelineConfig(flow_method="fft")
 
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_coherence_threshold_is_rejected(self, value):
+        with pytest.raises(ValueError, match="coherence_threshold must be finite"):
+            rf.PipelineConfig(coherence_threshold=value)
+
     @pytest.mark.parametrize("kw", [{"gradient_window_half": -1}, {"gradient_weight_sigma": 0.0},
                                     {"gradient_weight_sigma": -2.0}, {"gradient_weight_sigma": math.nan}])
     def test_gradient_parameters_validated(self, kw):
@@ -159,6 +164,11 @@ class TestCompareMethods:
         assert report.mae_projection is None
         assert report.mean_disagreement is not None
         assert report.n_sites > 0
+
+    def test_non_finite_interior_margin_is_rejected(self):
+        img, _ = noisy()
+        with pytest.raises(ValueError, match="interior_margin must be finite"):
+            rf.compare_methods(img, interior_margin=math.nan)
 
     def test_grid_mismatch_raises(self):
         img, _ = noisy()

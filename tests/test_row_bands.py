@@ -11,6 +11,8 @@ import ridgeflow as rf
 import ridgeflow.image as rimage
 import ridgeflow.projection as rproj
 
+from oracles import reference_mean_deviation_map
+
 W, H = 131, 97  # non-square; 7 rows per band does not divide H
 
 
@@ -74,8 +76,13 @@ class TestBandedFlowStage:
             got = []
             for alpha in (0.0, 0.3, math.pi / 4, math.pi / 2, 2.9):
                 rr = rimage.rotate_raster(values, alpha, sampling_offset)
-                every_row = np.ones(rr.values.shape[0] + 2 * cfg.perp_half_length, dtype=bool)
-                mu = rproj._mean_deviation_map(rr, cfg, every_row, {})
+                # every map site, in a shuffled order
+                h, w = rr.values.shape
+                row, col = np.mgrid[0 : h + 2 * cfg.perp_half_length, 0 : w + 2 * cfg.tangent_half_length]
+                order = np.random.default_rng(7).permutation(row.size)
+                row, col = row.ravel()[order], col.ravel()[order]
+                mu = rproj._site_mean_deviations(rr, cfg, row, col, {})
+                assert mu.tobytes() == reference_mean_deviation_map(rr, cfg)[row, col].tobytes()
                 got += [rr.values.tobytes(), rr.valid.tobytes(), mu.tobytes()]
             flow = rf.compute_flow_field(noisy)
             got += [flow.angles.tobytes(), flow.valid.tobytes()]
@@ -114,10 +121,11 @@ class TestBoundedMemory:
         peak = self._peak_mib(lambda: rf.enhance_image_contour(img, rf.binarize_image_contour(img, flow), flow))
         assert peak < self.CEILING_MIB
 
-    # compute_flow_field at 512x512 measured 46.2 MiB on this image (47.0 on
-    # a parallel one): one rotated canvas, its prefix sums and its map at a
-    # time. Keeping every angle's map took 147 MiB. Do not raise it.
-    FLOW_CEILING_MIB = 56.0
+    # compute_flow_field at 512x512 measured 22.4 MiB on this image (26.0 on
+    # a parallel one): one rotated window at a time, with band-sized prefix
+    # sums and no map. Whole-canvas prefix sums and map took 46.2 MiB, and
+    # keeping every angle's map 147 MiB. Do not raise it.
+    FLOW_CEILING_MIB = 27.0
 
     def test_flow_peak_is_bounded(self, large):
         img, _ = large

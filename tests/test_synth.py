@@ -70,6 +70,12 @@ def test_half_plane_stripe_layout():
     assert (truth.angles[truth.valid] == 0.0).all()
 
 
+@pytest.mark.parametrize("name", ["period", "orientation", "amplitude", "offset", "noise_sigma"])
+def test_non_finite_spec_field_is_rejected(name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        rf.SyntheticSpec(width=8, height=8, **{name: math.nan})
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         rf.SyntheticSpec(width=8, height=8, period=2.0)

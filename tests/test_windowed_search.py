@@ -1,0 +1,94 @@
+"""The in-source, windowed rotation against the whole-canvas reference in
+``oracles``, and the window a query rotates."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ridgeflow as rf
+import ridgeflow.projection as rproj
+from ridgeflow.image import rotate_raster
+
+from oracles import CachedRotatedEvaluator, reference_rotate_raster
+
+ANGLES = st.one_of(
+    st.sampled_from([0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi - 1e-12]),
+    st.floats(0.0, math.pi, exclude_max=True),
+)
+OFFSETS = st.one_of(st.just(0.0), st.just(rproj._STAT_OFFSET), st.floats(-2.0, 2.0))
+BOUNDS = st.integers(0, 60)  # canvases of 40x40 rasters reach 57 pixels
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    height=st.integers(1, 40),
+    width=st.integers(1, 40),
+    angle=ANGLES,
+    offset=st.tuples(OFFSETS, OFFSETS),
+    window=st.one_of(st.none(), st.tuples(BOUNDS, BOUNDS, BOUNDS, BOUNDS)),
+)
+def test_windowed_rotation_is_the_reference_slice(seed, height, width, angle, offset, window):
+    values = np.random.default_rng(seed).integers(0, 256, (height, width)).astype(np.float64)
+    want = reference_rotate_raster(values, angle, offset)
+    sl = (slice(None), slice(None)) if window is None else (slice(*window[:2]), slice(*window[2:]))
+    got = rotate_raster(values, angle, offset, None if window is None else sl)
+    assert got.values.shape == want.values[sl].shape
+    assert got.values.tobytes() == want.values[sl].tobytes()
+    assert got.valid.tobytes() == want.valid[sl].tobytes()
+    assert got.frame.shape == want.values.shape
+    assert got.origin == tuple(range(n)[s].start for n, s in zip(want.values.shape, sl))
+    xs, ys = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
+    for g, w in zip(got.frame.to_rotated(xs, ys), want.to_rotated(xs, ys)):
+        assert g.tobytes() == w.tobytes()
+
+
+def _image(size=96):
+    img, _ = rf.generate(rf.SyntheticSpec(width=size, height=size + 3, pattern="concentric", period=7.0,
+                                          noise_sigma=40.0, rng_seed=5))
+    return img
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_sites=st.integers(1, 40),
+    angle=ANGLES,
+    tangent=st.integers(1, 10),
+    perp=st.integers(1, 10),
+    half_rule=st.booleans(),
+)
+def test_any_site_subset_reads_the_cached_whole_canvas_map(seed, n_sites, angle, tangent, perp, half_rule):
+    img = _image(48)
+    cfg = rf.FlowConfig(tangent_half_length=tangent, perp_half_length=perp, use_half_line_rule=half_rule)
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, img.width, n_sites).astype(np.float64)
+    ys = rng.integers(0, img.height, n_sites).astype(np.float64)
+    got = rf.RotatedDeviationEvaluator(img, cfg).mean_deviation(angle, xs, ys)
+    want = CachedRotatedEvaluator(img, cfg).mean_deviation(angle, xs, ys)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_one_site_query_rotates_a_window_2t_plus_1_wide(monkeypatch):
+    shapes = []
+    rotate = rproj.rotate_raster
+
+    def recording_rotate(values, angle, *args):
+        rr = rotate(values, angle, *args)
+        shapes.append(rr.values.shape)
+        return rr
+
+    monkeypatch.setattr(rproj, "rotate_raster", recording_rotate)
+    img = _image()
+    cfg = rf.FlowConfig(tangent_half_length=5, perp_half_length=3)
+    ev = rf.RotatedDeviationEvaluator(img, cfg)
+    reference = CachedRotatedEvaluator(img, cfg)
+    t = cfg.tangent_half_length
+    for alpha in cfg.coarse_angles():
+        for x, y in [(0, 0), (48, 50), (95, 98), (0, 98), (95, 0)]:
+            got = ev.mean_deviation(alpha, np.array([float(x)]), np.array([float(y)]))
+            assert got.tobytes() == reference.mean_deviation(alpha, np.array([float(x)]), np.array([float(y)])).tobytes()
+    assert len(shapes) == 5 * len(cfg.coarse_angles())
+    assert max(w for _, w in shapes) <= 2 * t + 1
