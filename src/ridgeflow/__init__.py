@@ -27,14 +27,7 @@ from .flowfield import (
     load_flow_csv,
     save_flow_csv,
 )
-from .gradient import (
-    GradientField,
-    StructureTensor,
-    compute_flow_field_gradient,
-    gradient,
-    second_moment_matrix,
-    tensor_orientation,
-)
+from .gradient import GradientField, compute_flow_field_gradient, gradient
 from .image import (
     BinaryImage,
     GrayImage,
@@ -57,16 +50,7 @@ from .pipeline import (
     save_comparison_csv,
     summary_lines,
 )
-from .projection import (
-    DirectDeviationEvaluator,
-    FlowConfig,
-    RotatedDeviationEvaluator,
-    compute_flow_field,
-    dominant_orientation,
-    mean_perpendicular_deviation,
-    patch_variance_grid,
-    perpendicular_deviation,
-)
+from .projection import FlowConfig, RotatedDeviationEvaluator, compute_flow_field, patch_variance_grid
 from .synth import SyntheticSpec, generate, seeded_normals
 from .viz import flow_overlay_svg, render_flow_overlay
 
@@ -75,7 +59,6 @@ __all__ = [
     "BinaryImage",
     "ComparisonReport",
     "ContourPath",
-    "DirectDeviationEvaluator",
     "EnhanceConfig",
     "FlowConfig",
     "FlowField",
@@ -87,7 +70,6 @@ __all__ = [
     "PipelineResult",
     "Point",
     "RotatedDeviationEvaluator",
-    "StructureTensor",
     "SyntheticSpec",
     "angle_at",
     "angles_at",
@@ -101,7 +83,6 @@ __all__ = [
     "compute_flow_field",
     "compute_flow_field_gradient",
     "contour_enhance_values",
-    "dominant_orientation",
     "enhance_image",
     "enhance_image_contour",
     "enhance_pixel",
@@ -115,9 +96,7 @@ __all__ = [
     "invert",
     "load_flow_csv",
     "load_pgm",
-    "mean_perpendicular_deviation",
     "patch_variance_grid",
-    "perpendicular_deviation",
     "render_flow_overlay",
     "run_iteration",
     "run_pipeline",
@@ -125,9 +104,7 @@ __all__ = [
     "save_comparison_csv",
     "save_flow_csv",
     "save_pgm",
-    "second_moment_matrix",
     "seeded_normals",
     "summary_lines",
-    "tensor_orientation",
     "trace_contour",
 ]

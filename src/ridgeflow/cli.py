@@ -1,8 +1,9 @@
 """Command-line frontend: flow, binarize, enhance, pipeline, compare, synth, viz.
 
 Exit status: 0 on success, 1 on usage errors (usage text on stderr), 2 on
-runtime/data errors. ``--print-config`` dumps the effective flag values as a
-sorted key=value listing and exits without running the subcommand.
+runtime/data errors. Flag defaults are those of ``PipelineConfig()`` and, for
+``synth``, ``SyntheticSpec``. ``--print-config`` dumps the effective flag
+values as a sorted key=value listing and exits without running the subcommand.
 """
 
 from __future__ import annotations
@@ -34,94 +35,94 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-def _add_flow_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--stride", type=int, default=2, help="grid stride in pixels")
-    p.add_argument("--tangent-half", type=int, default=8, help="tangent segment half length")
-    p.add_argument("--perp-half", type=int, default=8, help="perpendicular segment half length")
-    p.add_argument("--coarse-step-denom", type=int, default=8, help="coarse angular step = pi/N")
-    p.add_argument("--fine-step-denom", type=int, default=32, help="fine angular step = pi/N")
-    p.add_argument("--fine-half-range-denom", type=int, default=16, help="fine search half range = pi/N")
-    p.add_argument("--bg-var-threshold", type=float, default=25.0, help="background patch-variance threshold")
+def _add_flow_flags(p: argparse.ArgumentParser, d: PipelineConfig) -> None:
+    f = d.flow
+    p.add_argument("--stride", type=int, default=f.stride, help="grid stride in pixels")
+    p.add_argument("--tangent-half", type=int, default=f.tangent_half_length, help="tangent segment half length")
+    p.add_argument("--perp-half", type=int, default=f.perp_half_length, help="perpendicular segment half length")
+    p.add_argument("--coarse-step-denom", type=int, default=round(math.pi / f.coarse_step), help="coarse angular step = pi/N")
+    p.add_argument("--fine-step-denom", type=int, default=round(math.pi / f.fine_step), help="fine angular step = pi/N")
+    p.add_argument("--fine-half-range-denom", type=int, default=round(math.pi / f.fine_half_range),
+                   help="fine search half range = pi/N")
+    p.add_argument("--bg-var-threshold", type=float, default=f.background_variance_threshold,
+                   help="background patch-variance threshold")
     p.add_argument("--no-half-line-rule", action="store_true", help="use full-segment deviations only")
-    p.add_argument("--method", choices=["projection", "gradient"], default="projection")
-    p.add_argument("--grad-window-half", type=int, default=8, help="structure tensor window half size")
-    p.add_argument("--grad-weight-sigma", type=float, default=4.0, help="structure tensor Gaussian weight sigma")
-    p.add_argument("--coherence-threshold", type=float, default=0.1, help="tensor coherence validity cutoff")
+    p.add_argument("--method", choices=["projection", "gradient"], default=d.flow_method)
+    p.add_argument("--grad-window-half", type=int, default=d.gradient_window_half, help="structure tensor window half size")
+    p.add_argument("--grad-weight-sigma", type=float, default=d.gradient_weight_sigma,
+                   help="structure tensor Gaussian weight sigma")
+    p.add_argument("--coherence-threshold", type=float, default=d.coherence_threshold, help="tensor coherence validity cutoff")
 
 
-def _add_binarize_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bin-half", type=int, default=4, help="binarization segment half length")
+def _add_binarize_flags(p: argparse.ArgumentParser, d: PipelineConfig) -> None:
+    p.add_argument("--bin-half", type=int, default=d.binarize.line_half_length, help="binarization segment half length")
     p.add_argument("--invert-polarity", action="store_true", help="treat bright lines as ridges")
+    p.add_argument("--path", choices=["linear", "contour"], default=d.path_mode, help="sampling path geometry")
 
 
-def _add_enhance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma", type=float, default=3.0, help="smoothing Gaussian sigma")
-    p.add_argument("--kernel-half", type=int, default=9, help="smoothing kernel half length")
-
-
-def _add_path_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--path", choices=["linear", "contour"], default="linear", help="sampling path geometry")
+def _add_enhance_flags(p: argparse.ArgumentParser, d: PipelineConfig) -> None:
+    p.add_argument("--sigma", type=float, default=d.enhance.gaussian_sigma, help="smoothing Gaussian sigma")
+    p.add_argument("--kernel-half", type=int, default=d.enhance.kernel_half_length, help="smoothing kernel half length")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    d = PipelineConfig()
     parser = _Parser(prog="ridgeflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_flow = sub.add_parser("flow", help="estimate an orientation flow field", parents=[], add_help=True)
     p_flow.add_argument("input", help="input PGM image")
     p_flow.add_argument("--out", help="output flow CSV path")
-    _add_flow_flags(p_flow)
+    _add_flow_flags(p_flow, d)
 
     p_bin = sub.add_parser("binarize", help="classify pixels into ridge/valley")
     p_bin.add_argument("input")
     p_bin.add_argument("--out", help="output PGM (0 = ridge, 255 = valley)")
-    _add_flow_flags(p_bin)
-    _add_binarize_flags(p_bin)
-    _add_path_flag(p_bin)
+    _add_flow_flags(p_bin, d)
+    _add_binarize_flags(p_bin, d)
 
     p_enh = sub.add_parser("enhance", help="directionally smooth an image")
     p_enh.add_argument("input")
     p_enh.add_argument("--out", help="output PGM")
-    _add_flow_flags(p_enh)
-    _add_binarize_flags(p_enh)
-    _add_enhance_flags(p_enh)
-    _add_path_flag(p_enh)
+    _add_flow_flags(p_enh, d)
+    _add_binarize_flags(p_enh, d)
+    _add_enhance_flags(p_enh, d)
 
     p_pipe = sub.add_parser("pipeline", help="iterate flow -> binarize -> enhance")
     p_pipe.add_argument("input")
     p_pipe.add_argument("--out-prefix", help="prefix for flow_K.csv, bin_K.pgm, enh_K.pgm outputs")
-    p_pipe.add_argument("--iterations", type=int, default=2)
-    _add_flow_flags(p_pipe)
-    _add_binarize_flags(p_pipe)
-    _add_enhance_flags(p_pipe)
-    _add_path_flag(p_pipe)
+    p_pipe.add_argument("--iterations", type=int, default=d.iterations)
+    _add_flow_flags(p_pipe, d)
+    _add_binarize_flags(p_pipe, d)
+    _add_enhance_flags(p_pipe, d)
 
     p_cmp = sub.add_parser("compare", help="projection vs gradient flow on one image")
     p_cmp.add_argument("input")
     p_cmp.add_argument("--truth", help="ground-truth flow CSV")
     p_cmp.add_argument("--out", help="per-site comparison CSV")
-    p_cmp.add_argument("--interior-margin", type=float, default=None, help="skip sites within this many pixels of the border")
-    _add_flow_flags(p_cmp)
+    p_cmp.add_argument("--interior-margin", type=float, help="skip sites within this many pixels of the border")
+    _add_flow_flags(p_cmp, d)
 
     p_syn = sub.add_parser("synth", help="generate a synthetic ridge pattern")
     p_syn.add_argument("--out", help="output PGM path")
     p_syn.add_argument("--truth-out", help="ground-truth flow CSV path")
-    p_syn.add_argument("--pattern", choices=list(PATTERNS), default="parallel")
+    p_syn.add_argument("--pattern", choices=list(PATTERNS), default=SyntheticSpec.pattern)
     p_syn.add_argument("--width", type=int, default=128)
     p_syn.add_argument("--height", type=int, default=128)
-    p_syn.add_argument("--period", type=float, default=8.0)
-    p_syn.add_argument("--orientation-deg", type=float, default=0.0, help="ridge direction in degrees")
-    p_syn.add_argument("--amplitude", type=float, default=127.0)
-    p_syn.add_argument("--offset", type=float, default=127.5)
-    p_syn.add_argument("--noise-sigma", type=float, default=0.0)
-    p_syn.add_argument("--seed", type=int, default=0)
-    p_syn.add_argument("--stride", type=int, default=2, help="truth grid stride")
+    p_syn.add_argument("--period", type=float, default=SyntheticSpec.period)
+    p_syn.add_argument("--orientation-deg", type=float, default=math.degrees(SyntheticSpec.orientation),
+                       help="ridge direction in degrees")
+    p_syn.add_argument("--amplitude", type=float, default=SyntheticSpec.amplitude)
+    p_syn.add_argument("--offset", type=float, default=SyntheticSpec.offset)
+    p_syn.add_argument("--noise-sigma", type=float, default=SyntheticSpec.noise_sigma)
+    p_syn.add_argument("--seed", type=int, default=SyntheticSpec.rng_seed)
+    p_syn.add_argument("--stride", type=int, default=d.flow.stride, help="truth grid stride")
 
     p_viz = sub.add_parser("viz", help="render a flow field over its image as SVG")
     p_viz.add_argument("input")
     p_viz.add_argument("--flow", help="flow CSV to draw; computed with the flags below when omitted")
     p_viz.add_argument("--out", help="output SVG path")
-    _add_flow_flags(p_viz)
+    _add_flow_flags(p_viz, d)
 
     for p in (p_flow, p_bin, p_enh, p_pipe, p_cmp, p_syn, p_viz):
         p.add_argument("--print-config", action="store_true", help="print effective flag values and exit")
@@ -129,6 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _flow_config(args) -> FlowConfig:
+    for flag in ("coarse_step_denom", "fine_step_denom", "fine_half_range_denom"):
+        if getattr(args, flag) == 0:
+            raise ValueError(f"--{flag.replace('_', '-')} must be nonzero")
     return FlowConfig(
         tangent_half_length=args.tangent_half,
         perp_half_length=args.perp_half,
@@ -142,16 +146,15 @@ def _flow_config(args) -> FlowConfig:
 
 
 def _pipeline_config(args) -> PipelineConfig:
+    d = PipelineConfig()
     return PipelineConfig(
-        iterations=getattr(args, "iterations", 2),
-        path_mode=getattr(args, "path", "linear"),
+        iterations=getattr(args, "iterations", d.iterations),
+        path_mode=getattr(args, "path", d.path_mode),
         flow_method=args.method,
         flow=_flow_config(args),
-        binarize=BinarizeConfig(line_half_length=getattr(args, "bin_half", 4)),
-        enhance=EnhanceConfig(
-            gaussian_sigma=getattr(args, "sigma", 3.0),
-            kernel_half_length=getattr(args, "kernel_half", 9),
-        ),
+        binarize=BinarizeConfig(line_half_length=getattr(args, "bin_half", d.binarize.line_half_length)),
+        enhance=EnhanceConfig(gaussian_sigma=getattr(args, "sigma", d.enhance.gaussian_sigma),
+                              kernel_half_length=getattr(args, "kernel_half", d.enhance.kernel_half_length)),
         gradient_window_half=args.grad_window_half,
         gradient_weight_sigma=args.grad_weight_sigma,
         coherence_threshold=args.coherence_threshold,

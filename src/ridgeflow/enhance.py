@@ -21,9 +21,11 @@ class EnhanceConfig:
     kernel_half_length: int = 9
 
     def __post_init__(self):
+        if not math.isfinite(self.gaussian_sigma):
+            raise ValueError(f"gaussian_sigma must be finite, got {self.gaussian_sigma}")
         if not self.gaussian_sigma > 0:
             raise ValueError("gaussian_sigma must be positive")
-        if self.kernel_half_length < math.ceil(2 * self.gaussian_sigma):
+        if self.kernel_half_length < 2 * self.gaussian_sigma:  # k < ceil(2 sigma) for an integer k, without overflow
             raise ValueError("kernel_half_length must be >= ceil(2 * gaussian_sigma)")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .flowfield import FlowField
-from .image import GrayImage, Point
+from .image import GrayImage
 from .projection import FlowConfig, patch_variance_grid
 
 
@@ -40,15 +40,6 @@ class GradientField:
         return self.gx.shape[0]
 
 
-@dataclass
-class StructureTensor:
-    """Symmetric 2x2 sum of gradient outer products (a21 = a12 implied)."""
-
-    a11: float
-    a12: float
-    a22: float
-
-
 def gradient(image: GrayImage) -> GradientField:
     """3x3 Sobel derivatives with replicated borders, scaled by 1/8."""
     if image.width < 3 or image.height < 3:
@@ -66,11 +57,11 @@ def gradient(image: GrayImage) -> GradientField:
 
 
 def check_window(window_half: int, weight_sigma: float | None) -> None:
-    """Reject a negative window half size or a non-positive weight sigma."""
+    """Reject a negative window half size or a non-positive or non-finite weight sigma."""
     if window_half < 0:
         raise ValueError(f"gradient window half size must be >= 0, got {window_half}")
-    if weight_sigma is not None and not weight_sigma > 0:
-        raise ValueError(f"gradient weight sigma must be positive or None, got {weight_sigma}")
+    if weight_sigma is not None and not 0 < weight_sigma < math.inf:
+        raise ValueError(f"gradient weight sigma must be positive and finite, or None, got {weight_sigma}")
 
 
 def _window_weights(window_half: int, weight_sigma: float | None) -> np.ndarray:
@@ -79,50 +70,6 @@ def _window_weights(window_half: int, weight_sigma: float | None) -> np.ndarray:
         return np.ones((offs.size, offs.size))
     dx, dy = np.meshgrid(offs, offs)
     return np.exp(-(dx * dx + dy * dy) / (2.0 * weight_sigma * weight_sigma))
-
-
-def second_moment_matrix(
-    grad: GradientField, p: Point, window_half: int = 8, weight_sigma: float | None = 4.0
-) -> StructureTensor:
-    """Weighted gradient outer-product sums over the window centered at ``p``.
-
-    ``weight_sigma=None`` gives uniform weights. Windows are clipped at the
-    raster borders (missing cells simply contribute nothing).
-    """
-    cx = int(math.floor(p[0] + 0.5))
-    cy = int(math.floor(p[1] + 0.5))
-    x0 = max(cx - window_half, 0)
-    x1 = min(cx + window_half, grad.width - 1)
-    y0 = max(cy - window_half, 0)
-    y1 = min(cy + window_half, grad.height - 1)
-    if x0 > x1 or y0 > y1:
-        return StructureTensor(0.0, 0.0, 0.0)
-    w = _window_weights(window_half, weight_sigma)[
-        y0 - cy + window_half : y1 - cy + window_half + 1,
-        x0 - cx + window_half : x1 - cx + window_half + 1,
-    ]
-    gx = grad.gx[y0 : y1 + 1, x0 : x1 + 1]
-    gy = grad.gy[y0 : y1 + 1, x0 : x1 + 1]
-    return StructureTensor(
-        float((w * gx * gx).sum()), float((w * gx * gy).sum()), float((w * gy * gy).sum())
-    )
-
-
-def tensor_orientation(t: StructureTensor) -> tuple[float, float]:
-    """(dominant eigenvector angle in [0, pi), coherence in [0, 1]).
-
-    The angle is the closed-form 0.5 * atan2(2*a12, a11 - a22); coherence is
-    (l1 - l2) / (l1 + l2), defined as 0 for a near-zero tensor.
-    """
-    theta = 0.5 * math.atan2(2.0 * t.a12, t.a11 - t.a22)
-    theta %= math.pi
-    if theta >= math.pi:
-        theta = 0.0
-    trace = t.a11 + t.a22
-    if trace < 1e-12:
-        return theta, 0.0
-    spread = math.hypot(t.a11 - t.a22, 2.0 * t.a12)
-    return theta, min(spread / trace, 1.0)
 
 
 def compute_flow_field_gradient(

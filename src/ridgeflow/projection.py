@@ -7,8 +7,7 @@ with the smallest mean deviation, plus pi/2. Each perpendicular deviation is
 the minimum over the full segment and its two halves, which keeps the
 statistic meaningful where a ridge ends inside the window.
 
-Two interchangeable evaluators exist: a direct one that samples the source
-image along every segment, and a fast one that rotates the image once per
+One evaluator computes the statistic: it rotates the image once per
 candidate angle so all segments become axis-aligned runs. It rotates only
 the window of the canvas its queried sites read, and from column prefix
 sums of the rotated values and squared values, streamed one band of rows
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flowfield import FlowField
-from .image import GrayImage, Point, RotatedRaster, RotationFrame, band_rows, bilinear_many, rotate_raster
+from .image import GrayImage, RotatedRaster, RotationFrame, band_rows, rotate_raster
 
 # Variances below this are floating-point dust from interpolation; treating
 # them as exact zeros keeps argmin ties deterministic on flat regions.
@@ -105,98 +104,6 @@ def _span_deviation(n: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray
     np.sqrt(var, out=var)
     np.copyto(var, np.nan, where=n < 2)
     return var
-
-
-def _segment_deviation(vals: np.ndarray) -> np.ndarray:
-    """One-pass std over the last axis, NaN-aware; NaN where <2 samples."""
-    ok = ~np.isnan(vals)
-    s1 = np.where(ok, vals, 0.0).sum(axis=-1)
-    s2 = np.where(ok, vals * vals, 0.0).sum(axis=-1)
-    return _span_deviation(ok.sum(axis=-1), s1, s2)
-
-
-def _perp_deviations(img: np.ndarray, qx: np.ndarray, qy: np.ndarray, alpha: float, cfg: FlowConfig) -> np.ndarray:
-    """Deviation at each q for the perpendicular of ``alpha``; NaN undefined."""
-    s = cfg.perp_half_length
-    offs = np.arange(-s, s + 1, dtype=np.float64)
-    vx = -math.sin(alpha)
-    vy = math.cos(alpha)
-    X = qx[..., None] + offs * vx + _STAT_OFFSET
-    Y = qy[..., None] + offs * vy + _STAT_OFFSET
-    vals = bilinear_many(img, X, Y)
-    full = _segment_deviation(vals)
-    if not cfg.use_half_line_rule:
-        return full
-    lo = _segment_deviation(vals[..., : s + 1])
-    hi = _segment_deviation(vals[..., s:])
-    return np.fmin(np.fmin(full, lo), hi)
-
-
-def _mean_deviation_direct(img: np.ndarray, px: np.ndarray, py: np.ndarray, alpha: float, cfg: FlowConfig) -> np.ndarray:
-    t = cfg.tangent_half_length
-    offs = np.arange(-t, t + 1, dtype=np.float64)
-    ux = math.cos(alpha)
-    uy = math.sin(alpha)
-    qx = px[..., None] + offs * ux
-    qy = py[..., None] + offs * uy
-    sig = _perp_deviations(img, qx, qy, alpha, cfg)
-    ok = ~np.isnan(sig)
-    n = ok.sum(axis=-1)
-    s1 = np.where(ok, sig, 0.0).sum(axis=-1)
-    return np.where(n > 0, s1 / np.maximum(n, 1), np.nan)
-
-
-# ---------------------------------------------------------------------------
-# Scalar operations (direct sampling; these are the reference definitions)
-
-
-def perpendicular_deviation(image: GrayImage, q: Point, alpha: float, cfg: FlowConfig | None = None) -> float | None:
-    """Min-rule standard deviation across the perpendicular segment at ``q``.
-
-    The perpendicular of ``alpha`` through q is split into two halves that
-    both include q; the result is the smallest defined deviation among the
-    two halves and the full segment. None when no sub-segment has two
-    in-bounds samples.
-    """
-    cfg = cfg or FlowConfig()
-    v = _perp_deviations(image.as_float(), np.asarray([q[0]], dtype=np.float64), np.asarray([q[1]], dtype=np.float64), alpha, cfg)[0]
-    return None if math.isnan(v) else float(v)
-
-
-def mean_perpendicular_deviation(image: GrayImage, p: Point, alpha: float, cfg: FlowConfig | None = None) -> float | None:
-    """Mean of the defined perpendicular deviations along the tangent at ``p``."""
-    cfg = cfg or FlowConfig()
-    v = _mean_deviation_direct(image.as_float(), np.asarray([p[0]], dtype=np.float64), np.asarray([p[1]], dtype=np.float64), alpha, cfg)[0]
-    return None if math.isnan(v) else float(v)
-
-
-def dominant_orientation(image: GrayImage, p: Point, cfg: FlowConfig | None = None) -> float | None:
-    """Coarse-to-fine argmin of the mean deviation at ``p``, plus pi/2.
-
-    Ties prefer the smaller coarse angle and the earlier fine candidate.
-    None when every candidate angle is undefined at ``p``.
-    """
-    cfg = cfg or FlowConfig()
-    ev = DirectDeviationEvaluator(image, cfg)
-    theta, ok = _search_orientations(ev.mean_deviation, np.asarray([p[0]], dtype=np.float64), np.asarray([p[1]], dtype=np.float64), cfg)
-    return float(theta[0]) if bool(ok[0]) else None
-
-
-# ---------------------------------------------------------------------------
-# Batch evaluators
-
-
-class DirectDeviationEvaluator:
-    """Evaluates the mean deviation by sampling the source image directly."""
-
-    def __init__(self, image: GrayImage, cfg: FlowConfig):
-        self._img = image.as_float()
-        self._cfg = cfg
-
-    def mean_deviation(self, alpha: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return _mean_deviation_direct(
-            self._img, np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64), float(alpha), self._cfg
-        )
 
 
 def _scratch(work: dict[str, np.ndarray], key: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -298,19 +205,19 @@ def _site_mean_deviations(
 
 
 class RotatedDeviationEvaluator:
-    """Fast evaluator: the mean deviations of an angle read from its map.
+    """Mean-deviation evaluator: the deviations of an angle read from its map.
 
     Rotating by -alpha turns tangent segments into horizontal runs and the
     perpendiculars into vertical runs, so the mean deviation of every
     rotated lattice site comes from prefix sums of values and squared
     values. Grid sites are snapped to the nearest rotated lattice point of
-    the whole canvas, so results match the direct evaluator up to sub-pixel
-    resampling. Each call then rotates only the window its sites read:
-    columns within t of a site, and rows from the top of the canvas, where
-    the prefix sums start, to s below the last site. It builds the map
-    bands its sites fall on, reads them and drops the window; nothing is
-    kept per angle. The prefix buffer is private and sized to the largest
-    band seen, since allocating it afresh for every angle makes the
+    the whole canvas, so results match sampling the source along every
+    segment up to sub-pixel resampling. Each call then rotates only the
+    window its sites read: columns within t of a site, and rows from the top
+    of the canvas, where the prefix sums start, to s below the last site. It
+    builds the map bands its sites fall on, reads them and drops the window;
+    nothing is kept per angle. The prefix buffer is private and sized to the
+    largest band seen, since allocating it afresh for every angle makes the
     allocator return its pages to the system and fault them in again.
     """
 
@@ -368,7 +275,7 @@ def _search_orientations(mean_deviation, px: np.ndarray, py: np.ndarray, cfg: Fl
     # A fine angle can be reached from two coarse optima (at the defaults,
     # 4k+2 from k and k+1), so each distinct angle is asked for once, on the
     # union of its sites, and each site's value goes to every offset that
-    # reached it. Both evaluators work per site, so the grouping does not
+    # reached it. An evaluator works per site, so the grouping does not
     # change any value.
     fine = np.array([[off != 0.0] for off in offsets]) & defined
     for a in np.unique(cand_alpha[fine]):
@@ -413,15 +320,9 @@ def patch_variance_grid(image: GrayImage, cfg: FlowConfig) -> np.ndarray:
     return np.maximum(s2 / n - mean * mean, 0.0)
 
 
-def compute_flow_field(image: GrayImage, cfg: FlowConfig | None = None, *, sampling: str = "rotated") -> FlowField:
-    """Dominant orientation on the stride grid, background sites invalid.
-
-    ``sampling`` selects the evaluator: "rotated" (default, fast path) or
-    "direct" (per-site reference path).
-    """
+def compute_flow_field(image: GrayImage, cfg: FlowConfig | None = None) -> FlowField:
+    """Dominant orientation on the stride grid, background sites invalid."""
     cfg = cfg or FlowConfig()
-    if sampling not in ("rotated", "direct"):
-        raise ValueError("sampling must be 'rotated' or 'direct'")
     min_dim = 2 * (cfg.tangent_half_length + cfg.perp_half_length)
     if image.width < min_dim or image.height < min_dim:
         raise ValueError(
@@ -439,10 +340,7 @@ def compute_flow_field(image: GrayImage, cfg: FlowConfig | None = None, *, sampl
     px = GX.ravel()[sel]
     py = GY.ravel()[sel]
 
-    if sampling == "rotated":
-        ev = RotatedDeviationEvaluator(image, cfg)
-    else:
-        ev = DirectDeviationEvaluator(image, cfg)
+    ev = RotatedDeviationEvaluator(image, cfg)
     theta_sel, ok_sel = _search_orientations(ev.mean_deviation, px, py, cfg)
 
     angles = np.zeros(gh * gw)

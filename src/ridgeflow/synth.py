@@ -79,6 +79,8 @@ class SyntheticSpec:
 
 def generate(spec: SyntheticSpec, stride: int = 2) -> tuple[GrayImage, FlowField]:
     """Render the pattern and its ground-truth flow on a ``stride`` grid."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     xs = np.arange(spec.width, dtype=np.float64)
     ys = np.arange(spec.height, dtype=np.float64)
     X, Y = np.meshgrid(xs, ys)

@@ -12,8 +12,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 import ridgeflow as rf
-from ridgeflow.image import band_rows, bilinear_many, rotate_raster
-from ridgeflow.projection import _MAP_BAND_PIXELS, _STAT_OFFSET, _span_deviation, patch_variance_grid
+from ridgeflow.gradient import GradientField, _window_weights
+from ridgeflow.image import GrayImage, Point, band_rows, bilinear_many, rotate_raster
+from ridgeflow.projection import (
+    _MAP_BAND_PIXELS,
+    _STAT_OFFSET,
+    FlowConfig,
+    _search_orientations,
+    _span_deviation,
+    patch_variance_grid,
+)
 
 INTERIOR_MARGIN = 16  # tangent + perpendicular half lengths at defaults
 
@@ -62,6 +70,163 @@ def squared_intensities(image: rf.GrayImage) -> np.ndarray:
     """Element-wise squared intensities, for one-pass variance Var = E[I^2] - E[I]^2."""
     f = image.as_float()
     return f * f
+
+
+# ---------------------------------------------------------------------------
+# The direct-sampling evaluator and the scalar helpers built on it, moved out
+# of ``ridgeflow.projection``. The direct evaluator samples the source image
+# along every segment; it is the reference for the rotated evaluator.
+
+
+def _segment_deviation(vals: np.ndarray) -> np.ndarray:
+    """One-pass std over the last axis, NaN-aware; NaN where <2 samples."""
+    ok = ~np.isnan(vals)
+    s1 = np.where(ok, vals, 0.0).sum(axis=-1)
+    s2 = np.where(ok, vals * vals, 0.0).sum(axis=-1)
+    return _span_deviation(ok.sum(axis=-1), s1, s2)
+
+
+def _perp_deviations(img: np.ndarray, qx: np.ndarray, qy: np.ndarray, alpha: float, cfg: FlowConfig) -> np.ndarray:
+    """Deviation at each q for the perpendicular of ``alpha``; NaN undefined."""
+    s = cfg.perp_half_length
+    offs = np.arange(-s, s + 1, dtype=np.float64)
+    vx = -math.sin(alpha)
+    vy = math.cos(alpha)
+    X = qx[..., None] + offs * vx + _STAT_OFFSET
+    Y = qy[..., None] + offs * vy + _STAT_OFFSET
+    vals = bilinear_many(img, X, Y)
+    full = _segment_deviation(vals)
+    if not cfg.use_half_line_rule:
+        return full
+    lo = _segment_deviation(vals[..., : s + 1])
+    hi = _segment_deviation(vals[..., s:])
+    return np.fmin(np.fmin(full, lo), hi)
+
+
+def _mean_deviation_direct(img: np.ndarray, px: np.ndarray, py: np.ndarray, alpha: float, cfg: FlowConfig) -> np.ndarray:
+    t = cfg.tangent_half_length
+    offs = np.arange(-t, t + 1, dtype=np.float64)
+    ux = math.cos(alpha)
+    uy = math.sin(alpha)
+    qx = px[..., None] + offs * ux
+    qy = py[..., None] + offs * uy
+    sig = _perp_deviations(img, qx, qy, alpha, cfg)
+    ok = ~np.isnan(sig)
+    n = ok.sum(axis=-1)
+    s1 = np.where(ok, sig, 0.0).sum(axis=-1)
+    return np.where(n > 0, s1 / np.maximum(n, 1), np.nan)
+
+
+# ---------------------------------------------------------------------------
+# Scalar operations (direct sampling; these are the reference definitions)
+
+
+def perpendicular_deviation(image: GrayImage, q: Point, alpha: float, cfg: FlowConfig | None = None) -> float | None:
+    """Min-rule standard deviation across the perpendicular segment at ``q``.
+
+    The perpendicular of ``alpha`` through q is split into two halves that
+    both include q; the result is the smallest defined deviation among the
+    two halves and the full segment. None when no sub-segment has two
+    in-bounds samples.
+    """
+    cfg = cfg or FlowConfig()
+    v = _perp_deviations(image.as_float(), np.asarray([q[0]], dtype=np.float64), np.asarray([q[1]], dtype=np.float64), alpha, cfg)[0]
+    return None if math.isnan(v) else float(v)
+
+
+def mean_perpendicular_deviation(image: GrayImage, p: Point, alpha: float, cfg: FlowConfig | None = None) -> float | None:
+    """Mean of the defined perpendicular deviations along the tangent at ``p``."""
+    cfg = cfg or FlowConfig()
+    v = _mean_deviation_direct(image.as_float(), np.asarray([p[0]], dtype=np.float64), np.asarray([p[1]], dtype=np.float64), alpha, cfg)[0]
+    return None if math.isnan(v) else float(v)
+
+
+def dominant_orientation(image: GrayImage, p: Point, cfg: FlowConfig | None = None) -> float | None:
+    """Coarse-to-fine argmin of the mean deviation at ``p``, plus pi/2.
+
+    Ties prefer the smaller coarse angle and the earlier fine candidate.
+    None when every candidate angle is undefined at ``p``.
+    """
+    cfg = cfg or FlowConfig()
+    ev = DirectDeviationEvaluator(image, cfg)
+    theta, ok = _search_orientations(ev.mean_deviation, np.asarray([p[0]], dtype=np.float64), np.asarray([p[1]], dtype=np.float64), cfg)
+    return float(theta[0]) if bool(ok[0]) else None
+
+
+# ---------------------------------------------------------------------------
+# Batch evaluators
+
+
+class DirectDeviationEvaluator:
+    """Evaluates the mean deviation by sampling the source image directly."""
+
+    def __init__(self, image: GrayImage, cfg: FlowConfig):
+        self._img = image.as_float()
+        self._cfg = cfg
+
+    def mean_deviation(self, alpha: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return _mean_deviation_direct(
+            self._img, np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64), float(alpha), self._cfg
+        )
+
+
+# ---------------------------------------------------------------------------
+# The scalar structure tensor, moved out of ``ridgeflow.gradient``; the
+# reference for the convolved tensors of ``compute_flow_field_gradient``.
+
+
+@dataclass
+class StructureTensor:
+    """Symmetric 2x2 sum of gradient outer products (a21 = a12 implied)."""
+
+    a11: float
+    a12: float
+    a22: float
+
+
+
+def second_moment_matrix(
+    grad: GradientField, p: Point, window_half: int = 8, weight_sigma: float | None = 4.0
+) -> StructureTensor:
+    """Weighted gradient outer-product sums over the window centered at ``p``.
+
+    ``weight_sigma=None`` gives uniform weights. Windows are clipped at the
+    raster borders (missing cells simply contribute nothing).
+    """
+    cx = int(math.floor(p[0] + 0.5))
+    cy = int(math.floor(p[1] + 0.5))
+    x0 = max(cx - window_half, 0)
+    x1 = min(cx + window_half, grad.width - 1)
+    y0 = max(cy - window_half, 0)
+    y1 = min(cy + window_half, grad.height - 1)
+    if x0 > x1 or y0 > y1:
+        return StructureTensor(0.0, 0.0, 0.0)
+    w = _window_weights(window_half, weight_sigma)[
+        y0 - cy + window_half : y1 - cy + window_half + 1,
+        x0 - cx + window_half : x1 - cx + window_half + 1,
+    ]
+    gx = grad.gx[y0 : y1 + 1, x0 : x1 + 1]
+    gy = grad.gy[y0 : y1 + 1, x0 : x1 + 1]
+    return StructureTensor(
+        float((w * gx * gx).sum()), float((w * gx * gy).sum()), float((w * gy * gy).sum())
+    )
+
+
+def tensor_orientation(t: StructureTensor) -> tuple[float, float]:
+    """(dominant eigenvector angle in [0, pi), coherence in [0, 1]).
+
+    The angle is the closed-form 0.5 * atan2(2*a12, a11 - a22); coherence is
+    (l1 - l2) / (l1 + l2), defined as 0 for a near-zero tensor.
+    """
+    theta = 0.5 * math.atan2(2.0 * t.a12, t.a11 - t.a22)
+    theta %= math.pi
+    if theta >= math.pi:
+        theta = 0.0
+    trace = t.a11 + t.a22
+    if trace < 1e-12:
+        return theta, 0.0
+    spread = math.hypot(t.a11 - t.a22, 2.0 * t.a12)
+    return theta, min(spread / trace, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +595,12 @@ def reference_search_orientations(mean_deviation, px: np.ndarray, py: np.ndarray
     return np.where(defined, theta, 0.0), defined
 
 
-def reference_flow_field(image: rf.GrayImage, cfg: rf.FlowConfig) -> rf.FlowField:
-    """``compute_flow_field`` with the cached evaluator and the offset-major search."""
+def reference_flow_field(image: rf.GrayImage, cfg: rf.FlowConfig, evaluator=CachedRotatedEvaluator) -> rf.FlowField:
+    """``compute_flow_field`` with the offset-major search and ``evaluator``, by default the cached one."""
     foreground = patch_variance_grid(image, cfg) >= cfg.background_variance_threshold
     gy, gx = np.nonzero(foreground)
     theta, ok = reference_search_orientations(
-        CachedRotatedEvaluator(image, cfg).mean_deviation,
+        evaluator(image, cfg).mean_deviation,
         (gx * cfg.stride).astype(np.float64), (gy * cfg.stride).astype(np.float64), cfg,
     )
     angles = np.zeros(foreground.shape)

@@ -18,7 +18,15 @@ import pytest
 import ridgeflow as rf
 from ridgeflow.cli import run_cli
 
-from oracles import INTERIOR_MARGIN, flow_mae, inner_pixel_mask, suite_specs
+from oracles import (
+    INTERIOR_MARGIN,
+    DirectDeviationEvaluator,
+    flow_mae,
+    inner_pixel_mask,
+    perpendicular_deviation,
+    reference_flow_field,
+    suite_specs,
+)
 
 PI_16 = math.pi / 16
 PI_32 = math.pi / 32
@@ -167,7 +175,7 @@ def test_criterion_6_fast_path_equivalence(clean_suite, clean_flows):
     agree_num = agree_den = 0
     worst_mu = 0.0
     for (spec, img, truth), fast in zip(clean_suite, flows):
-        slow = rf.compute_flow_field(img, cfg, sampling="direct")
+        slow = reference_flow_field(img, cfg, evaluator=DirectDeviationEvaluator)
         both = fast.valid & slow.valid
         agree_num += int((fast.angles[both] == slow.angles[both]).sum())
         agree_den += int(both.sum())
@@ -178,7 +186,7 @@ def test_criterion_6_fast_path_equivalence(clean_suite, clean_flows):
         py = ys.astype(np.float64) * cfg.stride
         alpha_star = (spec.orientation - math.pi / 2) % math.pi
         mu_fast = rf.RotatedDeviationEvaluator(img, cfg).mean_deviation(alpha_star, px, py)
-        mu_slow = rf.DirectDeviationEvaluator(img, cfg).mean_deviation(alpha_star, px, py)
+        mu_slow = DirectDeviationEvaluator(img, cfg).mean_deviation(alpha_star, px, py)
         worst_mu = max(worst_mu, float(np.nanmax(np.abs(mu_fast - mu_slow))))
     frac = agree_num / agree_den
     ok = frac >= 0.95 and worst_mu <= 2.0
@@ -198,10 +206,10 @@ def test_criterion_7_half_line_rule():
     for _ in range(400):
         q = rf.Point(rng.uniform(0, 95), rng.uniform(0, 95))
         alpha = rng.uniform(0, math.pi)
-        full = rf.perpendicular_deviation(img, q, alpha, cfg_full)
+        full = perpendicular_deviation(img, q, alpha, cfg_full)
         if full is None:
             continue
-        exact &= rf.perpendicular_deviation(img, q, alpha, cfg_min) <= full + 1e-12
+        exact &= perpendicular_deviation(img, q, alpha, cfg_min) <= full + 1e-12
 
     # near a stripe boundary the min rule recovers the flow more accurately
     spec = rf.SyntheticSpec(width=128, height=128, pattern="half_plane_stripe",

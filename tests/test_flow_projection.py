@@ -6,7 +6,16 @@ import pytest
 import ridgeflow as rf
 from ridgeflow.projection import _STAT_OFFSET
 
-from oracles import flow_mae, rotate_image, two_pass_std
+from oracles import (
+    DirectDeviationEvaluator,
+    dominant_orientation,
+    flow_mae,
+    mean_perpendicular_deviation,
+    perpendicular_deviation,
+    reference_flow_field,
+    rotate_image,
+    two_pass_std,
+)
 
 
 def constant_image(value=77, size=48):
@@ -46,12 +55,12 @@ class TestPerpendicularDeviation:
     def test_constant_image_is_zero(self):
         img = constant_image()
         for alpha in (0.0, 0.4, math.pi / 2, 2.5):
-            assert rf.perpendicular_deviation(img, rf.Point(24, 24), alpha) == 0.0
+            assert perpendicular_deviation(img, rf.Point(24, 24), alpha) == 0.0
 
     def test_stripes_along_perpendicular_are_zero(self):
         img = vertical_stripes()
         # alpha=0: the perpendicular runs vertically, where I(x, y) = f(x) is constant
-        assert rf.perpendicular_deviation(img, rf.Point(24, 24), 0.0) == 0.0
+        assert perpendicular_deviation(img, rf.Point(24, 24), 0.0) == 0.0
 
     def test_min_rule_never_exceeds_full_segment(self):
         rng = np.random.RandomState(21)
@@ -61,8 +70,8 @@ class TestPerpendicularDeviation:
         for _ in range(300):
             q = rf.Point(rng.uniform(2, 45), rng.uniform(2, 45))
             alpha = rng.uniform(0, math.pi)
-            full = rf.perpendicular_deviation(img, q, alpha, cfg_full)
-            minimum = rf.perpendicular_deviation(img, q, alpha, cfg_min)
+            full = perpendicular_deviation(img, q, alpha, cfg_full)
+            minimum = perpendicular_deviation(img, q, alpha, cfg_min)
             if full is not None:
                 assert minimum <= full + 1e-12
 
@@ -99,8 +108,8 @@ class TestPerpendicularDeviation:
         sig_hi = two_pass_std(samples(range(0, s + 1)))
         want = min(sig_full, sig_lo, sig_hi)
 
-        got = rf.perpendicular_deviation(img, q, alpha, cfg)
-        got_full = rf.perpendicular_deviation(img, q, alpha, rf.FlowConfig(use_half_line_rule=False))
+        got = perpendicular_deviation(img, q, alpha, cfg)
+        got_full = perpendicular_deviation(img, q, alpha, rf.FlowConfig(use_half_line_rule=False))
         assert got == pytest.approx(want, abs=1e-9)
         assert got <= got_full
         assert got_full == pytest.approx(sig_full, abs=1e-9)
@@ -109,25 +118,25 @@ class TestPerpendicularDeviation:
 
     def test_undefined_when_everything_out_of_bounds(self):
         img = constant_image(size=48)
-        assert rf.perpendicular_deviation(img, rf.Point(-30, -30), 0.3) is None
+        assert perpendicular_deviation(img, rf.Point(-30, -30), 0.3) is None
 
     def test_undefined_at_non_finite_point(self):
         img = constant_image(size=48)
-        assert rf.perpendicular_deviation(img, rf.Point(math.nan, 24.0), 0.3) is None
-        assert rf.perpendicular_deviation(img, rf.Point(24.0, math.inf), 0.3) is None
+        assert perpendicular_deviation(img, rf.Point(math.nan, 24.0), 0.3) is None
+        assert perpendicular_deviation(img, rf.Point(24.0, math.inf), 0.3) is None
 
 
 class TestMeanDeviation:
     def test_constant_image(self):
         img = constant_image()
         for alpha in (0.0, 1.0, 3.0):
-            assert rf.mean_perpendicular_deviation(img, rf.Point(24, 24), alpha) == 0.0
+            assert mean_perpendicular_deviation(img, rf.Point(24, 24), alpha) == 0.0
 
     def test_stripes(self):
         img = vertical_stripes()
         p = rf.Point(24, 24)
-        assert rf.mean_perpendicular_deviation(img, p, 0.0) == 0.0
-        assert rf.mean_perpendicular_deviation(img, p, math.pi / 2) > 10.0
+        assert mean_perpendicular_deviation(img, p, 0.0) == 0.0
+        assert mean_perpendicular_deviation(img, p, math.pi / 2) > 10.0
 
     def test_dual_path_agreement_at_optimal_angle(self):
         spec = rf.SyntheticSpec(width=32, height=32, pattern="parallel",
@@ -136,7 +145,7 @@ class TestMeanDeviation:
         cfg = rf.FlowConfig()
         p = rf.Point(15.5, 15.5)
         alpha = (math.radians(60) - math.pi / 2) % math.pi
-        direct = rf.mean_perpendicular_deviation(img, p, alpha, cfg)
+        direct = mean_perpendicular_deviation(img, p, alpha, cfg)
         fast = float(
             rf.RotatedDeviationEvaluator(img, cfg).mean_deviation(alpha, np.array([p.x]), np.array([p.y]))[0]
         )
@@ -146,11 +155,11 @@ class TestMeanDeviation:
 class TestDominantOrientation:
     def test_vertical_stripes_give_vertical_ridges(self):
         img = vertical_stripes()
-        theta = rf.dominant_orientation(img, rf.Point(24, 24))
+        theta = dominant_orientation(img, rf.Point(24, 24))
         assert theta == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_constant_image_tie_breaks_to_first_angle(self):
-        theta = rf.dominant_orientation(constant_image(), rf.Point(24, 24))
+        theta = dominant_orientation(constant_image(), rf.Point(24, 24))
         assert theta == pytest.approx(math.pi / 2, abs=1e-12)  # alpha=0 wins the tie
 
     def test_against_exhaustive_fine_grid_oracle(self):
@@ -159,11 +168,11 @@ class TestDominantOrientation:
         img, _ = rf.generate(spec)
         cfg = rf.FlowConfig()
         p = rf.Point(31, 31)
-        theta = rf.dominant_orientation(img, p, cfg)
+        theta = dominant_orientation(img, p, cfg)
         assert float(rf.angular_distance(theta, math.radians(30))) <= math.pi / 32
 
         mus = [
-            (rf.mean_perpendicular_deviation(img, p, k * math.pi / 64, cfg), k * math.pi / 64)
+            (mean_perpendicular_deviation(img, p, k * math.pi / 64, cfg), k * math.pi / 64)
             for k in range(64)
         ]
         best_alpha = min(mus, key=lambda t: t[0])[1]
@@ -171,7 +180,7 @@ class TestDominantOrientation:
         assert float(rf.angular_distance(theta, oracle_theta)) <= math.pi / 32
 
     def test_undefined_far_outside(self):
-        assert rf.dominant_orientation(constant_image(), rf.Point(-200, -200)) is None
+        assert dominant_orientation(constant_image(), rf.Point(-200, -200)) is None
 
 
 class TestFlowField:
@@ -201,8 +210,8 @@ class TestFlowField:
         spec = rf.SyntheticSpec(width=64, height=64, pattern="parallel",
                                 orientation=math.radians(30), period=8.0)
         img, _ = rf.generate(spec)
-        fast = rf.compute_flow_field(img, sampling="rotated")
-        slow = rf.compute_flow_field(img, sampling="direct")
+        fast = rf.compute_flow_field(img)
+        slow = reference_flow_field(img, rf.FlowConfig(), evaluator=DirectDeviationEvaluator)
         both = fast.valid & slow.valid & rf.interior_site_mask(fast, 64, 64, 16)
         assert (fast.angles[both] == slow.angles[both]).mean() >= 0.95
 
@@ -228,9 +237,9 @@ class TestFlowField:
         rr = rotate_raster(img.as_float(), math.pi / 2)
         cfg = rf.FlowConfig()
         for x, y in [(31, 31), (26, 35), (36, 27)]:
-            ta = rf.dominant_orientation(img, rf.Point(x, y), cfg)
+            ta = dominant_orientation(img, rf.Point(x, y), cfg)
             bx, by = rr.frame.to_rotated(np.array([float(x)]), np.array([float(y)]))
-            tb = rf.dominant_orientation(rotated, rf.Point(float(bx[0]), float(by[0])), cfg)
+            tb = dominant_orientation(rotated, rf.Point(float(bx[0]), float(by[0])), cfg)
             assert float(rf.angular_distance((ta + math.pi / 2) % math.pi, tb)) <= cfg.fine_step
 
     def test_coarse_to_fine_matches_exhaustive_grid(self):

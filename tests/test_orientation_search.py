@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import ridgeflow as rf
 import ridgeflow.projection as rproj
 
-from oracles import reference_flow_field, reference_search_orientations
+from oracles import DirectDeviationEvaluator, reference_flow_field, reference_search_orientations
 
 # (coarse_step, fine_step, fine_half_range): the defaults, and a grid whose
 # fine offsets of +-3 steps reach most fine angles from two coarse optima
@@ -60,7 +60,7 @@ def test_direct_evaluator_search_unchanged(steps):
     coarse, fine, half_range = steps
     cfg = rf.FlowConfig(stride=3, coarse_step=coarse, fine_step=fine, fine_half_range=half_range)
     gy, gx = np.mgrid[0:44:3, 0:48:3].reshape(2, -1).astype(np.float64)
-    ev = rf.DirectDeviationEvaluator(img, cfg)
+    ev = DirectDeviationEvaluator(img, cfg)
     got = rproj._search_orientations(ev.mean_deviation, gx, gy, cfg)
     want = reference_search_orientations(ev.mean_deviation, gx, gy, cfg)
     for g, w in zip(got, want):

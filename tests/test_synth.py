@@ -94,6 +94,12 @@ def test_noise_applied_before_clamping():
     assert img.pixels.min() == 0 and img.pixels.max() == 255
 
 
+@pytest.mark.parametrize("stride", [0, -2])
+def test_non_positive_stride_is_rejected(stride):
+    with pytest.raises(ValueError, match="stride must be >= 1"):
+        rf.generate(rf.SyntheticSpec(width=16, height=16), stride=stride)
+
+
 def test_truth_grid_follows_stride():
     spec = rf.SyntheticSpec(width=65, height=33, pattern="parallel", orientation=0.0, period=8.0)
     _, truth = rf.generate(spec, stride=2)
