@@ -18,7 +18,8 @@ from .contour import binarize_image_contour, enhance_image_contour
 from .enhance import EnhanceConfig, enhance_image
 from .flowfield import load_flow_csv, save_flow_csv
 from .image import GrayImage, binary_as_gray, invert, load_pgm, save_pgm
-from .pipeline import PipelineConfig, _flow_for, compare_methods, run_pipeline, save_comparison_csv, summary_lines
+from .pipeline import (FLOW_METHODS, PATH_MODES, PipelineConfig, _flow_for, compare_methods, run_pipeline,
+                       save_comparison_csv, summary_lines)
 from .projection import FlowConfig
 from .synth import PATTERNS, SyntheticSpec, generate
 from .viz import render_flow_overlay
@@ -47,7 +48,7 @@ def _add_flow_flags(p: argparse.ArgumentParser, d: PipelineConfig) -> None:
     p.add_argument("--bg-var-threshold", type=float, default=f.background_variance_threshold,
                    help="background patch-variance threshold")
     p.add_argument("--no-half-line-rule", action="store_true", help="use full-segment deviations only")
-    p.add_argument("--method", choices=["projection", "gradient"], default=d.flow_method)
+    p.add_argument("--method", choices=FLOW_METHODS, default=d.flow_method)
     p.add_argument("--grad-window-half", type=int, default=d.gradient_window_half, help="structure tensor window half size")
     p.add_argument("--grad-weight-sigma", type=float, default=d.gradient_weight_sigma,
                    help="structure tensor Gaussian weight sigma")
@@ -57,7 +58,7 @@ def _add_flow_flags(p: argparse.ArgumentParser, d: PipelineConfig) -> None:
 def _add_binarize_flags(p: argparse.ArgumentParser, d: PipelineConfig) -> None:
     p.add_argument("--bin-half", type=int, default=d.binarize.line_half_length, help="binarization segment half length")
     p.add_argument("--invert-polarity", action="store_true", help="treat bright lines as ridges")
-    p.add_argument("--path", choices=["linear", "contour"], default=d.path_mode, help="sampling path geometry")
+    p.add_argument("--path", choices=PATH_MODES, default=d.path_mode, help="sampling path geometry")
 
 
 def _add_enhance_flags(p: argparse.ArgumentParser, d: PipelineConfig) -> None:
@@ -277,7 +278,7 @@ _COMMANDS = {
 
 
 def _print_config(args) -> None:
-    skip = {"command", "print_config", "func"}
+    skip = {"command", "print_config"}
     for key in sorted(vars(args)):
         if key in skip:
             continue

@@ -23,18 +23,28 @@ class EnhanceConfig:
     def __post_init__(self):
         if not math.isfinite(self.gaussian_sigma):
             raise ValueError(f"gaussian_sigma must be finite, got {self.gaussian_sigma}")
-        if not self.gaussian_sigma > 0:
-            raise ValueError("gaussian_sigma must be positive")
+        _two_sigma_squared(self.gaussian_sigma, "gaussian_sigma")
         if self.kernel_half_length < 2 * self.gaussian_sigma:  # k < ceil(2 sigma) for an integer k, without overflow
             raise ValueError("kernel_half_length must be >= ceil(2 * gaussian_sigma)")
 
 
+def _two_sigma_squared(sigma: float, name: str) -> float:
+    """The Gaussian's denominator 2 sigma^2; ValueError unless sigma and it are positive."""
+    if not sigma > 0:
+        raise ValueError(f"{name} must be positive")
+    denom = 2.0 * sigma * sigma
+    if not denom > 0:
+        raise ValueError(f"{name} {sigma:g} is too small: 2 * {name}**2 underflows to 0")
+    return denom
+
+
 def gaussian_kernel(sigma: float, half_length: int) -> np.ndarray:
     """Discrete Gaussian weights over [-half_length, half_length], sum 1."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    denom = _two_sigma_squared(sigma, "sigma")
     i = np.arange(-half_length, half_length + 1, dtype=np.float64)
-    w = np.exp(-(i * i) / (2.0 * sigma * sigma))
+    # for a tiny sigma an exponent overflows to -inf, whose weight is exactly 0
+    with np.errstate(over="ignore"):
+        w = np.exp(-(i * i) / denom)
     return w / w.sum()
 
 

@@ -13,9 +13,9 @@ from .image import Point
 
 @dataclass(eq=False)
 class FlowField:
-    """Orientation samples on a regular grid of source-image pixel positions.
+    """Orientation samples on the stride grid of a source image.
 
-    Site (ix, iy) sits at ``origin + (ix, iy) * stride`` in pixel coordinates.
+    Site (ix, iy) sits at pixel ``(ix, iy) * stride``.
     Angles are radians in [0, pi); invalid sites store angle 0 and valid=False.
     ``coherence`` is an optional per-site confidence in [0, 1].
     """
@@ -23,7 +23,6 @@ class FlowField:
     angles: np.ndarray
     valid: np.ndarray
     stride: int
-    origin: tuple[float, float] = (0.0, 0.0)
     coherence: np.ndarray | None = None
     # the site table of ``angles_at``, built on its first call
     _sites: tuple | None = field(default=None, init=False, repr=False)
@@ -60,19 +59,24 @@ class FlowField:
         return self.angles.shape[0]
 
     def site_xs(self) -> np.ndarray:
-        return self.origin[0] + np.arange(self.grid_width) * self.stride
+        return np.arange(self.grid_width) * self.stride
 
     def site_ys(self) -> np.ndarray:
-        return self.origin[1] + np.arange(self.grid_height) * self.stride
+        return np.arange(self.grid_height) * self.stride
+
+
+def _grid_sites(width: int, height: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel columns and rows of the stride grid of a width x height image: every ``stride`` pixels from 0."""
+    return np.arange(0, width, stride), np.arange(0, height, stride)
 
 
 def check_flow_grid(flow: FlowField, width: int, height: int) -> None:
     """Raise ValueError unless ``flow`` has the stride grid of a width x height image."""
-    need = (math.ceil(height / flow.stride), math.ceil(width / flow.stride))
-    if flow.angles.shape != need:
+    xs, ys = _grid_sites(width, height, flow.stride)
+    if flow.angles.shape != (ys.size, xs.size):
         raise ValueError(
             f"flow grid {flow.grid_width}x{flow.grid_height} (stride {flow.stride}) does not match "
-            f"image {width}x{height}, which needs a {need[1]}x{need[0]} grid"
+            f"image {width}x{height}, which needs a {xs.size}x{ys.size} grid"
         )
 
 
@@ -117,8 +121,8 @@ def angles_at(flow: FlowField, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
     with np.errstate(invalid="ignore", divide="ignore"):
-        fx = (xs - flow.origin[0]) / flow.stride
-        fy = (ys - flow.origin[1]) / flow.stride
+        fx = xs / flow.stride
+        fy = ys / flow.stride
         x0 = np.floor(fx)
         y0 = np.floor(fy)
         fx -= x0
@@ -251,21 +255,21 @@ def load_flow_csv(path) -> FlowField:
     if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
         raise ValueError(f"{path}: non-integer grid stride {stride}")
     stride = int(round(stride))
-    # row i must be site (i % gw, i // gw), with one stride on both axes
+    # row i must be site (i % gw, i // gw) * stride
     i = np.arange(len(xs))
-    ex = ux[0] + (i % gw) * stride
-    ey = uy[0] + (i // gw) * stride
+    ex = (i % gw) * stride
+    ey = (i // gw) * stride
     off = np.flatnonzero((np.abs(np.asarray(xs) - ex) > 1e-6) | (np.abs(np.asarray(ys) - ey) > 1e-6))
     if off.size:
         j = off[0]
         raise ValueError(
             f"{path}:{linenos[j]}: site ({xs[j]:g}, {ys[j]:g}) should be ({ex[j]:g}, {ey[j]:g}); rows must "
-            f"list the grid at origin ({ux[0]:g}, {uy[0]:g}) with stride {stride} in row-major order"
+            f"list the grid from (0, 0) with stride {stride} in row-major order"
         )
     angles = np.asarray(thetas, dtype=np.float64).reshape(gh, gw)
     valid = np.asarray(valids, dtype=int).reshape(gh, gw).astype(bool)
     coherence = np.asarray(cohs, dtype=np.float64).reshape(gh, gw) if has_coh else None
     try:
-        return FlowField(angles, valid, stride, (float(ux[0]), float(uy[0])), coherence)
+        return FlowField(angles, valid, stride, coherence)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None

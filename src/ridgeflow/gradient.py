@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .flowfield import FlowField
+from .flowfield import FlowField, _grid_sites
 from .image import GrayImage
 from .projection import FlowConfig, patch_variance_grid
 
@@ -88,18 +88,17 @@ def compute_flow_field_gradient(
     check_window(window_half, weight_sigma)
     cfg = cfg or FlowConfig()
     grad = gradient(image)
-    kernel = _window_weights(window_half, weight_sigma)
+    # weights past the image borders only multiply the zero padding
+    kernel = _window_weights(min(window_half, max(image.width, image.height) - 1), weight_sigma)
     j11 = ndimage.convolve(grad.gx * grad.gx, kernel, mode="constant", cval=0.0)
     j12 = ndimage.convolve(grad.gx * grad.gy, kernel, mode="constant", cval=0.0)
     j22 = ndimage.convolve(grad.gy * grad.gy, kernel, mode="constant", cval=0.0)
 
-    gh = math.ceil(image.height / cfg.stride)
-    gw = math.ceil(image.width / cfg.stride)
-    ys = (np.arange(gh) * cfg.stride)[:, None]
-    xs = (np.arange(gw) * cfg.stride)[None, :]
-    a11 = j11[ys, xs]
-    a12 = j12[ys, xs]
-    a22 = j22[ys, xs]
+    xs, ys = _grid_sites(image.width, image.height, cfg.stride)
+    sites = np.ix_(ys, xs)
+    a11 = j11[sites]
+    a12 = j12[sites]
+    a22 = j22[sites]
 
     theta = 0.5 * np.arctan2(2.0 * a12, a11 - a22)
     ridge = np.mod(theta + math.pi / 2.0, math.pi)

@@ -356,6 +356,8 @@ def rotate_raster(
                 ends = [(edge - base - m * (y - dcy)) / k for edge in (-1.0, size) for y in (y0, y1)]
                 lo = max(lo, min(ends))
                 hi = min(hi, max(ends))
+        if lo == math.inf or hi == -math.inf:  # a subnormal k: the band's rows miss the source
+            continue
         a = max(math.floor(lo + dcx) - 1 - cols.start, 0)
         b = min(math.ceil(hi + dcx) + 2 - cols.start, len(cols))
         if a >= b:

@@ -118,22 +118,14 @@ def run_pipeline(image: GrayImage, cfg: PipelineConfig | None = None) -> Pipelin
 class ComparisonReport:
     """Projection vs gradient flow on one grid, optionally against a truth field.
 
-    Angular errors are NaN where undefined. MAEs are computed over sites where
-    both methods are valid (the comparable set), further restricted to truth
-    validity and the interior margin when given.
+    MAEs are computed over sites where both methods are valid (the comparable
+    set), further restricted to truth validity and the interior margin when
+    given; they are None when no site is left.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
-    theta_projection: np.ndarray
-    valid_projection: np.ndarray
-    theta_gradient: np.ndarray
-    valid_gradient: np.ndarray
-    theta_truth: np.ndarray | None
-    valid_truth: np.ndarray | None
-    err_projection: np.ndarray | None
-    err_gradient: np.ndarray | None
-    disagreement: np.ndarray
+    projection: FlowField
+    gradient: FlowField
+    truth: FlowField | None
     mae_projection: float | None
     mae_gradient: float | None
     mean_disagreement: float | None
@@ -152,63 +144,45 @@ def compare_methods(
     proj = _flow_for(image, replace(cfg, flow_method="projection"))
     grad = _flow_for(image, replace(cfg, flow_method="gradient"))
 
-    gh, gw = proj.angles.shape
-    xs = np.tile(proj.site_xs(), gh)
-    ys = np.repeat(proj.site_ys(), gw)
-    tp = proj.angles.ravel()
-    vp = proj.valid.ravel()
-    tg = grad.angles.ravel()
-    vg = grad.valid.ravel()
-
-    comparable = vp & vg
+    comparable = proj.valid & grad.valid
     if interior_margin is not None:
-        comparable &= interior_site_mask(proj, image.width, image.height, interior_margin).ravel()
-    disagreement = np.where(comparable, angular_distance(tp, tg), np.nan)
-
+        comparable &= interior_site_mask(proj, image.width, image.height, interior_margin)
     if truth is not None:
         if truth.angles.shape != proj.angles.shape or truth.stride != proj.stride:
             raise ValueError("truth field grid does not match the computed grid")
-        tt = truth.angles.ravel()
-        vt = truth.valid.ravel()
-        scored = comparable & vt
-        ep = np.where(vp & vt, angular_distance(tp, tt), np.nan)
-        eg = np.where(vg & vt, angular_distance(tg, tt), np.nan)
-        n = int(scored.sum())
-        mae_p = float(angular_distance(tp[scored], tt[scored]).mean()) if n else None
-        mae_g = float(angular_distance(tg[scored], tt[scored]).mean()) if n else None
-        mean_dis = float(disagreement[scored].mean()) if n else None
-        return ComparisonReport(
-            xs, ys, tp, vp, tg, vg, tt, vt, ep, eg, disagreement, mae_p, mae_g, mean_dis, n
-        )
-
+        comparable &= truth.valid
     n = int(comparable.sum())
-    mean_dis = float(disagreement[comparable].mean()) if n else None
-    return ComparisonReport(
-        xs, ys, tp, vp, tg, vg, None, None, None, None, disagreement, None, None, mean_dis, n
-    )
-
-
-def _cell(value: float | None, defined: bool) -> str:
-    return f"{value:.6f}" if defined else ""
+    if not n:
+        return ComparisonReport(proj, grad, truth, None, None, None, 0)
+    tp = proj.angles[comparable]
+    tg = grad.angles[comparable]
+    mean_dis = float(angular_distance(tp, tg).mean())
+    if truth is None:
+        return ComparisonReport(proj, grad, truth, None, None, mean_dis, n)
+    tt = truth.angles[comparable]
+    mae_p = float(angular_distance(tp, tt).mean())
+    mae_g = float(angular_distance(tg, tt).mean())
+    return ComparisonReport(proj, grad, truth, mae_p, mae_g, mean_dis, n)
 
 
 def save_comparison_csv(report: ComparisonReport, path) -> None:
     """Per-site detail rows; empty cells where a quantity is undefined."""
-    lines = ["site_x,site_y,theta_projection,theta_gradient,theta_truth,err_projection,err_gradient"]
-    for i in range(report.xs.size):
-        cells = [
-            f"{report.xs[i]:g}",
-            f"{report.ys[i]:g}",
-            _cell(report.theta_projection[i], bool(report.valid_projection[i])),
-            _cell(report.theta_gradient[i], bool(report.valid_gradient[i])),
+    proj, grad, truth = report.projection, report.gradient, report.truth
+    columns = [(proj.angles, proj.valid), (grad.angles, grad.valid)]
+    if truth is None:
+        columns += [(proj.angles, np.zeros_like(proj.valid))] * 3  # truth and errors undefined everywhere
+    else:
+        columns += [
+            (truth.angles, truth.valid),
+            (angular_distance(proj.angles, truth.angles), proj.valid & truth.valid),
+            (angular_distance(grad.angles, truth.angles), grad.valid & truth.valid),
         ]
-        if report.theta_truth is not None:
-            cells.append(_cell(report.theta_truth[i], bool(report.valid_truth[i])))
-            cells.append(_cell(report.err_projection[i], not math.isnan(report.err_projection[i])))
-            cells.append(_cell(report.err_gradient[i], not math.isnan(report.err_gradient[i])))
-        else:
-            cells.extend(["", "", ""])
-        lines.append(",".join(cells))
+    lines = ["site_x,site_y,theta_projection,theta_gradient,theta_truth,err_projection,err_gradient"]
+    xs = proj.site_xs()
+    for iy, y in enumerate(proj.site_ys()):
+        for ix, x in enumerate(xs):
+            cells = [f"{v[iy, ix]:.6f}" if ok[iy, ix] else "" for v, ok in columns]
+            lines.append(",".join([f"{x:g}", f"{y:g}"] + cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flowfield import FlowField
+from .flowfield import FlowField, _grid_sites
 from .image import GrayImage, RotatedRaster, RotationFrame, band_rows, rotate_raster
 
 # Variances below this are floating-point dust from interpolation; treating
@@ -303,8 +303,7 @@ def patch_variance_grid(image: GrayImage, cfg: FlowConfig) -> np.ndarray:
     p2[1:, 1:] = (f * f).cumsum(axis=0).cumsum(axis=1)
 
     r = cfg.tangent_half_length
-    gx = np.arange(math.ceil(w / cfg.stride)) * cfg.stride
-    gy = np.arange(math.ceil(h / cfg.stride)) * cfg.stride
+    gx, gy = _grid_sites(w, h, cfg.stride)
     x0 = np.clip(gx - r, 0, w)
     x1 = np.clip(gx + r + 1, 0, w)
     y0 = np.clip(gy - r, 0, h)
@@ -330,22 +329,14 @@ def compute_flow_field(image: GrayImage, cfg: FlowConfig | None = None) -> FlowF
             f"got {image.width}x{image.height}"
         )
 
-    var = patch_variance_grid(image, cfg)
-    foreground = var >= cfg.background_variance_threshold
-    gh, gw = foreground.shape
-    gx = np.arange(gw, dtype=np.float64) * cfg.stride
-    gy = np.arange(gh, dtype=np.float64) * cfg.stride
-    GX, GY = np.meshgrid(gx, gy)
-    sel = foreground.ravel()
-    px = GX.ravel()[sel]
-    py = GY.ravel()[sel]
-
+    foreground = patch_variance_grid(image, cfg) >= cfg.background_variance_threshold
+    gx, gy = _grid_sites(image.width, image.height, cfg.stride)
+    iy, ix = np.nonzero(foreground)
     ev = RotatedDeviationEvaluator(image, cfg)
-    theta_sel, ok_sel = _search_orientations(ev.mean_deviation, px, py, cfg)
+    theta, ok = _search_orientations(ev.mean_deviation, gx[ix], gy[iy], cfg)
 
-    angles = np.zeros(gh * gw)
-    valid = np.zeros(gh * gw, dtype=bool)
-    idx = np.flatnonzero(sel)
-    angles[idx] = theta_sel
-    valid[idx] = ok_sel
-    return FlowField(angles.reshape(gh, gw), valid.reshape(gh, gw), cfg.stride)
+    angles = np.zeros(foreground.shape)
+    valid = np.zeros(foreground.shape, dtype=bool)
+    angles[foreground] = theta
+    valid[foreground] = ok
+    return FlowField(angles, valid, cfg.stride)

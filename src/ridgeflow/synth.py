@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flowfield import FlowField
+from .flowfield import FlowField, _grid_sites
 from .image import GrayImage
 
 PATTERNS = ("parallel", "concentric", "half_plane_stripe")
@@ -84,6 +84,7 @@ def generate(spec: SyntheticSpec, stride: int = 2) -> tuple[GrayImage, FlowField
     xs = np.arange(spec.width, dtype=np.float64)
     ys = np.arange(spec.height, dtype=np.float64)
     X, Y = np.meshgrid(xs, ys)
+    GX, GY = np.meshgrid(*_grid_sites(spec.width, spec.height, stride))
     omega = 2.0 * math.pi / spec.period
 
     if spec.pattern == "parallel":
@@ -95,43 +96,23 @@ def generate(spec: SyntheticSpec, stride: int = 2) -> tuple[GrayImage, FlowField
         ny = 0.0 if abs(ny) < 1e-12 else ny
         phase = (X * nx + Y * ny) * omega
         values = spec.offset + spec.amplitude * np.cos(phase)
-        truth_angle = spec.orientation % math.pi
-        truth = None  # constant; filled below on the grid
+        angles = np.full(GX.shape, spec.orientation % math.pi)
+        valid = np.ones(GX.shape, dtype=bool)
     elif spec.pattern == "concentric":
         cx = (spec.width - 1) / 2.0
         cy = (spec.height - 1) / 2.0
         r = np.hypot(X - cx, Y - cy)
         values = spec.offset + spec.amplitude * np.cos(r * omega)
-        truth = None
+        valid = np.hypot(GX - cx, GY - cy) >= 1.0  # tangent direction is ill-defined at the center
+        angles = np.where(valid, np.mod(np.arctan2(GY - cy, GX - cx) + math.pi / 2.0, math.pi), 0.0)
     else:  # half_plane_stripe: horizontal ridges on the left, flat on the right
         boundary = spec.width / 2.0
         stripes = spec.offset + spec.amplitude * np.cos(Y * omega)
         values = np.where(X < boundary, stripes, spec.offset)
-        truth = None
+        angles = np.zeros(GX.shape)
+        valid = GX < boundary
 
     if spec.noise_sigma > 0:
         noise = seeded_normals(spec.rng_seed, values.size).reshape(values.shape)
         values = values + spec.noise_sigma * noise
-    image = GrayImage.from_float(values)
-
-    gw = math.ceil(spec.width / stride)
-    gh = math.ceil(spec.height / stride)
-    gx = np.arange(gw, dtype=np.float64) * stride
-    gy = np.arange(gh, dtype=np.float64) * stride
-    GX, GY = np.meshgrid(gx, gy)
-    if spec.pattern == "parallel":
-        angles = np.full((gh, gw), truth_angle)
-        valid = np.ones((gh, gw), dtype=bool)
-    elif spec.pattern == "concentric":
-        cx = (spec.width - 1) / 2.0
-        cy = (spec.height - 1) / 2.0
-        r = np.hypot(GX - cx, GY - cy)
-        angles = np.mod(np.arctan2(GY - cy, GX - cx) + math.pi / 2.0, math.pi)
-        valid = r >= 1.0  # tangent direction is ill-defined at the center
-        angles = np.where(valid, angles, 0.0)
-    else:
-        boundary = spec.width / 2.0
-        angles = np.zeros((gh, gw))
-        valid = GX < boundary
-    truth = FlowField(angles, valid, stride)
-    return image, truth
+    return GrayImage.from_float(values), FlowField(angles, valid, stride)

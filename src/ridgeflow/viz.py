@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flowfield import FlowField
+from .flowfield import FlowField, check_flow_grid
 from .image import GrayImage
 
 
@@ -38,6 +38,7 @@ def png_bytes(pixels: np.ndarray) -> bytes:
 
 def flow_overlay_svg(image: GrayImage, flow: FlowField) -> str:
     w, h = image.width, image.height
+    check_flow_grid(flow, w, h)
     encoded = base64.b64encode(png_bytes(image.pixels)).decode("ascii")
     half = 0.45 * flow.stride
     xs = flow.site_xs()

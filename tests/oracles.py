@@ -347,8 +347,8 @@ def reference_angles_at(flow: rf.FlowField, xs, ys) -> tuple[np.ndarray, np.ndar
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    gx = (xs - flow.origin[0]) / flow.stride
-    gy = (ys - flow.origin[1]) / flow.stride
+    gx = xs / flow.stride
+    gy = ys / flow.stride
     x0 = np.floor(gx).astype(np.int64)
     y0 = np.floor(gy).astype(np.int64)
     fx = gx - x0

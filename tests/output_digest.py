@@ -1,0 +1,108 @@
+"""Print one sha256 over ridgeflow's outputs, to check a refactor changes no byte.
+
+Run from the repository root with ``PYTHONPATH=src python tests/output_digest.py``
+on two checkouts and compare the printed digests. It covers, for the three
+synthetic patterns at two sizes and grid strides 1-3: the synthetic image and
+its truth flow, both flow methods, both pipeline paths, the flow CSV bytes,
+the comparison CSV and summary lines with and without truth, and the interior
+site mask; then the files and standard output of a set of CLI runs. There is
+no golden value: float bytes may differ across platforms and library builds.
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import ridgeflow as rf
+from ridgeflow.cli import run_cli
+
+SIZES = ((48, 51), (67, 64))
+STRIDES = (1, 2, 3)
+PATTERNS = ("parallel", "concentric", "half_plane_stripe")
+
+
+def _flow(h, flow: rf.FlowField) -> None:
+    h.update(f"flow {flow.angles.shape} {flow.stride}".encode())
+    h.update(flow.angles.tobytes())
+    h.update(flow.valid.tobytes())
+    if flow.coherence is not None:
+        h.update(flow.coherence.tobytes())
+
+
+def _library(h, tmp: Path) -> None:
+    for pattern in PATTERNS:
+        for width, height in SIZES:
+            for stride in STRIDES:
+                spec = rf.SyntheticSpec(width=width, height=height, pattern=pattern, orientation=0.7,
+                                        noise_sigma=20.0, rng_seed=width + stride)
+                image, truth = rf.generate(spec, stride)
+                h.update(f"case {pattern} {width}x{height} stride {stride}".encode())
+                h.update(image.pixels.tobytes())
+                _flow(h, truth)
+                cfg = rf.PipelineConfig(flow=rf.FlowConfig(stride=stride))
+                proj = rf.compute_flow_field(image, cfg.flow)
+                _flow(h, proj)
+                _flow(h, rf.compute_flow_field_gradient(image, cfg.flow))
+                for path in ("linear", "contour"):
+                    for rec in rf.run_pipeline(image, replace(cfg, path_mode=path)).records:
+                        _flow(h, rec.flow)
+                        h.update(rec.binary.bits.tobytes())
+                        h.update(rec.enhanced.pixels.tobytes())
+                csv = tmp / "flow.csv"
+                rf.save_flow_csv(proj, csv)
+                h.update(csv.read_bytes())
+                _flow(h, rf.load_flow_csv(csv))
+                for ref in (truth, None):
+                    report = rf.compare_methods(image, ref, cfg, interior_margin=8.0)
+                    rf.save_comparison_csv(report, tmp / "cmp.csv")
+                    h.update((tmp / "cmp.csv").read_bytes())
+                    h.update("\n".join(rf.summary_lines(report)).encode())
+                h.update(rf.interior_site_mask(truth, width, height, 8.0).tobytes())
+
+
+def _cli(h, tmp: Path) -> None:
+    runs = [
+        ["synth", "--out", "in.pgm", "--truth-out", "truth.csv", "--width", "64", "--height", "67",
+         "--pattern", "concentric", "--noise-sigma", "20", "--seed", "3"],
+        ["flow", "in.pgm", "--out", "flow.csv"],
+        ["flow", "in.pgm", "--out", "flow_gradient.csv", "--method", "gradient"],
+        ["flow", "in.pgm", "--out", "flow_full.csv", "--no-half-line-rule", "--stride", "3"],
+        ["binarize", "in.pgm", "--out", "bin.pgm"],
+        ["enhance", "in.pgm", "--out", "enh.pgm"],
+        ["enhance", "in.pgm", "--out", "enh_contour.pgm", "--path", "contour"],
+        ["pipeline", "in.pgm", "--out-prefix", "lin/"],
+        ["pipeline", "in.pgm", "--out-prefix", "con/", "--path", "contour", "--iterations", "1"],
+        ["compare", "in.pgm", "--truth", "truth.csv", "--out", "cmp.csv", "--interior-margin", "8"],
+        ["compare", "in.pgm"],
+        ["viz", "in.pgm", "--out", "viz.svg"],
+        ["viz", "in.pgm", "--flow", "truth.csv", "--out", "viz_truth.svg"],
+    ]
+    for argv in runs:
+        argv = [str(tmp / a) if a.endswith((".pgm", ".csv", ".svg", "/")) else a for a in argv]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = run_cli(argv)
+        if rc != 0:
+            raise SystemExit(f"ridgeflow {' '.join(argv)} exited {rc}")
+        h.update(f"{argv[0]} {rc}\n{stdout.getvalue()}".encode())
+    for f in sorted(p for p in tmp.rglob("*") if p.is_file()):
+        h.update(str(f.relative_to(tmp)).encode())
+        h.update(f.read_bytes())
+
+
+def main() -> None:
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as lib, tempfile.TemporaryDirectory() as cli:
+        _library(h, Path(lib))
+        _cli(h, Path(cli))
+    print(h.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

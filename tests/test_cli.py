@@ -91,6 +91,30 @@ class TestExitCodes:
         assert "uneven.csv:4: site (5, 0) should be (4, 0)" in capsys.readouterr().err
         assert not svg_out.exists()
 
+    def test_shifted_flow_grid_is_data_error(self, sample, tmp_path, capsys):
+        img_path, truth_path = sample
+        header, *rows = truth_path.read_text(encoding="ascii").splitlines()
+        moved = [f"{float(x) + 7:g},{float(y) + 5:g},{rest}" for x, y, rest in (r.split(",", 2) for r in rows)]
+        shifted = tmp_path / "shifted.csv"
+        shifted.write_text("\n".join([header] + moved) + "\n", encoding="ascii")
+        with pytest.raises(ValueError, match=r"shifted.csv:2: site \(7, 5\) should be \(0, 0\)"):
+            rf.load_flow_csv(shifted)
+        out = tmp_path / "cmp.csv"
+        assert run_cli(["compare", str(img_path), "--truth", str(shifted), "--out", str(out)]) == 2
+        assert "shifted.csv:2: site (7, 5) should be (0, 0)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_viz_flow_of_other_image_is_data_error(self, sample, tmp_path, capsys):
+        img_path, _ = sample
+        _, other = rf.generate(rf.SyntheticSpec(width=32, height=40))
+        flow_csv = tmp_path / "other.csv"
+        rf.save_flow_csv(other, flow_csv)
+        svg_out = tmp_path / "o.svg"
+        assert run_cli(["viz", str(img_path), "--flow", str(flow_csv), "--out", str(svg_out)]) == 2
+        err = capsys.readouterr().err
+        assert "flow grid 16x20 (stride 2) does not match image 64x64, which needs a 32x32 grid" in err
+        assert not svg_out.exists()
+
     def test_negative_gradient_window_is_data_error(self, sample, tmp_path, capsys):
         img_path, _ = sample
         argv = ["flow", str(img_path), "--out", str(tmp_path / "f.csv"), "--method", "gradient"]
@@ -119,6 +143,7 @@ class TestExitCodes:
         (["enhance", "IN", "--sigma", "1e308"], "kernel_half_length must be >= ceil(2 * gaussian_sigma)"),
         (["flow", "IN", "--method", "gradient", "--grad-weight-sigma", "inf"], "gradient weight sigma must be positive and finite"),
         (["synth", "--stride", "0"], "stride must be >= 1"),
+        (["enhance", "IN", "--sigma", "1e-300"], "gaussian_sigma 1e-300 is too small: 2 * gaussian_sigma**2 underflows to 0"),
     ])
     def test_bad_setting_is_data_error_naming_it(self, sample, tmp_path, capsys, argv, message):
         img_path, _ = sample

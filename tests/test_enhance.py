@@ -34,6 +34,18 @@ class TestKernel:
         denom = sum(math.exp(-(i * i) / 18.0) for i in range(-9, 10))
         assert k[9] == pytest.approx(1.0 / denom, rel=1e-12)
 
+    def test_vanishing_sigma_is_rejected(self):
+        # 2 * sigma**2 underflows to 0, which made every weight 0/0
+        with pytest.raises(ValueError, match="sigma 1e-300 is too small"):
+            rf.gaussian_kernel(1e-300, 1)
+        with pytest.raises(ValueError, match="gaussian_sigma 1e-300 is too small"):
+            rf.EnhanceConfig(gaussian_sigma=1e-300)
+
+    def test_tiny_sigma_whose_exponents_overflow_is_a_delta(self):
+        with np.errstate(all="raise"):
+            k = rf.gaussian_kernel(1e-160, 9)
+        assert k.tobytes() == np.eye(1, 19, 9).ravel().tobytes()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             rf.EnhanceConfig(gaussian_sigma=0.0)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import ridgeflow as rf
+from ridgeflow.gradient import _window_weights
 
 from oracles import StructureTensor, flow_mae, second_moment_matrix, tensor_orientation
 
@@ -148,6 +150,33 @@ class TestGradientFlowField:
         img, _ = sinusoid(30)
         with pytest.raises(ValueError, match="gradient"):
             rf.compute_flow_field_gradient(img, **kw)
+
+    @pytest.mark.parametrize("weight_sigma", [4.0, None, 30.0])
+    def test_window_is_capped_at_the_image_size(self, monkeypatch, weight_sigma):
+        img, _ = rf.generate(rf.SyntheticSpec(width=24, height=20, pattern="concentric", noise_sigma=20.0, rng_seed=3))
+        cap = max(img.width, img.height) - 1
+        # weights past the borders multiply only the zero padding, so the capped window gives the same bytes
+        convolve = ndimage.convolve
+        grad = rf.gradient(img)
+        for product in (grad.gx * grad.gx, grad.gx * grad.gy, grad.gy * grad.gy):
+            capped = convolve(product, _window_weights(cap, weight_sigma), mode="constant", cval=0.0)
+            full = convolve(product, _window_weights(cap + 5, weight_sigma), mode="constant", cval=0.0)
+            assert capped.tobytes() == full.tobytes()
+
+        shapes = []
+
+        def recording(values, weights, **kw):
+            shapes.append(weights.shape)
+            return convolve(values, weights, **kw)
+
+        monkeypatch.setattr(ndimage, "convolve", recording)
+        flows = [rf.compute_flow_field_gradient(img, window_half=h, weight_sigma=weight_sigma)
+                 for h in (cap, cap + 5, 3 * (cap + 1))]
+        assert set(shapes) == {(2 * cap + 1, 2 * cap + 1)}
+        for flow in flows[1:]:
+            assert flow.angles.tobytes() == flows[0].angles.tobytes()
+            assert flow.valid.tobytes() == flows[0].valid.tobytes()
+            assert flow.coherence.tobytes() == flows[0].coherence.tobytes()
 
     def test_uniform_weights_allowed(self):
         img, _ = sinusoid(30)

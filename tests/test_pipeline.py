@@ -154,10 +154,10 @@ class TestCompareMethods:
         report = rf.compare_methods(img, cfg=cfg)
         proj = rf.compute_flow_field(img, cfg.flow)
         grad = rf.compute_flow_field_gradient(img, cfg.flow, window_half=5, coherence_threshold=0.2)
-        assert np.array_equal(report.theta_projection, proj.angles.ravel())
-        assert np.array_equal(report.valid_projection, proj.valid.ravel())
-        assert np.array_equal(report.theta_gradient, grad.angles.ravel())
-        assert np.array_equal(report.valid_gradient, grad.valid.ravel())
+        assert np.array_equal(report.projection.angles, proj.angles)
+        assert np.array_equal(report.projection.valid, proj.valid)
+        assert np.array_equal(report.gradient.angles, grad.angles)
+        assert np.array_equal(report.gradient.valid, grad.valid)
 
     def test_without_truth_reports_disagreement(self):
         img, _ = noisy()

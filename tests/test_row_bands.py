@@ -153,6 +153,22 @@ class TestFlowGridContract:
             with pytest.raises(ValueError, match=r"flow grid 32x32 .* image 128x128"):
                 enhance(big, binary, flow)
 
+    @pytest.mark.parametrize("entry", ["binarize_image", "binarize_image_contour", "enhance_image",
+                                       "enhance_image_contour", "flow_overlay_svg", "compare_methods"])
+    def test_every_entry_point_rejects_a_flow_on_another_grid(self, mismatch, entry):
+        big, flow = mismatch
+        binary = rf.BinaryImage(np.ones((128, 128), dtype=np.int64))
+        calls = {
+            "binarize_image": lambda: rf.binarize_image(big, flow),
+            "binarize_image_contour": lambda: rf.binarize_image_contour(big, flow),
+            "enhance_image": lambda: rf.enhance_image(big, binary, flow),
+            "enhance_image_contour": lambda: rf.enhance_image_contour(big, binary, flow),
+            "flow_overlay_svg": lambda: rf.flow_overlay_svg(big, flow),
+            "compare_methods": lambda: rf.compare_methods(big, truth=flow),
+        }
+        with pytest.raises(ValueError, match="grid"):
+            calls[entry]()
+
     def test_check_uses_ceiling_of_size_over_stride(self):
         flow = rf.FlowField(np.zeros((3, 4)), np.ones((3, 4), dtype=bool), 3)
         rf.binarize_image(rf.GrayImage(np.zeros((7, 10), dtype=np.int64)), flow)
