@@ -38,19 +38,22 @@ def _line_path(flow, xs, ys, theta, defined, half: int, bounds):
 
     Paths are described in the contour module docstring.
     """
-    offs = np.arange(-half, half + 1, dtype=np.float64)
-    offs = offs.reshape((offs.size,) + (1,) * np.ndim(xs))
-    return xs + offs * np.cos(theta), ys + offs * np.sin(theta), True
+    offs = range(-half, half + 1)
+    c = np.cos(theta)
+    s = np.sin(theta)
+    return (xs + o * c for o in offs), (ys + o * s for o in offs), [True] * len(offs)
 
 
 def _path_mean(img: np.ndarray, path, flow, xs, ys, theta, defined, half: int) -> np.ndarray:
-    """Mean of the in-bounds samples that ``path`` keeps; NaN if none."""
+    """Mean of the in-bounds samples that ``path`` keeps, summed tap by tap in path order; NaN if none."""
     h, w = img.shape
-    px, py, ok = path(flow, xs, ys, theta, defined, half, (w, h))
-    vals = bilinear_many(img, px, py)
-    use = ok & ~np.isnan(vals)
-    n = use.sum(axis=0)
-    s = np.where(use, vals, 0.0).sum(axis=0)
+    n = np.zeros(np.shape(xs), dtype=np.intp)
+    s = np.zeros(np.shape(xs))
+    for px, py, ok in zip(*path(flow, xs, ys, theta, defined, half, (w, h))):
+        vals = bilinear_many(img, px, py)
+        use = ok & ~np.isnan(vals)
+        n += use
+        s += np.where(use, vals, 0.0)
     return np.where(n > 0, s / np.maximum(n, 1), np.nan)
 
 
@@ -84,7 +87,7 @@ def _binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | Non
     for rows, X, Y in row_bands(image.width, image.height):
         theta, defined = angles_at(flow, X, Y)
         ridge[rows] = _is_ridge(img, path, flow, X, Y, theta, defined, cfg.line_half_length)
-    return BinaryImage(np.where(ridge, 0, 1).astype(np.int64))
+    return BinaryImage(~ridge)
 
 
 def binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None = None) -> BinaryImage:

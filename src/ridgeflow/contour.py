@@ -8,8 +8,13 @@ flow field the contour degenerates to the straight line used elsewhere.
 The contour variants differ from plain binarization and enhancement only in
 where the samples come from. Binarize and enhance take a sampling path, a
 function ``(flow, xs, ys, theta, defined, half, bounds) -> (px, py, ok)``
-with the 2*half+1 steps on the leading axis: the straight line
-(``binarize._line_path``) or the traced contour (``_trace_batch`` here).
+whose three values each iterate over the 2*half+1 taps in order, giving
+per tap the coordinates (shaped like ``xs``) and whether the tap is kept
+(an array of that shape, or a bool). The kernels loop over
+``zip(*path(...))`` and sum each tap into band-sized accumulators, so no
+(2*half+1)-deep sample array is built. The paths are the straight line
+(``binarize._line_path``, which computes each tap as it is reached) and
+the traced contour (``_trace_batch`` here, whose arrays iterate by row).
 Each entry point below passes the contour path to the shared kernels.
 """
 

@@ -62,24 +62,21 @@ def _nearest(coords, size: int) -> np.ndarray:
 def _masked_blend(
     img: np.ndarray, bits: np.ndarray, path, flow, xs, ys, theta, defined, cfg: EnhanceConfig
 ) -> np.ndarray:
-    """Gaussian-weighted mean over the samples of ``path`` that share the seed's class."""
+    """Gaussian-weighted mean over the samples of ``path`` that share the seed's class, tap by tap."""
     h, w = img.shape
     k = cfg.kernel_half_length
-    wcol = gaussian_kernel(cfg.gaussian_sigma, k).reshape((2 * k + 1,) + (1,) * np.ndim(xs))
-    px, py, ok = path(flow, xs, ys, theta, defined, k, (w, h))
-    vals = bilinear_many(img, px, py)
-    inb = ok & ~np.isnan(vals)
-
-    # binary class at the nearest pixel of each sample
-    xi = _nearest(px, w)
-    yi = _nearest(py, h)
     center_x = _nearest(xs, w)
     center_y = _nearest(ys, h)
-    same = bits[yi, xi] == bits[center_y, center_x]
-
-    use = inb & same
-    num = (np.where(use, vals, 0.0) * wcol).sum(axis=0)
-    den = (np.where(use, wcol, 0.0)).sum(axis=0)
+    center_bit = bits[center_y, center_x]
+    num = np.zeros(np.shape(xs))
+    den = np.zeros(np.shape(xs))
+    taps = zip(*path(flow, xs, ys, theta, defined, k, (w, h)))
+    for weight, (px, py, ok) in zip(gaussian_kernel(cfg.gaussian_sigma, k), taps):
+        vals = bilinear_many(img, px, py)
+        # in the raster, and the nearest pixel has the seed's binary class
+        use = ok & ~np.isnan(vals) & (bits[_nearest(py, h), _nearest(px, w)] == center_bit)
+        num += np.where(use, vals, 0.0) * weight
+        den += np.where(use, weight, 0.0)
     center_val = img[center_y, center_x]
     with np.errstate(invalid="ignore", divide="ignore"):
         out = num / den

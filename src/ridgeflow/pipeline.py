@@ -16,7 +16,7 @@ import numpy as np
 from .binarize import BinarizeConfig, binarize_image
 from .contour import binarize_image_contour, enhance_image_contour
 from .enhance import EnhanceConfig, enhance_image
-from .flowfield import FlowField, angular_distance, interior_site_mask
+from .flowfield import FlowField, angular_distance, check_flow_grid, interior_site_mask
 from .gradient import check_window, compute_flow_field_gradient
 from .image import BinaryImage, GrayImage
 from .projection import FlowConfig, compute_flow_field
@@ -141,6 +141,10 @@ def compare_methods(
     cfg = cfg or PipelineConfig()
     if interior_margin is not None and not math.isfinite(interior_margin):
         raise ValueError(f"interior_margin must be finite, got {interior_margin}")
+    if truth is not None:  # before the two flows, which are the costly part
+        check_flow_grid(truth, image.width, image.height)
+        if truth.stride != cfg.flow.stride:
+            raise ValueError(f"truth field stride {truth.stride} does not match the flow stride {cfg.flow.stride}")
     proj = _flow_for(image, replace(cfg, flow_method="projection"))
     grad = _flow_for(image, replace(cfg, flow_method="gradient"))
 
@@ -148,8 +152,6 @@ def compare_methods(
     if interior_margin is not None:
         comparable &= interior_site_mask(proj, image.width, image.height, interior_margin)
     if truth is not None:
-        if truth.angles.shape != proj.angles.shape or truth.stride != proj.stride:
-            raise ValueError("truth field grid does not match the computed grid")
         comparable &= truth.valid
     n = int(comparable.sum())
     if not n:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 import ridgeflow as rf
+from ridgeflow.enhance import _nearest, gaussian_kernel
 from ridgeflow.gradient import GradientField, _window_weights
 from ridgeflow.image import GrayImage, Point, band_rows, bilinear_many, rotate_raster
 from ridgeflow.projection import (
@@ -384,6 +385,62 @@ def reference_angles_at(flow: rf.FlowField, xs, ys) -> tuple[np.ndarray, np.ndar
     theta = np.where(defined, np.mod(theta, math.pi), 0.0)
     theta = np.where(theta >= math.pi, 0.0, theta)
     return theta, defined
+
+
+# ---------------------------------------------------------------------------
+# The whole-array directional kernels of ``binarize`` and ``enhance``, as they
+# were before the kernels summed one tap at a time: each gathers all 2k+1
+# taps at once and reduces over the leading axis. They take paths that
+# return whole (2k+1,) + xs.shape arrays: ``reference_line_path`` here or
+# ``contour._trace_batch``.
+
+
+def reference_line_path(flow, xs, ys, theta, defined, half: int, bounds):
+    """The straight sampling path: ``half`` unit steps each way along ``theta``, all kept.
+
+    Paths are described in the contour module docstring.
+    """
+    offs = np.arange(-half, half + 1, dtype=np.float64)
+    offs = offs.reshape((offs.size,) + (1,) * np.ndim(xs))
+    return xs + offs * np.cos(theta), ys + offs * np.sin(theta), True
+
+
+def reference_path_mean(img: np.ndarray, path, flow, xs, ys, theta, defined, half: int) -> np.ndarray:
+    """Mean of the in-bounds samples that ``path`` keeps; NaN if none."""
+    h, w = img.shape
+    px, py, ok = path(flow, xs, ys, theta, defined, half, (w, h))
+    vals = bilinear_many(img, px, py)
+    use = ok & ~np.isnan(vals)
+    n = use.sum(axis=0)
+    s = np.where(use, vals, 0.0).sum(axis=0)
+    return np.where(n > 0, s / np.maximum(n, 1), np.nan)
+
+
+def reference_masked_blend(
+    img: np.ndarray, bits: np.ndarray, path, flow, xs, ys, theta, defined, cfg: rf.EnhanceConfig
+) -> np.ndarray:
+    """Gaussian-weighted mean over the samples of ``path`` that share the seed's class."""
+    h, w = img.shape
+    k = cfg.kernel_half_length
+    wcol = gaussian_kernel(cfg.gaussian_sigma, k).reshape((2 * k + 1,) + (1,) * np.ndim(xs))
+    px, py, ok = path(flow, xs, ys, theta, defined, k, (w, h))
+    vals = bilinear_many(img, px, py)
+    inb = ok & ~np.isnan(vals)
+
+    # binary class at the nearest pixel of each sample
+    xi = _nearest(px, w)
+    yi = _nearest(py, h)
+    center_x = _nearest(xs, w)
+    center_y = _nearest(ys, h)
+    same = bits[yi, xi] == bits[center_y, center_x]
+
+    use = inb & same
+    num = (np.where(use, vals, 0.0) * wcol).sum(axis=0)
+    den = (np.where(use, wcol, 0.0)).sum(axis=0)
+    center_val = img[center_y, center_x]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = num / den
+    return np.where(den > 0, out, center_val)
 
 
 def two_pass_std(vals) -> float:

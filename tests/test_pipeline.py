@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ridgeflow as rf
+import ridgeflow.pipeline as pipeline
 
 from oracles import flow_mae
 
@@ -176,6 +177,22 @@ class TestCompareMethods:
         bad_truth = rf.FlowField(np.zeros((3, 3)), np.ones((3, 3), dtype=bool), 2)
         with pytest.raises(ValueError, match="grid"):
             rf.compare_methods(img, truth=bad_truth)
+
+    def test_truth_grid_is_checked_before_the_flows(self, monkeypatch):
+        img, _ = noisy()
+
+        def no_flow(*args):
+            raise AssertionError("a flow was computed before the truth grid was checked")
+
+        monkeypatch.setattr(pipeline, "_flow_for", no_flow)
+        bad_truth = rf.FlowField(np.zeros((3, 3)), np.ones((3, 3), dtype=bool), 2)
+        with pytest.raises(ValueError, match=r"flow grid 3x3 \(stride 2\) does not match image 128x128, "
+                                             r"which needs a 64x64 grid"):
+            rf.compare_methods(img, truth=bad_truth)
+        # the image's grid at stride 4, while the flows would use stride 2
+        other_stride = rf.FlowField(np.zeros((32, 32)), np.ones((32, 32), dtype=bool), 4)
+        with pytest.raises(ValueError, match="truth field stride 4 does not match the flow stride 2"):
+            rf.compare_methods(img, truth=other_stride)
 
     def test_csv_shape_and_summary(self, tmp_path):
         img, truth = noisy()

@@ -121,6 +121,36 @@ class TestBoundedMemory:
         peak = self._peak_mib(lambda: rf.enhance_image_contour(img, rf.binarize_image_contour(img, flow), flow))
         assert peak < self.CEILING_MIB
 
+    # At the default settings the kernels sum one tap at a time into
+    # band-sized accumulators. Measured on the concentric image with its
+    # truth flow: enhance_values 2.49 MiB and contour_enhance_values 5.76 MiB
+    # at 256x256, binarize_image 3.55 MiB at 512x512. A whole (2k+1)-deep
+    # gather per band took 12.46, 12.61 and 7.92 MiB. Do not raise them.
+    ENHANCE_256_CEILING_MIB = 8.0
+    BINARIZE_512_CEILING_MIB = 5.0
+
+    @pytest.fixture(scope="class")
+    def medium(self):
+        return rf.generate(rf.SyntheticSpec(width=256, height=256, pattern="concentric",
+                                            noise_sigma=40.0, rng_seed=3))
+
+    def test_enhance_peak_holds_no_tap_gather(self, medium):
+        img, flow = medium
+        binary = rf.binarize_image(img, flow)
+        peak = self._peak_mib(lambda: rf.enhance_values(img, binary, flow))
+        assert peak < self.ENHANCE_256_CEILING_MIB
+
+    def test_contour_enhance_peak_holds_no_tap_gather(self, medium):
+        img, flow = medium
+        binary = rf.binarize_image_contour(img, flow)
+        peak = self._peak_mib(lambda: rf.contour_enhance_values(img, binary, flow))
+        assert peak < self.ENHANCE_256_CEILING_MIB
+
+    def test_binarize_peak_holds_no_tap_gather(self, large):
+        img, flow = large
+        peak = self._peak_mib(lambda: rf.binarize_image(img, flow))
+        assert peak < self.BINARIZE_512_CEILING_MIB
+
     # compute_flow_field at 512x512 measured 22.4 MiB on this image (26.0 on
     # a parallel one): one rotated window at a time, with band-sized prefix
     # sums and no map. Whole-canvas prefix sums and map took 46.2 MiB, and
