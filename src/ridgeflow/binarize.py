@@ -33,44 +33,80 @@ class BinarizeConfig:
             raise ValueError("line_half_length must be >= 1")
 
 
+def _check_inputs(image: GrayImage, flow: FlowField | None, binary: BinaryImage | None = None) -> None:
+    """Every stage's input contract: ``binary`` the image's size, ``flow`` on its grid; ValueError otherwise."""
+    if binary is not None and (binary.height, binary.width) != (image.height, image.width):
+        raise ValueError(f"binary dimensions {binary.width}x{binary.height} do not match "
+                         f"image {image.width}x{image.height}")
+    if flow is not None:
+        check_flow_grid(flow, image.width, image.height)
+
+
+def _nearest(coords, size: int) -> np.ndarray:
+    """Index of the nearest pixel along one axis, clamped into [0, size - 1] before the cast,
+    so a NaN maps to 0 without an invalid-cast warning."""
+    c = np.add(coords, 0.5)
+    np.floor(c, out=c)
+    return np.fmin(np.fmax(c, 0.0, out=c), size - 1.0, out=c).astype(np.intp)
+
+
 def _line_path(flow, xs, ys, theta, defined, half: int, bounds):
     """The straight sampling path: ``half`` unit steps each way along ``theta``, all kept.
 
     Paths are described in the contour module docstring.
     """
-    offs = range(-half, half + 1)
     c = np.cos(theta)
     s = np.sin(theta)
-    return (xs + o * c for o in offs), (ys + o * s for o in offs), [True] * len(offs)
+    for o in range(-half, half + 1):
+        yield o, xs + o * c, ys + o * s, True
 
 
-def _path_mean(img: np.ndarray, path, flow, xs, ys, theta, defined, half: int) -> np.ndarray:
-    """Mean of the in-bounds samples that ``path`` keeps, summed tap by tap in path order; NaN if none."""
+def _sample_taps(img: np.ndarray, path, flow, xs, ys, theta, defined, half: int, nearest: bool, table=None):
+    """Each tap of ``path`` sampled once: (values, nearest), each shaped (2*half+1,) + xs.shape.
+
+    Row half + o takes tap o's bilinear sample, NaN off the raster or where the path drops the
+    tap, and its nearest pixel's flat index (None unless ``nearest``). A ``table`` returned
+    for as many points or more is refilled; the image stages pass the previous band's.
+    """
     h, w = img.shape
-    n = np.zeros(np.shape(xs), dtype=np.intp)
-    s = np.zeros(np.shape(xs))
-    for px, py, ok in zip(*path(flow, xs, ys, theta, defined, half, (w, h))):
-        vals = bilinear_many(img, px, py)
-        use = ok & ~np.isnan(vals)
+    shape = (2 * half + 1,) + np.shape(xs)
+    table = table or (np.empty(shape), np.empty(shape, np.int32) if nearest else None)
+    vals, near = (t if t is None else t[:, : len(xs)] for t in table)
+    for o, px, py, ok in path(flow, xs, ys, theta, defined, half, (w, h)):
+        vals[half + o] = bilinear_many(img, px, py)
+        np.copyto(vals[half + o], np.nan, where=np.logical_not(ok))
+        if near is not None:
+            near[half + o] = _nearest(py, h) * w + _nearest(px, w)
+    return vals, near
+
+
+def _tap_mean(taps, shape) -> np.ndarray:
+    """Mean of the non-NaN tap values, summed one tap at a time in order; NaN where there are none."""
+    n, s = np.zeros(shape, dtype=np.intp), np.zeros(shape)
+    for vals in taps:
+        use = ~np.isnan(vals)
         n += use
         s += np.where(use, vals, 0.0)
     return np.where(n > 0, s / np.maximum(n, 1), np.nan)
 
 
-def _is_ridge(img: np.ndarray, path, flow, xs, ys, theta, defined, half: int) -> np.ndarray:
-    """Ridge mask: the mean along ``path`` is below the straight orthogonal mean."""
-    g = _path_mean(img, path, flow, xs, ys, theta, defined, half)
-    h = _path_mean(img, _line_path, flow, xs, ys, theta + math.pi / 2.0, defined, half)
-    return defined & ~np.isnan(g) & ~np.isnan(h) & (g < h - _TIE_EPS)
+def _is_ridge(img: np.ndarray, taps, xs, ys, theta, defined, half: int) -> np.ndarray:
+    """Ridge mask: the mean of the along-ridge ``taps`` is below the straight orthogonal mean."""
+    g = _tap_mean(taps, np.shape(xs))
+    across = _line_path(None, xs, ys, theta + math.pi / 2.0, defined, half, None)
+    m = _tap_mean((bilinear_many(img, px, py) for _, px, py, _ in across), np.shape(xs))
+    return defined & ~np.isnan(g) & ~np.isnan(m) & (g < m - _TIE_EPS)
 
 
 def _binarize_pixel(image: GrayImage, p: Point, angles, cfg: BinarizeConfig | None, path, flow) -> int:
     """Bit at ``p``; ``angles`` is (theta, defined), each of shape (1,)."""
     cfg = cfg or BinarizeConfig()
-    xs = np.array([p[0]], dtype=np.float64)
-    ys = np.array([p[1]], dtype=np.float64)
-    ridge = _is_ridge(image.as_float(), path, flow, xs, ys, *angles, cfg.line_half_length)
-    return 0 if ridge[0] else 1
+    _check_inputs(image, flow)
+    img = image.as_float()
+    xs, ys = (np.array([c], dtype=np.float64) for c in p)
+    half = cfg.line_half_length
+    taps, _ = _sample_taps(img, path, flow, xs, ys, *angles, half, False)
+    return 0 if _is_ridge(img, taps, xs, ys, *angles, half)[0] else 1
 
 
 def binarize_pixel(image: GrayImage, p: Point, theta: float, cfg: BinarizeConfig | None = None) -> int:
@@ -81,12 +117,15 @@ def binarize_pixel(image: GrayImage, p: Point, theta: float, cfg: BinarizeConfig
 def _binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None, path) -> BinaryImage:
     """Classify every pixel along ``path``, in row bands."""
     cfg = cfg or BinarizeConfig()
-    check_flow_grid(flow, image.width, image.height)
+    _check_inputs(image, flow)
     img = image.as_float()
+    half = cfg.line_half_length
     ridge = np.empty((image.height, image.width), dtype=bool)
+    table = None
     for rows, X, Y in row_bands(image.width, image.height):
         theta, defined = angles_at(flow, X, Y)
-        ridge[rows] = _is_ridge(img, path, flow, X, Y, theta, defined, cfg.line_half_length)
+        table = _sample_taps(img, path, flow, X, Y, theta, defined, half, False, table)
+        ridge[rows] = _is_ridge(img, table[0], X, Y, theta, defined, half)
     return BinaryImage(~ridge)
 
 

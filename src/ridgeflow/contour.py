@@ -6,16 +6,15 @@ with the previous step, resolving the pi-periodic ambiguity. With a uniform
 flow field the contour degenerates to the straight line used elsewhere.
 
 The contour variants differ from plain binarization and enhancement only in
-where the samples come from. Binarize and enhance take a sampling path, a
-function ``(flow, xs, ys, theta, defined, half, bounds) -> (px, py, ok)``
-whose three values each iterate over the 2*half+1 taps in order, giving
-per tap the coordinates (shaped like ``xs``) and whether the tap is kept
-(an array of that shape, or a bool). The kernels loop over
-``zip(*path(...))`` and sum each tap into band-sized accumulators, so no
-(2*half+1)-deep sample array is built. The paths are the straight line
-(``binarize._line_path``, which computes each tap as it is reached) and
-the traced contour (``_trace_batch`` here, whose arrays iterate by row).
-Each entry point below passes the contour path to the shared kernels.
+where the samples come from. A sampling path is a generator
+``(flow, xs, ys, theta, defined, half, bounds)`` yielding ``(o, px, py, ok)``
+once for each tap o in -half..half, in any order: the tap's coordinates
+(shaped like ``xs``) and whether it is kept (an array of that shape, or a
+bool), valid until the next tap is asked for. The taps within k of the seed
+do not depend on ``half`` >= k, so one walk serves both stages.
+``binarize._sample_taps`` stores each tap's sample by o, and the mean and
+the masked blend read them in order -k..k. The paths are the straight line
+(``binarize._line_path``) and the traced contour (``_trace_path`` here).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binarize import BinarizeConfig, BinaryImage, _binarize_image, _binarize_pixel
-from .enhance import EnhanceConfig, _enhance_pixel, _enhance_values
+from .enhance import EnhanceConfig, _enhance_pixel, _sweep
 from .flowfield import FlowField, angles_at
 from .image import GrayImage, Point
 
@@ -38,57 +37,41 @@ class ContourPath:
     seed_index: int
 
 
-def _trace_batch(
-    flow: FlowField,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    theta: np.ndarray,
-    defined: np.ndarray,
-    half_steps: int,
-    bounds: tuple[int, int] | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trace contours for many seeds at once; the contour sampling path.
+def _trace_path(flow: FlowField, xs, ys, theta, defined, half_steps: int, bounds: tuple[int, int] | None):
+    """Trace contours for many seeds at once, one step per tap asked for; the contour sampling path.
 
     ``theta`` and ``defined`` are the seeds' orientations as ``angles_at``
-    gives them. Returns (px, py, ok), each shaped (2*half_steps+1,) +
-    xs.shape; row half_steps is the seed. ok marks points actually reached
-    before an early stop.
+    gives them. Yields the seed, taps +1..+half_steps, then -1..-half_steps;
+    ok marks points actually reached before an early stop.
     """
-    k = half_steps
-    px = np.zeros((2 * k + 1,) + xs.shape)
-    py = np.zeros((2 * k + 1,) + xs.shape)
-    ok = np.zeros((2 * k + 1,) + xs.shape, dtype=bool)
-    px[k] = xs
-    py[k] = ys
-    ok[k] = True
-
+    yield 0, xs, ys, True
     for direction in (+1, -1):
-        cur_x = xs.copy()
-        cur_y = ys.copy()
+        cur_x, cur_y = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
         dir_x = direction * np.cos(theta)
         dir_y = direction * np.sin(theta)
-        alive = defined
-        for step in range(1, k + 1):
+        alive = np.array(defined, dtype=bool)
+        nx, ny = np.empty_like(cur_x), np.empty_like(cur_y)
+        for step in range(1, half_steps + 1):
             if step > 1:
                 th, step_defined = angles_at(flow, cur_x, cur_y)
-                alive = alive & step_defined
+                alive &= step_defined
                 cx = np.cos(th)
                 sy = np.sin(th)
-                sign = np.where(cx * dir_x + sy * dir_y >= 0.0, 1.0, -1.0)
-                dir_x = sign * cx
-                dir_y = sign * sy
-            nx = cur_x + dir_x
-            ny = cur_y + dir_y
+                # turn the local orientation to follow the last step (negating is exact, as * -1 is)
+                dir_x *= cx
+                dir_y *= sy
+                dir_x += dir_y
+                flip = ~(dir_x >= 0.0)
+                dir_x = np.negative(cx, out=cx, where=flip)
+                dir_y = np.negative(sy, out=sy, where=flip)
+            np.add(cur_x, dir_x, out=nx)
+            np.add(cur_y, dir_y, out=ny)
             if bounds is not None:
                 w, h = bounds
-                alive = alive & (nx >= 0.0) & (nx <= w - 1.0) & (ny >= 0.0) & (ny <= h - 1.0)
-            row = k + direction * step
-            px[row] = nx
-            py[row] = ny
-            ok[row] = alive
-            cur_x = np.where(alive, nx, cur_x)
-            cur_y = np.where(alive, ny, cur_y)
-    return px, py, ok
+                alive &= (nx >= 0.0) & (nx <= w - 1.0) & (ny >= 0.0) & (ny <= h - 1.0)
+            yield direction * step, nx, ny, alive
+            np.copyto(cur_x, nx, where=alive)
+            np.copyto(cur_y, ny, where=alive)
 
 
 def trace_contour(
@@ -104,10 +87,10 @@ def trace_contour(
         raise ValueError("half_steps must be >= 1")
     xs = np.array([p[0]], dtype=np.float64)
     ys = np.array([p[1]], dtype=np.float64)
-    px, py, ok = _trace_batch(flow, xs, ys, *angles_at(flow, xs, ys), half_steps, bounds)
-    rows = np.flatnonzero(ok[:, 0])
-    points = [Point(float(px[r, 0]), float(py[r, 0])) for r in rows]
-    seed_index = int(np.searchsorted(rows, half_steps))
+    taps = _trace_path(flow, xs, ys, *angles_at(flow, xs, ys), half_steps, bounds)
+    reached = sorted((o, Point(float(px[0]), float(py[0]))) for o, px, py, ok in taps if np.all(ok))
+    points = [q for _, q in reached]
+    seed_index = [o for o, _ in reached].index(0)
     for a, b, c in zip(points, points[1:], points[2:]):
         # consecutive steps never reverse, by construction
         assert (b.x - a.x) * (c.x - b.x) + (b.y - a.y) * (c.y - b.y) >= -1e-9
@@ -122,7 +105,7 @@ def binarize_pixel_contour(
     The orthogonal mean stays on the straight perpendicular at the seed's
     orientation.
     """
-    return _binarize_pixel(image, p, angles_at(flow, [p[0]], [p[1]]), cfg, _trace_batch, flow)
+    return _binarize_pixel(image, p, angles_at(flow, [p[0]], [p[1]]), cfg, _trace_path, flow)
 
 
 def enhance_pixel_contour(
@@ -132,19 +115,19 @@ def enhance_pixel_contour(
 
     NaN where ``p`` is outside the raster, as for ``enhance_pixel``.
     """
-    return _enhance_pixel(image, binary, p, angles_at(flow, [p[0]], [p[1]]), cfg, _trace_batch, flow)
+    return _enhance_pixel(image, binary, p, angles_at(flow, [p[0]], [p[1]]), cfg, _trace_path, flow)
 
 
 def binarize_image_contour(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None = None) -> BinaryImage:
     """Like binarize_image, but each along-ridge mean follows the contour."""
-    return _binarize_image(image, flow, cfg, _trace_batch)
+    return _binarize_image(image, flow, cfg, _trace_path)
 
 
 def contour_enhance_values(
     image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None = None
 ) -> np.ndarray:
     """Like enhance_values, but each Gaussian runs along the contour."""
-    return _enhance_values(image, binary, flow, cfg, _trace_batch)
+    return _sweep(image, flow, _trace_path, None, cfg or EnhanceConfig(), binary)[1]
 
 
 def enhance_image_contour(

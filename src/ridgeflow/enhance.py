@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binarize import BinaryImage, _line_path
-from .flowfield import FlowField, angles_at, check_flow_grid
+from .binarize import BinarizeConfig, BinaryImage, _check_inputs, _is_ridge, _line_path, _nearest, _sample_taps
+from .flowfield import FlowField, angles_at
 from .image import GrayImage, Point, bilinear_many, row_bands
 
 
@@ -48,36 +48,18 @@ def gaussian_kernel(sigma: float, half_length: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _nearest(coords, size: int) -> np.ndarray:
-    """Index of the nearest pixel along one axis, clamped into [0, size - 1].
-
-    The clamp comes before the cast, so a NaN maps to 0 without an
-    invalid-cast warning.
-    """
-    c = np.add(coords, 0.5)
-    np.floor(c, out=c)
-    return np.fmin(np.fmax(c, 0.0, out=c), size - 1.0, out=c).astype(np.intp)
-
-
-def _masked_blend(
-    img: np.ndarray, bits: np.ndarray, path, flow, xs, ys, theta, defined, cfg: EnhanceConfig
-) -> np.ndarray:
-    """Gaussian-weighted mean over the samples of ``path`` that share the seed's class, tap by tap."""
-    h, w = img.shape
-    k = cfg.kernel_half_length
-    center_x = _nearest(xs, w)
-    center_y = _nearest(ys, h)
-    center_bit = bits[center_y, center_x]
-    num = np.zeros(np.shape(xs))
-    den = np.zeros(np.shape(xs))
-    taps = zip(*path(flow, xs, ys, theta, defined, k, (w, h)))
-    for weight, (px, py, ok) in zip(gaussian_kernel(cfg.gaussian_sigma, k), taps):
-        vals = bilinear_many(img, px, py)
-        # in the raster, and the nearest pixel has the seed's binary class
-        use = ok & ~np.isnan(vals) & (bits[_nearest(py, h), _nearest(px, w)] == center_bit)
-        num += np.where(use, vals, 0.0) * weight
+def _masked_blend(img: np.ndarray, bits: np.ndarray, vals, near, center, weights) -> np.ndarray:
+    """Gaussian-weighted mean of the taps (as ``_sample_taps`` gives them) that share the seed's class,
+    tap by tap in path order; the value at ``center``, each seed's flat nearest-pixel index, where none do."""
+    flat_bits = bits.ravel()
+    center_bit = flat_bits.take(center)
+    num, den = np.zeros(np.shape(center)), np.zeros(np.shape(center))
+    for weight, v, nr in zip(weights, vals, near):
+        # in the raster and kept, and the nearest pixel has the seed's binary class
+        use = ~np.isnan(v) & (flat_bits.take(nr) == center_bit)
+        num += np.where(use, v, 0.0) * weight
         den += np.where(use, weight, 0.0)
-    center_val = img[center_y, center_x]
+    center_val = img.ravel().take(center)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = num / den
     return np.where(den > 0, out, center_val)
@@ -93,13 +75,17 @@ def _enhance_pixel(
     fall back on.
     """
     cfg = cfg or EnhanceConfig()
+    _check_inputs(image, flow, binary)
     img = image.as_float()
-    xs = np.array([p[0]], dtype=np.float64)
-    ys = np.array([p[1]], dtype=np.float64)
+    h, w = img.shape
+    xs, ys = (np.array([c], dtype=np.float64) for c in p)
     sample = bilinear_many(img, xs, ys)
     if math.isnan(sample[0]):
         return math.nan
-    blended = _masked_blend(img, binary.bits, path, flow, xs, ys, *angles, cfg)
+    k = cfg.kernel_half_length
+    vals, near = _sample_taps(img, path, flow, xs, ys, *angles, k, True)
+    center = _nearest(ys, h) * w + _nearest(xs, w)
+    blended = _masked_blend(img, binary.bits, vals, near, center, gaussian_kernel(cfg.gaussian_sigma, k))
     return float(np.where(angles[1], blended, sample)[0])
 
 
@@ -110,31 +96,47 @@ def enhance_pixel(
     return _enhance_pixel(image, binary, p, (np.array([theta]), np.array([True])), cfg, _line_path, None)
 
 
-def _enhance_values(
-    image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None, path
-) -> np.ndarray:
-    """Smooth every pixel along ``path``, in row bands; pass-through where flow is undefined."""
-    cfg = cfg or EnhanceConfig()
-    if (binary.height, binary.width) != (image.height, image.width):
-        raise ValueError(
-            f"binary dimensions {binary.width}x{binary.height} do not match "
-            f"image {image.width}x{image.height}"
-        )
-    check_flow_grid(flow, image.width, image.height)
+def _sweep(image: GrayImage, flow: FlowField, path, bcfg: BinarizeConfig | None, ecfg: EnhanceConfig,
+           binary: BinaryImage | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Bits and enhanced values of every pixel, binarized along ``path`` unless ``binary`` is given.
+
+    Each row band is sampled once, to the larger half length, for both readers. A row is enhanced
+    once the bits up to ke rows below it exist; rows that wait for later bands carry over as copies.
+    """
+    _check_inputs(image, flow, binary)
     img = image.as_float()
+    h, w = img.shape
+    ke = ecfg.kernel_half_length
+    kb, wait = (0, 0) if binary is not None else (bcfg.line_half_length, ke)
+    k = max(kb, ke)
+    weights = gaussian_kernel(ecfg.gaussian_sigma, ke)
+    bits = np.empty((h, w), dtype=np.uint8) if binary is None else binary.bits
     out = np.empty_like(img)
-    for rows, X, Y in row_bands(image.width, image.height):
+    pending, table = [], None  # pending: (first row, taps, nearest, defined) of rows not yet enhanced
+    for rows, X, Y in row_bands(w, h):
         theta, defined = angles_at(flow, X, Y)
-        blended = _masked_blend(img, binary.bits, path, flow, X, Y, theta, defined, cfg)
-        out[rows] = np.where(defined, blended, img[rows])
-    return out
+        vals, near = table = _sample_taps(img, path, flow, X, Y, theta, defined, k, True, table)
+        if binary is None:
+            bits[rows] = ~_is_ridge(img, vals[k - kb : k + kb + 1], X, Y, theta, defined, kb)
+        ready = h if rows.stop == h else rows.stop - wait
+        pending.append((rows.start, vals[k - ke : k + ke + 1], near[k - ke : k + ke + 1], defined))
+        for _ in range(len(pending)):  # popped one at a time, so each copy goes once spent
+            y0, v, nr, d = pending.pop(0)
+            n = min(max(ready - y0, 0), len(d))
+            if n:
+                center = np.arange(y0 * w, (y0 + n) * w).reshape(n, w)
+                blended = _masked_blend(img, bits, v[:, :n], nr[:, :n], center, weights)
+                out[y0 : y0 + n] = np.where(d[:n], blended, img[y0 : y0 + n])
+            if n < len(d):
+                pending.append((y0 + n, v[:, n:].copy(), nr[:, n:].copy(), d[n:]))
+    return bits, out
 
 
 def enhance_values(
     image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None = None
 ) -> np.ndarray:
     """Full-image smoothing before rounding; pass-through where flow is undefined."""
-    return _enhance_values(image, binary, flow, cfg, _line_path)
+    return _sweep(image, flow, _line_path, None, cfg or EnhanceConfig(), binary)[1]
 
 
 def enhance_image(

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .binarize import BinarizeConfig, binarize_image
-from .contour import binarize_image_contour, enhance_image_contour
-from .enhance import EnhanceConfig, enhance_image
+from .binarize import BinarizeConfig, _line_path
+from .contour import _trace_path
+from .enhance import EnhanceConfig, _sweep
 from .flowfield import FlowField, angular_distance, check_flow_grid, interior_site_mask
 from .gradient import check_window, compute_flow_field_gradient
 from .image import BinaryImage, GrayImage
@@ -86,16 +86,12 @@ def _flow_for(image: GrayImage, cfg: PipelineConfig) -> FlowField:
 
 
 def run_iteration(image: GrayImage, cfg: PipelineConfig | None = None) -> tuple[FlowField, BinaryImage, GrayImage]:
-    """One pass: flow, then binarize with it, then enhance the input image."""
+    """One pass: flow, then binarize with it and enhance the input image, in one shared sweep."""
     cfg = cfg or PipelineConfig()
     flow = _flow_for(image, cfg)
-    if cfg.path_mode == "contour":
-        binary = binarize_image_contour(image, flow, cfg.binarize)
-        enhanced = enhance_image_contour(image, binary, flow, cfg.enhance)
-    else:
-        binary = binarize_image(image, flow, cfg.binarize)
-        enhanced = enhance_image(image, binary, flow, cfg.enhance)
-    return flow, binary, enhanced
+    path = _trace_path if cfg.path_mode == "contour" else _line_path
+    bits, values = _sweep(image, flow, path, cfg.binarize, cfg.enhance)
+    return flow, BinaryImage(bits), GrayImage.from_float(values)
 
 
 def run_pipeline(image: GrayImage, cfg: PipelineConfig | None = None) -> PipelineResult:

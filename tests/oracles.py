@@ -12,7 +12,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 import ridgeflow as rf
-from ridgeflow.enhance import _nearest, gaussian_kernel
+from ridgeflow.binarize import _nearest
+from ridgeflow.enhance import gaussian_kernel
+from ridgeflow.flowfield import FlowField, angles_at
 from ridgeflow.gradient import GradientField, _window_weights
 from ridgeflow.image import GrayImage, Point, band_rows, bilinear_many, rotate_raster
 from ridgeflow.projection import (
@@ -391,8 +393,9 @@ def reference_angles_at(flow: rf.FlowField, xs, ys) -> tuple[np.ndarray, np.ndar
 # The whole-array directional kernels of ``binarize`` and ``enhance``, as they
 # were before the kernels summed one tap at a time: each gathers all 2k+1
 # taps at once and reduces over the leading axis. They take paths that
-# return whole (2k+1,) + xs.shape arrays: ``reference_line_path`` here or
-# ``contour._trace_batch``.
+# return whole (2k+1,) + xs.shape arrays: ``reference_line_path`` or
+# ``reference_trace_batch`` here, the contour path as it was before it was
+# traced lazily.
 
 
 def reference_line_path(flow, xs, ys, theta, defined, half: int, bounds):
@@ -403,6 +406,59 @@ def reference_line_path(flow, xs, ys, theta, defined, half: int, bounds):
     offs = np.arange(-half, half + 1, dtype=np.float64)
     offs = offs.reshape((offs.size,) + (1,) * np.ndim(xs))
     return xs + offs * np.cos(theta), ys + offs * np.sin(theta), True
+
+
+def reference_trace_batch(
+    flow: FlowField,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    theta: np.ndarray,
+    defined: np.ndarray,
+    half_steps: int,
+    bounds: tuple[int, int] | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trace contours for many seeds at once; the contour sampling path.
+
+    ``theta`` and ``defined`` are the seeds' orientations as ``angles_at``
+    gives them. Returns (px, py, ok), each shaped (2*half_steps+1,) +
+    xs.shape; row half_steps is the seed. ok marks points actually reached
+    before an early stop.
+    """
+    k = half_steps
+    px = np.zeros((2 * k + 1,) + xs.shape)
+    py = np.zeros((2 * k + 1,) + xs.shape)
+    ok = np.zeros((2 * k + 1,) + xs.shape, dtype=bool)
+    px[k] = xs
+    py[k] = ys
+    ok[k] = True
+
+    for direction in (+1, -1):
+        cur_x = xs.copy()
+        cur_y = ys.copy()
+        dir_x = direction * np.cos(theta)
+        dir_y = direction * np.sin(theta)
+        alive = defined
+        for step in range(1, k + 1):
+            if step > 1:
+                th, step_defined = angles_at(flow, cur_x, cur_y)
+                alive = alive & step_defined
+                cx = np.cos(th)
+                sy = np.sin(th)
+                sign = np.where(cx * dir_x + sy * dir_y >= 0.0, 1.0, -1.0)
+                dir_x = sign * cx
+                dir_y = sign * sy
+            nx = cur_x + dir_x
+            ny = cur_y + dir_y
+            if bounds is not None:
+                w, h = bounds
+                alive = alive & (nx >= 0.0) & (nx <= w - 1.0) & (ny >= 0.0) & (ny <= h - 1.0)
+            row = k + direction * step
+            px[row] = nx
+            py[row] = ny
+            ok[row] = alive
+            cur_x = np.where(alive, nx, cur_x)
+            cur_y = np.where(alive, ny, cur_y)
+    return px, py, ok
 
 
 def reference_path_mean(img: np.ndarray, path, flow, xs, ys, theta, defined, half: int) -> np.ndarray:

@@ -3,10 +3,11 @@
 Run from the repository root with ``PYTHONPATH=src python tests/output_digest.py``
 on two checkouts and compare the printed digests. It covers, for the three
 synthetic patterns at two sizes and grid strides 1-3: the synthetic image and
-its truth flow, both flow methods, both pipeline paths, the flow CSV bytes,
-the comparison CSV and summary lines with and without truth, and the interior
-site mask; then the files and standard output of a set of CLI runs. There is
-no golden value: float bytes may differ across platforms and library builds.
+its truth flow, both flow methods, both pipeline paths at three settings of
+the binarize and enhance half lengths, the flow CSV bytes, the comparison CSV
+and summary lines with and without truth, and the interior site mask; then
+the files and standard output of a set of CLI runs. There is no golden
+value: float bytes may differ across platforms and library builds.
 pytest does not collect this file.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +26,9 @@ from ridgeflow.cli import run_cli
 
 SIZES = ((48, 51), (67, 64))
 STRIDES = (1, 2, 3)
+# (binarize, enhance half lengths, Gaussian sigma): the defaults, then the
+# binarize half longer than the enhance half, and both short
+HALF_LENGTHS = ((4, 9, 3.0), (6, 4, 2.0), (1, 2, 1.0))
 PATTERNS = ("parallel", "concentric", "half_plane_stripe")
 
 
@@ -49,8 +54,10 @@ def _library(h, tmp: Path) -> None:
                 proj = rf.compute_flow_field(image, cfg.flow)
                 _flow(h, proj)
                 _flow(h, rf.compute_flow_field_gradient(image, cfg.flow))
-                for path in ("linear", "contour"):
-                    for rec in rf.run_pipeline(image, replace(cfg, path_mode=path)).records:
+                for (kb, ke, sigma), path in itertools.product(HALF_LENGTHS, ("linear", "contour")):
+                    run_cfg = replace(cfg, path_mode=path, binarize=rf.BinarizeConfig(kb),
+                                      enhance=rf.EnhanceConfig(gaussian_sigma=sigma, kernel_half_length=ke))
+                    for rec in rf.run_pipeline(image, run_cfg).records:
                         _flow(h, rec.flow)
                         h.update(rec.binary.bits.tobytes())
                         h.update(rec.enhanced.pixels.tobytes())
@@ -78,6 +85,8 @@ def _cli(h, tmp: Path) -> None:
         ["enhance", "in.pgm", "--out", "enh_contour.pgm", "--path", "contour"],
         ["pipeline", "in.pgm", "--out-prefix", "lin/"],
         ["pipeline", "in.pgm", "--out-prefix", "con/", "--path", "contour", "--iterations", "1"],
+        ["pipeline", "in.pgm", "--out-prefix", "con_halves/", "--path", "contour", "--bin-half", "6",
+         "--kernel-half", "4", "--sigma", "2"],
         ["compare", "in.pgm", "--truth", "truth.csv", "--out", "cmp.csv", "--interior-margin", "8"],
         ["compare", "in.pgm"],
         ["viz", "in.pgm", "--out", "viz.svg"],

@@ -7,6 +7,7 @@ import ridgeflow as rf
 import ridgeflow.binarize as rbinarize
 import ridgeflow.contour as rcontour
 import ridgeflow.enhance as renhance
+import ridgeflow.pipeline as rpipeline
 
 from oracles import LineSegment, inner_pixel_mask, line_points, manual_bilinear
 
@@ -155,29 +156,53 @@ class TestContourOps:
         assert rf.enhance_pixel_contour(img, ones, p, flow, cfg) == 0.0
         assert rf.contour_enhance_values(img, ones, flow, cfg)[8, 4] == 0.0
 
+    @staticmethod
+    def _run_counting(monkeypatch, name, stage):
+        """Points per pixel that ``stage`` passes to ``name`` on a 64x64 image."""
+        spec = rf.SyntheticSpec(width=64, height=64, pattern="concentric", period=8.0)
+        img, flow = rf.generate(spec)
+        binary = rf.binarize_image(img, flow)
+        real = getattr(rbinarize, name)
+        points = []
+
+        def counting(*args):
+            points.append(np.size(args[1]))  # the xs of (flow or raster, xs, ys)
+            return real(*args)
+
+        # every module that might call it; one that does not bind it gains an unused name
+        for module in (rbinarize, renhance, rcontour, rpipeline):
+            monkeypatch.setattr(module, name, counting, raising=False)
+        if stage.endswith("iteration"):
+            # the iteration stage after the flow: binarize and enhance
+            monkeypatch.setattr(rpipeline, "_flow_for", lambda image, cfg: flow)
+            rf.run_iteration(img, rf.PipelineConfig(path_mode=stage.split()[0]))
+        elif stage in ("binarize_image", "binarize_image_contour"):
+            getattr(rf, stage)(img, flow)
+        else:
+            getattr(rf, stage)(img, binary, flow)
+        return sum(points) / (64 * 64)
+
     @pytest.mark.parametrize("stage, lookups_per_pixel", [
         ("binarize_image", 1),
         ("enhance_values", 1),
         ("binarize_image_contour", 7),  # the seed, then 2 * (4 - 1) steps
         ("contour_enhance_values", 17),  # the seed, then 2 * (9 - 1) steps
+        ("linear iteration", 1),  # binarize and enhance share each band's lookup
+        ("contour iteration", 17),  # one trace to max(4, 9) serves both
     ])
     def test_orientation_lookups_per_pixel(self, monkeypatch, stage, lookups_per_pixel):
-        spec = rf.SyntheticSpec(width=64, height=64, pattern="concentric", period=8.0)
-        img, flow = rf.generate(spec)
-        binary = rf.binarize_image(img, flow)
-        points = []
+        assert self._run_counting(monkeypatch, "angles_at", stage) == lookups_per_pixel
 
-        def counting_angles_at(flow, xs, ys):
-            points.append(np.size(xs))
-            return rf.angles_at(flow, xs, ys)
-
-        for module in (rbinarize, renhance, rcontour):
-            monkeypatch.setattr(module, "angles_at", counting_angles_at)
-        if stage in ("binarize_image", "binarize_image_contour"):
-            getattr(rf, stage)(img, flow)
-        else:
-            getattr(rf, stage)(img, binary, flow)
-        assert sum(points) == lookups_per_pixel * 64 * 64
+    @pytest.mark.parametrize("stage, samples_per_pixel", [
+        ("binarize_image", 18),  # 2 * 4 + 1 along and as many across
+        ("enhance_values", 19),  # 2 * 9 + 1 along
+        ("binarize_image_contour", 18),
+        ("contour_enhance_values", 19),
+        ("linear iteration", 28),  # the along taps are shared: 19 + 9 across
+        ("contour iteration", 28),
+    ])
+    def test_bilinear_samples_per_pixel(self, monkeypatch, stage, samples_per_pixel):
+        assert self._run_counting(monkeypatch, "bilinear_many", stage) == samples_per_pixel
 
     def test_contour_enhancement_close_to_linear_on_straight_ridges(self):
         spec = rf.SyntheticSpec(width=128, height=128, pattern="parallel",

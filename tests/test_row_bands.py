@@ -9,6 +9,7 @@ import pytest
 
 import ridgeflow as rf
 import ridgeflow.image as rimage
+import ridgeflow.pipeline as rpipeline
 import ridgeflow.projection as rproj
 
 from oracles import reference_mean_deviation_map
@@ -146,6 +147,17 @@ class TestBoundedMemory:
         peak = self._peak_mib(lambda: rf.contour_enhance_values(img, binary, flow))
         assert peak < self.ENHANCE_256_CEILING_MIB
 
+    # One sweep binarizes and enhances along the contour, to max(4, 9) taps
+    # each way: 5.49 MiB at 256x256 with the truth flow, where binarize_image_contour
+    # then contour_enhance_values peaked at 5.82 MiB. Do not raise it.
+    FUSED_CONTOUR_256_CEILING_MIB = 6.0
+
+    def test_fused_contour_iteration_peak_holds_no_tap_gather(self, medium, monkeypatch):
+        img, flow = medium
+        monkeypatch.setattr(rpipeline, "_flow_for", lambda image, cfg: flow)
+        peak = self._peak_mib(lambda: rf.run_iteration(img, rf.PipelineConfig(path_mode="contour")))
+        assert peak < self.FUSED_CONTOUR_256_CEILING_MIB
+
     def test_binarize_peak_holds_no_tap_gather(self, large):
         img, flow = large
         peak = self._peak_mib(lambda: rf.binarize_image(img, flow))
@@ -204,3 +216,38 @@ class TestFlowGridContract:
         rf.binarize_image(rf.GrayImage(np.zeros((7, 10), dtype=np.int64)), flow)
         with pytest.raises(ValueError, match=r"which needs a 4x4 grid"):
             rf.binarize_image(rf.GrayImage(np.zeros((10, 10), dtype=np.int64)), flow)
+
+
+class TestPixelEntryContract:
+    """The single-pixel entry points check their inputs as the image stages do."""
+
+    @staticmethod
+    def _flow(size):
+        """A uniform flow on the stride-2 grid of a size x size image."""
+        g = (size + 1) // 2
+        return rf.FlowField(np.full((g, g), 0.5), np.ones((g, g), dtype=bool), 2)
+
+    @pytest.mark.parametrize("entry, binary_size, flow_size", [
+        ("enhance_pixel", 16, 32),  # an IndexError before
+        ("enhance_pixel_contour", 16, 32),  # an IndexError before
+        ("enhance_pixel", 40, 32),  # a value before
+        ("enhance_pixel_contour", 40, 32),  # a value before
+        ("binarize_pixel_contour", 32, 16),  # a value before
+        ("enhance_pixel_contour", 32, 16),  # a value before
+    ])
+    def test_mismatched_input_is_a_value_error(self, entry, binary_size, flow_size):
+        if binary_size != 32:
+            message = f"binary dimensions {binary_size}x{binary_size} do not match image 32x32"
+        else:
+            message = r"flow grid 8x8 .* image 32x32, which needs a 16x16 grid"
+        image, _ = rf.generate(rf.SyntheticSpec(width=32, height=32, pattern="parallel", rng_seed=1))
+        binary = rf.BinaryImage(np.ones((binary_size, binary_size), dtype=np.int64))
+        flow = self._flow(flow_size)
+        p = rf.Point(20.0, 20.0)
+        calls = {
+            "enhance_pixel": lambda: rf.enhance_pixel(image, binary, p, 0.5),
+            "enhance_pixel_contour": lambda: rf.enhance_pixel_contour(image, binary, p, flow),
+            "binarize_pixel_contour": lambda: rf.binarize_pixel_contour(image, p, flow),
+        }
+        with pytest.raises(ValueError, match=message):
+            calls[entry]()

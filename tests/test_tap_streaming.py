@@ -1,10 +1,14 @@
 """The tap-streamed binarize and enhance kernels against their whole-array references.
 
-``binarize._path_mean`` and ``enhance._masked_blend`` add each tap's terms
-into accumulators shaped like the query points, in tap order. The
-references in ``oracles`` gather all 2k+1 taps at once and reduce over the
-leading axis, which numpy sums in the same order for two or more query
-points, so the results must agree byte for byte, NaNs included.
+``binarize._sample_taps`` samples each tap of a path once into a tap
+table; ``binarize._tap_mean`` and ``enhance._masked_blend`` read the table
+and add each tap's terms into accumulators shaped like the query points, in
+tap order. The references in ``oracles`` gather all 2k+1 taps at once and
+reduce over the leading axis, which numpy sums in the same order for two or
+more query points, so the results must agree byte for byte, NaNs included.
+The contour path is checked against ``reference_trace_batch``, the whole
+trace as it was before it was traced lazily, and the fused iteration, which
+binarizes and enhances in one band sweep, against the references composed.
 
 For one query point numpy reduces the single column pairwise instead, so
 the single-pixel entry points are checked against the references
@@ -15,19 +19,22 @@ the image stages give at the same point.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridgeflow as rf
-from ridgeflow.binarize import _TIE_EPS, _line_path, _path_mean
-from ridgeflow.contour import _trace_batch
+import ridgeflow.image as rimage
+import ridgeflow.pipeline as rpipeline
+from ridgeflow.binarize import _TIE_EPS, _line_path, _nearest, _sample_taps, _tap_mean
+from ridgeflow.contour import _trace_path
 from ridgeflow.enhance import _masked_blend
 from ridgeflow.flowfield import _grid_sites
 
-from oracles import reference_line_path, reference_masked_blend, reference_path_mean
+from oracles import reference_line_path, reference_masked_blend, reference_path_mean, reference_trace_batch
 
 # (streamed path, the same path as the references take it)
-PATHS = {"line": (_line_path, reference_line_path), "contour": (_trace_batch, _trace_batch)}
+PATHS = {"line": (_line_path, reference_line_path), "contour": (_trace_path, reference_trace_batch)}
 
 _case_args = dict(
     seed=st.integers(0, 2**32 - 1),
@@ -76,7 +83,8 @@ def test_path_mean_matches_reference(seed, width, height, stride, valid_frac, ha
     if orthogonal:  # as ``_is_ridge`` asks for the orthogonal mean
         theta = theta + math.pi / 2.0
     streamed, reference = PATHS[path]
-    got = _path_mean(img, streamed, flow, xs, ys, theta, defined, half)
+    taps, _ = _sample_taps(img, streamed, flow, xs, ys, theta, defined, half, True)
+    got = _tap_mean(taps, xs.shape)
     want = reference_path_mean(img, reference, flow, xs, ys, theta, defined, half)
     assert got.shape == xs.shape
     assert np.array_equal(got, want, equal_nan=True)
@@ -90,7 +98,9 @@ def test_masked_blend_matches_reference(seed, width, height, stride, valid_frac,
     bits = rng.integers(0, 2, img.shape).astype(np.uint8)
     cfg = rf.EnhanceConfig(gaussian_sigma=sigma_frac * half / 2.0, kernel_half_length=half)
     streamed, reference = PATHS[path]
-    got = _masked_blend(img, bits, streamed, flow, xs, ys, theta, defined, cfg)
+    taps, near = _sample_taps(img, streamed, flow, xs, ys, theta, defined, half, True)
+    center = _nearest(ys, img.shape[0]) * img.shape[1] + _nearest(xs, img.shape[1])
+    got = _masked_blend(img, bits, taps, near, center, rf.gaussian_kernel(cfg.gaussian_sigma, half))
     want = reference_masked_blend(img, bits, reference, flow, xs, ys, theta, defined, cfg)
     assert got.shape == xs.shape
     assert np.array_equal(got, want, equal_nan=True)
@@ -98,10 +108,14 @@ def test_masked_blend_matches_reference(seed, width, height, stride, valid_frac,
 
 def _reference_bit(img, path, flow, xs, ys, theta, defined, half):
     """The bit of the first point, from the reference means, as ``binarize._is_ridge`` decides it."""
+    return 1 - int(_reference_ridge(img, path, flow, xs, ys, theta, defined, half)[0])
+
+
+def _reference_ridge(img, path, flow, xs, ys, theta, defined, half):
+    """Ridge mask from the reference means, as ``binarize._is_ridge`` decides it."""
     g = reference_path_mean(img, path, flow, xs, ys, theta, defined, half)
     h = reference_path_mean(img, reference_line_path, flow, xs, ys, theta + math.pi / 2.0, defined, half)
-    ridge = defined & ~np.isnan(g) & ~np.isnan(h) & (g < h - _TIE_EPS)
-    return 0 if ridge[0] else 1
+    return defined & ~np.isnan(g) & ~np.isnan(h) & (g < h - _TIE_EPS)
 
 
 @settings(max_examples=80, deadline=None)
@@ -137,7 +151,7 @@ def test_single_pixel_entry_points_match_reference(seed, width, height, stride, 
 
     assert rf.binarize_pixel(image, p, theta) == _reference_bit(img, reference_line_path, None, xs, ys,
                                                                  *given_theta, half)
-    assert rf.binarize_pixel_contour(image, p, flow) == _reference_bit(img, _trace_batch, flow, xs, ys,
+    assert rf.binarize_pixel_contour(image, p, flow) == _reference_bit(img, reference_trace_batch, flow, xs, ys,
                                                                         *flow_theta, half)
 
     got = rf.enhance_pixel(image, binary, p, theta)
@@ -145,7 +159,7 @@ def test_single_pixel_entry_points_match_reference(seed, width, height, stride, 
     assert np.array_equal(got, math.nan if sample is None else want, equal_nan=True)
 
     got = rf.enhance_pixel_contour(image, binary, p, flow)
-    want = reference_masked_blend(img, binary.bits, _trace_batch, flow, xs, ys, *flow_theta, ecfg)[0]
+    want = reference_masked_blend(img, binary.bits, reference_trace_batch, flow, xs, ys, *flow_theta, ecfg)[0]
     if not flow_theta[1][0]:
         want = sample
     assert np.array_equal(got, math.nan if sample is None else want, equal_nan=True)
@@ -168,3 +182,47 @@ def test_single_pixel_entry_points_equal_the_image_stages():
         assert rf.binarize_pixel_contour(image, p, flow) == contour_binary.bits[y, x]
         assert rf.enhance_pixel(image, binary, p, theta[y, x]) == enhanced[y, x]
         assert rf.enhance_pixel_contour(image, contour_binary, p, flow) == contour_enhanced[y, x]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(2, 16),
+    height=st.integers(2, 16),
+    stride=st.integers(1, 3),
+    valid_frac=st.floats(0.0, 1.0),
+    kb=st.integers(1, 9),
+    ke=st.integers(1, 9),
+    sigma_frac=st.floats(0.05, 1.0),
+    band_rows=st.integers(1, 4),
+    path=st.sampled_from(sorted(PATHS)),
+)
+def test_fused_iteration_matches_the_references_composed(seed, width, height, stride, valid_frac, kb, ke,
+                                                         sigma_frac, band_rows, path):
+    """One band sweep gives the reference bits, then the reference blend over those bits.
+
+    Bands of a few rows make enhance wait for bits across several bands.
+    """
+    rng = np.random.default_rng(seed)
+    image = rf.GrayImage(rng.integers(0, 256, (height, width)))
+    img = image.as_float()
+    flow = _flow(rng, width, height, stride, valid_frac)
+    cfg = rf.PipelineConfig(path_mode="contour" if path == "contour" else "linear",
+                            binarize=rf.BinarizeConfig(kb),
+                            enhance=rf.EnhanceConfig(gaussian_sigma=sigma_frac * ke / 2.0, kernel_half_length=ke))
+    ys, xs = (a.astype(np.float64) for a in np.mgrid[0:height, 0:width])
+    theta, defined = rf.angles_at(flow, xs, ys)
+    reference = PATHS[path][1]
+    bits = (~_reference_ridge(img, reference, flow, xs, ys, theta, defined, kb)).astype(np.uint8)
+    blend = reference_masked_blend(img, bits, reference, flow, xs, ys, theta, defined, cfg.enhance)
+    want = np.where(defined, blend, img)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rimage, "BAND_PIXELS", band_rows * width)
+        mp.setattr(rpipeline, "_flow_for", lambda image, cfg: flow)
+        _, binary, enhanced = rf.run_iteration(image, cfg)
+        stage = rf.contour_enhance_values if path == "contour" else rf.enhance_values
+        alone = stage(image, binary, flow, cfg.enhance)
+    assert np.array_equal(binary.bits, bits)
+    assert enhanced.pixels.tobytes() == rf.GrayImage.from_float(want).pixels.tobytes()
+    assert alone.tobytes() == want.tobytes()
