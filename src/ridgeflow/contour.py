@@ -45,30 +45,37 @@ def _trace_path(flow: FlowField, xs, ys, theta, defined, half_steps: int, bounds
     ok marks points actually reached before an early stop.
     """
     yield 0, xs, ys, True
+    cur_x, cur_y = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
+    # the per-step buffers, reused by every step; (dir_x, dir_y) and (cx, sy) swap after each turn
+    nx, ny, dir_x, dir_y, cx, sy = (np.empty_like(cur_x) for _ in range(6))
+    alive, mask = np.empty(cur_x.shape, dtype=bool), np.empty(cur_x.shape, dtype=bool)
     for direction in (+1, -1):
-        cur_x, cur_y = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
-        dir_x = direction * np.cos(theta)
-        dir_y = direction * np.sin(theta)
-        alive = np.array(defined, dtype=bool)
-        nx, ny = np.empty_like(cur_x), np.empty_like(cur_y)
+        np.copyto(cur_x, xs)
+        np.copyto(cur_y, ys)
+        np.multiply(np.cos(theta, out=dir_x), direction, out=dir_x)
+        np.multiply(np.sin(theta, out=dir_y), direction, out=dir_y)
+        np.copyto(alive, defined)
         for step in range(1, half_steps + 1):
             if step > 1:
                 th, step_defined = angles_at(flow, cur_x, cur_y)
                 alive &= step_defined
-                cx = np.cos(th)
-                sy = np.sin(th)
+                np.cos(th, out=cx)
+                np.sin(th, out=sy)
                 # turn the local orientation to follow the last step (negating is exact, as * -1 is)
                 dir_x *= cx
                 dir_y *= sy
                 dir_x += dir_y
-                flip = ~(dir_x >= 0.0)
-                dir_x = np.negative(cx, out=cx, where=flip)
-                dir_y = np.negative(sy, out=sy, where=flip)
+                flip = np.logical_not(np.greater_equal(dir_x, 0.0, out=mask), out=mask)
+                np.negative(cx, out=cx, where=flip)
+                np.negative(sy, out=sy, where=flip)
+                dir_x, dir_y, cx, sy = cx, sy, dir_x, dir_y
             np.add(cur_x, dir_x, out=nx)
             np.add(cur_y, dir_y, out=ny)
             if bounds is not None:
                 w, h = bounds
-                alive &= (nx >= 0.0) & (nx <= w - 1.0) & (ny >= 0.0) & (ny <= h - 1.0)
+                for c, hi in ((nx, w - 1.0), (ny, h - 1.0)):
+                    alive &= np.greater_equal(c, 0.0, out=mask)
+                    alive &= np.less_equal(c, hi, out=mask)
             yield direction * step, nx, ny, alive
             np.copyto(cur_x, nx, where=alive)
             np.copyto(cur_y, ny, where=alive)

@@ -114,6 +114,13 @@ def angles_at(flow: FlowField, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     bilinear weights renormalized over valid sites, then the angle of the
     blend is halved. Returns (angles, defined); angle is 0 where undefined,
     which includes every non-finite point.
+
+    The blend n is defined where |n| >= 1e-6, tested as nx^2 + ny^2 >= 1e-12;
+    where the squared norm is within rounding of 1e-12, ``hypot`` decides.
+    The halved angle lies in [-pi/2, pi/2], where ``fmod`` is exact, so its
+    value mod pi is the angle plus pi below zero and the angle otherwise; a
+    sum that rounds to pi is 0. Both give the bytes of the ``hypot`` and
+    ``mod`` they replace.
     """
     row, valid, cos2, sin2 = _site_table(flow)
     shape = np.shape(xs)
@@ -154,13 +161,23 @@ def angles_at(flow: FlowField, xs, ys) -> tuple[np.ndarray, np.ndarray]:
             vy += np.multiply(w, sin2[off:].take(corner, out=t, mode="clip"), out=t)
             wsum += w
 
-        nx = vx / wsum
-        ny = vy / wsum
-    defined = (wsum > 0.0) & (np.hypot(np.where(wsum > 0, nx, 0.0), np.where(wsum > 0, ny, 0.0)) >= 1e-6)
-    theta = np.where(defined, 0.5 * np.arctan2(np.where(defined, ny, 0.0), np.where(defined, nx, 1.0)), 0.0)
-    theta = np.where(defined, np.mod(theta, math.pi), 0.0)
-    # guard against mod returning pi for angles a hair below zero
-    theta = np.where(theta >= math.pi, 0.0, theta)
+        # (nx, ny), in place; NaN where wsum is 0 or NaN, so every test below is false there
+        nx = np.divide(vx, wsum, out=vx)
+        ny = np.divide(vy, wsum, out=vy)
+        # rounding can put the squared norm on the other side of 1e-12 from
+        # hypot, so hypot decides near it; subtracting 1e-12 keeps the sign exact
+        r2 = np.multiply(nx, nx, out=w)
+        r2 += np.multiply(ny, ny, out=t)
+        r2 -= 1e-12
+        defined = r2 >= 0.0
+        near = np.abs(r2, out=r2) <= 1e-21
+        if near.any():
+            defined[near] = np.hypot(nx[near], ny[near]) >= 1e-6
+        theta = np.arctan2(ny, nx, out=t)
+        theta *= 0.5
+        # mod(theta, pi); -0.0 and angles a hair below zero give pi, which is 0
+        np.add(theta, math.pi, out=theta, where=np.signbit(theta))
+        np.copyto(theta, 0.0, where=~defined | (theta >= math.pi))
     return theta.reshape(shape), defined.reshape(shape)
 
 

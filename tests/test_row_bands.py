@@ -107,10 +107,18 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
 
+    @staticmethod
+    def _with_site_table(generated):
+        # ``angles_at`` builds a flow's site table on its first call and keeps
+        # it; build it here, so no peak depends on which test ran first
+        img, flow = generated
+        rf.angles_at(flow, 0.0, 0.0)
+        return img, flow
+
     @pytest.fixture(scope="class")
     def large(self):
-        return rf.generate(rf.SyntheticSpec(width=512, height=512, pattern="concentric",
-                                            noise_sigma=40.0, rng_seed=3))
+        return self._with_site_table(rf.generate(rf.SyntheticSpec(width=512, height=512, pattern="concentric",
+                                                                  noise_sigma=40.0, rng_seed=3)))
 
     def test_binarize_and_enhance_peak_is_bounded(self, large):
         img, flow = large
@@ -132,8 +140,8 @@ class TestBoundedMemory:
 
     @pytest.fixture(scope="class")
     def medium(self):
-        return rf.generate(rf.SyntheticSpec(width=256, height=256, pattern="concentric",
-                                            noise_sigma=40.0, rng_seed=3))
+        return self._with_site_table(rf.generate(rf.SyntheticSpec(width=256, height=256, pattern="concentric",
+                                                                   noise_sigma=40.0, rng_seed=3)))
 
     def test_enhance_peak_holds_no_tap_gather(self, medium):
         img, flow = medium

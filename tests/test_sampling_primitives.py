@@ -1,14 +1,19 @@
 """``angles_at`` and ``bilinear_many`` against their reference copies.
 
-The fast versions read the same values and do the same arithmetic in the
-same order as the references in ``oracles``, so the results must agree bit
-for bit, NaNs included. Neither fast version may warn, for any input.
+The fast versions must give the same bytes as the references in ``oracles``,
+NaNs included. ``bilinear_many`` reads the same values and does the same
+arithmetic in the same order. ``angles_at`` blends the same corners in the
+same order, then takes other steps to the same bytes: a squared-norm test
+that falls back to ``hypot`` within rounding of the threshold, and an exact
+branch in place of ``mod``. Random inputs never reach those edges, so tests
+below build them. Neither fast version may warn, for any input.
 """
 
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,6 +65,77 @@ def test_angles_at_matches_reference(seed, gw, gh, stride, valid_frac):
     assert np.array_equal(defined, want_defined)
     assert np.array_equal(theta, want_theta, equal_nan=True)
     assert not defined.reshape(-1)[40:58].any()
+
+
+def _assert_matches_reference(flow, xs, ys):
+    theta, defined = _no_warnings(rf.angles_at, flow, xs, ys)
+    want_theta, want_defined = reference_angles_at(flow, xs, ys)
+    assert np.array_equal(defined, want_defined)
+    assert theta.tobytes() == want_theta.tobytes()
+    return theta, defined
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3, 0.7854, 1.2, 1.5])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_angles_at_is_exact_where_opposed_sites_cancel(a, side):
+    # two valid sites whose doubled vectors oppose: between them |n| = |1 - 2 fx|,
+    # which is 1e-6 at fx = 1/2 -+ 5e-7; scanned in ulps across that point
+    flow = rf.FlowField(np.array([[a, a + math.pi / 2]]), np.ones((1, 2), dtype=bool), 1)
+    fx0 = 0.5 + side * 5e-7
+    xs = fx0 + np.arange(-2000, 2001) * np.spacing(fx0)
+    _, defined = _assert_matches_reference(flow, xs, np.zeros_like(xs))
+    assert defined.any() and not defined.all()
+
+
+def test_angles_at_is_exact_within_rounding_of_the_norm_threshold():
+    # Cell j is the 2x2 block of sites at columns 2j, 2j+1: an opposed pair on
+    # row 0 leaves |n| a hair under 1e-6 at the query's fx, and a third site
+    # below the first, along the same random direction, adds a fy-sized part.
+    # The crossing fy is found by bisection on the reference, and the scan
+    # around it steps |n| by about 2e-23, so it lands on the values where the
+    # squared norm and hypot disagree.
+    rng = np.random.default_rng(20260)
+    m = 200
+    a = rng.uniform(0.0, math.pi / 2, m)
+    angles = np.zeros((2, 2 * m))
+    angles[0, 0::2] = a
+    angles[0, 1::2] = a + math.pi / 2
+    angles[1, 0::2] = a
+    valid = np.zeros((2, 2 * m), dtype=bool)
+    valid[0] = True
+    valid[1, 0::2] = True
+    flow = rf.FlowField(angles, valid, 1)
+    xs = 2.0 * np.arange(m) + (0.5 - 5e-7 + 1e-12)
+    lo, hi = np.zeros(m), np.full(m, 1e-9)
+    with np.errstate(invalid="ignore"):
+        assert not reference_angles_at(flow, xs, lo)[1].any()
+        assert reference_angles_at(flow, xs, hi)[1].all()
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            d = reference_angles_at(flow, xs, mid)[1]
+            hi, lo = np.where(d, mid, hi), np.where(d, lo, mid)
+    ys = hi[:, None] + np.arange(-64, 65) * 4e-23
+    _, defined = _assert_matches_reference(flow, np.repeat(xs[:, None], ys.shape[1], axis=1), ys)
+    assert defined.any(axis=1).all() and not defined.all(axis=1).any()
+
+
+def test_angles_at_maps_an_angle_a_hair_below_zero_to_zero():
+    # between sites at 0 and one ulp below pi, half the doubled angle is a hair
+    # below zero; mod(theta, pi) rounds it to pi for the points nearer site 0
+    below_pi = np.nextafter(math.pi, 0.0)
+    flow = rf.FlowField(np.array([[0.0, below_pi]]), np.ones((1, 2), dtype=bool), 1)
+    xs = np.linspace(0.0, 1.0, 2001)[1:-1]
+    theta, defined = _assert_matches_reference(flow, xs, np.zeros_like(xs))
+    assert defined.all()
+    assert (theta == 0.0).any() and (theta == below_pi).any()
+
+
+def test_angles_at_is_exact_at_signed_zeros():
+    flow = rf.FlowField(np.array([[-0.0, 0.0], [0.0, -0.0]]), np.ones((2, 2), dtype=bool), 1)
+    q = np.array([0.0, -0.0, 0.5, -0.0, 1.0, 0.0])
+    for ys in (q, q[::-1], np.full_like(q, -0.0)):
+        theta, defined = _assert_matches_reference(flow, q, ys)
+        assert defined.all() and not np.signbit(theta).any()
 
 
 @settings(max_examples=60, deadline=None)
