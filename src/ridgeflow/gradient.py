@@ -5,6 +5,13 @@ borders replicated). The tensor is the Gaussian-weighted sum of gradient
 outer products over a square window; its dominant eigenvector points across
 ridges, so the flow field stores that angle plus pi/2 to be directly
 comparable with the projection method.
+
+The window sums are taken at the stride grid sites only, one product at a
+time, with the operations of a zero-padded ``scipy.ndimage.convolve`` read at
+those sites, so every value has its bytes: each site's sum starts at 0 and
+adds weight times value tap by tap, in row-major order of the flipped
+kernel, skipping every tap whose |weight| is at most the float64 epsilon as
+scipy's footprint does.
 """
 
 from __future__ import annotations
@@ -13,11 +20,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .flowfield import FlowField, _grid_sites
-from .image import GrayImage
+from .image import GrayImage, band_rows
 from .projection import FlowConfig, patch_variance_grid
+
+# Grid sites per band of ``_site_window_sums``.
+_SITE_BAND = 32768
 
 
 @dataclass(eq=False)
@@ -72,6 +81,33 @@ def _window_weights(window_half: int, weight_sigma: float | None) -> np.ndarray:
     return np.exp(-(dx * dx + dy * dy) / (2.0 * weight_sigma * weight_sigma))
 
 
+def _site_window_sums(a: np.ndarray, b: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
+    """Window sums of the product ``a * b`` weighted by the odd square ``kernel`` at the stride grid sites.
+
+    The zero-padded product is split into contiguous stride-phase planes, so
+    each tap reads one plane at a fixed offset; per band of sites every kept
+    tap multiplies its slice by the weight and adds it to the band's sums.
+    """
+    h, w = a.shape
+    c = kernel.shape[0] // 2
+    padded = np.zeros((h + 2 * c, w + 2 * c))
+    np.multiply(a, b, out=padded[c : c + h, c : c + w])
+    planes = [[np.ascontiguousarray(padded[p::stride, q::stride]) for q in range(stride)] for p in range(stride)]
+    del padded
+    eps = np.finfo(np.float64).eps
+    taps = [(i, j, weight) for (i, j), weight in np.ndenumerate(kernel[::-1, ::-1]) if abs(weight) > eps]
+    xs, ys = _grid_sites(w, h, stride)
+    out = np.zeros((ys.size, xs.size))
+    for rows in band_rows(xs.size, ys.size, _SITE_BAND):
+        acc = out[rows]
+        prod = np.empty(acc.shape)
+        for i, j, weight in taps:
+            y0, x0 = rows.start + i // stride, j // stride
+            np.multiply(planes[i % stride][j % stride][y0 : y0 + acc.shape[0], x0 : x0 + xs.size], weight, out=prod)
+            acc += prod
+    return out
+
+
 def compute_flow_field_gradient(
     image: GrayImage,
     cfg: FlowConfig | None = None,
@@ -90,15 +126,10 @@ def compute_flow_field_gradient(
     grad = gradient(image)
     # weights past the image borders only multiply the zero padding
     kernel = _window_weights(min(window_half, max(image.width, image.height) - 1), weight_sigma)
-    j11 = ndimage.convolve(grad.gx * grad.gx, kernel, mode="constant", cval=0.0)
-    j12 = ndimage.convolve(grad.gx * grad.gy, kernel, mode="constant", cval=0.0)
-    j22 = ndimage.convolve(grad.gy * grad.gy, kernel, mode="constant", cval=0.0)
-
-    xs, ys = _grid_sites(image.width, image.height, cfg.stride)
-    sites = np.ix_(ys, xs)
-    a11 = j11[sites]
-    a12 = j12[sites]
-    a22 = j22[sites]
+    a11 = _site_window_sums(grad.gx, grad.gx, kernel, cfg.stride)
+    a12 = _site_window_sums(grad.gx, grad.gy, kernel, cfg.stride)
+    a22 = _site_window_sums(grad.gy, grad.gy, kernel, cfg.stride)
+    del grad  # frees two full-resolution arrays before the patch variance pass
 
     theta = 0.5 * np.arctan2(2.0 * a12, a11 - a22)
     ridge = np.mod(theta + math.pi / 2.0, math.pi)

@@ -158,7 +158,9 @@ def _site_mean_deviations(
         p[0, ia:ib] = rr.valid[ka:kb]
         p[1, ia:ib] = rr.values[ka:kb]
         np.multiply(rr.values[ka:kb], rr.values[ka:kb], out=p[2, ia:ib])
-        np.cumsum(p, axis=1, out=p)
+        # row by row: the sequential sums of np.cumsum(p, axis=1), which is slower along a middle axis
+        for j in range(1, r1 - r0):
+            np.add(p[:, j - 1], p[:, j], out=p[:, j])
         return p
 
     def runs(p: np.ndarray, length: int, n: int) -> np.ndarray:
@@ -276,12 +278,15 @@ def _search_orientations(mean_deviation, px: np.ndarray, py: np.ndarray, cfg: Fl
     # 4k+2 from k and k+1), so each distinct angle is asked for once, on the
     # union of its sites, and each site's value goes to every offset that
     # reached it. An evaluator works per site, so the grouping does not
-    # change any value.
+    # change any value. The distinct angles come from the coarse optima that
+    # some defined site reached: no site-sized sort, and no np.unique, whose
+    # first call imports numpy.ma.
     fine = np.array([[off != 0.0] for off in offsets]) & defined
-    for a in np.unique(cand_alpha[fine]):
+    reached = coarse[np.flatnonzero(np.bincount(best_idx[defined], minlength=len(coarse)))]
+    for a in sorted({float(x) for off in offsets if off != 0.0 for x in np.mod(reached + off, math.pi)}):
         hit = fine & (cand_alpha == a)
         sel = hit.any(axis=0)
-        vals = mean_deviation(float(a), px[sel], py[sel])
+        vals = mean_deviation(a, px[sel], py[sel])
         mu_a = np.full(n_sites, np.inf)
         mu_a[sel] = np.where(np.isnan(vals), np.inf, vals)
         np.copyto(cand_mu, mu_a, where=hit)

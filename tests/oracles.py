@@ -10,11 +10,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import ndimage
 
 import ridgeflow as rf
 from ridgeflow.binarize import _nearest
 from ridgeflow.enhance import gaussian_kernel
-from ridgeflow.flowfield import FlowField, angles_at
+from ridgeflow.flowfield import FlowField, _grid_sites, angles_at
 from ridgeflow.gradient import GradientField, _window_weights
 from ridgeflow.image import GrayImage, Point, band_rows, bilinear_many, rotate_raster
 from ridgeflow.projection import (
@@ -175,7 +176,8 @@ class DirectDeviationEvaluator:
 
 # ---------------------------------------------------------------------------
 # The scalar structure tensor, moved out of ``ridgeflow.gradient``; the
-# reference for the convolved tensors of ``compute_flow_field_gradient``.
+# reference for the window sums of ``compute_flow_field_gradient``, which
+# the scipy convolution below gives byte for byte.
 
 
 @dataclass
@@ -230,6 +232,19 @@ def tensor_orientation(t: StructureTensor) -> tuple[float, float]:
         return theta, 0.0
     spread = math.hypot(t.a11 - t.a22, 2.0 * t.a12)
     return theta, min(spread / trace, 1.0)
+
+
+def reference_site_sums(a: np.ndarray, b: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
+    """``gradient._site_window_sums`` as it used to be computed: a full-resolution
+    zero-padded ``ndimage.convolve`` of ``a * b``, then the stride grid sites picked."""
+    xs, ys = _grid_sites(a.shape[1], a.shape[0], stride)
+    return ndimage.convolve(a * b, kernel, mode="constant", cval=0.0)[np.ix_(ys, xs)]
+
+
+def reference_tensor_sums(grad: GradientField, kernel: np.ndarray, stride: int) -> tuple[np.ndarray, ...]:
+    """The a11, a12 and a22 window sums of ``compute_flow_field_gradient`` at the stride grid sites."""
+    return tuple(reference_site_sums(a, b, kernel, stride)
+                 for a, b in ((grad.gx, grad.gx), (grad.gx, grad.gy), (grad.gy, grad.gy)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import ridgeflow as rf
 from ridgeflow.cli import _pipeline_config, build_parser, run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -283,3 +287,40 @@ class TestReproducibility:
             outs.append(d)
         for name in ("f.csv", "o.svg", "flow_1.csv", "bin_1.pgm", "enh_1.pgm"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+class TestRuntimeDependencies:
+    """numpy is the only runtime dependency: nothing imports scipy, and the
+    run imports no ``numpy.ma``, which costs start-up time and traced memory."""
+
+    @staticmethod
+    def _python(code: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120,
+                              cwd=cwd, env=dict(os.environ, PYTHONPATH=path), check=False)
+
+    def test_a_flow_loads_no_scipy_and_no_masked_arrays(self, tmp_path):
+        code = (
+            "import sys\n"
+            "import ridgeflow, ridgeflow.cli\n"
+            "img, _ = ridgeflow.generate(ridgeflow.SyntheticSpec(width=64, height=64))\n"
+            "ridgeflow.compute_flow_field(img)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
+        )
+        proc = self._python(code, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_gradient_contour_pipeline_runs_with_scipy_blocked(self, sample, tmp_path):
+        img_path, _ = sample
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from ridgeflow.cli import main\n"
+            "main()\n"
+        )
+        proc = self._python(code, "pipeline", str(img_path), "--method", "gradient", "--path", "contour",
+                            "--iterations", "1", "--out-prefix", "run/", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        for name in ("flow_1.csv", "bin_1.pgm", "enh_1.pgm"):
+            assert (tmp_path / "run" / name).stat().st_size > 0, name

@@ -1,13 +1,26 @@
+import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from scipy import ndimage
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ridgeflow as rf
-from ridgeflow.gradient import _window_weights
+from ridgeflow.gradient import _site_window_sums, _window_weights
 
-from oracles import StructureTensor, flow_mae, second_moment_matrix, tensor_orientation
+from oracles import (
+    StructureTensor,
+    flow_mae,
+    reference_site_sums,
+    reference_tensor_sums,
+    second_moment_matrix,
+    tensor_orientation,
+)
+
+# the package's ``gradient`` attribute is the function of that name
+rgradient = importlib.import_module("ridgeflow.gradient")
 
 
 def sinusoid(orientation_deg, size=64):
@@ -156,20 +169,20 @@ class TestGradientFlowField:
         img, _ = rf.generate(rf.SyntheticSpec(width=24, height=20, pattern="concentric", noise_sigma=20.0, rng_seed=3))
         cap = max(img.width, img.height) - 1
         # weights past the borders multiply only the zero padding, so the capped window gives the same bytes
-        convolve = ndimage.convolve
         grad = rf.gradient(img)
-        for product in (grad.gx * grad.gx, grad.gx * grad.gy, grad.gy * grad.gy):
-            capped = convolve(product, _window_weights(cap, weight_sigma), mode="constant", cval=0.0)
-            full = convolve(product, _window_weights(cap + 5, weight_sigma), mode="constant", cval=0.0)
-            assert capped.tobytes() == full.tobytes()
+        for stride in (1, 2):
+            for a, b in ((grad.gx, grad.gx), (grad.gx, grad.gy), (grad.gy, grad.gy)):
+                capped = _site_window_sums(a, b, _window_weights(cap, weight_sigma), stride)
+                full = _site_window_sums(a, b, _window_weights(cap + 5, weight_sigma), stride)
+                assert capped.tobytes() == full.tobytes()
 
         shapes = []
 
-        def recording(values, weights, **kw):
-            shapes.append(weights.shape)
-            return convolve(values, weights, **kw)
+        def recording(a, b, kernel, stride):
+            shapes.append(kernel.shape)
+            return _site_window_sums(a, b, kernel, stride)
 
-        monkeypatch.setattr(ndimage, "convolve", recording)
+        monkeypatch.setattr(rgradient, "_site_window_sums", recording)
         flows = [rf.compute_flow_field_gradient(img, window_half=h, weight_sigma=weight_sigma)
                  for h in (cap, cap + 5, 3 * (cap + 1))]
         assert set(shapes) == {(2 * cap + 1, 2 * cap + 1)}
@@ -216,3 +229,43 @@ class TestGradientFlowField:
         back = rf.load_flow_csv(p)
         assert back.coherence is not None
         assert np.array_equal(back.coherence, flow.coherence.round(6))
+
+
+class TestSiteWindowSums:
+    """The window sums at the grid sites have the bytes of a full-resolution
+    ``ndimage.convolve`` read at those sites."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(height=st.integers(3, 70), width=st.integers(3, 67), stride=st.integers(1, 4),
+           window_half=st.integers(0, 12),
+           weight_sigma=st.one_of(st.none(), st.just(0.3), st.floats(1.0, 30.0)),
+           flat_rows=st.integers(0, 70), seed=st.integers(0, 2**32 - 1))
+    def test_match_the_convolution_at_the_sites(self, height, width, stride, window_half, weight_sigma,
+                                                flat_rows, seed):
+        px = np.random.default_rng(seed).integers(0, 256, size=(height, width))
+        px[:flat_rows] = 128  # zero gradients, where taps at most epsilon would still show
+        img = rf.GrayImage(px)
+        grad = rf.gradient(img)
+        # uncapped: the window may reach past the image on every side
+        kernel = _window_weights(window_half, weight_sigma)
+        got = [_site_window_sums(a, b, kernel, stride) for a, b in ((grad.gx, grad.gx), (grad.gx, grad.gy),
+                                                                     (grad.gy, grad.gy))]
+        assert [g.tobytes() for g in got] == [r.tobytes() for r in reference_tensor_sums(grad, kernel, stride)]
+
+        cfg = rf.FlowConfig(stride=stride)
+        flow = rf.compute_flow_field_gradient(img, cfg, window_half, weight_sigma)
+        with mock.patch.object(rgradient, "_site_window_sums", reference_site_sums):
+            want = rf.compute_flow_field_gradient(img, cfg, window_half, weight_sigma)
+        assert flow.angles.tobytes() == want.angles.tobytes()
+        assert flow.valid.tobytes() == want.valid.tobytes()
+        assert flow.coherence.tobytes() == want.coherence.tobytes()
+
+    @pytest.mark.parametrize("weight, want", [(1e-17, 0.0), (3e-16, 30000.0)])
+    def test_taps_at_most_epsilon_are_skipped_like_scipy(self, weight, want):
+        values = np.zeros((5, 5))
+        values[2, 2] = 1e20
+        kernel = np.zeros((3, 3))
+        kernel[1, 1] = weight
+        got = _site_window_sums(values, np.ones((5, 5)), kernel, 1)
+        assert got.tobytes() == reference_site_sums(values, np.ones((5, 5)), kernel, 1).tobytes()
+        assert got[2, 2] == want
