@@ -7,14 +7,16 @@ with the smallest mean deviation, plus pi/2. Each perpendicular deviation is
 the minimum over the full segment and its two halves, which keeps the
 statistic meaningful where a ridge ends inside the window.
 
-One evaluator computes the statistic: it rotates the image once per
-candidate angle so all segments become axis-aligned runs. It rotates only
-the window of the canvas its queried sites read, and from column prefix
-sums of the rotated values and squared values, streamed one band of rows
-at a time, it builds the mean-deviation map over only the rows the sites
-fall on; each site is then a single lookup into its band of that map. The
-search asks for each distinct candidate angle once, so no map outlives its
-call, and neither the map nor the prefix sums is ever canvas-sized.
+One evaluator computes the statistic: it rotates the image per candidate
+angle so all segments become axis-aligned runs. It reads only the columns
+of the canvas its queried sites read, and rotates their rows one band at a
+time, each row once, straight into column prefix sums of the rotated values
+and squared values; from these it builds the mean-deviation map over only
+the rows the sites fall on, and each site is a single lookup into its band
+of that map. Per angle it holds one band of rotated rows, prefix sums and
+map, never a whole rotated window. The search asks for each distinct
+candidate angle once and keeps only each site's running optimum, so no
+table of angles by sites exists either.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flowfield import FlowField, _grid_sites
-from .image import GrayImage, RotatedRaster, RotationFrame, band_rows, rotate_raster
+from .image import GrayImage, RotationFrame, band_rows, rotate_raster
 
 # Variances below this are floating-point dust from interpolation; treating
 # them as exact zeros keeps argmin ties deterministic on flat regions.
@@ -116,51 +118,60 @@ def _scratch(work: dict[str, np.ndarray], key: str, shape: tuple[int, ...]) -> n
 
 
 def _site_mean_deviations(
-    rr: RotatedRaster, cfg: FlowConfig, row: np.ndarray, col: np.ndarray, work: dict[str, np.ndarray]
+    read_rows, shape: tuple[int, int], cfg: FlowConfig, row: np.ndarray, col: np.ndarray, work: dict[str, np.ndarray]
 ) -> np.ndarray:
-    """Mean deviation at the map sites (``row``, ``col``) of the canvas ``rr``, NaN where undefined.
+    """Mean deviation at the map sites (``row``, ``col``) of a canvas, NaN where undefined.
 
-    Map row r, column c is the site (c - t, r - s) of the canvas, so the map
-    covers every site whose window touches the canvas. Perpendicular spans
-    are vertical runs clipped to the canvas rows, read as row-shifted
-    slices of column prefix sums; the upper half span of a row is the lower
-    half span of the row s below it. The tangent mean adds the 2t+1
-    column-shifted copies of the span deviations in order, columns off the
-    canvas counting as undefined.
+    The canvas has ``shape``, and ``read_rows(a, b)`` returns the (values,
+    valid) of its rows a .. b - 1, values 0.0 where invalid. Map row r,
+    column c is the site (c - t, r - s) of the canvas, so the map covers
+    every site whose window touches the canvas. Perpendicular spans are
+    vertical runs clipped to the canvas rows, read as row-shifted slices of
+    column prefix sums; the upper half span of a row is the lower half span
+    of the row s below it. The tangent mean adds the 2t+1 column-shifted
+    copies of the span deviations in order, columns off the canvas counting
+    as undefined.
 
     The map is built in bands of rows, only where a site falls, each band
     trimmed to its first..last site row, and each band's sites are read
-    from it. The prefix sums are streamed too: a band's buffer holds prefix
-    rows r0 .. r1 + 2s, starting from row r0 carried over from the rows
-    before and adding one canvas row per row, as ``np.cumsum`` does, so
-    every value has the bytes of the whole-canvas map. Nothing is
+    from it. A band makes one ``read_rows`` call for the canvas rows its
+    prefix rows still need, the site-free rows before it included, and adds
+    them one row at a time, as ``np.cumsum`` does, after the last 2s + 1
+    prefix rows of the band before; so every value has the bytes of the
+    whole-canvas map, and every canvas row is read and summed once.
+    Site-free rows are folded in a band at a time. Nothing is
     canvas-sized; the prefix buffer lives in ``work`` for the next call.
     """
     t = cfg.tangent_half_length
     s = cfg.perp_half_length
-    h, w = rr.values.shape
+    h, w = shape
+    k = 2 * s + 1
     out = np.full(row.shape, np.nan)
     if row.size == 0:
         return out
     order = np.argsort(row, kind="stable")
     srow = row[order]
-    carry = np.zeros((3, w))  # prefix row ``at`` of counts, values and squares
+    # prefix rows at .. at + 2s of counts, values and squares: row j sums canvas rows [0, j - 2s), clipped
+    carry = np.zeros((3, k, w))
     at = 0
 
-    def prefix(r0: int, r1: int) -> np.ndarray:
-        """Prefix rows [r0, r1), r0 the carried row; row j sums canvas rows [0, j - 2s), clipped."""
-        p = _scratch(work, "prefix", (3, r1 - r0, w))
-        p[:, 0] = carry
-        ka, kb = (min(max(k, 0), h) for k in (r0 - 2 * s, r1 - 2 * s - 1))
-        ia, ib = ka - r0 + 2 * s + 1, kb - r0 + 2 * s + 1
-        p[:, 1:ia] = 0.0
-        p[:, ib:] = 0.0
-        p[0, ia:ib] = rr.valid[ka:kb]
-        p[1, ia:ib] = rr.values[ka:kb]
-        np.multiply(rr.values[ka:kb], rr.values[ka:kb], out=p[2, ia:ib])
+    def advance(q: int, values: np.ndarray, valid: np.ndarray, first: int) -> np.ndarray:
+        """Prefix rows at .. q + 2s from the carried rows and canvas rows at .. q - 1, read from row ``first`` on."""
+        nonlocal at
+        p = _scratch(work, "prefix", (3, k + q - at, w))
+        p[:, :k] = carry
+        n = max(min(q, h) - at, 0)
+        if n:
+            src = slice(at - first, at - first + n)
+            p[0, k : k + n] = valid[src]
+            p[1, k : k + n] = values[src]
+            np.multiply(values[src], values[src], out=p[2, k : k + n])
+        p[:, k + n :] = 0.0
         # row by row: the sequential sums of np.cumsum(p, axis=1), which is slower along a middle axis
-        for j in range(1, r1 - r0):
+        for j in range(k, k + q - at):
             np.add(p[:, j - 1], p[:, j], out=p[:, j])
+        carry[...] = p[:, q - at :]
+        at = q
         return p
 
     def runs(p: np.ndarray, length: int, n: int) -> np.ndarray:
@@ -175,18 +186,18 @@ def _site_mean_deviations(
         if hi == lo:
             continue
         r0, r1 = int(srow[lo]), int(srow[hi - 1]) + 1
-        while at < r0:  # carry over rows no site needs, a band at a time
-            stop = min(r0, at + band.stop - band.start)
-            carry[...] = prefix(at, stop + 1)[:, -1]
-            at = stop
-        p = prefix(r0, r1 + 2 * s + 1)
+        first = at
+        values, valid = read_rows(at, min(r1, h)) if at < min(r1, h) else (None, None)
+        step = band.stop - band.start
+        while r0 - at > step:  # carry over rows no site needs, a band at a time
+            advance(at + step, values, valid, first)
+        base = at
+        p = advance(r1, values, valid, first)[:, r0 - base :]
         sig = runs(p, 2 * s + 1, r1 - r0)
         if cfg.use_half_line_rule:
             half = runs(p, s + 1, r1 - r0 + s)
             np.fmin(sig, half[: r1 - r0], out=sig)
             np.fmin(sig, half[s:], out=sig)
-        carry[...] = p[:, r1 - r0]
-        at = r1
         ok = ~np.isnan(sig)
         padded = np.zeros((r1 - r0, w + 4 * t))
         np.copyto(padded[:, 2 * t : 2 * t + w], sig, where=ok)
@@ -214,11 +225,12 @@ class RotatedDeviationEvaluator:
     rotated lattice site comes from prefix sums of values and squared
     values. Grid sites are snapped to the nearest rotated lattice point of
     the whole canvas, so results match sampling the source along every
-    segment up to sub-pixel resampling. Each call then rotates only the
-    window its sites read: columns within t of a site, and rows from the top
-    of the canvas, where the prefix sums start, to s below the last site. It
-    builds the map bands its sites fall on, reads them and drops the window;
-    nothing is kept per angle. The prefix buffer is private and sized to the
+    segment up to sub-pixel resampling. Each call reads only the columns
+    within t of a site, and rows from the top of the canvas, where the
+    prefix sums start, to s below the last site. It rotates those rows one
+    map band at a time, as the prefix sums take them in, reads the band's
+    sites and drops the rows; no rotated window, map or table is kept, per
+    band or per angle. The prefix buffer is private and sized to the
     largest band seen, since allocating it afresh for every angle makes the
     allocator return its pages to the system and fault them in again.
     """
@@ -233,19 +245,30 @@ class RotatedDeviationEvaluator:
         s = self._cfg.perp_half_length
         offset = (_STAT_OFFSET, _STAT_OFFSET)
         frame = RotationFrame.of(self._img.shape, float(alpha), offset)
-        rx, ry = frame.to_rotated(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
+        rx, ry = frame.to_rotated(xs, ys)
         col = np.floor(rx + 0.5).astype(np.int64) + t
         row = np.floor(ry + 0.5).astype(np.int64) + s
+        del rx, ry
         h, w = frame.shape
         inside = (row >= 0) & (row < h + 2 * s) & (col >= 0) & (col < w + 2 * t)
-        row, col = row[inside], col[inside]
+        cut = not inside.all()
+        if cut:
+            row, col = row[inside], col[inside]
+        if row.size == 0:
+            return np.full(inside.shape, np.nan)
         # map row r reads canvas rows up to r, map column c canvas columns c - 2t .. c
-        window = (slice(0, 0), slice(0, 0))
-        if row.size:
-            window = (slice(0, int(row.max()) + 1), slice(max(int(col.min()) - 2 * t, 0), int(col.max()) + 1))
-        rr = rotate_raster(self._img, float(alpha), offset, window)
+        cols = range(w)[max(int(col.min()) - 2 * t, 0) : int(col.max()) + 1]
+
+        def read_rows(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+            rr = rotate_raster(self._img, float(alpha), offset, (slice(a, b), slice(cols.start, cols.stop)))
+            return rr.values, rr.valid
+
+        col -= cols.start
+        mu = _site_mean_deviations(read_rows, (h, len(cols)), self._cfg, row, col, self._work)
+        if not cut:
+            return mu
         out = np.full(inside.shape, np.nan)
-        out[inside] = _site_mean_deviations(rr, self._cfg, row, col - rr.origin[1], self._work)
+        out[inside] = mu
         return out
 
 
@@ -254,47 +277,54 @@ class RotatedDeviationEvaluator:
 
 
 def _search_orientations(mean_deviation, px: np.ndarray, py: np.ndarray, cfg: FlowConfig):
-    """Coarse argmin then fine refinement; returns (theta, defined) arrays."""
+    """Coarse argmin then fine refinement; returns (theta, defined) arrays.
+
+    Each site keeps only its running optimum (mu, alpha). A value replaces
+    it when smaller, or, in the fine phase, equal at a smaller angle: the
+    first coarse minimum wins, a NaN never does, and fine ties resolve
+    toward the smaller angle.
+    """
     n_sites = px.shape[0]
     if n_sites == 0:
         return np.zeros(0), np.zeros(0, dtype=bool)
 
     coarse = cfg.coarse_angles()
-    mu = np.empty((len(coarse), n_sites))
-    for mu_a, a in zip(mu, coarse):
-        mu_a[...] = mean_deviation(a, px, py)
-        np.copyto(mu_a, np.inf, where=np.isnan(mu_a))
-    defined = ~np.isinf(mu).all(axis=0)
-    best_idx = np.argmin(mu, axis=0)  # ties -> smaller angle
-    best_alpha = coarse[best_idx]
-    best_mu = mu[best_idx, np.arange(n_sites)]
-    del mu  # the fine search below needs only the coarse optima
+    best_mu = np.full(n_sites, np.inf)
+    best_idx = np.zeros(n_sites, dtype=np.intp)
+    for i, a in enumerate(coarse):
+        mu = mean_deviation(a, px, py)
+        better = mu < best_mu
+        np.copyto(best_mu, mu, where=better)
+        best_idx[better] = i
+    defined = best_mu < np.inf
+    alpha = coarse[best_idx]
+    best_idx[~defined] = len(coarse)  # undefined sites reach no fine angle
 
-    offsets = cfg.fine_offsets()
-    cand_alpha = np.stack([np.mod(best_alpha + off, math.pi) for off in offsets])
-    cand_mu = np.full((len(offsets), n_sites), np.inf)
-    cand_mu[[off == 0.0 for off in offsets]] = best_mu
     # A fine angle can be reached from two coarse optima (at the defaults,
     # 4k+2 from k and k+1), so each distinct angle is asked for once, on the
-    # union of its sites, and each site's value goes to every offset that
-    # reached it. An evaluator works per site, so the grouping does not
-    # change any value. The distinct angles come from the coarse optima that
-    # some defined site reached: no site-sized sort, and no np.unique, whose
-    # first call imports numpy.ma.
-    fine = np.array([[off != 0.0] for off in offsets]) & defined
-    reached = coarse[np.flatnonzero(np.bincount(best_idx[defined], minlength=len(coarse)))]
-    for a in sorted({float(x) for off in offsets if off != 0.0 for x in np.mod(reached + off, math.pi)}):
-        hit = fine & (cand_alpha == a)
-        sel = hit.any(axis=0)
-        vals = mean_deviation(a, px[sel], py[sel])
-        mu_a = np.full(n_sites, np.inf)
-        mu_a[sel] = np.where(np.isnan(vals), np.inf, vals)
-        np.copyto(cand_mu, mu_a, where=hit)
-    # argmin over candidates; exact mu ties resolve toward the smaller angle
-    min_mu = cand_mu.min(axis=0)
-    tie_alpha = np.where(cand_mu == min_mu, cand_alpha, np.inf)
-    alpha_star = np.where(defined, tie_alpha.min(axis=0), 0.0)
-    theta = np.mod(alpha_star + math.pi / 2.0, math.pi)
+    # sites whose coarse optimum reaches it, looked up by coarse index. An
+    # evaluator works per site, so the grouping does not change any value.
+    # The distinct angles come from the coarse optima that some defined site
+    # reached: no site-sized sort, and no np.unique, whose first call
+    # imports numpy.ma.
+    reached = np.flatnonzero(np.bincount(best_idx, minlength=len(coarse) + 1)[:-1])
+    sources: dict[float, list[int]] = {}
+    for off in cfg.fine_offsets():
+        if off != 0.0:
+            for i, a in zip(reached, np.mod(coarse[reached] + off, math.pi)):
+                sources.setdefault(float(a), []).append(i)
+    for a in sorted(sources):
+        lookup = np.zeros(len(coarse) + 1, dtype=bool)
+        lookup[sources[a]] = True
+        sel = lookup[best_idx]
+        vals = mean_deviation(a, px, py) if sel.all() else mean_deviation(a, px[sel], py[sel])
+        sites = np.flatnonzero(sel)
+        mu = best_mu[sites]
+        better = (vals < mu) | ((vals == mu) & (a < alpha[sites]))
+        sites = sites[better]
+        best_mu[sites] = vals[better]
+        alpha[sites] = a
+    theta = np.mod(alpha + math.pi / 2.0, math.pi)
     return np.where(defined, theta, 0.0), defined
 
 
@@ -338,7 +368,8 @@ def compute_flow_field(image: GrayImage, cfg: FlowConfig | None = None) -> FlowF
     gx, gy = _grid_sites(image.width, image.height, cfg.stride)
     iy, ix = np.nonzero(foreground)
     ev = RotatedDeviationEvaluator(image, cfg)
-    theta, ok = _search_orientations(ev.mean_deviation, gx[ix], gy[iy], cfg)
+    # float64 once here, so no evaluator call converts the sites again
+    theta, ok = _search_orientations(ev.mean_deviation, gx[ix].astype(np.float64), gy[iy].astype(np.float64), cfg)
 
     angles = np.zeros(foreground.shape)
     valid = np.zeros(foreground.shape, dtype=bool)

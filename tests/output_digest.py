@@ -6,7 +6,9 @@ synthetic patterns at two sizes and grid strides 1-3: the synthetic image and
 its truth flow, both flow methods, both pipeline paths at three settings of
 the binarize and enhance half lengths, the flow CSV bytes, the comparison CSV
 and summary lines with and without truth, and the interior site mask; then
-the files and standard output of a set of CLI runs. There is no golden
+projection flows at the default settings of a parallel and a concentric
+image large enough that every coarse angle's map spans several row bands;
+then the files and standard output of a set of CLI runs. There is no golden
 value: float bytes may differ across platforms and library builds.
 pytest does not collect this file.
 """
@@ -30,6 +32,10 @@ STRIDES = (1, 2, 3)
 # binarize half longer than the enhance half, and both short
 HALF_LENGTHS = ((4, 9, 3.0), (6, 4, 2.0), (1, 2, 1.0))
 PATTERNS = ("parallel", "concentric", "half_plane_stripe")
+# Every coarse angle's map at this size spans two to four bands of
+# ``projection._MAP_BAND_PIXELS`` (most fine angles' maps two or more), so a
+# slip where one band hands over to the next changes the digest.
+BANDED_SIZE = (256, 200)
 
 
 def _flow(h, flow: rf.FlowField) -> None:
@@ -73,6 +79,17 @@ def _library(h, tmp: Path) -> None:
                 h.update(rf.interior_site_mask(truth, width, height, 8.0).tobytes())
 
 
+def _banded(h) -> None:
+    width, height = BANDED_SIZE
+    for pattern in ("parallel", "concentric"):
+        spec = rf.SyntheticSpec(width=width, height=height, pattern=pattern, orientation=0.7,
+                                noise_sigma=40.0, rng_seed=7)
+        image, _ = rf.generate(spec)
+        h.update(f"banded {pattern} {width}x{height}".encode())
+        h.update(image.pixels.tobytes())
+        _flow(h, rf.compute_flow_field(image))
+
+
 def _cli(h, tmp: Path) -> None:
     runs = [
         ["synth", "--out", "in.pgm", "--truth-out", "truth.csv", "--width", "64", "--height", "67",
@@ -109,6 +126,7 @@ def main() -> None:
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as lib, tempfile.TemporaryDirectory() as cli:
         _library(h, Path(lib))
+        _banded(h)
         _cli(h, Path(cli))
     print(h.hexdigest())
 

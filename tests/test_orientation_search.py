@@ -2,6 +2,8 @@
 reference in ``oracles``, and the order and number of its evaluator calls."""
 
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -101,3 +103,42 @@ def test_each_angle_is_rotated_and_evaluated_once_coarse_first(monkeypatch, step
     # every site asks for each of its 2m fine candidates exactly once
     m = len(cfg.fine_offsets()) // 2
     assert sum(n for _, n in calls[n_coarse:]) == 2 * m * n_sites
+
+
+class KeyedEvaluator:
+    """mu from {NaN, 0, 1, 2}, a fixed function of (angle, site), whatever sites a call asks for.
+
+    The x coordinate is the site's number; a dead site is NaN at every angle.
+    """
+
+    VALUES = np.array([np.nan, 0.0, 1.0, 2.0])
+
+    def __init__(self, seed: int, dead: frozenset):
+        self.seed = seed
+        self.dead = dead
+
+    def mean_deviation(self, alpha, xs, ys):
+        keys = [zlib.crc32(struct.pack("<qdq", self.seed, float(alpha), int(x))) % 4 for x in xs]
+        return np.where([int(x) in self.dead for x in xs], np.nan, self.VALUES[keys])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_sites=st.integers(1, 30),
+    dead=st.frozensets(st.integers(0, 29), max_size=6),
+    steps=st.sampled_from(STEPS),
+)
+def test_running_optima_match_the_table_search_on_ties_and_nans(seed, n_sites, dead, steps):
+    # Values from four levels tie often, coarse and fine; NaN fine candidates
+    # and all-NaN sites occur, and coarse optimum 0 puts fine angles past pi.
+    coarse, fine, half_range = steps
+    cfg = rf.FlowConfig(coarse_step=coarse, fine_step=fine, fine_half_range=half_range)
+    ev = KeyedEvaluator(seed, dead)
+    px = np.arange(n_sites, dtype=np.float64)
+    py = np.zeros(n_sites)
+    got = rproj._search_orientations(ev.mean_deviation, px, py, cfg)
+    want = reference_search_orientations(ev.mean_deviation, px, py, cfg)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()

@@ -82,8 +82,16 @@ class TestBandedFlowStage:
                 row, col = np.mgrid[0 : h + 2 * cfg.perp_half_length, 0 : w + 2 * cfg.tangent_half_length]
                 order = np.random.default_rng(7).permutation(row.size)
                 row, col = row.ravel()[order], col.ravel()[order]
-                mu = rproj._site_mean_deviations(rr, cfg, row, col, {})
+                reads = []
+
+                def read_rows(a, b):
+                    reads.append((a, b))
+                    return rr.values[a:b], rr.valid[a:b]
+
+                mu = rproj._site_mean_deviations(read_rows, (h, w), cfg, row, col, {})
                 assert mu.tobytes() == reference_mean_deviation_map(rr, cfg)[row, col].tobytes()
+                # every canvas row is read once, in order, from the top
+                assert [r for a, b in reads for r in range(a, b)] == list(range(h))
                 got += [rr.values.tobytes(), rr.valid.tobytes(), mu.tobytes()]
             flow = rf.compute_flow_field(noisy)
             got += [flow.angles.tobytes(), flow.valid.tobytes()]
@@ -171,16 +179,27 @@ class TestBoundedMemory:
         peak = self._peak_mib(lambda: rf.binarize_image(img, flow))
         assert peak < self.BINARIZE_512_CEILING_MIB
 
-    # compute_flow_field at 512x512 measured 22.4 MiB on this image (26.0 on
-    # a parallel one): one rotated window at a time, with band-sized prefix
-    # sums and no map. Whole-canvas prefix sums and map took 46.2 MiB, and
+    # compute_flow_field at 512x512 measured 13.34 MiB on this image (15.32
+    # on a parallel one): each site keeps a running optimum, and each map
+    # band rotates only the canvas rows its prefix sums still need. An
+    # (angles x sites) table per phase and a whole rotated window per angle
+    # took 21.94 MiB (25.48); whole-canvas prefix sums and map 46.2 MiB, and
     # keeping every angle's map 147 MiB. Do not raise it.
-    FLOW_CEILING_MIB = 27.0
+    FLOW_CEILING_MIB = 18.0
 
     def test_flow_peak_is_bounded(self, large):
         img, _ = large
         peak = self._peak_mib(lambda: rf.compute_flow_field(img))
         assert peak < self.FLOW_CEILING_MIB
+
+    # The same at 256x256: 6.66 MiB on this image, 8.49 with the tables and
+    # the whole window per angle. Do not raise it.
+    FLOW_256_CEILING_MIB = 7.5
+
+    def test_flow_peak_holds_no_angle_table_or_window(self, medium):
+        img, _ = medium
+        peak = self._peak_mib(lambda: rf.compute_flow_field(img))
+        assert peak < self.FLOW_256_CEILING_MIB
 
     # compute_flow_field_gradient at 256x256 measured 3.51 MiB on this image:
     # the window sums are taken at the grid sites only, one product at a time.

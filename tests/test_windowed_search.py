@@ -4,6 +4,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -53,7 +54,7 @@ def _image(size=96):
     return img
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
     n_sites=st.integers(1, 40),
@@ -61,16 +62,32 @@ def _image(size=96):
     tangent=st.integers(1, 10),
     perp=st.integers(1, 10),
     half_rule=st.booleans(),
+    band_pixels=st.one_of(st.integers(1, 2000), st.just(rproj._MAP_BAND_PIXELS)),
 )
-def test_any_site_subset_reads_the_cached_whole_canvas_map(seed, n_sites, angle, tangent, perp, half_rule):
+def test_any_site_subset_reads_the_cached_whole_canvas_map(seed, n_sites, angle, tangent, perp, half_rule,
+                                                           band_pixels):
+    # Small map bands put sparse sites in several bands with site-free rows
+    # between them, so the carried prefix rows and the folded gaps are read.
     img = _image(48)
     cfg = rf.FlowConfig(tangent_half_length=tangent, perp_half_length=perp, use_half_line_rule=half_rule)
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, img.width, n_sites).astype(np.float64)
     ys = rng.integers(0, img.height, n_sites).astype(np.float64)
-    got = rf.RotatedDeviationEvaluator(img, cfg).mean_deviation(angle, xs, ys)
+    rows = []
+    rotate = rproj.rotate_raster
+
+    def recording_rotate(values, angle, offset, window):
+        rows.extend(range(window[0].start, window[0].stop))
+        return rotate(values, angle, offset, window)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rproj, "_MAP_BAND_PIXELS", band_pixels)
+        mp.setattr(rproj, "rotate_raster", recording_rotate)
+        got = rf.RotatedDeviationEvaluator(img, cfg).mean_deviation(angle, xs, ys)
     want = CachedRotatedEvaluator(img, cfg).mean_deviation(angle, xs, ys)
     assert got.tobytes() == want.tobytes()
+    # each canvas row is rotated at most once, in order: the prefix sums take rows from the top
+    assert rows == list(range(len(rows)))
 
 
 def test_one_site_query_rotates_a_window_2t_plus_1_wide(monkeypatch):
