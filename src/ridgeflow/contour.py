@@ -13,7 +13,9 @@ once for each tap o in -half..half, in any order: the tap's coordinates
 bool), valid until the next tap is asked for. The taps within k of the seed
 do not depend on ``half`` >= k, so one walk serves both stages.
 ``binarize._sample_taps`` stores each tap's sample by o, and the mean and
-the masked blend read them in order -k..k. The paths are the straight line
+the masked blend read them in order -k..k; enhancing alone,
+``enhance._taps_in_order`` hands each tap on in that order as soon as the
+taps before it are in. The paths are the straight line
 (``binarize._line_path``) and the traced contour (``_trace_path`` here).
 """
 
@@ -41,15 +43,17 @@ def _trace_path(flow: FlowField, xs, ys, theta, defined, half_steps: int, bounds
     """Trace contours for many seeds at once, one step per tap asked for; the contour sampling path.
 
     ``theta`` and ``defined`` are the seeds' orientations as ``angles_at``
-    gives them. Yields the seed, taps +1..+half_steps, then -1..-half_steps;
-    ok marks points actually reached before an early stop.
+    gives them. Yields taps -1..-half_steps, the seed, then +1..+half_steps,
+    so a reader that takes the taps in order -k..k holds only the k - 1
+    taps before -k; ok marks points actually reached before an early stop.
     """
-    yield 0, xs, ys, True
     cur_x, cur_y = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
     # the per-step buffers, reused by every step; (dir_x, dir_y) and (cx, sy) swap after each turn
     nx, ny, dir_x, dir_y, cx, sy = (np.empty_like(cur_x) for _ in range(6))
     alive, mask = np.empty(cur_x.shape, dtype=bool), np.empty(cur_x.shape, dtype=bool)
-    for direction in (+1, -1):
+    for direction in (-1, +1):
+        if direction > 0:
+            yield 0, xs, ys, True
         np.copyto(cur_x, xs)
         np.copyto(cur_y, ys)
         np.multiply(np.cos(theta, out=dir_x), direction, out=dir_x)

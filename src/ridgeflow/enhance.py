@@ -48,13 +48,14 @@ def gaussian_kernel(sigma: float, half_length: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _masked_blend(img: np.ndarray, bits: np.ndarray, vals, near, center, weights) -> np.ndarray:
-    """Gaussian-weighted mean of the taps (as ``_sample_taps`` gives them) that share the seed's class,
-    tap by tap in path order; the value at ``center``, each seed's flat nearest-pixel index, where none do."""
+def _masked_blend(img: np.ndarray, bits: np.ndarray, taps, center, weights) -> np.ndarray:
+    """Gaussian-weighted mean of the taps that share the seed's class, tap by tap in path order; the
+    value at ``center``, each seed's flat nearest-pixel index, where none do. ``taps`` yields each tap's
+    (sample, nearest flat index) in order -k..k, as ``_taps_in_order`` or the rows of a tap table give them."""
     flat_bits = bits.ravel()
     center_bit = flat_bits.take(center)
     num, den = np.zeros(np.shape(center)), np.zeros(np.shape(center))
-    for weight, v, nr in zip(weights, vals, near):
+    for weight, (v, nr) in zip(weights, taps):
         # in the raster and kept, and the nearest pixel has the seed's binary class
         use = ~np.isnan(v) & (flat_bits.take(nr) == center_bit)
         num += np.where(use, v, 0.0) * weight
@@ -63,6 +64,23 @@ def _masked_blend(img: np.ndarray, bits: np.ndarray, vals, near, center, weights
     with np.errstate(invalid="ignore", divide="ignore"):
         out = num / den
     return np.where(den > 0, out, center_val)
+
+
+def _taps_in_order(img: np.ndarray, path, flow, xs, ys, theta, defined, half: int):
+    """Each tap of ``path`` as ``_sample_taps`` samples it, (sample, nearest flat index), in order -half..half.
+
+    A tap is sampled when the path gives it and passed on at its turn; one that comes early is held
+    until then, so a path that walks in order, such as the straight line, holds none.
+    """
+    h, w = img.shape
+    held, turn = {}, -half
+    for o, px, py, ok in path(flow, xs, ys, theta, defined, half, (w, h)):
+        v = bilinear_many(img, px, py)
+        np.copyto(v, np.nan, where=np.logical_not(ok))
+        held[o] = v, _nearest(py, h) * w + _nearest(px, w)
+        while turn in held:
+            yield held.pop(turn)
+            turn += 1
 
 
 def _enhance_pixel(
@@ -83,9 +101,9 @@ def _enhance_pixel(
     if math.isnan(sample[0]):
         return math.nan
     k = cfg.kernel_half_length
-    vals, near = _sample_taps(img, path, flow, xs, ys, *angles, k, True)
+    taps = _taps_in_order(img, path, flow, xs, ys, *angles, k)
     center = _nearest(ys, h) * w + _nearest(xs, w)
-    blended = _masked_blend(img, binary.bits, vals, near, center, gaussian_kernel(cfg.gaussian_sigma, k))
+    blended = _masked_blend(img, binary.bits, taps, center, gaussian_kernel(cfg.gaussian_sigma, k))
     return float(np.where(angles[1], blended, sample)[0])
 
 
@@ -100,32 +118,40 @@ def _sweep(image: GrayImage, flow: FlowField, path, bcfg: BinarizeConfig | None,
            binary: BinaryImage | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Bits and enhanced values of every pixel, binarized along ``path`` unless ``binary`` is given.
 
-    Each row band is sampled once, to the larger half length, for both readers. A row is enhanced
-    once the bits up to ke rows below it exist; rows that wait for later bands carry over as copies.
+    Given ``binary``, each row band blends its taps one at a time, in order, as they are sampled, and no
+    tap table exists. Otherwise each row band is sampled once into a table, to the larger half length, for
+    both readers. A row is enhanced once the bits up to ke rows below it exist; rows that wait for later
+    bands carry over as copies.
     """
     _check_inputs(image, flow, binary)
     img = image.as_float()
     h, w = img.shape
     ke = ecfg.kernel_half_length
-    kb, wait = (0, 0) if binary is not None else (bcfg.line_half_length, ke)
-    k = max(kb, ke)
     weights = gaussian_kernel(ecfg.gaussian_sigma, ke)
-    bits = np.empty((h, w), dtype=np.uint8) if binary is None else binary.bits
     out = np.empty_like(img)
+    if binary is not None:
+        for rows, X, Y in row_bands(w, h):
+            theta, defined = angles_at(flow, X, Y)
+            taps = _taps_in_order(img, path, flow, X, Y, theta, defined, ke)
+            center = np.arange(rows.start * w, rows.stop * w).reshape(X.shape)
+            out[rows] = np.where(defined, _masked_blend(img, binary.bits, taps, center, weights), img[rows])
+        return binary.bits, out
+    kb = bcfg.line_half_length
+    k = max(kb, ke)
+    bits = np.empty((h, w), dtype=np.uint8)
     pending, table = [], None  # pending: (first row, taps, nearest, defined) of rows not yet enhanced
     for rows, X, Y in row_bands(w, h):
         theta, defined = angles_at(flow, X, Y)
         vals, near = table = _sample_taps(img, path, flow, X, Y, theta, defined, k, True, table)
-        if binary is None:
-            bits[rows] = ~_is_ridge(img, vals[k - kb : k + kb + 1], X, Y, theta, defined, kb)
-        ready = h if rows.stop == h else rows.stop - wait
+        bits[rows] = ~_is_ridge(img, vals[k - kb : k + kb + 1], X, Y, theta, defined, kb)
+        ready = h if rows.stop == h else rows.stop - ke
         pending.append((rows.start, vals[k - ke : k + ke + 1], near[k - ke : k + ke + 1], defined))
         for _ in range(len(pending)):  # popped one at a time, so each copy goes once spent
             y0, v, nr, d = pending.pop(0)
             n = min(max(ready - y0, 0), len(d))
             if n:
                 center = np.arange(y0 * w, (y0 + n) * w).reshape(n, w)
-                blended = _masked_blend(img, bits, v[:, :n], nr[:, :n], center, weights)
+                blended = _masked_blend(img, bits, zip(v[:, :n], nr[:, :n]), center, weights)
                 out[y0 : y0 + n] = np.where(d[:n], blended, img[y0 : y0 + n])
             if n < len(d):
                 pending.append((y0 + n, v[:, n:].copy(), nr[:, n:].copy(), d[n:]))

@@ -202,26 +202,24 @@ def interior_site_mask(flow: FlowField, width: int, height: int, margin: float) 
 
 
 def save_flow_csv(flow: FlowField, path) -> None:
+    """Write ``flow`` as CSV, one grid row at a time to the open file."""
     cols = "x,y,theta_radians,valid"
     if flow.coherence is not None:
         cols += ",coherence"
-    lines = [cols]
     # An angle a hair below pi prints as 3.141593, which reads back as >= pi
     # and fails validation; it is written as the same orientation, 0.
-    angles = flow.angles.copy()
-    flat = angles.reshape(-1)
-    for i in np.flatnonzero(flat > math.pi - 1e-6):
-        if float(f"{flat[i]:.6f}") >= math.pi:
-            flat[i] = 0.0
+    pi_text = f"{math.pi:.6f}"
     # plain Python values: formatting numpy scalars one by one is slow
     xs = [f"{x:g}," for x in flow.site_xs().tolist()]
-    for iy, y in enumerate(flow.site_ys().tolist()):
-        head = [f"{x}{y:g}," for x in xs]
-        rows = [f"{h}{a:.6f},{int(v)}" for h, a, v in zip(head, angles[iy].tolist(), flow.valid[iy].tolist())]
-        if flow.coherence is not None:
-            rows = [f"{r},{c:.6f}" for r, c in zip(rows, flow.coherence[iy].tolist())]
-        lines += rows
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with Path(path).open("w", encoding="ascii") as f:
+        f.write(cols + "\n")
+        for iy, y in enumerate(flow.site_ys().tolist()):
+            angles = [f"{a:.6f}" for a in flow.angles[iy].tolist()]
+            rows = [f"{x}{y:g},{'0.000000' if a == pi_text else a},{int(v)}"
+                    for x, a, v in zip(xs, angles, flow.valid[iy].tolist())]
+            if flow.coherence is not None:
+                rows = [f"{r},{c:.6f}" for r, c in zip(rows, flow.coherence[iy].tolist())]
+            f.write("\n".join(rows) + "\n")
 
 
 def load_flow_csv(path) -> FlowField:

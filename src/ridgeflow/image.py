@@ -293,12 +293,26 @@ class RotationFrame:
                    source_offset, (out_h, out_w))
 
     def to_rotated(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map source coordinates onto the whole canvas."""
+        """Map source coordinates onto the whole canvas.
+
+        The terms are formed in place, in the order of
+        ``dst_x + c * dx + s * dy`` and ``dst_y - s * dx + c * dy``, so at
+        most four coordinate-sized arrays exist at once.
+        """
         c = math.cos(self.angle)
         s = math.sin(self.angle)
-        dx = np.asarray(xs, dtype=np.float64) - self.src_center[0] - self.source_offset[0]
-        dy = np.asarray(ys, dtype=np.float64) - self.src_center[1] - self.source_offset[1]
-        return self.dst_center[0] + c * dx + s * dy, self.dst_center[1] - s * dx + c * dy
+        dx = np.subtract(xs, self.src_center[0], dtype=np.float64)
+        dx -= self.source_offset[0]
+        dy = np.subtract(ys, self.src_center[1], dtype=np.float64)
+        dy -= self.source_offset[1]
+        rx = np.multiply(dx, c)
+        rx += self.dst_center[0]
+        term = np.multiply(dy, s)
+        rx += term
+        ry = np.multiply(dx, s, out=dx)
+        np.subtract(self.dst_center[1], ry, out=ry)
+        ry += np.multiply(dy, c, out=term)
+        return rx, ry
 
 
 @dataclass(eq=False)

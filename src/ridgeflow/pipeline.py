@@ -164,24 +164,21 @@ def compare_methods(
 
 
 def save_comparison_csv(report: ComparisonReport, path) -> None:
-    """Per-site detail rows; empty cells where a quantity is undefined."""
+    """Per-site detail rows, written one grid row at a time; empty cells where a quantity is undefined."""
     proj, grad, truth = report.projection, report.gradient, report.truth
-    columns = [(proj.angles, proj.valid), (grad.angles, grad.valid)]
-    if truth is None:
-        columns += [(proj.angles, np.zeros_like(proj.valid))] * 3  # truth and errors undefined everywhere
-    else:
-        columns += [
-            (truth.angles, truth.valid),
-            (angular_distance(proj.angles, truth.angles), proj.valid & truth.valid),
-            (angular_distance(grad.angles, truth.angles), grad.valid & truth.valid),
-        ]
-    lines = ["site_x,site_y,theta_projection,theta_gradient,theta_truth,err_projection,err_gradient"]
-    xs = proj.site_xs()
-    for iy, y in enumerate(proj.site_ys()):
-        for ix, x in enumerate(xs):
-            cells = [f"{v[iy, ix]:.6f}" if ok[iy, ix] else "" for v, ok in columns]
-            lines.append(",".join([f"{x:g}", f"{y:g}"] + cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    xs = [f"{x:g}" for x in proj.site_xs().tolist()]
+    with Path(path).open("w", encoding="ascii") as f:
+        f.write("site_x,site_y,theta_projection,theta_gradient,theta_truth,err_projection,err_gradient\n")
+        for iy, y in enumerate(proj.site_ys().tolist()):
+            p, g = (proj.angles[iy], proj.valid[iy]), (grad.angles[iy], grad.valid[iy])
+            if truth is None:
+                columns = [p, g] + [(p[0], np.zeros_like(p[1]))] * 3  # truth and errors undefined everywhere
+            else:
+                t = (truth.angles[iy], truth.valid[iy])
+                columns = [p, g, t, (angular_distance(p[0], t[0]), p[1] & t[1]),
+                           (angular_distance(g[0], t[0]), g[1] & t[1])]
+            cells = [[f"{a:.6f}" if ok else "" for a, ok in zip(v.tolist(), m.tolist())] for v, m in columns]
+            f.write("".join(",".join([x, f"{y:g}", *row]) + "\n" for x, *row in zip(xs, *cells)))
 
 
 def summary_lines(report: ComparisonReport) -> list[str]:

@@ -11,12 +11,12 @@ One evaluator computes the statistic: it rotates the image per candidate
 angle so all segments become axis-aligned runs. It reads only the columns
 of the canvas its queried sites read, and rotates their rows one band at a
 time, each row once, straight into column prefix sums of the rotated values
-and squared values; from these it builds the mean-deviation map over only
-the rows the sites fall on, and each site is a single lookup into its band
-of that map. Per angle it holds one band of rotated rows, prefix sums and
-map, never a whole rotated window. The search asks for each distinct
-candidate angle once and keeps only each site's running optimum, so no
-table of angles by sites exists either.
+and squared values; from these it takes the perpendicular deviations of
+only the rows the sites fall on, and each site reads its tangent mean from
+its own row of them. Per angle it holds one band of rotated rows, prefix
+sums and deviations, never a whole rotated window or mean-deviation map.
+The search asks for each distinct candidate angle once and keeps only each
+site's running optimum, so no table of angles by sites exists either.
 """
 
 from __future__ import annotations
@@ -97,14 +97,18 @@ class FlowConfig:
 
 
 def _span_deviation(n: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Std from sample count, sum and sum of squares; NaN where <2 samples."""
-    nf = np.maximum(n, 1)
-    mean = s1 / nf
-    var = s2 / nf
-    var -= mean * mean
+    """Std from sample count, sum and sum of squares; NaN where <2 samples.
+
+    All three inputs are spent: the steps run in place, and the result is ``s2``.
+    """
+    few = n < 2
+    nf = np.maximum(n, 1, out=n)
+    mean = np.divide(s1, nf, out=s1)
+    var = np.divide(s2, nf, out=s2)
+    var -= np.multiply(mean, mean, out=mean)
     np.copyto(var, 0.0, where=var < _VAR_EPS)
     np.sqrt(var, out=var)
-    np.copyto(var, np.nan, where=n < 2)
+    np.copyto(var, np.nan, where=few)
     return var
 
 
@@ -128,19 +132,20 @@ def _site_mean_deviations(
     every site whose window touches the canvas. Perpendicular spans are
     vertical runs clipped to the canvas rows, read as row-shifted slices of
     column prefix sums; the upper half span of a row is the lower half span
-    of the row s below it. The tangent mean adds the 2t+1 column-shifted
-    copies of the span deviations in order, columns off the canvas counting
-    as undefined.
+    of the row s below it. A site's tangent mean adds the 2t+1 span
+    deviations of its row at columns c - 2t .. c in order, read at the site
+    alone, columns off the canvas counting as undefined.
 
-    The map is built in bands of rows, only where a site falls, each band
-    trimmed to its first..last site row, and each band's sites are read
-    from it. A band makes one ``read_rows`` call for the canvas rows its
-    prefix rows still need, the site-free rows before it included, and adds
-    them one row at a time, as ``np.cumsum`` does, after the last 2s + 1
-    prefix rows of the band before; so every value has the bytes of the
-    whole-canvas map, and every canvas row is read and summed once.
-    Site-free rows are folded in a band at a time. Nothing is
-    canvas-sized; the prefix buffer lives in ``work`` for the next call.
+    The prefix rows advance one band of map rows at a time, down to the
+    band of the last site, and each advance reads the canvas rows of its
+    band with one ``read_rows`` call and adds them one row at a time, as
+    ``np.cumsum`` does, after the last 2s + 1 prefix rows before them. The
+    span deviations are built only in bands where a site falls, each
+    trimmed to its first..last site row. So every value has the bytes of
+    the whole-canvas map, every canvas row is read and summed once, and no
+    read is taller than a band, nor the prefix buffer than a band and
+    2s + 1 rows. Nothing is canvas-sized; the prefix buffer lives in
+    ``work`` for the next call.
     """
     t = cfg.tangent_half_length
     s = cfg.perp_half_length
@@ -151,70 +156,82 @@ def _site_mean_deviations(
         return out
     order = np.argsort(row, kind="stable")
     srow = row[order]
-    # prefix rows at .. at + 2s of counts, values and squares: row j sums canvas rows [0, j - 2s), clipped
+    # the prefix rows of counts, values and squares at a band's first row .. 2s below it: row j sums canvas rows
+    # [0, j - 2s), clipped
     carry = np.zeros((3, k, w))
-    at = 0
 
-    def advance(q: int, values: np.ndarray, valid: np.ndarray, first: int) -> np.ndarray:
-        """Prefix rows at .. q + 2s from the carried rows and canvas rows at .. q - 1, read from row ``first`` on."""
-        nonlocal at
-        p = _scratch(work, "prefix", (3, k + q - at, w))
+    def advance(rows: slice) -> np.ndarray:
+        """Prefix rows rows.start .. rows.stop + 2s, from the carried rows and the canvas rows of ``rows``."""
+        p = _scratch(work, "prefix", (3, k + rows.stop - rows.start, w))
         p[:, :k] = carry
-        n = max(min(q, h) - at, 0)
+        n = max(min(rows.stop, h) - rows.start, 0)
         if n:
-            src = slice(at - first, at - first + n)
-            p[0, k : k + n] = valid[src]
-            p[1, k : k + n] = values[src]
-            np.multiply(values[src], values[src], out=p[2, k : k + n])
+            values, valid = read_rows(rows.start, rows.start + n)
+            p[0, k : k + n] = valid
+            p[1, k : k + n] = values
+            np.multiply(values, values, out=p[2, k : k + n])
         p[:, k + n :] = 0.0
         # row by row: the sequential sums of np.cumsum(p, axis=1), which is slower along a middle axis
-        for j in range(k, k + q - at):
+        for j in range(k, p.shape[1]):
             np.add(p[:, j - 1], p[:, j], out=p[:, j])
-        carry[...] = p[:, q - at :]
-        at = q
+        carry[...] = p[:, -k:]
         return p
 
     def runs(p: np.ndarray, length: int, n: int) -> np.ndarray:
         """Deviations of the runs of ``length`` rows from each of the first ``n`` rows of ``p``."""
         d = p[:, length : n + length] - p[:, :n]
-        return _span_deviation(d[0], d[1], d[2])
+        return _span_deviation(d[0], d[1], d[2]).copy()  # a copy, so the count and sum planes go
 
-    out_w = w + 2 * t
     lo = 0
-    for band in band_rows(out_w, int(srow[-1]) + 1, _MAP_BAND_PIXELS):
+    for band in band_rows(w + 2 * t, int(srow[-1]) + 1, _MAP_BAND_PIXELS):
+        p = advance(band)
         hi = int(np.searchsorted(srow, band.stop))
         if hi == lo:
-            continue
+            continue  # no site: the band only carries its prefix rows on
         r0, r1 = int(srow[lo]), int(srow[hi - 1]) + 1
-        first = at
-        values, valid = read_rows(at, min(r1, h)) if at < min(r1, h) else (None, None)
-        step = band.stop - band.start
-        while r0 - at > step:  # carry over rows no site needs, a band at a time
-            advance(at + step, values, valid, first)
-        base = at
-        p = advance(r1, values, valid, first)[:, r0 - base :]
+        p = p[:, r0 - band.start :]
         sig = runs(p, 2 * s + 1, r1 - r0)
         if cfg.use_half_line_rule:
             half = runs(p, s + 1, r1 - r0 + s)
             np.fmin(sig, half[: r1 - r0], out=sig)
             np.fmin(sig, half[s:], out=sig)
+            del half
+        # the span deviations and their validity, each row padded by 2t undefined columns a side
         ok = ~np.isnan(sig)
         padded = np.zeros((r1 - r0, w + 4 * t))
         np.copyto(padded[:, 2 * t : 2 * t + w], sig, where=ok)
-        sig_sum = np.zeros((r1 - r0, out_w))
-        for i in range(2 * t + 1):
-            sig_sum += padded[:, i : i + out_w]
-        cnt = np.zeros((r1 - r0, w + 4 * t + 1), dtype=np.int64)
-        cnt[:, 2 * t + 1 : 2 * t + 1 + w] = ok
-        np.cumsum(cnt, axis=1, out=cnt)
+        defined = np.zeros(padded.shape, dtype=np.uint8)
+        defined[:, 2 * t : 2 * t + w] = ok
+        del sig, ok
         sites = order[lo:hi]
-        r, c = srow[lo:hi] - r0, col[sites]
-        sig_cnt = cnt[r, c + 2 * t + 1] - cnt[r, c]
-        vals = np.divide(sig_sum[r, c], np.maximum(sig_cnt, 1))
-        np.copyto(vals, np.nan, where=sig_cnt == 0)
+        at_site = np.ravel_multi_index((srow[lo:hi] - r0, col[sites]), padded.shape)
+        # the whole map's sum of shifted slices, 0.0 + tap 0 + tap 1 + ..., at the sites alone; every
+        # index is in range, and mode="clip" skips the copy that ``take`` makes for ``out`` by default
+        total = np.zeros(hi - lo)
+        count = np.zeros(hi - lo, dtype=np.intp)
+        tap = np.empty(hi - lo)
+        hit = np.empty(hi - lo, dtype=np.uint8)
+        for _ in range(2 * t + 1):
+            total += padded.ravel().take(at_site, out=tap, mode="clip")
+            count += defined.ravel().take(at_site, out=hit, mode="clip")
+            at_site += 1
+        vals = np.divide(total, np.maximum(count, 1), out=total)
+        np.copyto(vals, np.nan, where=count == 0)
         out[sites] = vals
         lo = hi
     return out
+
+
+def _snap(r: np.ndarray, pad: int, size: int) -> np.ndarray:
+    """Nearest lattice index of each rotated coordinate plus ``pad``, as int32; ``r`` is spent.
+
+    Indices are clipped to [-1, size] and NaN maps to -1, so whatever lies
+    outside [0, size) stays outside and the cast is always defined.
+    """
+    r += 0.5
+    np.floor(r, out=r)
+    r += pad
+    return np.fmin(np.fmax(r, -1.0, out=r), size, out=r).astype(np.int32)
 
 
 class RotatedDeviationEvaluator:
@@ -228,11 +245,12 @@ class RotatedDeviationEvaluator:
     segment up to sub-pixel resampling. Each call reads only the columns
     within t of a site, and rows from the top of the canvas, where the
     prefix sums start, to s below the last site. It rotates those rows one
-    map band at a time, as the prefix sums take them in, reads the band's
-    sites and drops the rows; no rotated window, map or table is kept, per
-    band or per angle. The prefix buffer is private and sized to the
-    largest band seen, since allocating it afresh for every angle makes the
-    allocator return its pages to the system and fault them in again.
+    map band at a time, in one read per band, as the prefix sums take them
+    in, reads the band's sites and drops the rows; no rotated window, map
+    or table is kept, per band or per angle. The prefix buffer is private
+    and sized to the largest band seen, since allocating it afresh for
+    every angle makes the allocator return its pages to the system and
+    fault them in again.
     """
 
     def __init__(self, image: GrayImage, cfg: FlowConfig):
@@ -245,11 +263,11 @@ class RotatedDeviationEvaluator:
         s = self._cfg.perp_half_length
         offset = (_STAT_OFFSET, _STAT_OFFSET)
         frame = RotationFrame.of(self._img.shape, float(alpha), offset)
-        rx, ry = frame.to_rotated(xs, ys)
-        col = np.floor(rx + 0.5).astype(np.int64) + t
-        row = np.floor(ry + 0.5).astype(np.int64) + s
-        del rx, ry
         h, w = frame.shape
+        rx, ry = frame.to_rotated(xs, ys)
+        col = _snap(rx, t, w + 2 * t)
+        row = _snap(ry, s, h + 2 * s)
+        del rx, ry
         inside = (row >= 0) & (row < h + 2 * s) & (col >= 0) & (col < w + 2 * t)
         cut = not inside.all()
         if cut:
@@ -279,10 +297,10 @@ class RotatedDeviationEvaluator:
 def _search_orientations(mean_deviation, px: np.ndarray, py: np.ndarray, cfg: FlowConfig):
     """Coarse argmin then fine refinement; returns (theta, defined) arrays.
 
-    Each site keeps only its running optimum (mu, alpha). A value replaces
-    it when smaller, or, in the fine phase, equal at a smaller angle: the
-    first coarse minimum wins, a NaN never does, and fine ties resolve
-    toward the smaller angle.
+    Each site keeps only its running optimum: mu, and its angle as a small
+    index into the angles searched. A value replaces it when smaller, or,
+    in the fine phase, equal at a smaller angle: the first coarse minimum
+    wins, a NaN never does, and fine ties resolve toward the smaller angle.
     """
     n_sites = px.shape[0]
     if n_sites == 0:
@@ -290,14 +308,14 @@ def _search_orientations(mean_deviation, px: np.ndarray, py: np.ndarray, cfg: Fl
 
     coarse = cfg.coarse_angles()
     best_mu = np.full(n_sites, np.inf)
-    best_idx = np.zeros(n_sites, dtype=np.intp)
+    best_idx = np.zeros(n_sites, dtype=np.min_scalar_type(len(coarse)))
     for i, a in enumerate(coarse):
         mu = mean_deviation(a, px, py)
         better = mu < best_mu
         np.copyto(best_mu, mu, where=better)
         best_idx[better] = i
+        del mu, better  # so they are gone during the next call
     defined = best_mu < np.inf
-    alpha = coarse[best_idx]
     best_idx[~defined] = len(coarse)  # undefined sites reach no fine angle
 
     # A fine angle can be reached from two coarse optima (at the defaults,
@@ -313,45 +331,55 @@ def _search_orientations(mean_deviation, px: np.ndarray, py: np.ndarray, cfg: Fl
         if off != 0.0:
             for i, a in zip(reached, np.mod(coarse[reached] + off, math.pi)):
                 sources.setdefault(float(a), []).append(i)
-    for a in sorted(sources):
+    fine = sorted(sources)
+    # a site's angle is angles[pick]: its coarse optimum, 0 where undefined, then a fine angle
+    angles = np.concatenate((coarse, [0.0], fine))
+    pick = best_idx.astype(np.min_scalar_type(len(angles)))
+    for j, a in enumerate(fine, start=len(coarse) + 1):
         lookup = np.zeros(len(coarse) + 1, dtype=bool)
         lookup[sources[a]] = True
         sel = lookup[best_idx]
         vals = mean_deviation(a, px, py) if sel.all() else mean_deviation(a, px[sel], py[sel])
         sites = np.flatnonzero(sel)
         mu = best_mu[sites]
-        better = (vals < mu) | ((vals == mu) & (a < alpha[sites]))
+        better = (vals < mu) | ((vals == mu) & (a < angles[pick[sites]]))
         sites = sites[better]
         best_mu[sites] = vals[better]
-        alpha[sites] = a
-    theta = np.mod(alpha + math.pi / 2.0, math.pi)
+        pick[sites] = j
+        del sel, vals, sites, mu, better  # so they are gone during the next call
+    theta = np.mod(angles[pick] + math.pi / 2.0, math.pi)
     return np.where(defined, theta, 0.0), defined
 
 
 def patch_variance_grid(image: GrayImage, cfg: FlowConfig) -> np.ndarray:
-    """Variance of the axis-aligned patch around each grid site (border-clipped)."""
-    f = image.as_float()
-    h, w = f.shape
-    p1 = np.zeros((h + 1, w + 1))
-    p2 = np.zeros((h + 1, w + 1))
-    p1[1:, 1:] = f.cumsum(axis=0).cumsum(axis=1)
-    p2[1:, 1:] = (f * f).cumsum(axis=0).cumsum(axis=1)
+    """Variance of the axis-aligned patch around each grid site (border-clipped).
 
+    The patch sums come from one zero-bordered 2-D prefix sum at a time, of
+    the values and then of their squares, summed in place and read at the
+    patch corners only.
+    """
+    pixels = image.pixels
+    h, w = pixels.shape
     r = cfg.tangent_half_length
     gx, gy = _grid_sites(w, h, cfg.stride)
     x0 = np.clip(gx - r, 0, w)
     x1 = np.clip(gx + r + 1, 0, w)
-    y0 = np.clip(gy - r, 0, h)
-    y1 = np.clip(gy + r + 1, 0, h)
+    y0 = np.clip(gy - r, 0, h)[:, None]
+    y1 = np.clip(gy + r + 1, 0, h)[:, None]
 
-    def rect(p, ya, yb, xa, xb):
-        return p[yb][:, xb] - p[ya][:, xb] - p[yb][:, xa] + p[ya][:, xa]
+    def patch_sums(squared: bool) -> np.ndarray:
+        p = np.zeros((h + 1, w + 1))
+        inner = p[1:, 1:]
+        inner[...] = pixels
+        if squared:
+            inner *= inner
+        np.cumsum(inner, axis=0, out=inner)
+        np.cumsum(inner, axis=1, out=inner)
+        return p[y1, x1] - p[y0, x1] - p[y1, x0] + p[y0, x0]
 
-    n = (y1 - y0)[:, None] * (x1 - x0)[None, :]
-    s1 = rect(p1, y0, y1, x0, x1)
-    s2 = rect(p2, y0, y1, x0, x1)
-    mean = s1 / n
-    return np.maximum(s2 / n - mean * mean, 0.0)
+    n = (y1 - y0) * (x1 - x0)[None, :]
+    mean = patch_sums(False) / n
+    return np.maximum(patch_sums(True) / n - mean * mean, 0.0)
 
 
 def compute_flow_field(image: GrayImage, cfg: FlowConfig | None = None) -> FlowField:
@@ -366,10 +394,13 @@ def compute_flow_field(image: GrayImage, cfg: FlowConfig | None = None) -> FlowF
 
     foreground = patch_variance_grid(image, cfg) >= cfg.background_variance_threshold
     gx, gy = _grid_sites(image.width, image.height, cfg.stride)
-    iy, ix = np.nonzero(foreground)
+    # the foreground sites in row-major order, their pixel coordinates in the smallest unsigned type that holds
+    # them (uint16 below 65536 pixels a side), which the evaluator converts exactly
+    coord = np.min_scalar_type(max(image.width, image.height))
+    px = np.broadcast_to(gx.astype(coord), foreground.shape)[foreground]
+    py = np.broadcast_to(gy.astype(coord)[:, None], foreground.shape)[foreground]
     ev = RotatedDeviationEvaluator(image, cfg)
-    # float64 once here, so no evaluator call converts the sites again
-    theta, ok = _search_orientations(ev.mean_deviation, gx[ix].astype(np.float64), gy[iy].astype(np.float64), cfg)
+    theta, ok = _search_orientations(ev.mean_deviation, px, py, cfg)
 
     angles = np.zeros(foreground.shape)
     valid = np.zeros(foreground.shape, dtype=bool)

@@ -7,9 +7,11 @@ its truth flow, both flow methods, both pipeline paths at three settings of
 the binarize and enhance half lengths, the flow CSV bytes, the comparison CSV
 and summary lines with and without truth, and the interior site mask; then
 projection flows at the default settings of a parallel and a concentric
-image large enough that every coarse angle's map spans several row bands;
-then the files and standard output of a set of CLI runs. There is no golden
-value: float bytes may differ across platforms and library builds.
+image large enough that every coarse angle's map spans several row bands,
+and of an image whose sites all lie below its flat top, so the search reads
+the site-free canvas rows above them in band-sized chunks; then the files
+and standard output of a set of CLI runs. There is no golden value: float
+bytes may differ across platforms and library builds.
 pytest does not collect this file.
 """
 
@@ -19,6 +21,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -36,6 +39,9 @@ PATTERNS = ("parallel", "concentric", "half_plane_stripe")
 # ``projection._MAP_BAND_PIXELS`` (most fine angles' maps two or more), so a
 # slip where one band hands over to the next changes the digest.
 BANDED_SIZE = (256, 200)
+# Ridges at 3pi/4 under 200 flat rows: the fine calls, near pi/4, begin two
+# or more map bands below the canvas top.
+DEEP_SIZE, DEEP_FLAT_ROWS = (256, 320), 200
 
 
 def _flow(h, flow: rf.FlowField) -> None:
@@ -88,6 +94,14 @@ def _banded(h) -> None:
         h.update(f"banded {pattern} {width}x{height}".encode())
         h.update(image.pixels.tobytes())
         _flow(h, rf.compute_flow_field(image))
+    width, height = DEEP_SIZE
+    spec = rf.SyntheticSpec(width=width, height=height, pattern="parallel", orientation=3 * math.pi / 4,
+                            noise_sigma=40.0, rng_seed=7)
+    pixels = rf.generate(spec)[0].pixels.copy()
+    pixels[:DEEP_FLAT_ROWS] = 128
+    h.update(f"deep {width}x{height}".encode())
+    h.update(pixels.tobytes())
+    _flow(h, rf.compute_flow_field(rf.GrayImage(pixels)))
 
 
 def _cli(h, tmp: Path) -> None:

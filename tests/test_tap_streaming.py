@@ -100,7 +100,7 @@ def test_masked_blend_matches_reference(seed, width, height, stride, valid_frac,
     streamed, reference = PATHS[path]
     taps, near = _sample_taps(img, streamed, flow, xs, ys, theta, defined, half, True)
     center = _nearest(ys, img.shape[0]) * img.shape[1] + _nearest(xs, img.shape[1])
-    got = _masked_blend(img, bits, taps, near, center, rf.gaussian_kernel(cfg.gaussian_sigma, half))
+    got = _masked_blend(img, bits, zip(taps, near), center, rf.gaussian_kernel(cfg.gaussian_sigma, half))
     want = reference_masked_blend(img, bits, reference, flow, xs, ys, theta, defined, cfg)
     assert got.shape == xs.shape
     assert np.array_equal(got, want, equal_nan=True)

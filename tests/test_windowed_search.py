@@ -2,6 +2,7 @@
 ``oracles``, and the window a query rotates."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import ridgeflow as rf
 import ridgeflow.projection as rproj
 from ridgeflow.image import rotate_raster
 
-from oracles import CachedRotatedEvaluator, reference_rotate_raster
+from oracles import CachedRotatedEvaluator, reference_mean_deviation_map, reference_rotate_raster
 
 ANGLES = st.one_of(
     st.sampled_from([0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi - 1e-12]),
@@ -111,3 +112,73 @@ def test_one_site_query_rotates_a_window_2t_plus_1_wide(monkeypatch):
             assert got.tobytes() == reference.mean_deviation(alpha, np.array([float(x)]), np.array([float(y)])).tobytes()
     assert len(shapes) == 5 * len(cfg.coarse_angles())
     assert max(w for _, w in shapes) <= 2 * t + 1
+
+
+def _raster(rng, height, width, invalid_frac):
+    """A canvas of random values and validity, 0.0 where invalid, as ``rotate_raster`` gives it.
+
+    Whole invalid columns and scattered invalid pixels leave spans of fewer
+    than two valid samples, whose deviations are NaN.
+    """
+    valid = rng.random((height, width)) >= invalid_frac
+    valid[:, rng.random(width) < invalid_frac] = False
+    values = np.where(valid, rng.integers(0, 256, (height, width)).astype(np.float64), 0.0)
+    return SimpleNamespace(values=values, valid=valid)
+
+
+def _read_recorder(rr, reads):
+    def read_rows(a, b):
+        reads.append((a, b))
+        return rr.values[a:b], rr.valid[a:b]
+
+    return read_rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    height=st.integers(1, 40),
+    width=st.integers(1, 40),
+    tangent=st.integers(1, 6),
+    perp=st.integers(1, 6),
+    half_rule=st.booleans(),
+    invalid_frac=st.sampled_from([0.0, 0.3, 0.9]),
+    n_sites=st.integers(1, 60),
+    band_pixels=st.one_of(st.integers(1, 600), st.just(rproj._MAP_BAND_PIXELS)),
+)
+def test_tangent_means_read_at_the_sites_are_the_whole_map(seed, height, width, tangent, perp, half_rule,
+                                                           invalid_frac, n_sites, band_pixels):
+    # Each site gathers its 2t+1 span deviations in the map's add order, so it
+    # has the bytes of the whole map, NaN spans and the first and last 2t map
+    # columns, whose windows run off the canvas, included.
+    rng = np.random.default_rng(seed)
+    rr = _raster(rng, height, width, invalid_frac)
+    cfg = rf.FlowConfig(tangent_half_length=tangent, perp_half_length=perp, use_half_line_rule=half_rule)
+    map_h, map_w = height + 2 * perp, width + 2 * tangent
+    edge = np.r_[0 : min(2 * tangent, map_w), max(map_w - 2 * tangent, 0) : map_w]
+    col = np.where(rng.random(n_sites) < 0.5, rng.choice(edge, n_sites), rng.integers(0, map_w, n_sites))
+    row = rng.integers(0, map_h, n_sites)
+    reads = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rproj, "_MAP_BAND_PIXELS", band_pixels)
+        got = rproj._site_mean_deviations(_read_recorder(rr, reads), (height, width), cfg,
+                                          row.astype(np.int32), col.astype(np.int32), {})
+    assert got.tobytes() == reference_mean_deviation_map(rr, cfg)[row, col].tobytes()
+    # each canvas row read once, in order, and no read longer than a map band
+    rows = [r for a, b in reads for r in range(a, b)]
+    assert rows == list(range(len(rows)))
+    assert all(b - a <= max(1, band_pixels // map_w) for a, b in reads)
+
+
+def test_site_free_rows_before_the_first_band_are_read_in_band_sized_chunks(monkeypatch):
+    rr = _raster(np.random.default_rng(3), 90, 30, 0.3)
+    cfg = rf.FlowConfig(tangent_half_length=3, perp_half_length=2)
+    map_w = 30 + 2 * 3
+    monkeypatch.setattr(rproj, "_MAP_BAND_PIXELS", 10 * map_w)  # map bands of 10 rows
+    row = np.array([80, 83, 87, 93], dtype=np.int32)
+    col = np.array([0, 17, 35, 5], dtype=np.int32)
+    reads = []
+    got = rproj._site_mean_deviations(_read_recorder(rr, reads), (90, 30), cfg, row, col, {})
+    assert got.tobytes() == reference_mean_deviation_map(rr, cfg)[row, col].tobytes()
+    # eight site-free bands of ten rows, then the band of map rows 80..89, then the canvas rows left
+    assert reads == [(a, a + 10) for a in range(0, 90, 10)]
