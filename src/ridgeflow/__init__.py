@@ -11,16 +11,13 @@ from .binarize import BinarizeConfig, binarize_image, binarize_pixel
 from .contour import (
     ContourPath,
     binarize_image_contour,
-    binarize_pixel_contour,
     contour_enhance_values,
     enhance_image_contour,
-    enhance_pixel_contour,
     trace_contour,
 )
 from .enhance import EnhanceConfig, enhance_image, enhance_pixel, enhance_values, gaussian_kernel
 from .flowfield import (
     FlowField,
-    angle_at,
     angles_at,
     angular_distance,
     interior_site_mask,
@@ -71,13 +68,11 @@ __all__ = [
     "Point",
     "RotatedDeviationEvaluator",
     "SyntheticSpec",
-    "angle_at",
     "angles_at",
     "angular_distance",
     "binarize_image",
     "binarize_image_contour",
     "binarize_pixel",
-    "binarize_pixel_contour",
     "binary_as_gray",
     "compare_methods",
     "compute_flow_field",
@@ -86,7 +81,6 @@ __all__ = [
     "enhance_image",
     "enhance_image_contour",
     "enhance_pixel",
-    "enhance_pixel_contour",
     "enhance_values",
     "flow_overlay_svg",
     "gaussian_kernel",

@@ -61,23 +61,26 @@ def _line_path(flow, xs, ys, theta, defined, half: int, bounds):
         yield o, xs + o * c, ys + o * s, True
 
 
-def _sample_taps(img: np.ndarray, path, flow, xs, ys, theta, defined, half: int, nearest: bool, table=None):
-    """Each tap of ``path`` sampled once: (values, nearest), each shaped (2*half+1,) + xs.shape.
-
-    Row half + o takes tap o's bilinear sample, NaN off the raster or where the path drops the
-    tap, and its nearest pixel's flat index (None unless ``nearest``). A ``table`` returned
-    for as many points or more is refilled; the image stages pass the previous band's.
-    """
+def _taps(img: np.ndarray, path, flow, xs, ys, theta, defined, half: int, nearest: bool):
+    """Each tap of ``path`` sampled once, in the path's order: (o, sample, nearest flat index or None). The
+    sample is NaN off the raster or where the path drops the tap; neither is kept once the next tap is asked for."""
     h, w = img.shape
-    shape = (2 * half + 1,) + np.shape(xs)
-    table = table or (np.empty(shape), np.empty(shape, np.int32) if nearest else None)
-    vals, near = (t if t is None else t[:, : len(xs)] for t in table)
     for o, px, py, ok in path(flow, xs, ys, theta, defined, half, (w, h)):
-        vals[half + o] = bilinear_many(img, px, py)
-        np.copyto(vals[half + o], np.nan, where=np.logical_not(ok))
-        if near is not None:
-            near[half + o] = _nearest(py, h) * w + _nearest(px, w)
-    return vals, near
+        sample = bilinear_many(img, px, py)
+        np.copyto(sample, np.nan, where=np.logical_not(ok))
+        near = _nearest(py, h) * w + _nearest(px, w) if nearest else None
+        yield o, sample, near
+        del sample, near
+
+
+def _in_order(taps, half: int):
+    """The (sample, nearest) of ``_taps`` in order -half..half; a tap that comes early waits for its turn."""
+    held, turn = {}, -half
+    for o, sample, near in taps:
+        held[o] = sample, near
+        while turn in held:
+            yield held.pop(turn)
+            turn += 1
 
 
 def _tap_mean(taps, shape) -> np.ndarray:
@@ -91,7 +94,7 @@ def _tap_mean(taps, shape) -> np.ndarray:
 
 
 def _is_ridge(img: np.ndarray, taps, xs, ys, theta, defined, half: int) -> np.ndarray:
-    """Ridge mask: the mean of the along-ridge ``taps`` is below the straight orthogonal mean."""
+    """Ridge mask: the mean of the along-ridge samples ``taps``, in order, is below the straight orthogonal mean."""
     g = _tap_mean(taps, np.shape(xs))
     across = _line_path(None, xs, ys, theta + math.pi / 2.0, defined, half, None)
     m = _tap_mean((bilinear_many(img, px, py) for _, px, py, _ in across), np.shape(xs))
@@ -105,8 +108,8 @@ def _binarize_pixel(image: GrayImage, p: Point, angles, cfg: BinarizeConfig | No
     img = image.as_float()
     xs, ys = (np.array([c], dtype=np.float64) for c in p)
     half = cfg.line_half_length
-    taps, _ = _sample_taps(img, path, flow, xs, ys, *angles, half, False)
-    return 0 if _is_ridge(img, taps, xs, ys, *angles, half)[0] else 1
+    taps = _in_order(_taps(img, path, flow, xs, ys, *angles, half, False), half)
+    return 0 if _is_ridge(img, (v for v, _ in taps), xs, ys, *angles, half)[0] else 1
 
 
 def binarize_pixel(image: GrayImage, p: Point, theta: float, cfg: BinarizeConfig | None = None) -> int:
@@ -115,17 +118,16 @@ def binarize_pixel(image: GrayImage, p: Point, theta: float, cfg: BinarizeConfig
 
 
 def _binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None, path) -> BinaryImage:
-    """Classify every pixel along ``path``, in row bands."""
+    """Classify every pixel along ``path``, in row bands, summing each tap as it is sampled."""
     cfg = cfg or BinarizeConfig()
     _check_inputs(image, flow)
     img = image.as_float()
     half = cfg.line_half_length
     ridge = np.empty((image.height, image.width), dtype=bool)
-    table = None
     for rows, X, Y in row_bands(image.width, image.height):
         theta, defined = angles_at(flow, X, Y)
-        table = _sample_taps(img, path, flow, X, Y, theta, defined, half, False, table)
-        ridge[rows] = _is_ridge(img, table[0], X, Y, theta, defined, half)
+        taps = _in_order(_taps(img, path, flow, X, Y, theta, defined, half, False), half)
+        ridge[rows] = _is_ridge(img, (v for v, _ in taps), X, Y, theta, defined, half)
     return BinaryImage(~ridge)
 
 

@@ -13,12 +13,11 @@ import math
 import os
 import sys
 
-from .binarize import BinarizeConfig, binarize_image
-from .contour import binarize_image_contour, enhance_image_contour
-from .enhance import EnhanceConfig, enhance_image
+from .binarize import BinarizeConfig, _binarize_image
+from .enhance import EnhanceConfig, _sweep
 from .flowfield import load_flow_csv, save_flow_csv
 from .image import GrayImage, binary_as_gray, invert, load_pgm, save_pgm
-from .pipeline import (FLOW_METHODS, PATH_MODES, PipelineConfig, _flow_for, compare_methods, run_pipeline,
+from .pipeline import (FLOW_METHODS, PATHS, PipelineConfig, _flow_for, compare_methods, run_pipeline,
                        save_comparison_csv, summary_lines)
 from .projection import FlowConfig
 from .synth import PATTERNS, SyntheticSpec, generate
@@ -58,7 +57,7 @@ def _add_flow_flags(p: argparse.ArgumentParser, d: PipelineConfig) -> None:
 def _add_binarize_flags(p: argparse.ArgumentParser, d: PipelineConfig) -> None:
     p.add_argument("--bin-half", type=int, default=d.binarize.line_half_length, help="binarization segment half length")
     p.add_argument("--invert-polarity", action="store_true", help="treat bright lines as ridges")
-    p.add_argument("--path", choices=PATH_MODES, default=d.path_mode, help="sampling path geometry")
+    p.add_argument("--path", choices=list(PATHS), default=d.path_mode, help="sampling path geometry")
 
 
 def _add_enhance_flags(p: argparse.ArgumentParser, d: PipelineConfig) -> None:
@@ -170,15 +169,11 @@ def _require_out(args, attr: str, parser_hint: str) -> str:
 
 
 def _classify(image: GrayImage, args):
-    """Flow plus binary image honoring --path and --invert-polarity."""
+    """Config, flow and binary image, honoring --path and --invert-polarity."""
     cfg = _pipeline_config(args)
     flow = _flow_for(image, cfg)
     source = invert(image) if args.invert_polarity else image
-    if args.path == "contour":
-        binary = binarize_image_contour(source, flow, cfg.binarize)
-    else:
-        binary = binarize_image(source, flow, cfg.binarize)
-    return flow, binary
+    return cfg, flow, _binarize_image(source, flow, cfg.binarize, PATHS[cfg.path_mode])
 
 
 def _cmd_flow(args) -> int:
@@ -192,21 +187,15 @@ def _cmd_flow(args) -> int:
 def _cmd_binarize(args) -> int:
     image = load_pgm(args.input)
     out = _require_out(args, "out", "binarize")
-    _, binary = _classify(image, args)
-    save_pgm(binary_as_gray(binary), out)
+    save_pgm(binary_as_gray(_classify(image, args)[2]), out)
     return 0
 
 
 def _cmd_enhance(args) -> int:
     image = load_pgm(args.input)
     out = _require_out(args, "out", "enhance")
-    flow, binary = _classify(image, args)
-    enh_cfg = _pipeline_config(args).enhance
-    if args.path == "contour":
-        enhanced = enhance_image_contour(image, binary, flow, enh_cfg)
-    else:
-        enhanced = enhance_image(image, binary, flow, enh_cfg)
-    save_pgm(enhanced, out)
+    cfg, flow, binary = _classify(image, args)
+    save_pgm(GrayImage.from_float(_sweep(image, flow, PATHS[cfg.path_mode], None, cfg.enhance, binary)[1]), out)
     return 0
 
 

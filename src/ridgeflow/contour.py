@@ -11,12 +11,12 @@ where the samples come from. A sampling path is a generator
 once for each tap o in -half..half, in any order: the tap's coordinates
 (shaped like ``xs``) and whether it is kept (an array of that shape, or a
 bool), valid until the next tap is asked for. The taps within k of the seed
-do not depend on ``half`` >= k, so one walk serves both stages.
-``binarize._sample_taps`` stores each tap's sample by o, and the mean and
-the masked blend read them in order -k..k; enhancing alone,
-``enhance._taps_in_order`` hands each tap on in that order as soon as the
-taps before it are in. The paths are the straight line
-(``binarize._line_path``) and the traced contour (``_trace_path`` here).
+do not depend on ``half`` >= k, so one walk serves both stages. One sampler,
+``binarize._taps``, samples the taps as the path gives them; the pipeline
+sweep files them in a table by o, and every other reader takes them through
+``binarize._in_order``, in order -k..k. ``pipeline.PATHS`` names the paths:
+the straight line (``binarize._line_path``) and the traced contour
+(``_trace_path`` here).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binarize import BinarizeConfig, BinaryImage, _binarize_image, _binarize_pixel
-from .enhance import EnhanceConfig, _enhance_pixel, _sweep
+from .binarize import BinarizeConfig, BinaryImage, _binarize_image
+from .enhance import EnhanceConfig, _sweep
 from .flowfield import FlowField, angles_at
 from .image import GrayImage, Point
 
@@ -106,27 +106,6 @@ def trace_contour(
         # consecutive steps never reverse, by construction
         assert (b.x - a.x) * (c.x - b.x) + (b.y - a.y) * (c.y - b.y) >= -1e-9
     return ContourPath(points, seed_index)
-
-
-def binarize_pixel_contour(
-    image: GrayImage, p: Point, flow: FlowField, cfg: BinarizeConfig | None = None
-) -> int:
-    """Like binarize_pixel, but the along-ridge mean follows the contour.
-
-    The orthogonal mean stays on the straight perpendicular at the seed's
-    orientation.
-    """
-    return _binarize_pixel(image, p, angles_at(flow, [p[0]], [p[1]]), cfg, _trace_path, flow)
-
-
-def enhance_pixel_contour(
-    image: GrayImage, binary: BinaryImage, p: Point, flow: FlowField, cfg: EnhanceConfig | None = None
-) -> float:
-    """Like enhance_pixel, but the Gaussian runs along the contour through ``p``.
-
-    NaN where ``p`` is outside the raster, as for ``enhance_pixel``.
-    """
-    return _enhance_pixel(image, binary, p, angles_at(flow, [p[0]], [p[1]]), cfg, _trace_path, flow)
 
 
 def binarize_image_contour(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None = None) -> BinaryImage:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binarize import BinarizeConfig, BinaryImage, _check_inputs, _is_ridge, _line_path, _nearest, _sample_taps
+from .binarize import BinarizeConfig, BinaryImage, _check_inputs, _in_order, _is_ridge, _line_path, _nearest, _taps
 from .flowfield import FlowField, angles_at
 from .image import GrayImage, Point, bilinear_many, row_bands
 
@@ -51,11 +51,11 @@ def gaussian_kernel(sigma: float, half_length: int) -> np.ndarray:
 def _masked_blend(img: np.ndarray, bits: np.ndarray, taps, center, weights) -> np.ndarray:
     """Gaussian-weighted mean of the taps that share the seed's class, tap by tap in path order; the
     value at ``center``, each seed's flat nearest-pixel index, where none do. ``taps`` yields each tap's
-    (sample, nearest flat index) in order -k..k, as ``_taps_in_order`` or the rows of a tap table give them."""
+    (sample, nearest flat index) in order -k..k, as ``_in_order`` or the rows of a tap table give them."""
     flat_bits = bits.ravel()
     center_bit = flat_bits.take(center)
     num, den = np.zeros(np.shape(center)), np.zeros(np.shape(center))
-    for weight, (v, nr) in zip(weights, taps):
+    for (v, nr), weight in zip(taps, weights):  # taps first, so zip runs them to their end
         # in the raster and kept, and the nearest pixel has the seed's binary class
         use = ~np.isnan(v) & (flat_bits.take(nr) == center_bit)
         num += np.where(use, v, 0.0) * weight
@@ -64,23 +64,6 @@ def _masked_blend(img: np.ndarray, bits: np.ndarray, taps, center, weights) -> n
     with np.errstate(invalid="ignore", divide="ignore"):
         out = num / den
     return np.where(den > 0, out, center_val)
-
-
-def _taps_in_order(img: np.ndarray, path, flow, xs, ys, theta, defined, half: int):
-    """Each tap of ``path`` as ``_sample_taps`` samples it, (sample, nearest flat index), in order -half..half.
-
-    A tap is sampled when the path gives it and passed on at its turn; one that comes early is held
-    until then, so a path that walks in order, such as the straight line, holds none.
-    """
-    h, w = img.shape
-    held, turn = {}, -half
-    for o, px, py, ok in path(flow, xs, ys, theta, defined, half, (w, h)):
-        v = bilinear_many(img, px, py)
-        np.copyto(v, np.nan, where=np.logical_not(ok))
-        held[o] = v, _nearest(py, h) * w + _nearest(px, w)
-        while turn in held:
-            yield held.pop(turn)
-            turn += 1
 
 
 def _enhance_pixel(
@@ -101,7 +84,7 @@ def _enhance_pixel(
     if math.isnan(sample[0]):
         return math.nan
     k = cfg.kernel_half_length
-    taps = _taps_in_order(img, path, flow, xs, ys, *angles, k)
+    taps = _in_order(_taps(img, path, flow, xs, ys, *angles, k, True), k)
     center = _nearest(ys, h) * w + _nearest(xs, w)
     blended = _masked_blend(img, binary.bits, taps, center, gaussian_kernel(cfg.gaussian_sigma, k))
     return float(np.where(angles[1], blended, sample)[0])
@@ -132,7 +115,7 @@ def _sweep(image: GrayImage, flow: FlowField, path, bcfg: BinarizeConfig | None,
     if binary is not None:
         for rows, X, Y in row_bands(w, h):
             theta, defined = angles_at(flow, X, Y)
-            taps = _taps_in_order(img, path, flow, X, Y, theta, defined, ke)
+            taps = _in_order(_taps(img, path, flow, X, Y, theta, defined, ke, True), ke)
             center = np.arange(rows.start * w, rows.stop * w).reshape(X.shape)
             out[rows] = np.where(defined, _masked_blend(img, binary.bits, taps, center, weights), img[rows])
         return binary.bits, out
@@ -142,7 +125,11 @@ def _sweep(image: GrayImage, flow: FlowField, path, bcfg: BinarizeConfig | None,
     pending, table = [], None  # pending: (first row, taps, nearest, defined) of rows not yet enhanced
     for rows, X, Y in row_bands(w, h):
         theta, defined = angles_at(flow, X, Y)
-        vals, near = table = _sample_taps(img, path, flow, X, Y, theta, defined, k, True, table)
+        table = table or tuple(np.empty((2 * k + 1,) + X.shape, t) for t in (np.float64, np.int32))
+        vals, near = (t[:, : len(X)] for t in table)  # the first band's table, the largest
+        for o, sample, nr in _taps(img, path, flow, X, Y, theta, defined, k, True):
+            vals[k + o], near[k + o] = sample, nr
+            del sample, nr  # copied; not held while the next tap is sampled
         bits[rows] = ~_is_ridge(img, vals[k - kb : k + kb + 1], X, Y, theta, defined, kb)
         ready = h if rows.stop == h else rows.stop - ke
         pending.append((rows.start, vals[k - ke : k + ke + 1], near[k - ke : k + ke + 1], defined))

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .image import Point
 
 
 @dataclass(eq=False)
@@ -179,12 +178,6 @@ def angles_at(flow: FlowField, xs, ys) -> tuple[np.ndarray, np.ndarray]:
         np.add(theta, math.pi, out=theta, where=np.signbit(theta))
         np.copyto(theta, 0.0, where=~defined | (theta >= math.pi))
     return theta.reshape(shape), defined.reshape(shape)
-
-
-def angle_at(flow: FlowField, p: Point) -> float | None:
-    """Interpolated orientation at a single point, or None where undefined."""
-    theta, ok = angles_at(flow, np.array([p[0]]), np.array([p[1]]))
-    return float(theta[0]) if bool(ok[0]) else None
 
 
 def interior_site_mask(flow: FlowField, width: int, height: int, margin: float) -> np.ndarray:

@@ -56,9 +56,11 @@ class GrayImage:
 
     @classmethod
     def from_float(cls, values: np.ndarray) -> "GrayImage":
-        """Round half-up and clamp real intensities into an 8-bit raster."""
-        v = np.floor(np.asarray(values, dtype=np.float64) + 0.5)
-        return cls(np.clip(v, 0.0, 255.0).astype(np.int64))
+        """Round half-up and clamp finite real intensities into an 8-bit raster, in one float buffer."""
+        v = np.add(values, 0.5, dtype=np.float64)
+        if not (math.isfinite(v.min(initial=0.0)) and math.isfinite(v.max(initial=0.0))):
+            raise ValueError("intensities must be finite")
+        return cls(np.clip(np.floor(v, out=v), 0.0, 255.0, out=v).astype(np.uint8))
 
 
 @dataclass(eq=False)

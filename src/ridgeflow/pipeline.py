@@ -21,7 +21,7 @@ from .gradient import check_window, compute_flow_field_gradient
 from .image import BinaryImage, GrayImage
 from .projection import FlowConfig, compute_flow_field
 
-PATH_MODES = ("linear", "contour")
+PATHS = {"linear": _line_path, "contour": _trace_path}  # the sampling path of each ``path_mode``
 FLOW_METHODS = ("projection", "gradient")
 
 
@@ -40,8 +40,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.path_mode not in PATH_MODES:
-            raise ValueError(f"path_mode must be one of {PATH_MODES}")
+        if self.path_mode not in tuple(PATHS):  # not the dict, whose lookup raises TypeError for a list
+            raise ValueError(f"path_mode must be one of {tuple(PATHS)}")
         if self.flow_method not in FLOW_METHODS:
             raise ValueError(f"flow_method must be one of {FLOW_METHODS}")
         check_window(self.gradient_window_half, self.gradient_weight_sigma)
@@ -89,8 +89,7 @@ def run_iteration(image: GrayImage, cfg: PipelineConfig | None = None) -> tuple[
     """One pass: flow, then binarize with it and enhance the input image, in one shared sweep."""
     cfg = cfg or PipelineConfig()
     flow = _flow_for(image, cfg)
-    path = _trace_path if cfg.path_mode == "contour" else _line_path
-    bits, values = _sweep(image, flow, path, cfg.binarize, cfg.enhance)
+    bits, values = _sweep(image, flow, PATHS[cfg.path_mode], cfg.binarize, cfg.enhance)
     return flow, BinaryImage(bits), GrayImage.from_float(values)
 
 

@@ -13,8 +13,9 @@ import numpy as np
 from scipy import ndimage
 
 import ridgeflow as rf
-from ridgeflow.binarize import _nearest
-from ridgeflow.enhance import gaussian_kernel
+from ridgeflow.binarize import BinarizeConfig, _binarize_pixel, _nearest
+from ridgeflow.contour import _trace_path
+from ridgeflow.enhance import EnhanceConfig, _enhance_pixel, gaussian_kernel
 from ridgeflow.flowfield import FlowField, _grid_sites, angles_at
 from ridgeflow.gradient import GradientField, _window_weights
 from ridgeflow.image import GrayImage, Point, band_rows, bilinear_many, rotate_raster
@@ -74,6 +75,36 @@ def squared_intensities(image: rf.GrayImage) -> np.ndarray:
     """Element-wise squared intensities, for one-pass variance Var = E[I^2] - E[I]^2."""
     f = image.as_float()
     return f * f
+
+
+# ---------------------------------------------------------------------------
+# Single-point entry points that only tests use, moved out of
+# ``ridgeflow.flowfield`` and ``ridgeflow.contour``
+
+
+def angle_at(flow: FlowField, p: Point) -> float | None:
+    """Interpolated orientation at a single point, or None where undefined."""
+    theta, ok = angles_at(flow, np.array([p[0]]), np.array([p[1]]))
+    return float(theta[0]) if bool(ok[0]) else None
+
+
+def binarize_pixel_contour(image: GrayImage, p: Point, flow: FlowField, cfg: BinarizeConfig | None = None) -> int:
+    """Like binarize_pixel, but the along-ridge mean follows the contour.
+
+    The orthogonal mean stays on the straight perpendicular at the seed's
+    orientation.
+    """
+    return _binarize_pixel(image, p, angles_at(flow, [p[0]], [p[1]]), cfg, _trace_path, flow)
+
+
+def enhance_pixel_contour(
+    image: GrayImage, binary: rf.BinaryImage, p: Point, flow: FlowField, cfg: EnhanceConfig | None = None
+) -> float:
+    """Like enhance_pixel, but the Gaussian runs along the contour through ``p``.
+
+    NaN where ``p`` is outside the raster, as for ``enhance_pixel``.
+    """
+    return _enhance_pixel(image, binary, p, angles_at(flow, [p[0]], [p[1]]), cfg, _trace_path, flow)
 
 
 # ---------------------------------------------------------------------------

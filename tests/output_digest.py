@@ -4,14 +4,17 @@ Run from the repository root with ``PYTHONPATH=src python tests/output_digest.py
 on two checkouts and compare the printed digests. It covers, for the three
 synthetic patterns at two sizes and grid strides 1-3: the synthetic image and
 its truth flow, both flow methods, both pipeline paths at three settings of
-the binarize and enhance half lengths, the flow CSV bytes, the comparison CSV
-and summary lines with and without truth, and the interior site mask; then
-projection flows at the default settings of a parallel and a concentric
-image large enough that every coarse angle's map spans several row bands,
-and of an image whose sites all lie below its flat top, so the search reads
-the site-free canvas rows above them in band-sized chunks; then the files
-and standard output of a set of CLI runs. There is no golden value: float
-bytes may differ across platforms and library builds.
+the binarize and enhance half lengths, the standalone stages that take their
+path outside the pipeline (``binarize_image_contour``, ``enhance_values``
+and ``contour_enhance_values``) at the same settings, the flow CSV bytes,
+the comparison CSV and summary lines with and without truth, and the
+interior site mask; then projection flows at the default settings of a
+parallel and a concentric image large enough that every coarse angle's map
+spans several row bands, and of an image whose sites all lie below its
+flat top, so the search reads the site-free canvas rows above them in
+band-sized chunks; then the files and standard output of a set of CLI
+runs, each path of binarize and enhance among them. There is no golden
+value: float bytes may differ across platforms and library builds.
 pytest does not collect this file.
 """
 
@@ -73,6 +76,12 @@ def _library(h, tmp: Path) -> None:
                         _flow(h, rec.flow)
                         h.update(rec.binary.bits.tobytes())
                         h.update(rec.enhanced.pixels.tobytes())
+                for kb, ke, sigma in HALF_LENGTHS:
+                    binary = rf.binarize_image_contour(image, proj, rf.BinarizeConfig(kb))
+                    h.update(binary.bits.tobytes())
+                    ecfg = rf.EnhanceConfig(gaussian_sigma=sigma, kernel_half_length=ke)
+                    h.update(rf.enhance_values(image, binary, proj, ecfg).tobytes())
+                    h.update(rf.contour_enhance_values(image, binary, proj, ecfg).tobytes())
                 csv = tmp / "flow.csv"
                 rf.save_flow_csv(proj, csv)
                 h.update(csv.read_bytes())
@@ -112,8 +121,11 @@ def _cli(h, tmp: Path) -> None:
         ["flow", "in.pgm", "--out", "flow_gradient.csv", "--method", "gradient"],
         ["flow", "in.pgm", "--out", "flow_full.csv", "--no-half-line-rule", "--stride", "3"],
         ["binarize", "in.pgm", "--out", "bin.pgm"],
+        ["binarize", "in.pgm", "--out", "bin_contour.pgm", "--path", "contour"],
+        ["binarize", "in.pgm", "--out", "bin_inverted.pgm", "--invert-polarity"],
         ["enhance", "in.pgm", "--out", "enh.pgm"],
         ["enhance", "in.pgm", "--out", "enh_contour.pgm", "--path", "contour"],
+        ["enhance", "in.pgm", "--out", "enh_contour_inverted.pgm", "--path", "contour", "--invert-polarity"],
         ["pipeline", "in.pgm", "--out-prefix", "lin/"],
         ["pipeline", "in.pgm", "--out-prefix", "con/", "--path", "contour", "--iterations", "1"],
         ["pipeline", "in.pgm", "--out-prefix", "con_halves/", "--path", "contour", "--bin-half", "6",

@@ -9,7 +9,8 @@ import ridgeflow.contour as rcontour
 import ridgeflow.enhance as renhance
 import ridgeflow.pipeline as rpipeline
 
-from oracles import LineSegment, inner_pixel_mask, line_points, manual_bilinear
+from oracles import (LineSegment, angle_at, binarize_pixel_contour, enhance_pixel_contour, inner_pixel_mask,
+                     line_points, manual_bilinear)
 
 
 def uniform_flow(theta=math.pi / 4, grid=16, stride=2):
@@ -91,7 +92,7 @@ class TestContourOps:
         rng = np.random.RandomState(6)
         for _ in range(60):
             p = rf.Point(float(rng.randint(12, 52)), float(rng.randint(12, 52)))
-            got = rf.binarize_pixel_contour(img, p, flow)
+            got = binarize_pixel_contour(img, p, flow)
             want = rf.binarize_pixel(img, p, math.pi / 4)
             assert got == want
 
@@ -102,7 +103,7 @@ class TestContourOps:
         flow = uniform_flow(math.pi / 4, grid=32, stride=2)
         binary = rf.binarize_image(img, flow)
         for x, y in ((20, 20), (31, 41), (45, 27)):
-            got = rf.enhance_pixel_contour(img, binary, rf.Point(x, y), flow)
+            got = enhance_pixel_contour(img, binary, rf.Point(x, y), flow)
             want = rf.enhance_pixel(img, binary, rf.Point(x, y), math.pi / 4)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -110,8 +111,8 @@ class TestContourOps:
         img = rf.GrayImage(np.full((48, 48), 99, dtype=np.int64))
         flow = uniform_flow(0.9, grid=24, stride=2)
         binary = rf.BinaryImage(np.ones((48, 48), dtype=np.int64))
-        assert rf.binarize_pixel_contour(img, rf.Point(24, 24), flow) == 1
-        assert rf.enhance_pixel_contour(img, binary, rf.Point(24, 24), flow) == pytest.approx(99.0, abs=1e-12)
+        assert binarize_pixel_contour(img, rf.Point(24, 24), flow) == 1
+        assert enhance_pixel_contour(img, binary, rf.Point(24, 24), flow) == pytest.approx(99.0, abs=1e-12)
 
     @pytest.mark.parametrize("path", ["linear", "contour"])
     def test_image_ops_match_pixel_ops(self, path):
@@ -122,13 +123,13 @@ class TestContourOps:
         if path == "contour":
             binary = rf.binarize_image_contour(img, flow)
             enhanced = rf.contour_enhance_values(img, binary, flow)
-            bit_at = lambda p: rf.binarize_pixel_contour(img, p, flow)
-            value_at = lambda p: rf.enhance_pixel_contour(img, binary, p, flow)
+            bit_at = lambda p: binarize_pixel_contour(img, p, flow)
+            value_at = lambda p: enhance_pixel_contour(img, binary, p, flow)
         else:
             binary = rf.binarize_image(img, flow)
             enhanced = rf.enhance_values(img, binary, flow)
-            bit_at = lambda p: rf.binarize_pixel(img, p, rf.angle_at(flow, p))
-            value_at = lambda p: rf.enhance_pixel(img, binary, p, rf.angle_at(flow, p))
+            bit_at = lambda p: rf.binarize_pixel(img, p, angle_at(flow, p))
+            value_at = lambda p: rf.enhance_pixel(img, binary, p, angle_at(flow, p))
         rng = np.random.RandomState(5)
         for _ in range(30):
             x = int(rng.randint(10, 54))
@@ -149,11 +150,11 @@ class TestContourOps:
         flow = rf.FlowField(np.zeros((8, 8)), valid, 2)
         p = rf.Point(4.0, 8.0)
         assert [q.x for q in rf.trace_contour(flow, p, 4, bounds=(16, 16)).points] == [0, 1, 2, 3, 4, 5, 6]
-        assert rf.binarize_pixel_contour(img, p, flow) == 0
+        assert binarize_pixel_contour(img, p, flow) == 0
         assert rf.binarize_image_contour(img, flow).bits[8, 4] == 0
         ones = rf.BinaryImage(np.ones((16, 16), dtype=np.int64))
         cfg = rf.EnhanceConfig(gaussian_sigma=2.0, kernel_half_length=4)
-        assert rf.enhance_pixel_contour(img, ones, p, flow, cfg) == 0.0
+        assert enhance_pixel_contour(img, ones, p, flow, cfg) == 0.0
         assert rf.contour_enhance_values(img, ones, flow, cfg)[8, 4] == 0.0
 
     @staticmethod

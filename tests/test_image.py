@@ -73,6 +73,14 @@ class TestGrayImage:
         img = rf.GrayImage.from_float(np.array([[0.5, 254.4, 300.0, -5.0]]))
         assert img.pixels.ravel().tolist() == [1, 254, 255, 0]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_from_float_rejects_non_finite_values(self, bad):
+        values = np.array([[12.0, 200.0], [bad, 7.5]])
+        before = values.copy()
+        with pytest.raises(ValueError, match="finite"):
+            rf.GrayImage.from_float(values)
+        assert np.array_equal(values, before, equal_nan=True)
+
 
 class TestBilinear:
     def test_exact_at_lattice(self):

@@ -12,7 +12,7 @@ import ridgeflow.image as rimage
 import ridgeflow.pipeline as rpipeline
 import ridgeflow.projection as rproj
 
-from oracles import reference_mean_deviation_map
+from oracles import binarize_pixel_contour, enhance_pixel_contour, reference_mean_deviation_map
 
 W, H = 131, 97  # non-square; 7 rows per band does not divide H
 
@@ -139,16 +139,18 @@ class TestBoundedMemory:
         assert peak < self.CEILING_MIB
 
     # At the default settings the kernels sum one tap at a time into
-    # band-sized accumulators. Measured on the concentric image with its
-    # truth flow: binarize_image 3.55 MiB at 512x512; a whole (2k+1)-deep
-    # gather per band took 7.92 MiB. Given a binary, enhance blends each tap
-    # as it is sampled, and the contour's taps before -k wait for their turn:
-    # enhance_values 2.49 MiB and contour_enhance_values 3.78 MiB at 256x256.
-    # A (2k+1)-row tap table per band took 3.90 and 4.49 MiB, and a whole
-    # (2k+1)-deep gather 12.46 and 12.61 MiB. Do not raise them.
+    # band-sized accumulators, and each standalone stage takes each tap as it
+    # is sampled; the contour's taps before -k wait for their turn. Measured
+    # on the concentric image with its truth flow: binarize_image 3.55 MiB
+    # and binarize_image_contour 4.15 MiB at 512x512, where a (2k+1)-row tap
+    # table per band took 4.11 and 4.40 MiB and a whole (2k+1)-deep gather
+    # per band 7.92 MiB; enhance_values 2.31 MiB and contour_enhance_values
+    # 3.78 MiB at 256x256, where a tap table per band took 3.90 and 4.49 MiB
+    # and a whole gather 12.46 and 12.61 MiB. Do not raise them.
     ENHANCE_256_CEILING_MIB = 3.0
     CONTOUR_ENHANCE_256_CEILING_MIB = 4.2
-    BINARIZE_512_CEILING_MIB = 5.0
+    BINARIZE_512_CEILING_MIB = 3.9
+    CONTOUR_BINARIZE_512_CEILING_MIB = 4.3
 
     @pytest.fixture(scope="class")
     def medium(self):
@@ -182,6 +184,26 @@ class TestBoundedMemory:
         img, flow = large
         peak = self._peak_mib(lambda: rf.binarize_image(img, flow))
         assert peak < self.BINARIZE_512_CEILING_MIB
+
+    def test_contour_binarize_peak_holds_no_tap_table(self, large):
+        img, flow = large
+        peak = self._peak_mib(lambda: rf.binarize_image_contour(img, flow))
+        assert peak < self.CONTOUR_BINARIZE_512_CEILING_MIB
+
+    # GrayImage.from_float rounds and clamps in one float buffer and casts it
+    # to bytes: 2.50 MiB at 512x512, where four image-sized temporaries took
+    # 6.00 MiB (and enhance_image 8.01, now 5.31). Do not raise it.
+    FROM_FLOAT_512_CEILING_MIB = 3.0
+
+    def test_from_float_peak_holds_one_float_buffer(self):
+        values = np.random.default_rng(2).uniform(-40.0, 300.0, (512, 512))
+        values[0, :4] = [0.5, 254.5, -0.5, 255.5]  # halves round up, then clamp
+        want = np.clip(np.floor(values + 0.5), 0.0, 255.0).astype(np.uint8)
+        image = []
+        peak = self._peak_mib(lambda: image.append(rf.GrayImage.from_float(values)))
+        assert image[0].pixels.tobytes() == want.tobytes()
+        assert image[0].pixels[0, :4].tolist() == [1, 255, 0, 255]
+        assert peak < self.FROM_FLOAT_512_CEILING_MIB
 
     # compute_flow_field at 512x512 measured 7.92 MiB on this image and 8.22
     # on a parallel one: tangent means are read at the sites, each band of
@@ -311,8 +333,8 @@ class TestPixelEntryContract:
         p = rf.Point(20.0, 20.0)
         calls = {
             "enhance_pixel": lambda: rf.enhance_pixel(image, binary, p, 0.5),
-            "enhance_pixel_contour": lambda: rf.enhance_pixel_contour(image, binary, p, flow),
-            "binarize_pixel_contour": lambda: rf.binarize_pixel_contour(image, p, flow),
+            "enhance_pixel_contour": lambda: enhance_pixel_contour(image, binary, p, flow),
+            "binarize_pixel_contour": lambda: binarize_pixel_contour(image, p, flow),
         }
         with pytest.raises(ValueError, match=message):
             calls[entry]()

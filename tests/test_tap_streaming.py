@@ -1,19 +1,21 @@
 """The tap-streamed binarize and enhance kernels against their whole-array references.
 
-``binarize._sample_taps`` samples each tap of a path once into a tap
-table; ``binarize._tap_mean`` and ``enhance._masked_blend`` read the table
-and add each tap's terms into accumulators shaped like the query points, in
-tap order. The references in ``oracles`` gather all 2k+1 taps at once and
-reduce over the leading axis, which numpy sums in the same order for two or
-more query points, so the results must agree byte for byte, NaNs included.
-The contour path is checked against ``reference_trace_batch``, the whole
-trace as it was before it was traced lazily, and the fused iteration, which
-binarizes and enhances in one band sweep, against the references composed.
+``binarize._taps`` samples each tap of a path once, in the order the path
+gives them; ``binarize._in_order`` hands them on in order -k..k, exactly
+as the pipeline sweep files them in its table by o. ``binarize._tap_mean``
+and ``enhance._masked_blend`` read the taps in that order and add each
+tap's terms into accumulators shaped like the query points. The references
+in ``oracles`` gather all 2k+1 taps at once and reduce over the leading
+axis, which numpy sums in the same order for two or more query points, so
+the results must agree byte for byte, NaNs included. The contour path is
+checked against ``reference_trace_batch``, the whole trace as it was
+before it was traced lazily, and the fused iteration, which binarizes and
+enhances in one band sweep, against the references composed.
 
 For one query point numpy reduces the single column pairwise instead, so
-the single-pixel entry points are checked against the references
-evaluated on that point inside a batch: they now give exactly the value
-the image stages give at the same point.
+the single-pixel entry points (the contour ones from ``oracles``) are
+checked against the references evaluated on that point inside a batch:
+they give exactly the value the image stages give at the same point.
 """
 
 import math
@@ -26,12 +28,13 @@ from hypothesis import strategies as st
 import ridgeflow as rf
 import ridgeflow.image as rimage
 import ridgeflow.pipeline as rpipeline
-from ridgeflow.binarize import _TIE_EPS, _line_path, _nearest, _sample_taps, _tap_mean
+from ridgeflow.binarize import _TIE_EPS, _in_order, _line_path, _nearest, _tap_mean, _taps
 from ridgeflow.contour import _trace_path
 from ridgeflow.enhance import _masked_blend
 from ridgeflow.flowfield import _grid_sites
 
-from oracles import reference_line_path, reference_masked_blend, reference_path_mean, reference_trace_batch
+from oracles import (binarize_pixel_contour, enhance_pixel_contour, reference_line_path, reference_masked_blend,
+                     reference_path_mean, reference_trace_batch)
 
 # (streamed path, the same path as the references take it)
 PATHS = {"line": (_line_path, reference_line_path), "contour": (_trace_path, reference_trace_batch)}
@@ -76,6 +79,30 @@ def _case(rng, width, height, stride, valid_frac):
 
 
 @settings(max_examples=80, deadline=None)
+@given(nearest=st.booleans(), **_case_args)
+def test_in_order_gives_the_rows_of_the_table_filed_by_o(seed, width, height, stride, valid_frac, half, path,
+                                                           nearest):
+    """The enhance-alone readers see the taps the pipeline sweep files in its table, row by row."""
+    rng = np.random.default_rng(seed)
+    img, flow, xs, ys, theta, defined = _case(rng, width, height, stride, valid_frac)
+    streamed, _ = PATHS[path]
+    filed = {}
+    for o, sample, near in _taps(img, streamed, flow, xs, ys, theta, defined, half, nearest):
+        assert o not in filed and -half <= o <= half
+        assert sample.shape == xs.shape and (near is None) != nearest
+        filed[o] = sample, near
+    assert sorted(filed) == list(range(-half, half + 1))
+    got = list(_in_order(_taps(img, streamed, flow, xs, ys, theta, defined, half, nearest), half))
+    assert len(got) == 2 * half + 1
+    for o, (sample, near) in zip(range(-half, half + 1), got):
+        assert sample.tobytes() == filed[o][0].tobytes()
+        if nearest:
+            assert near.tobytes() == filed[o][1].tobytes()
+        else:
+            assert near is None
+
+
+@settings(max_examples=80, deadline=None)
 @given(orthogonal=st.booleans(), **_case_args)
 def test_path_mean_matches_reference(seed, width, height, stride, valid_frac, half, path, orthogonal):
     rng = np.random.default_rng(seed)
@@ -83,8 +110,8 @@ def test_path_mean_matches_reference(seed, width, height, stride, valid_frac, ha
     if orthogonal:  # as ``_is_ridge`` asks for the orthogonal mean
         theta = theta + math.pi / 2.0
     streamed, reference = PATHS[path]
-    taps, _ = _sample_taps(img, streamed, flow, xs, ys, theta, defined, half, True)
-    got = _tap_mean(taps, xs.shape)
+    taps = _in_order(_taps(img, streamed, flow, xs, ys, theta, defined, half, True), half)
+    got = _tap_mean((v for v, _ in taps), xs.shape)
     want = reference_path_mean(img, reference, flow, xs, ys, theta, defined, half)
     assert got.shape == xs.shape
     assert np.array_equal(got, want, equal_nan=True)
@@ -98,9 +125,9 @@ def test_masked_blend_matches_reference(seed, width, height, stride, valid_frac,
     bits = rng.integers(0, 2, img.shape).astype(np.uint8)
     cfg = rf.EnhanceConfig(gaussian_sigma=sigma_frac * half / 2.0, kernel_half_length=half)
     streamed, reference = PATHS[path]
-    taps, near = _sample_taps(img, streamed, flow, xs, ys, theta, defined, half, True)
+    taps = _in_order(_taps(img, streamed, flow, xs, ys, theta, defined, half, True), half)
     center = _nearest(ys, img.shape[0]) * img.shape[1] + _nearest(xs, img.shape[1])
-    got = _masked_blend(img, bits, zip(taps, near), center, rf.gaussian_kernel(cfg.gaussian_sigma, half))
+    got = _masked_blend(img, bits, taps, center, rf.gaussian_kernel(cfg.gaussian_sigma, half))
     want = reference_masked_blend(img, bits, reference, flow, xs, ys, theta, defined, cfg)
     assert got.shape == xs.shape
     assert np.array_equal(got, want, equal_nan=True)
@@ -151,14 +178,14 @@ def test_single_pixel_entry_points_match_reference(seed, width, height, stride, 
 
     assert rf.binarize_pixel(image, p, theta) == _reference_bit(img, reference_line_path, None, xs, ys,
                                                                  *given_theta, half)
-    assert rf.binarize_pixel_contour(image, p, flow) == _reference_bit(img, reference_trace_batch, flow, xs, ys,
+    assert binarize_pixel_contour(image, p, flow) == _reference_bit(img, reference_trace_batch, flow, xs, ys,
                                                                         *flow_theta, half)
 
     got = rf.enhance_pixel(image, binary, p, theta)
     want = reference_masked_blend(img, binary.bits, reference_line_path, None, xs, ys, *given_theta, ecfg)[0]
     assert np.array_equal(got, math.nan if sample is None else want, equal_nan=True)
 
-    got = rf.enhance_pixel_contour(image, binary, p, flow)
+    got = enhance_pixel_contour(image, binary, p, flow)
     want = reference_masked_blend(img, binary.bits, reference_trace_batch, flow, xs, ys, *flow_theta, ecfg)[0]
     if not flow_theta[1][0]:
         want = sample
@@ -179,9 +206,9 @@ def test_single_pixel_entry_points_equal_the_image_stages():
     for y, x in zip(*(axis[pick] for axis in np.nonzero(defined))):
         p = rf.Point(float(x), float(y))
         assert rf.binarize_pixel(image, p, theta[y, x]) == binary.bits[y, x]
-        assert rf.binarize_pixel_contour(image, p, flow) == contour_binary.bits[y, x]
+        assert binarize_pixel_contour(image, p, flow) == contour_binary.bits[y, x]
         assert rf.enhance_pixel(image, binary, p, theta[y, x]) == enhanced[y, x]
-        assert rf.enhance_pixel_contour(image, contour_binary, p, flow) == contour_enhanced[y, x]
+        assert enhance_pixel_contour(image, contour_binary, p, flow) == contour_enhanced[y, x]
 
 
 @settings(max_examples=60, deadline=None)
