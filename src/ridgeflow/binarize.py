@@ -105,7 +105,7 @@ def _binarize_pixel(image: GrayImage, p: Point, angles, cfg: BinarizeConfig | No
     """Bit at ``p``; ``angles`` is (theta, defined), each of shape (1,)."""
     cfg = cfg or BinarizeConfig()
     _check_inputs(image, flow)
-    img = image.as_float()
+    img = image.pixels
     xs, ys = (np.array([c], dtype=np.float64) for c in p)
     half = cfg.line_half_length
     taps = _in_order(_taps(img, path, flow, xs, ys, *angles, half, False), half)
@@ -121,7 +121,7 @@ def _binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | Non
     """Classify every pixel along ``path``, in row bands, summing each tap as it is sampled."""
     cfg = cfg or BinarizeConfig()
     _check_inputs(image, flow)
-    img = image.as_float()
+    img = image.pixels
     half = cfg.line_half_length
     ridge = np.empty((image.height, image.width), dtype=bool)
     for rows, X, Y in row_bands(image.width, image.height):

@@ -123,4 +123,4 @@ def contour_enhance_values(
 def enhance_image_contour(
     image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None = None
 ) -> GrayImage:
-    return GrayImage.from_float(contour_enhance_values(image, binary, flow, cfg))
+    return GrayImage(_sweep(image, flow, _trace_path, None, cfg or EnhanceConfig(), binary, rounded=True)[1])

@@ -12,7 +12,7 @@ import numpy as np
 
 from .binarize import BinarizeConfig, BinaryImage, _check_inputs, _in_order, _is_ridge, _line_path, _nearest, _taps
 from .flowfield import FlowField, angles_at
-from .image import GrayImage, Point, bilinear_many, row_bands
+from .image import GrayImage, Point, _round_bytes, bilinear_many, row_bands
 
 
 @dataclass
@@ -77,7 +77,7 @@ def _enhance_pixel(
     """
     cfg = cfg or EnhanceConfig()
     _check_inputs(image, flow, binary)
-    img = image.as_float()
+    img = image.pixels
     h, w = img.shape
     xs, ys = (np.array([c], dtype=np.float64) for c in p)
     sample = bilinear_many(img, xs, ys)
@@ -98,8 +98,9 @@ def enhance_pixel(
 
 
 def _sweep(image: GrayImage, flow: FlowField, path, bcfg: BinarizeConfig | None, ecfg: EnhanceConfig,
-           binary: BinaryImage | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Bits and enhanced values of every pixel, binarized along ``path`` unless ``binary`` is given.
+           binary: BinaryImage | None = None, rounded: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Bits and enhanced values of every pixel, binarized along ``path`` unless ``binary`` is given; with
+    ``rounded``, the values are the bytes of ``GrayImage.from_float``, rounded band by band as they are made.
 
     Given ``binary``, each row band blends its taps one at a time, in order, as they are sampled, and no
     tap table exists. Otherwise each row band is sampled once into a table, to the larger half length, for
@@ -107,17 +108,18 @@ def _sweep(image: GrayImage, flow: FlowField, path, bcfg: BinarizeConfig | None,
     bands carry over as copies.
     """
     _check_inputs(image, flow, binary)
-    img = image.as_float()
+    img = image.pixels
     h, w = img.shape
     ke = ecfg.kernel_half_length
     weights = gaussian_kernel(ecfg.gaussian_sigma, ke)
-    out = np.empty_like(img)
+    out = np.empty((h, w), np.uint8 if rounded else np.float64)
+    finish = _round_bytes if rounded else np.asarray
     if binary is not None:
         for rows, X, Y in row_bands(w, h):
             theta, defined = angles_at(flow, X, Y)
             taps = _in_order(_taps(img, path, flow, X, Y, theta, defined, ke, True), ke)
             center = np.arange(rows.start * w, rows.stop * w).reshape(X.shape)
-            out[rows] = np.where(defined, _masked_blend(img, binary.bits, taps, center, weights), img[rows])
+            out[rows] = finish(np.where(defined, _masked_blend(img, binary.bits, taps, center, weights), img[rows]))
         return binary.bits, out
     kb = bcfg.line_half_length
     k = max(kb, ke)
@@ -139,7 +141,7 @@ def _sweep(image: GrayImage, flow: FlowField, path, bcfg: BinarizeConfig | None,
             if n:
                 center = np.arange(y0 * w, (y0 + n) * w).reshape(n, w)
                 blended = _masked_blend(img, bits, zip(v[:, :n], nr[:, :n]), center, weights)
-                out[y0 : y0 + n] = np.where(d[:n], blended, img[y0 : y0 + n])
+                out[y0 : y0 + n] = finish(np.where(d[:n], blended, img[y0 : y0 + n]))
             if n < len(d):
                 pending.append((y0 + n, v[:, n:].copy(), nr[:, n:].copy(), d[n:]))
     return bits, out
@@ -155,4 +157,4 @@ def enhance_values(
 def enhance_image(
     image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None = None
 ) -> GrayImage:
-    return GrayImage.from_float(enhance_values(image, binary, flow, cfg))
+    return GrayImage(_sweep(image, flow, _line_path, None, cfg or EnhanceConfig(), binary, rounded=True)[1])

@@ -1,7 +1,9 @@
 """Grayscale/binary raster types, PGM I/O, sub-pixel sampling and rotation.
 
-Images are stored as 8-bit rasters and promoted to float64 while filtering;
-results are rounded half-up and clamped back to [0, 255] on output.
+Images are stored as 8-bit rasters and sampled as bytes: the sampler widens
+each gathered pixel to float64 as it weights it, so no float copy of an image
+exists. Results are rounded half-up and clamped back to [0, 255] on output,
+band by band where a stage makes them in bands.
 Coordinates: x grows right, y grows down, origin at the top-left pixel
 center. Angles are measured from +x toward +y and are pi-periodic.
 """
@@ -57,10 +59,15 @@ class GrayImage:
     @classmethod
     def from_float(cls, values: np.ndarray) -> "GrayImage":
         """Round half-up and clamp finite real intensities into an 8-bit raster, in one float buffer."""
-        v = np.add(values, 0.5, dtype=np.float64)
-        if not (math.isfinite(v.min(initial=0.0)) and math.isfinite(v.max(initial=0.0))):
-            raise ValueError("intensities must be finite")
-        return cls(np.clip(np.floor(v, out=v), 0.0, 255.0, out=v).astype(np.uint8))
+        return cls(_round_bytes(values))
+
+
+def _round_bytes(values) -> np.ndarray:
+    """uint8 of floor(v + 0.5) clamped to [0, 255], elementwise in one float buffer; ValueError if not finite."""
+    v = np.add(values, 0.5, dtype=np.float64)
+    if not (math.isfinite(v.min(initial=0.0)) and math.isfinite(v.max(initial=0.0))):
+        raise ValueError("intensities must be finite")
+    return np.clip(np.floor(v, out=v), 0.0, 255.0, out=v).astype(np.uint8)
 
 
 @dataclass(eq=False)
@@ -92,11 +99,11 @@ class BinaryImage:
 
 def binary_as_gray(binary: BinaryImage) -> GrayImage:
     """Viewable rendering of a binary raster: ridge 0 -> black, valley 1 -> white."""
-    return GrayImage(binary.bits.astype(np.int64) * 255)
+    return GrayImage(binary.bits * np.uint8(255))
 
 
 def invert(image: GrayImage) -> GrayImage:
-    return GrayImage(255 - image.pixels.astype(np.int64))
+    return GrayImage(np.uint8(255) - image.pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +163,7 @@ def load_pgm(path) -> GrayImage:
             f"{path}: truncated pixel data at byte {len(raw)} (need {need} bytes from byte {pos})"
         )
     px = np.frombuffer(raw, dtype=np.uint8, count=need, offset=pos).reshape(height, width)
-    return GrayImage(px.astype(np.int64))
+    return GrayImage(px)
 
 
 def save_pgm(image: GrayImage, path) -> None:
@@ -170,13 +177,15 @@ def save_pgm(image: GrayImage, path) -> None:
 
 
 def bilinear_many(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Bilinear samples of a float raster; NaN where a needed pixel is outside.
+    """Bilinear float64 samples of a uint8 or real raster; NaN where a needed pixel is outside.
 
     Coordinates within 1e-9 of the raster edge count as inside, so exact
     boundary samples survive the rounding noise of rotation transforms;
     non-finite coordinates are outside. The four corners are read with flat
     ``take`` indices, which is faster than 2-D fancy indexing, and every
     temporary is reused in place; the weighted sum keeps one fixed order.
+    A uint8 raster's corners are gathered as bytes and widened exactly, so
+    it gives the bytes of its float64 promotion without a copy of it.
     """
     eps = 1e-9
     h, w = values.shape
@@ -202,28 +211,36 @@ def bilinear_many(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     y0 *= w
     y0 += x0
     corner = y0.astype(np.intp)
-    flat = np.asarray(values, dtype=np.float64).ravel()
+    flat = values.ravel() if values.dtype == np.uint8 else np.asarray(values, dtype=np.float64).ravel()
+    gathered = np.empty(corner.shape, np.uint8) if flat.dtype == np.uint8 else None
+
+    def corners(out: np.ndarray) -> np.ndarray:
+        if gathered is None:
+            return flat.take(corner, out=out, mode="clip")
+        np.copyto(out, flat.take(corner, out=gathered, mode="clip"))  # cheaper than a mixed-type multiply
+        return out
+
     # The corner positions are spent, so their buffers take the terms. The
     # index walks (x0, y0), (x0+1, y0), (x0, y0+1), (x0+1, y0+1) in place;
     # every index is in range, and mode="clip" skips the copy that ``take``
     # makes for ``out`` in its default mode.
-    v = flat.take(corner, out=x0, mode="clip")
+    v = corners(x0)
     v *= gx
     v *= gy
     t = y0
     corner += dx
-    flat.take(corner, out=t, mode="clip")
+    corners(t)
     t *= fx
     t *= gy
     v += t
     np.add(corner, w, out=corner, where=dy)
     corner -= dx
-    flat.take(corner, out=t, mode="clip")
+    corners(t)
     t *= gx
     t *= fy
     v += t
     corner += dx
-    flat.take(corner, out=t, mode="clip")
+    corners(t)
     t *= fx
     t *= fy
     v += t
@@ -264,7 +281,7 @@ def row_bands(width: int, height: int) -> Iterator[tuple[slice, np.ndarray, np.n
 
 def sample_bilinear(image: GrayImage, p: Point) -> float | None:
     """Bilinear intensity at ``p``; None when the sample needs out-of-raster pixels."""
-    v = bilinear_many(image.as_float(), np.array([p[0]]), np.array([p[1]]))[0]
+    v = bilinear_many(image.pixels, np.array([p[0]]), np.array([p[1]]))[0]
     return None if math.isnan(v) else float(v)
 
 
@@ -337,15 +354,15 @@ def rotate_raster(
     source_offset: tuple[float, float] = (0.0, 0.0),
     window: tuple[slice, slice] | None = None,
 ) -> RotatedRaster:
-    """Rotate a float raster about its center by -angle (bilinear resampling).
+    """Rotate a uint8 or real raster about its center by -angle (bilinear resampling) into float64.
 
-    The canvas covers the rotated bounding box; pixels that map from
-    outside the source are flagged invalid and set to 0. ``window``, a
-    (rows, columns) pair of slices of the canvas, clipped to it, limits the
-    output to that part; every pixel comes out as in the whole canvas.
-    ``source_offset`` shifts every source sample position by a constant
-    amount, letting callers force interpolation even for lattice-preserving
-    angles.
+    A uint8 raster gives the values of its float64 promotion. The canvas
+    covers the rotated bounding box; pixels that map from outside the
+    source are flagged invalid and set to 0. ``window``, a (rows, columns)
+    pair of slices of the canvas, clipped to it, limits the output to that
+    part; every pixel comes out as in the whole canvas. ``source_offset``
+    shifts every source sample position by a constant amount, letting
+    callers force interpolation even for lattice-preserving angles.
 
     Rows are resampled in bands, so the sampling temporaries stay small.
     Each band samples only the columns whose source position can be in

@@ -89,8 +89,9 @@ def run_iteration(image: GrayImage, cfg: PipelineConfig | None = None) -> tuple[
     """One pass: flow, then binarize with it and enhance the input image, in one shared sweep."""
     cfg = cfg or PipelineConfig()
     flow = _flow_for(image, cfg)
-    bits, values = _sweep(image, flow, PATHS[cfg.path_mode], cfg.binarize, cfg.enhance)
-    return flow, BinaryImage(bits), GrayImage.from_float(values)
+    bits, enhanced = _sweep(image, flow, PATHS[cfg.path_mode], cfg.binarize, cfg.enhance, rounded=True)
+    flow._sites = None  # the sweep's ``angles_at`` table; the record keeps the flow, not the table
+    return flow, BinaryImage(bits), GrayImage(enhanced)
 
 
 def run_pipeline(image: GrayImage, cfg: PipelineConfig | None = None) -> PipelineResult:

@@ -254,7 +254,7 @@ class RotatedDeviationEvaluator:
     """
 
     def __init__(self, image: GrayImage, cfg: FlowConfig):
-        self._img = image.as_float()
+        self._img = image.pixels
         self._cfg = cfg
         self._work: dict[str, np.ndarray] = {}
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ridgeflow as rf
-from ridgeflow.image import rotate_raster
+from ridgeflow.image import _round_bytes, band_rows, rotate_raster
 
 from oracles import LineSegment, line_points, manual_bilinear, rotate_image, squared_intensities
 
@@ -80,6 +82,41 @@ class TestGrayImage:
         with pytest.raises(ValueError, match="finite"):
             rf.GrayImage.from_float(values)
         assert np.array_equal(values, before, equal_nan=True)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 12),
+        height=st.integers(1, 12),
+        band_pixels=st.integers(1, 40),
+        bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+    )
+    @example(seed=0, width=1, height=7, band_pixels=1, bad=None)
+    @example(seed=1, width=7, height=1, band_pixels=3, bad=math.nan)
+    def test_rounding_band_by_band_gives_the_bytes_of_from_float(self, seed, width, height, band_pixels, bad):
+        """The enhance sweep rounds each band as it is made; the bytes are those of rounding the whole image."""
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-40.0, 300.0, (height, width))
+        # half-integers, which round up, and values at and past the clamps at 0 and 255
+        edges = [-1e300, -0.5, -1e-300, 0.0, 254.49999999999997, 254.5, 255.0, 255.5, 1e300]
+        picks = rng.random((height, width)) < 0.5
+        n = int(picks.sum())
+        values[picks] = np.where(rng.random(n) < 0.5, rng.integers(-3, 258, n) + 0.5, rng.choice(edges, n))
+        if bad is not None:
+            values[rng.integers(height), rng.integers(width)] = bad
+        banded = np.empty((height, width), np.uint8)
+        if bad is None:
+            for rows in band_rows(width, height, band_pixels):
+                banded[rows] = _round_bytes(values[rows])
+            want = rf.GrayImage.from_float(values).pixels
+            assert want.tobytes() == banded.tobytes()
+            assert want.tobytes() == np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8).tobytes()
+            return
+        with pytest.raises(ValueError, match="finite"):
+            rf.GrayImage.from_float(values)
+        with pytest.raises(ValueError, match="finite"):
+            for rows in band_rows(width, height, band_pixels):
+                banded[rows] = _round_bytes(values[rows])
 
 
 class TestBilinear:

@@ -140,17 +140,19 @@ class TestBoundedMemory:
 
     # At the default settings the kernels sum one tap at a time into
     # band-sized accumulators, and each standalone stage takes each tap as it
-    # is sampled; the contour's taps before -k wait for their turn. Measured
-    # on the concentric image with its truth flow: binarize_image 3.55 MiB
-    # and binarize_image_contour 4.15 MiB at 512x512, where a (2k+1)-row tap
-    # table per band took 4.11 and 4.40 MiB and a whole (2k+1)-deep gather
-    # per band 7.92 MiB; enhance_values 2.31 MiB and contour_enhance_values
-    # 3.78 MiB at 256x256, where a tap table per band took 3.90 and 4.49 MiB
-    # and a whole gather 12.46 and 12.61 MiB. Do not raise them.
-    ENHANCE_256_CEILING_MIB = 3.0
-    CONTOUR_ENHANCE_256_CEILING_MIB = 4.2
-    BINARIZE_512_CEILING_MIB = 3.9
-    CONTOUR_BINARIZE_512_CEILING_MIB = 4.3
+    # is sampled; the contour's taps before -k wait for their turn. The
+    # stages sample the image's bytes, with no float64 copy of it. Measured
+    # on the concentric image with its truth flow: binarize_image 1.56 MiB
+    # and binarize_image_contour 2.15 MiB at 512x512 (3.55 and 4.15 with a
+    # float64 copy), where a (2k+1)-row tap table per band took 4.11 and
+    # 4.40 MiB and a whole (2k+1)-deep gather per band 7.92 MiB;
+    # enhance_values 1.81 MiB and contour_enhance_values 3.28 MiB at 256x256
+    # (2.31 and 3.78 with the copy), where a tap table per band took 3.90
+    # and 4.49 MiB and a whole gather 12.46 and 12.61 MiB. Do not raise them.
+    ENHANCE_256_CEILING_MIB = 2.3
+    CONTOUR_ENHANCE_256_CEILING_MIB = 3.8
+    BINARIZE_512_CEILING_MIB = 2.0
+    CONTOUR_BINARIZE_512_CEILING_MIB = 2.6
 
     @pytest.fixture(scope="class")
     def medium(self):
@@ -170,9 +172,12 @@ class TestBoundedMemory:
         assert peak < self.CONTOUR_ENHANCE_256_CEILING_MIB
 
     # One sweep binarizes and enhances along the contour, to max(4, 9) taps
-    # each way: 5.49 MiB at 256x256 with the truth flow, where binarize_image_contour
-    # then contour_enhance_values peaked at 5.82 MiB. Do not raise it.
-    FUSED_CONTOUR_256_CEILING_MIB = 6.0
+    # each way: 4.09 MiB at 256x256 with the truth flow, sampling the image's
+    # bytes and rounding each band as it is enhanced; 5.03 with float64
+    # copies of the input and the output, and 5.49 before that, where
+    # binarize_image_contour then contour_enhance_values peaked at 5.82 MiB.
+    # Do not raise it.
+    FUSED_CONTOUR_256_CEILING_MIB = 4.7
 
     def test_fused_contour_iteration_peak_holds_no_tap_gather(self, medium, monkeypatch):
         img, flow = medium
@@ -190,9 +195,20 @@ class TestBoundedMemory:
         peak = self._peak_mib(lambda: rf.binarize_image_contour(img, flow))
         assert peak < self.CONTOUR_BINARIZE_512_CEILING_MIB
 
+    # A one-pixel call reads the image's bytes where it copied the whole
+    # image as float64: 2.0 MiB at 512x512. Do not raise it.
+    SINGLE_PIXEL_CEILING_MIB = 0.1
+
+    def test_single_pixel_calls_copy_no_image(self, large):
+        img, _ = large
+        p = rf.Point(100.25, 200.75)
+        assert self._peak_mib(lambda: rf.sample_bilinear(img, p)) < self.SINGLE_PIXEL_CEILING_MIB
+        assert self._peak_mib(lambda: rf.binarize_pixel(img, p, 0.3)) < self.SINGLE_PIXEL_CEILING_MIB
+
     # GrayImage.from_float rounds and clamps in one float buffer and casts it
     # to bytes: 2.50 MiB at 512x512, where four image-sized temporaries took
-    # 6.00 MiB (and enhance_image 8.01, now 5.31). Do not raise it.
+    # 6.00 MiB (and enhance_image 8.01; it now rounds band by band, at 1.57).
+    # Do not raise it.
     FROM_FLOAT_512_CEILING_MIB = 3.0
 
     def test_from_float_peak_holds_one_float_buffer(self):
@@ -205,15 +221,17 @@ class TestBoundedMemory:
         assert image[0].pixels[0, :4].tolist() == [1, 255, 0, 255]
         assert peak < self.FROM_FLOAT_512_CEILING_MIB
 
-    # compute_flow_field at 512x512 measured 7.92 MiB on this image and 8.22
-    # on a parallel one: tangent means are read at the sites, each band of
-    # rows is rotated in its own read, the sites are uint16 and each site's
-    # optimum angle a byte-sized index. Before that, 13.34 MiB (15.32 on the
-    # parallel image, whose fine calls copied nearly every site as float64);
-    # an (angles x sites) table per phase and a whole rotated window per
-    # angle took 21.94 MiB (25.48); whole-canvas prefix sums and map 46.2
-    # MiB, and keeping every angle's map 147 MiB. Do not raise it.
-    FLOW_CEILING_MIB = 9.5
+    # compute_flow_field at 512x512 measured 5.92 MiB on this image and 6.23
+    # on a parallel one: the image is rotated from its bytes, tangent means
+    # are read at the sites, each band of rows is rotated in its own read,
+    # the sites are uint16 and each site's optimum angle a byte-sized index.
+    # With a float64 copy of the image, 7.92 and 8.22 MiB. Before that,
+    # 13.34 MiB (15.32 on the parallel image, whose fine calls copied nearly
+    # every site as float64); an (angles x sites) table per phase and a
+    # whole rotated window per angle took 21.94 MiB (25.48); whole-canvas
+    # prefix sums and map 46.2 MiB, and keeping every angle's map 147 MiB.
+    # Do not raise it.
+    FLOW_CEILING_MIB = 7.0
 
     @pytest.fixture(scope="class")
     def large_parallel(self):
@@ -229,15 +247,45 @@ class TestBoundedMemory:
         peak = self._peak_mib(lambda: rf.compute_flow_field(img))
         assert peak < self.FLOW_CEILING_MIB
 
-    # The same at 256x256: 3.95 MiB on this image; 6.66 with a whole map
-    # band of tangent sums and wider site arrays, 8.49 with the tables and
-    # the whole window per angle. Do not raise it.
-    FLOW_256_CEILING_MIB = 4.8
+    # The same at 256x256: 3.46 MiB on this image; 3.95 with a float64 copy
+    # of the image, 6.66 with a whole map band of tangent sums and wider
+    # site arrays, 8.49 with the tables and the whole window per angle. Do
+    # not raise it.
+    FLOW_256_CEILING_MIB = 4.0
 
     def test_flow_peak_holds_no_angle_table_or_window(self, medium):
         img, _ = medium
         peak = self._peak_mib(lambda: rf.compute_flow_field(img))
         assert peak < self.FLOW_256_CEILING_MIB
+
+    # One pipeline iteration at 512x512 measured 6.77 MiB on this image: the
+    # flow and the sweep sample the image's bytes, and the sweep rounds each
+    # enhanced band to bytes as it is made. With float64 copies of the input
+    # and of the enhanced image, 10.51 MiB. Do not raise it.
+    PIPELINE_512_CEILING_MIB = 7.8
+
+    def test_pipeline_iteration_holds_no_float_image(self, large):
+        img, _ = large
+        peak = self._peak_mib(lambda: rf.run_pipeline(img, rf.PipelineConfig(iterations=1)))
+        assert peak < self.PIPELINE_512_CEILING_MIB
+
+    # PGM load, binary rendering and inversion stay in uint8: 0.50 MiB each
+    # at 512x512 (the file's bytes or the input, and the result), where an
+    # int64 detour took 2.50, 2.25 and 4.00 MiB. Do not raise it.
+    BYTE_IO_512_CEILING_MIB = 0.75
+
+    def test_pgm_load_rendering_and_inversion_stay_bytes(self, large, tmp_path):
+        img, flow = large
+        binary = rf.binarize_image(img, flow)
+        rf.save_pgm(img, tmp_path / "in.pgm")
+        out = {}
+        calls = {"load": lambda: rf.load_pgm(tmp_path / "in.pgm"), "gray": lambda: rf.binary_as_gray(binary),
+                 "invert": lambda: rf.invert(img)}
+        for name, call in calls.items():
+            assert self._peak_mib(lambda: out.update({name: call()})) < self.BYTE_IO_512_CEILING_MIB
+        assert out["load"].pixels.tobytes() == img.pixels.tobytes()
+        assert out["gray"].pixels.tobytes() == (binary.bits.astype(np.int64) * 255).astype(np.uint8).tobytes()
+        assert out["invert"].pixels.tobytes() == (255 - img.pixels.astype(np.int64)).astype(np.uint8).tobytes()
 
     # The CSV writers stream one grid row at a time: 0.12 MiB for the flow
     # CSV of a 256x256 grid, where the whole text took 7.60 MiB. Do not raise it.

@@ -7,6 +7,10 @@ same order, then takes other steps to the same bytes: a squared-norm test
 that falls back to ``hypot`` within rounding of the threshold, and an exact
 branch in place of ``mod``. Random inputs never reach those edges, so tests
 below build them. Neither fast version may warn, for any input.
+
+A uint8 raster is sampled as bytes, without a float copy of it: each
+sample, and each pixel of ``rotate_raster``, must have the bytes of the
+same call on the raster's float64 promotion.
 """
 
 import math
@@ -14,11 +18,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ridgeflow as rf
-from ridgeflow.image import bilinear_many
+from ridgeflow.image import bilinear_many, rotate_raster
 
 from oracles import reference_angles_at, reference_bilinear_many
 
@@ -161,6 +165,67 @@ def test_bilinear_many_matches_reference(seed, width, height):
     got = _no_warnings(bilinear_many, values, xs, ys)
     assert got.shape == shape
     assert np.array_equal(got, reference_bilinear_many(values, xs, ys), equal_nan=True)
+
+
+def _edge_and_non_finite_points(rng, width, height, n=400):
+    """Points in and around a width x height raster: on each edge, within 1e-9 of it on either side,
+    outside, NaN or +-inf on either axis, and on pixel centres."""
+    xs = rng.uniform(-2.0, width + 1.0, n)
+    ys = rng.uniform(-2.0, height + 1.0, n)
+    jitter = rng.choice([0.0, 1e-9, -1e-9, 2e-9, -2e-9], 160) * rng.uniform(0.5, 1.0, 160)
+    xs[:80] = rng.choice([0.0, width - 1.0], 80) + jitter[:80]
+    ys[80:160] = rng.choice([0.0, height - 1.0], 80) + jitter[80:]
+    bad = np.array([np.nan, np.inf, -np.inf])
+    xs[160:172] = rng.choice(bad, 12)
+    ys[166:178] = rng.choice(bad, 12)
+    xs[178:218] = rng.integers(0, width, 40)
+    ys[178:218] = rng.integers(0, height, 40)
+    return xs, ys
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 12), height=st.integers(1, 12))
+@example(seed=1, width=1, height=9)
+@example(seed=2, width=9, height=1)
+@example(seed=3, width=1, height=1)
+def test_byte_raster_samples_as_its_float_promotion(seed, width, height):
+    rng = np.random.default_rng(seed)
+    raster = rng.integers(0, 256, (height, width), dtype=np.uint8)
+    raster.ravel()[: min(2, raster.size)] = [0, 255][: raster.size]
+    xs, ys = _edge_and_non_finite_points(rng, width, height)
+    got = _no_warnings(bilinear_many, raster, xs, ys)
+    want = bilinear_many(raster.astype(np.float64), xs, ys)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got).any() and not np.isnan(got).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(1, 12),
+    height=st.integers(1, 12),
+    angle=st.floats(-math.pi, math.pi),
+    offset=st.sampled_from([(0.0, 0.0), (0.5, 0.5), (0.25, -0.125)]),
+    windowed=st.booleans(),
+)
+@example(seed=1, width=1, height=9, angle=0.3, offset=(0.0, 0.0), windowed=False)
+@example(seed=2, width=9, height=1, angle=-1.1, offset=(0.5, 0.5), windowed=True)
+@example(seed=3, width=7, height=5, angle=math.pi / 2, offset=(0.0, 0.0), windowed=False)
+def test_byte_raster_rotates_as_its_float_promotion(seed, width, height, angle, offset, windowed):
+    rng = np.random.default_rng(seed)
+    raster = rng.integers(0, 256, (height, width), dtype=np.uint8)
+    window = None
+    if windowed:
+        rows, cols = rotate_raster(raster, angle, offset).values.shape
+        r0, c0 = rng.integers(0, rows), rng.integers(0, cols)
+        window = (slice(r0, rng.integers(r0, rows + 2)), slice(c0, rng.integers(c0, cols + 2)))
+    got = _no_warnings(rotate_raster, raster, angle, offset, window)
+    want = rotate_raster(raster.astype(np.float64), angle, offset, window)
+    assert got.values.dtype == np.float64
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.valid.tobytes() == want.valid.tobytes()
+    assert (got.frame, got.origin) == (want.frame, want.origin)
 
 
 def test_zero_dimensional_queries_keep_their_shape():

@@ -248,8 +248,11 @@ def test_fused_iteration_matches_the_references_composed(seed, width, height, st
         mp.setattr(rimage, "BAND_PIXELS", band_rows * width)
         mp.setattr(rpipeline, "_flow_for", lambda image, cfg: flow)
         _, binary, enhanced = rf.run_iteration(image, cfg)
-        stage = rf.contour_enhance_values if path == "contour" else rf.enhance_values
+        stage, rounding = ((rf.contour_enhance_values, rf.enhance_image_contour) if path == "contour"
+                           else (rf.enhance_values, rf.enhance_image))
         alone = stage(image, binary, flow, cfg.enhance)
+        rounded = rounding(image, binary, flow, cfg.enhance)
     assert np.array_equal(binary.bits, bits)
     assert enhanced.pixels.tobytes() == rf.GrayImage.from_float(want).pixels.tobytes()
     assert alone.tobytes() == want.tobytes()
+    assert rounded.pixels.tobytes() == rf.GrayImage.from_float(want).pixels.tobytes()
