@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flowfield import FlowField, angles_at, check_flow_grid
+from .flowfield import FlowField, _band_sites, angles_at, check_flow_grid
 from .image import BinaryImage, GrayImage, Point, bilinear_many, row_bands
 
 
@@ -118,15 +118,16 @@ def binarize_pixel(image: GrayImage, p: Point, theta: float, cfg: BinarizeConfig
 
 
 def _binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None, path) -> BinaryImage:
-    """Classify every pixel along ``path``, in row bands, summing each tap as it is sampled."""
+    """Classify every pixel along ``path``, in row bands with a site table each, summing each tap as sampled."""
     cfg = cfg or BinarizeConfig()
     _check_inputs(image, flow)
     img = image.pixels
     half = cfg.line_half_length
     ridge = np.empty((image.height, image.width), dtype=bool)
     for rows, X, Y in row_bands(image.width, image.height):
-        theta, defined = angles_at(flow, X, Y)
-        taps = _in_order(_taps(img, path, flow, X, Y, theta, defined, half, False), half)
+        sites = _band_sites(flow, rows, half)
+        theta, defined = angles_at(sites, X, Y)
+        taps = _in_order(_taps(img, path, sites, X, Y, theta, defined, half, False), half)
         ridge[rows] = _is_ridge(img, (v for v, _ in taps), X, Y, theta, defined, half)
     return BinaryImage(~ridge)
 

@@ -195,7 +195,7 @@ def _cmd_enhance(args) -> int:
     image = load_pgm(args.input)
     out = _require_out(args, "out", "enhance")
     cfg, flow, binary = _classify(image, args)
-    save_pgm(GrayImage(_sweep(image, flow, PATHS[cfg.path_mode], None, cfg.enhance, binary, rounded=True)[1]), out)
+    save_pgm(GrayImage._of_bytes(_sweep(image, flow, PATHS[cfg.path_mode], None, cfg.enhance, binary, rounded=True)[1]), out)
     return 0
 
 

@@ -7,11 +7,13 @@ flow field the contour degenerates to the straight line used elsewhere.
 
 The contour variants differ from plain binarization and enhancement only in
 where the samples come from. A sampling path is a generator
-``(flow, xs, ys, theta, defined, half, bounds)`` yielding ``(o, px, py, ok)``
+``(sites, xs, ys, theta, defined, half, bounds)`` yielding ``(o, px, py, ok)``
 once for each tap o in -half..half, in any order: the tap's coordinates
 (shaped like ``xs``) and whether it is kept (an array of that shape, or a
 bool), valid until the next tap is asked for. The taps within k of the seed
-do not depend on ``half`` >= k, so one walk serves both stages. One sampler,
+do not depend on ``half`` >= k, so one walk serves both stages. ``sites`` is
+what ``angles_at`` reads: a flow, or the table of the site rows that a row
+band's paths reach (``flowfield._band_sites``), built once per band. One sampler,
 ``binarize._taps``, samples the taps as the path gives them; the pipeline
 sweep files them in a table by o, and every other reader takes them through
 ``binarize._in_order``, in order -k..k. ``pipeline.PATHS`` names the paths:
@@ -39,7 +41,7 @@ class ContourPath:
     seed_index: int
 
 
-def _trace_path(flow: FlowField, xs, ys, theta, defined, half_steps: int, bounds: tuple[int, int] | None):
+def _trace_path(sites, xs, ys, theta, defined, half_steps: int, bounds: tuple[int, int] | None):
     """Trace contours for many seeds at once, one step per tap asked for; the contour sampling path.
 
     ``theta`` and ``defined`` are the seeds' orientations as ``angles_at``
@@ -61,17 +63,17 @@ def _trace_path(flow: FlowField, xs, ys, theta, defined, half_steps: int, bounds
         np.copyto(alive, defined)
         for step in range(1, half_steps + 1):
             if step > 1:
-                th, step_defined = angles_at(flow, cur_x, cur_y)
+                th, step_defined = angles_at(sites, cur_x, cur_y)
                 alive &= step_defined
                 np.cos(th, out=cx)
                 np.sin(th, out=sy)
-                # turn the local orientation to follow the last step (negating is exact, as * -1 is)
+                # turn the local orientation to follow the last step: * -1.0 where the (finite) dot product is < 0
                 dir_x *= cx
                 dir_y *= sy
                 dir_x += dir_y
-                flip = np.logical_not(np.greater_equal(dir_x, 0.0, out=mask), out=mask)
-                np.negative(cx, out=cx, where=flip)
-                np.negative(sy, out=sy, where=flip)
+                turn = np.subtract(np.multiply(np.greater_equal(dir_x, 0.0, out=mask), 2.0, out=nx), 1.0, out=nx)
+                cx *= turn
+                sy *= turn
                 dir_x, dir_y, cx, sy = cx, sy, dir_x, dir_y
             np.add(cur_x, dir_x, out=nx)
             np.add(cur_y, dir_y, out=ny)
@@ -123,4 +125,4 @@ def contour_enhance_values(
 def enhance_image_contour(
     image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None = None
 ) -> GrayImage:
-    return GrayImage(_sweep(image, flow, _trace_path, None, cfg or EnhanceConfig(), binary, rounded=True)[1])
+    return GrayImage._of_bytes(_sweep(image, flow, _trace_path, None, cfg or EnhanceConfig(), binary, rounded=True)[1])

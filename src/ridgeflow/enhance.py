@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binarize import BinarizeConfig, BinaryImage, _check_inputs, _in_order, _is_ridge, _line_path, _nearest, _taps
-from .flowfield import FlowField, angles_at
+from .flowfield import FlowField, _band_sites, angles_at
 from .image import GrayImage, Point, _round_bytes, bilinear_many, row_bands
 
 
@@ -102,10 +102,10 @@ def _sweep(image: GrayImage, flow: FlowField, path, bcfg: BinarizeConfig | None,
     """Bits and enhanced values of every pixel, binarized along ``path`` unless ``binary`` is given; with
     ``rounded``, the values are the bytes of ``GrayImage.from_float``, rounded band by band as they are made.
 
-    Given ``binary``, each row band blends its taps one at a time, in order, as they are sampled, and no
-    tap table exists. Otherwise each row band is sampled once into a table, to the larger half length, for
-    both readers. A row is enhanced once the bits up to ke rows below it exist; rows that wait for later
-    bands carry over as copies.
+    Each row band looks up orientations in one table of the site rows it reaches. Given ``binary``, it
+    blends its taps one at a time, in order, as they are sampled: no tap table exists. Otherwise it is
+    sampled once into a table, to the larger half length, for both readers. A row is enhanced once the
+    bits up to ke rows below it exist; rows that wait for later bands carry over as copies.
     """
     _check_inputs(image, flow, binary)
     img = image.pixels
@@ -116,8 +116,9 @@ def _sweep(image: GrayImage, flow: FlowField, path, bcfg: BinarizeConfig | None,
     finish = _round_bytes if rounded else np.asarray
     if binary is not None:
         for rows, X, Y in row_bands(w, h):
-            theta, defined = angles_at(flow, X, Y)
-            taps = _in_order(_taps(img, path, flow, X, Y, theta, defined, ke, True), ke)
+            sites = _band_sites(flow, rows, ke)
+            theta, defined = angles_at(sites, X, Y)
+            taps = _in_order(_taps(img, path, sites, X, Y, theta, defined, ke, True), ke)
             center = np.arange(rows.start * w, rows.stop * w).reshape(X.shape)
             out[rows] = finish(np.where(defined, _masked_blend(img, binary.bits, taps, center, weights), img[rows]))
         return binary.bits, out
@@ -126,10 +127,11 @@ def _sweep(image: GrayImage, flow: FlowField, path, bcfg: BinarizeConfig | None,
     bits = np.empty((h, w), dtype=np.uint8)
     pending, table = [], None  # pending: (first row, taps, nearest, defined) of rows not yet enhanced
     for rows, X, Y in row_bands(w, h):
-        theta, defined = angles_at(flow, X, Y)
+        sites = _band_sites(flow, rows, k)
+        theta, defined = angles_at(sites, X, Y)
         table = table or tuple(np.empty((2 * k + 1,) + X.shape, t) for t in (np.float64, np.int32))
         vals, near = (t[:, : len(X)] for t in table)  # the first band's table, the largest
-        for o, sample, nr in _taps(img, path, flow, X, Y, theta, defined, k, True):
+        for o, sample, nr in _taps(img, path, sites, X, Y, theta, defined, k, True):
             vals[k + o], near[k + o] = sample, nr
             del sample, nr  # copied; not held while the next tap is sampled
         bits[rows] = ~_is_ridge(img, vals[k - kb : k + kb + 1], X, Y, theta, defined, kb)
@@ -157,4 +159,4 @@ def enhance_values(
 def enhance_image(
     image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None = None
 ) -> GrayImage:
-    return GrayImage(_sweep(image, flow, _line_path, None, cfg or EnhanceConfig(), binary, rounded=True)[1])
+    return GrayImage._of_bytes(_sweep(image, flow, _line_path, None, cfg or EnhanceConfig(), binary, rounded=True)[1])

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +18,13 @@ class FlowField:
     Site (ix, iy) sits at pixel ``(ix, iy) * stride``.
     Angles are radians in [0, pi); invalid sites store angle 0 and valid=False.
     ``coherence`` is an optional per-site confidence in [0, 1].
+    The arrays are read-only, and a flow caches no lookup table.
     """
 
     angles: np.ndarray
     valid: np.ndarray
     stride: int
     coherence: np.ndarray | None = None
-    # the site table of ``angles_at``, built on its first call
-    _sites: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         ang = np.asarray(self.angles, dtype=np.float64)
@@ -85,27 +85,33 @@ def angular_distance(a, b):
     return np.minimum(d, math.pi - d)
 
 
-def _site_table(flow: FlowField) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """(row length, valid, cos 2t, sin 2t) of the sites, built once per flow.
-
-    The grid is padded by two invalid sites on each side and each table is
-    flat float64, so a corner's validity is a weight factor. At 256x256 with
-    stride 2 the three tables take 0.39 MiB.
-    """
-    if flow._sites is None:
-        gh, gw = flow.angles.shape
-        valid = np.zeros((gh + 4, gw + 4))
-        cos2 = np.zeros_like(valid)
-        sin2 = np.zeros_like(valid)
-        doubled = 2.0 * flow.angles
-        valid[2:-2, 2:-2] = flow.valid
-        cos2[2:-2, 2:-2] = np.cos(doubled)
-        sin2[2:-2, 2:-2] = np.sin(doubled)
-        flow._sites = (gw + 4, valid.ravel(), cos2.ravel(), sin2.ravel())
-    return flow._sites
+# The table ``angles_at`` reads: (valid, cos 2t, sin 2t) of a run of site rows, each flat float64, padded by
+# two invalid sites on either side of each row and two invalid rows above and below the run, so a corner's
+# validity is a weight factor. Grid row ``top`` is its first row, ``bottom`` the last upper-left corner row.
+_SiteRows = namedtuple("_SiteRows", "stride width top bottom valid cos2 sin2")
 
 
-def angles_at(flow: FlowField, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+def _site_rows(flow: FlowField, first, stop) -> _SiteRows:
+    """The table of site rows ``first`` .. ``stop`` - 1, clipped to the grid: 0.39 MiB for all of 128x128."""
+    gh, gw = flow.angles.shape
+    a = int(min(max(first, 0), gh))
+    b = int(min(max(stop, a), gh))
+    table = np.zeros((3, b - a + 4, gw + 4))
+    doubled = 2.0 * flow.angles[a:b]
+    table[0, 2:-2, 2:-2] = flow.valid[a:b]
+    table[1, 2:-2, 2:-2] = np.cos(doubled)
+    table[2, 2:-2, 2:-2] = np.sin(doubled)
+    return _SiteRows(flow.stride, gw, a - 2, b, *table.reshape(3, -1))
+
+
+def _band_sites(flow: FlowField, rows: slice, half: int) -> _SiteRows:
+    """The table of every point within ``half`` + 1 pixels of the pixel rows ``rows``, as far as a tap or a
+    contour step reaches from the band: the site rows from the last at or above to the first at or below."""
+    s = flow.stride
+    return _site_rows(flow, (rows.start - half - 1) // s, -((-rows.stop - half) // s) + 1)
+
+
+def angles_at(flow: FlowField | _SiteRows, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """Interpolated orientation at arbitrary pixel positions (vectorized).
 
     Interpolation runs in the doubled-angle domain: the unit vectors
@@ -120,8 +126,11 @@ def angles_at(flow: FlowField, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     value mod pi is the angle plus pi below zero and the angle otherwise; a
     sum that rounds to pi is 0. Both give the bytes of the ``hypot`` and
     ``mod`` they replace.
+
+    Given a flow, the lookup builds the table of the site rows its points
+    read; the row band stages pass their band's table (``_band_sites``)
+    instead, which gives the same bytes for every point within its rows.
     """
-    row, valid, cos2, sin2 = _site_table(flow)
     shape = np.shape(xs)
     # at least 1-D, so the in-place steps below have arrays to write into
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
@@ -133,11 +142,16 @@ def angles_at(flow: FlowField, xs, ys) -> tuple[np.ndarray, np.ndarray]:
         y0 = np.floor(fy)
         fx -= x0
         fy -= y0
+        # the rows the points read, NaN left out
+        sites = flow if isinstance(flow, _SiteRows) else _site_rows(
+            flow, np.fmin.reduce(y0, None, initial=math.inf), np.fmax.reduce(y0, None, initial=-math.inf) + 2.0)
+        _, width, top, bottom, valid, cos2, sin2 = sites
+        row = width + 4
         # flat index of the upper-left corner in the padded table; a point off
-        # the grid (or NaN) lands where all four corners are padding
-        np.fmin(np.fmax(x0, -2.0, out=x0), flow.grid_width, out=x0)
-        np.fmin(np.fmax(y0, -2.0, out=y0), flow.grid_height, out=y0)
-        y0 += 2.0
+        # the table (or NaN) lands where all four corners are padding
+        np.fmin(np.fmax(x0, -2.0, out=x0), width, out=x0)
+        np.fmin(np.fmax(y0, top, out=y0), bottom, out=y0)
+        y0 -= top
         y0 *= row
         y0 += x0 + 2.0
         corner = y0.astype(np.intp)
@@ -174,8 +188,8 @@ def angles_at(flow: FlowField, xs, ys) -> tuple[np.ndarray, np.ndarray]:
             defined[near] = np.hypot(nx[near], ny[near]) >= 1e-6
         theta = np.arctan2(ny, nx, out=t)
         theta *= 0.5
-        # mod(theta, pi); -0.0 and angles a hair below zero give pi, which is 0
-        np.add(theta, math.pi, out=theta, where=np.signbit(theta))
+        # mod(theta, pi); -0.0 and angles a hair below zero give pi, which is 0. Adding 0.0 elsewhere is exact.
+        theta += np.multiply(np.signbit(theta), math.pi, out=w)
         np.copyto(theta, 0.0, where=~defined | (theta >= math.pi))
     return theta.reshape(shape), defined.reshape(shape)
 

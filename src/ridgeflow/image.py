@@ -59,7 +59,16 @@ class GrayImage:
     @classmethod
     def from_float(cls, values: np.ndarray) -> "GrayImage":
         """Round half-up and clamp finite real intensities into an 8-bit raster, in one float buffer."""
-        return cls(_round_bytes(values))
+        return cls._of_bytes(_round_bytes(values))
+
+    @classmethod
+    def _of_bytes(cls, px: np.ndarray) -> "GrayImage":
+        """An image of a new 2-D uint8 array that no caller holds: made read-only, neither copied nor scanned."""
+        assert px.dtype == np.uint8 and px.ndim == 2 and px.size
+        image = cls.__new__(cls)
+        px.setflags(write=False)
+        image.pixels = px
+        return image
 
 
 def _round_bytes(values) -> np.ndarray:
@@ -99,11 +108,11 @@ class BinaryImage:
 
 def binary_as_gray(binary: BinaryImage) -> GrayImage:
     """Viewable rendering of a binary raster: ridge 0 -> black, valley 1 -> white."""
-    return GrayImage(binary.bits * np.uint8(255))
+    return GrayImage._of_bytes(binary.bits * np.uint8(255))
 
 
 def invert(image: GrayImage) -> GrayImage:
-    return GrayImage(np.uint8(255) - image.pixels)
+    return GrayImage._of_bytes(np.uint8(255) - image.pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +171,7 @@ def load_pgm(path) -> GrayImage:
         raise PgmFormatError(
             f"{path}: truncated pixel data at byte {len(raw)} (need {need} bytes from byte {pos})"
         )
-    px = np.frombuffer(raw, dtype=np.uint8, count=need, offset=pos).reshape(height, width)
-    return GrayImage(px)
+    return GrayImage._of_bytes(np.frombuffer(raw, dtype=np.uint8, count=need, offset=pos).reshape(height, width))
 
 
 def save_pgm(image: GrayImage, path) -> None:

@@ -90,8 +90,7 @@ def run_iteration(image: GrayImage, cfg: PipelineConfig | None = None) -> tuple[
     cfg = cfg or PipelineConfig()
     flow = _flow_for(image, cfg)
     bits, enhanced = _sweep(image, flow, PATHS[cfg.path_mode], cfg.binarize, cfg.enhance, rounded=True)
-    flow._sites = None  # the sweep's ``angles_at`` table; the record keeps the flow, not the table
-    return flow, BinaryImage(bits), GrayImage(enhanced)
+    return flow, BinaryImage(bits), GrayImage._of_bytes(enhanced)
 
 
 def run_pipeline(image: GrayImage, cfg: PipelineConfig | None = None) -> PipelineResult:

@@ -154,8 +154,7 @@ def _site_mean_deviations(
     out = np.full(row.shape, np.nan)
     if row.size == 0:
         return out
-    order = np.argsort(row, kind="stable")
-    srow = row[order]
+    order = np.argsort(row, kind="stable")  # the sites in row order; no sorted copy of their rows is made
     # the prefix rows of counts, values and squares at a band's first row .. 2s below it: row j sums canvas rows
     # [0, j - 2s), clipped
     carry = np.zeros((3, k, w))
@@ -183,12 +182,12 @@ def _site_mean_deviations(
         return _span_deviation(d[0], d[1], d[2]).copy()  # a copy, so the count and sum planes go
 
     lo = 0
-    for band in band_rows(w + 2 * t, int(srow[-1]) + 1, _MAP_BAND_PIXELS):
+    for band in band_rows(w + 2 * t, int(row[order[-1]]) + 1, _MAP_BAND_PIXELS):
         p = advance(band)
-        hi = int(np.searchsorted(srow, band.stop))
+        hi = int(np.searchsorted(row, band.stop, sorter=order))
         if hi == lo:
             continue  # no site: the band only carries its prefix rows on
-        r0, r1 = int(srow[lo]), int(srow[hi - 1]) + 1
+        r0, r1 = int(row[order[lo]]), int(row[order[hi - 1]]) + 1
         p = p[:, r0 - band.start :]
         sig = runs(p, 2 * s + 1, r1 - r0)
         if cfg.use_half_line_rule:
@@ -204,7 +203,7 @@ def _site_mean_deviations(
         defined[:, 2 * t : 2 * t + w] = ok
         del sig, ok
         sites = order[lo:hi]
-        at_site = np.ravel_multi_index((srow[lo:hi] - r0, col[sites]), padded.shape)
+        at_site = np.ravel_multi_index((row[sites] - r0, col[sites]), padded.shape)
         # the whole map's sum of shifted slices, 0.0 + tap 0 + tap 1 + ..., at the sites alone; every
         # index is in range, and mode="clip" skips the copy that ``take`` makes for ``out`` by default
         total = np.zeros(hi - lo)

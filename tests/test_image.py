@@ -71,6 +71,24 @@ class TestGrayImage:
         with pytest.raises(ValueError):
             rf.GrayImage(np.array([[-1]], dtype=np.int64))
 
+    def test_images_the_package_makes_are_read_only_bytes_and_callers_arrays_are_copied(self, tmp_path):
+        # the package keeps the uint8 arrays it makes, read-only; a caller's array is checked and copied
+        img, flow = rf.generate(rf.SyntheticSpec(width=40, height=32, pattern="concentric", rng_seed=1))
+        binary = rf.binarize_image(img, flow)
+        rf.save_pgm(img, tmp_path / "in.pgm")
+        made = [rf.load_pgm(tmp_path / "in.pgm"), rf.binary_as_gray(binary), rf.invert(img), img,
+                rf.enhance_image(img, binary, flow), rf.enhance_image_contour(img, binary, flow),
+                rf.run_iteration(img)[2]]
+        for image in made:
+            assert image.pixels.dtype == np.uint8 and image.pixels.shape == (32, 40)
+            assert not image.pixels.flags.writeable
+        assert made[0].pixels.tobytes() == img.pixels.tobytes()
+        assert made[2].pixels.tobytes() == (255 - img.pixels.astype(np.int64)).astype(np.uint8).tobytes()
+        mine = np.full((2, 3), 7, dtype=np.uint8)
+        image = rf.GrayImage(mine)
+        mine[0, 0] = 9
+        assert image.pixels[0, 0] == 7 and mine.flags.writeable
+
     def test_from_float_rounds_half_up_and_clamps(self):
         img = rf.GrayImage.from_float(np.array([[0.5, 254.4, 300.0, -5.0]]))
         assert img.pixels.ravel().tolist() == [1, 254, 255, 0]

@@ -95,10 +95,14 @@ class TestRunPipeline:
         # iteration 2 consumed iteration 1's enhanced image
         flow2 = rf.compute_flow_field(result.records[0].enhanced, cfg.flow)
         assert np.array_equal(result.records[1].flow.angles, flow2.angles)
-        # each record's flow leaves its ``angles_at`` site table behind, and builds it again when asked
-        assert all(rec.flow._sites is None for rec in result.records)
+        # a flow keeps no lookup table: ``angles_at`` leaves its fields as they were, and a record's flow
+        # gives the bytes of a fresh one
+        flow = result.records[1].flow
+        before = dict(vars(flow))
         xs, ys = np.meshgrid(np.arange(0.0, 128.0, 0.75), np.arange(0.0, 128.0, 1.25))
-        again = rf.angles_at(result.records[1].flow, xs, ys)
+        again = rf.angles_at(flow, xs, ys)
+        assert vars(flow).keys() == before.keys()
+        assert all(vars(flow)[k] is v for k, v in before.items())
         fresh = rf.angles_at(rf.FlowField(flow2.angles, flow2.valid, flow2.stride), xs, ys)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(again, fresh))
 

@@ -115,18 +115,9 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
 
-    @staticmethod
-    def _with_site_table(generated):
-        # ``angles_at`` builds a flow's site table on its first call and keeps
-        # it; build it here, so no peak depends on which test ran first
-        img, flow = generated
-        rf.angles_at(flow, 0.0, 0.0)
-        return img, flow
-
     @pytest.fixture(scope="class")
     def large(self):
-        return self._with_site_table(rf.generate(rf.SyntheticSpec(width=512, height=512, pattern="concentric",
-                                                                  noise_sigma=40.0, rng_seed=3)))
+        return rf.generate(rf.SyntheticSpec(width=512, height=512, pattern="concentric", noise_sigma=40.0, rng_seed=3))
 
     def test_binarize_and_enhance_peak_is_bounded(self, large):
         img, flow = large
@@ -141,14 +132,17 @@ class TestBoundedMemory:
     # At the default settings the kernels sum one tap at a time into
     # band-sized accumulators, and each standalone stage takes each tap as it
     # is sampled; the contour's taps before -k wait for their turn. The
-    # stages sample the image's bytes, with no float64 copy of it. Measured
-    # on the concentric image with its truth flow: binarize_image 1.56 MiB
-    # and binarize_image_contour 2.15 MiB at 512x512 (3.55 and 4.15 with a
-    # float64 copy), where a (2k+1)-row tap table per band took 4.11 and
-    # 4.40 MiB and a whole (2k+1)-deep gather per band 7.92 MiB;
-    # enhance_values 1.81 MiB and contour_enhance_values 3.28 MiB at 256x256
-    # (2.31 and 3.78 with the copy), where a tap table per band took 3.90
-    # and 4.49 MiB and a whole gather 12.46 and 12.61 MiB. Do not raise them.
+    # stages sample the image's bytes, with no float64 copy of it, and look
+    # orientations up in one table per band. Measured on the concentric
+    # image with its truth flow: binarize_image 1.67 MiB and
+    # binarize_image_contour 2.30 MiB at 512x512 (1.56 and 2.15 without the
+    # band tables, where the flow kept a whole-grid table built beforehand;
+    # 3.55 and 4.15 with a float64 copy), where a (2k+1)-row tap table per
+    # band took 4.11 and 4.40 MiB and a whole (2k+1)-deep gather per band
+    # 7.92 MiB; enhance_values 1.91 MiB and contour_enhance_values 3.42 MiB
+    # at 256x256 (1.81 and 3.28 without the band tables; 2.31 and 3.78 with
+    # the copy), where a tap table per band took 3.90 and 4.49 MiB and a
+    # whole gather 12.46 and 12.61 MiB. Do not raise them.
     ENHANCE_256_CEILING_MIB = 2.3
     CONTOUR_ENHANCE_256_CEILING_MIB = 3.8
     BINARIZE_512_CEILING_MIB = 2.0
@@ -156,8 +150,7 @@ class TestBoundedMemory:
 
     @pytest.fixture(scope="class")
     def medium(self):
-        return self._with_site_table(rf.generate(rf.SyntheticSpec(width=256, height=256, pattern="concentric",
-                                                                   noise_sigma=40.0, rng_seed=3)))
+        return rf.generate(rf.SyntheticSpec(width=256, height=256, pattern="concentric", noise_sigma=40.0, rng_seed=3))
 
     def test_enhance_peak_holds_no_tap_gather(self, medium):
         img, flow = medium
@@ -172,8 +165,10 @@ class TestBoundedMemory:
         assert peak < self.CONTOUR_ENHANCE_256_CEILING_MIB
 
     # One sweep binarizes and enhances along the contour, to max(4, 9) taps
-    # each way: 4.09 MiB at 256x256 with the truth flow, sampling the image's
-    # bytes and rounding each band as it is enhanced; 5.03 with float64
+    # each way: 4.23 MiB at 256x256 with the truth flow, sampling the image's
+    # bytes, looking orientations up in one table per band and rounding
+    # each band as it is enhanced; 4.09 without the band tables, where the
+    # flow kept a whole-grid table built beforehand; 5.03 with float64
     # copies of the input and the output, and 5.49 before that, where
     # binarize_image_contour then contour_enhance_values peaked at 5.82 MiB.
     # Do not raise it.
@@ -221,17 +216,19 @@ class TestBoundedMemory:
         assert image[0].pixels[0, :4].tolist() == [1, 255, 0, 255]
         assert peak < self.FROM_FLOAT_512_CEILING_MIB
 
-    # compute_flow_field at 512x512 measured 5.92 MiB on this image and 6.23
+    # compute_flow_field at 512x512 measured 5.67 MiB on this image and 5.98
     # on a parallel one: the image is rotated from its bytes, tangent means
     # are read at the sites, each band of rows is rotated in its own read,
-    # the sites are uint16 and each site's optimum angle a byte-sized index.
-    # With a float64 copy of the image, 7.92 and 8.22 MiB. Before that,
+    # the sites are uint16 and read in row order through their sort order,
+    # and each site's optimum angle is a byte-sized index. With a sorted copy
+    # of the site rows, 5.92 and 6.23 MiB; with a float64 copy of the image
+    # too, 7.92 and 8.22 MiB. Before that,
     # 13.34 MiB (15.32 on the parallel image, whose fine calls copied nearly
     # every site as float64); an (angles x sites) table per phase and a
     # whole rotated window per angle took 21.94 MiB (25.48); whole-canvas
     # prefix sums and map 46.2 MiB, and keeping every angle's map 147 MiB.
     # Do not raise it.
-    FLOW_CEILING_MIB = 7.0
+    FLOW_CEILING_MIB = 6.2
 
     @pytest.fixture(scope="class")
     def large_parallel(self):
@@ -258,21 +255,24 @@ class TestBoundedMemory:
         peak = self._peak_mib(lambda: rf.compute_flow_field(img))
         assert peak < self.FLOW_256_CEILING_MIB
 
-    # One pipeline iteration at 512x512 measured 6.77 MiB on this image: the
-    # flow and the sweep sample the image's bytes, and the sweep rounds each
-    # enhanced band to bytes as it is made. With float64 copies of the input
-    # and of the enhanced image, 10.51 MiB. Do not raise it.
-    PIPELINE_512_CEILING_MIB = 7.8
+    # One pipeline iteration at 512x512 measured 5.67 MiB on this image, set
+    # by the flow: the sweep looks orientations up in a table of each band's
+    # site rows, and the search reads its sites in row order with no sorted
+    # copy. With a whole-grid site table kept on the flow, 6.78 MiB; with
+    # float64 copies of the input and of the enhanced image too, 10.51 MiB.
+    # Do not raise it.
+    PIPELINE_512_CEILING_MIB = 6.3
 
     def test_pipeline_iteration_holds_no_float_image(self, large):
         img, _ = large
         peak = self._peak_mib(lambda: rf.run_pipeline(img, rf.PipelineConfig(iterations=1)))
         assert peak < self.PIPELINE_512_CEILING_MIB
 
-    # PGM load, binary rendering and inversion stay in uint8: 0.50 MiB each
-    # at 512x512 (the file's bytes or the input, and the result), where an
-    # int64 detour took 2.50, 2.25 and 4.00 MiB. Do not raise it.
-    BYTE_IO_512_CEILING_MIB = 0.75
+    # PGM load, binary rendering and inversion stay in uint8 and keep the
+    # array they make: 0.25 MiB each at 512x512 (the file's bytes, or the
+    # result). A checked copy of that array took 0.50 MiB, and an int64
+    # detour 2.50, 2.25 and 4.00 MiB. Do not raise it.
+    BYTE_IO_512_CEILING_MIB = 0.4
 
     def test_pgm_load_rendering_and_inversion_stay_bytes(self, large, tmp_path):
         img, flow = large

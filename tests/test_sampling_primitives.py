@@ -8,6 +8,9 @@ that falls back to ``hypot`` within rounding of the threshold, and an exact
 branch in place of ``mod``. Random inputs never reach those edges, so tests
 below build them. Neither fast version may warn, for any input.
 
+A row band's lookup table holds only the site rows that its points reach,
+and gives the bytes of the reference for every point within that reach.
+
 A uint8 raster is sampled as bytes, without a float copy of it: each
 sample, and each pixel of ``rotate_raster``, must have the bytes of the
 same call on the raster's float64 promotion.
@@ -22,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ridgeflow as rf
+from ridgeflow.flowfield import _band_sites, _site_rows
 from ridgeflow.image import bilinear_many, rotate_raster
 
 from oracles import reference_angles_at, reference_bilinear_many
@@ -236,3 +240,51 @@ def test_zero_dimensional_queries_keep_their_shape():
     assert float(theta) == float(want_theta) and bool(defined) and bool(want_defined)
     v = bilinear_many(np.arange(9.0).reshape(3, 3), np.float64(0.5), np.float64(0.5))
     assert np.shape(v) == () and float(v) == 2.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gw=st.integers(1, 12),
+    gh=st.integers(1, 12),
+    stride=st.integers(1, 3),
+    half=st.integers(1, 5),
+    valid_frac=st.floats(0.0, 1.0),
+    place=st.sampled_from(["top", "bottom", "inside"]),
+)
+@example(seed=1, gw=1, gh=9, stride=2, half=3, valid_frac=1.0, place="inside")
+@example(seed=2, gw=9, gh=1, stride=3, half=1, valid_frac=1.0, place="top")
+@example(seed=3, gw=5, gh=12, stride=1, half=2, valid_frac=0.7, place="bottom")
+def test_band_table_lookup_matches_reference(seed, gw, gh, stride, half, valid_frac, place):
+    # A row band's table gives the bytes of the whole flow for every point
+    # within half + 1 pixels of the band's rows, and no table a site row
+    # shorter at either end does.
+    rng = np.random.default_rng(seed)
+    flow = rf.FlowField(rng.uniform(0.0, math.pi, (gh, gw)), rng.random((gh, gw)) < valid_frac, stride)
+    height = gh * stride
+    n = int(rng.integers(1, height + 1))
+    start = {"top": 0, "bottom": height - n, "inside": int(rng.integers(0, height - n + 1))}[place]
+    rows = slice(start, start + n)
+    lo, hi = start - half - 1, start + n + half  # the band's reach
+    # scattered points; the reach's edges and the site rows within it, on every site column; NaN and +-inf
+    edges = [lo, hi] + [y for y in range(lo, hi + 1) if y % stride == 0]
+    ex, ey = (a.ravel() for a in np.meshgrid(flow.site_xs().astype(np.float64), np.array(edges, np.float64)))
+    xs = np.concatenate([rng.uniform(-3 * stride, (gw + 2) * stride, 300), ex, np.zeros(24)])
+    ys = np.concatenate([rng.uniform(lo, hi, 300), ey, np.zeros(24)])
+    bad = np.array([np.nan, np.inf, -np.inf])
+    xs[-24:-12] = rng.choice(bad, 12)
+    ys[-12:] = rng.choice(bad, 12)
+
+    sites = _band_sites(flow, rows, half)
+    theta, defined = _no_warnings(rf.angles_at, sites, xs, ys)
+    with np.errstate(invalid="ignore"):  # the reference casts non-finite points
+        want_theta, want_defined = reference_angles_at(flow, xs, ys)
+    assert np.array_equal(defined, want_defined)
+    assert theta.tobytes() == want_theta.tobytes()
+    assert not defined[-24:].any()
+
+    first, stop = sites.top + 2, sites.bottom
+    for dropped, short in ((first, (first + 1, stop)), (stop - 1, (first, stop - 1))):
+        if flow.valid[dropped].any():
+            got_theta, got_defined = rf.angles_at(_site_rows(flow, *short), xs, ys)
+            assert got_theta.tobytes() != want_theta.tobytes() or not np.array_equal(got_defined, want_defined)
