@@ -33,13 +33,11 @@ class BinarizeConfig:
             raise ValueError("line_half_length must be >= 1")
 
 
-def _check_inputs(image: GrayImage, flow: FlowField | None, binary: BinaryImage | None = None) -> None:
-    """Every stage's input contract: ``binary`` the image's size, ``flow`` on its grid; ValueError otherwise."""
-    if binary is not None and (binary.height, binary.width) != (image.height, image.width):
+def _check_binary(image: GrayImage, binary: BinaryImage) -> None:
+    """ValueError unless ``binary`` is the image's size."""
+    if (binary.height, binary.width) != (image.height, image.width):
         raise ValueError(f"binary dimensions {binary.width}x{binary.height} do not match "
                          f"image {image.width}x{image.height}")
-    if flow is not None:
-        check_flow_grid(flow, image.width, image.height)
 
 
 def _nearest(coords, size: int) -> np.ndarray:
@@ -51,10 +49,7 @@ def _nearest(coords, size: int) -> np.ndarray:
 
 
 def _line_path(flow, xs, ys, theta, defined, half: int, bounds):
-    """The straight sampling path: ``half`` unit steps each way along ``theta``, all kept.
-
-    Paths are described in the contour module docstring.
-    """
+    """The straight sampling path (see the contour module): ``half`` unit steps each way along ``theta``, all kept."""
     c = np.cos(theta)
     s = np.sin(theta)
     for o in range(-half, half + 1):
@@ -101,35 +96,35 @@ def _is_ridge(img: np.ndarray, taps, xs, ys, theta, defined, half: int) -> np.nd
     return defined & ~np.isnan(g) & ~np.isnan(m) & (g < m - _TIE_EPS)
 
 
-def _binarize_pixel(image: GrayImage, p: Point, angles, cfg: BinarizeConfig | None, path, flow) -> int:
-    """Bit at ``p``; ``angles`` is (theta, defined), each of shape (1,)."""
-    cfg = cfg or BinarizeConfig()
-    _check_inputs(image, flow)
-    img = image.pixels
-    xs, ys = (np.array([c], dtype=np.float64) for c in p)
-    half = cfg.line_half_length
-    taps = _in_order(_taps(img, path, flow, xs, ys, *angles, half, False), half)
-    return 0 if _is_ridge(img, (v for v, _ in taps), xs, ys, *angles, half)[0] else 1
+def _bands(image: GrayImage, flow: FlowField, half: int):
+    """(rows, sites, xs, ys, theta, defined) of each row band, with the table of the site rows that its
+    paths reach in ``half`` steps; ValueError first unless ``flow`` is on the image's grid."""
+    check_flow_grid(flow, image.width, image.height)
+    for rows, xs, ys in row_bands(image.width, image.height):
+        sites = _band_sites(flow, rows, half)
+        yield rows, sites, xs, ys, *angles_at(sites, xs, ys)
+
+
+def _ridge(img: np.ndarray, path, sites, xs, ys, theta, defined, half: int) -> np.ndarray:
+    """Ridge mask along ``path``, each along-ridge tap summed in order as it is sampled."""
+    taps = _in_order(_taps(img, path, sites, xs, ys, theta, defined, half, False), half)
+    return _is_ridge(img, (v for v, _ in taps), xs, ys, theta, defined, half)
 
 
 def binarize_pixel(image: GrayImage, p: Point, theta: float, cfg: BinarizeConfig | None = None) -> int:
     """Bit at ``p`` given orientation ``theta`` (pi-periodic)."""
-    return _binarize_pixel(image, p, (np.array([theta]), np.array([True])), cfg, _line_path, None)
+    xs, ys = (np.array([c], dtype=np.float64) for c in p)
+    half = (cfg or BinarizeConfig()).line_half_length
+    return 0 if _ridge(image.pixels, _line_path, None, xs, ys, np.array([theta]), np.array([True]), half)[0] else 1
 
 
 def _binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None, path) -> BinaryImage:
-    """Classify every pixel along ``path``, in row bands with a site table each, summing each tap as sampled."""
-    cfg = cfg or BinarizeConfig()
-    _check_inputs(image, flow)
-    img = image.pixels
-    half = cfg.line_half_length
-    ridge = np.empty((image.height, image.width), dtype=bool)
-    for rows, X, Y in row_bands(image.width, image.height):
-        sites = _band_sites(flow, rows, half)
-        theta, defined = angles_at(sites, X, Y)
-        taps = _in_order(_taps(img, path, sites, X, Y, theta, defined, half, False), half)
-        ridge[rows] = _is_ridge(img, (v for v, _ in taps), X, Y, theta, defined, half)
-    return BinaryImage(~ridge)
+    """Classify every pixel along ``path``, band by band."""
+    half = (cfg or BinarizeConfig()).line_half_length
+    bits = np.empty((image.height, image.width), dtype=np.uint8)
+    for rows, sites, X, Y, theta, defined in _bands(image, flow, half):
+        bits[rows] = ~_ridge(image.pixels, path, sites, X, Y, theta, defined, half)
+    return BinaryImage._of_bits(bits)
 
 
 def binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None = None) -> BinaryImage:

@@ -14,7 +14,7 @@ import os
 import sys
 
 from .binarize import BinarizeConfig, _binarize_image
-from .enhance import EnhanceConfig, _sweep
+from .enhance import EnhanceConfig, _enhance
 from .flowfield import load_flow_csv, save_flow_csv
 from .image import GrayImage, binary_as_gray, invert, load_pgm, save_pgm
 from .pipeline import (FLOW_METHODS, PATHS, PipelineConfig, _flow_for, compare_methods, run_pipeline,
@@ -195,7 +195,7 @@ def _cmd_enhance(args) -> int:
     image = load_pgm(args.input)
     out = _require_out(args, "out", "enhance")
     cfg, flow, binary = _classify(image, args)
-    save_pgm(GrayImage._of_bytes(_sweep(image, flow, PATHS[cfg.path_mode], None, cfg.enhance, binary, rounded=True)[1]), out)
+    save_pgm(GrayImage._of_bytes(_enhance(image, binary, flow, PATHS[cfg.path_mode], cfg.enhance, True)), out)
     return 0
 
 

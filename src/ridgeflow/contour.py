@@ -15,10 +15,10 @@ do not depend on ``half`` >= k, so one walk serves both stages. ``sites`` is
 what ``angles_at`` reads: a flow, or the table of the site rows that a row
 band's paths reach (``flowfield._band_sites``), built once per band. One sampler,
 ``binarize._taps``, samples the taps as the path gives them; the pipeline
-sweep files them in a table by o, and every other reader takes them through
-``binarize._in_order``, in order -k..k. ``pipeline.PATHS`` names the paths:
-the straight line (``binarize._line_path``) and the traced contour
-(``_trace_path`` here).
+sweep files them in a table by o, and the kernels ``binarize._ridge`` and
+``enhance._blend`` take them through ``binarize._in_order``, in order -k..k.
+``pipeline.PATHS`` names the paths: the straight line (``binarize._line_path``)
+and the traced contour (``_trace_path`` here).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binarize import BinarizeConfig, BinaryImage, _binarize_image
-from .enhance import EnhanceConfig, _sweep
+from .enhance import EnhanceConfig, _enhance
 from .flowfield import FlowField, angles_at
 from .image import GrayImage, Point
 
@@ -119,10 +119,10 @@ def contour_enhance_values(
     image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None = None
 ) -> np.ndarray:
     """Like enhance_values, but each Gaussian runs along the contour."""
-    return _sweep(image, flow, _trace_path, None, cfg or EnhanceConfig(), binary)[1]
+    return _enhance(image, binary, flow, _trace_path, cfg, False)
 
 
 def enhance_image_contour(
     image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None = None
 ) -> GrayImage:
-    return GrayImage._of_bytes(_sweep(image, flow, _trace_path, None, cfg or EnhanceConfig(), binary, rounded=True)[1])
+    return GrayImage._of_bytes(_enhance(image, binary, flow, _trace_path, cfg, True))

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binarize import BinarizeConfig, BinaryImage, _check_inputs, _in_order, _is_ridge, _line_path, _nearest, _taps
-from .flowfield import FlowField, _band_sites, angles_at
-from .image import GrayImage, Point, _round_bytes, bilinear_many, row_bands
+from .binarize import BinarizeConfig, _bands, _check_binary, _in_order, _is_ridge, _line_path, _nearest, _taps
+from .flowfield import FlowField
+from .image import BinaryImage, GrayImage, Point, _round_bytes, bilinear_many
 
 
 @dataclass
@@ -66,86 +66,78 @@ def _masked_blend(img: np.ndarray, bits: np.ndarray, taps, center, weights) -> n
     return np.where(den > 0, out, center_val)
 
 
-def _enhance_pixel(
-    image: GrayImage, binary: BinaryImage, p: Point, angles, cfg: EnhanceConfig | None, path, flow
-) -> float:
-    """Smoothed intensity at ``p`` for ``angles`` = (theta, defined); its bilinear sample where undefined.
-
-    NaN where ``p`` is outside the raster by the predicate of
-    ``sample_bilinear`` (non-finite points included): there is no pixel to
-    fall back on.
-    """
-    cfg = cfg or EnhanceConfig()
-    _check_inputs(image, flow, binary)
-    img = image.pixels
+def _blend(img: np.ndarray, bits: np.ndarray, path, sites, xs, ys, theta, defined, weights) -> np.ndarray:
+    """``_masked_blend`` along ``path`` about each point's nearest pixel, each tap blended in order as
+    it is sampled."""
     h, w = img.shape
-    xs, ys = (np.array([c], dtype=np.float64) for c in p)
-    sample = bilinear_many(img, xs, ys)
-    if math.isnan(sample[0]):
-        return math.nan
-    k = cfg.kernel_half_length
-    taps = _in_order(_taps(img, path, flow, xs, ys, *angles, k, True), k)
-    center = _nearest(ys, h) * w + _nearest(xs, w)
-    blended = _masked_blend(img, binary.bits, taps, center, gaussian_kernel(cfg.gaussian_sigma, k))
-    return float(np.where(angles[1], blended, sample)[0])
+    k = len(weights) // 2
+    taps = _in_order(_taps(img, path, sites, xs, ys, theta, defined, k, True), k)
+    return _masked_blend(img, bits, taps, _nearest(ys, h) * w + _nearest(xs, w), weights)
 
 
 def enhance_pixel(
     image: GrayImage, binary: BinaryImage, p: Point, theta: float, cfg: EnhanceConfig | None = None
 ) -> float:
-    """Smoothed intensity at ``p`` (pre-rounding); NaN where ``p`` is outside the raster."""
-    return _enhance_pixel(image, binary, p, (np.array([theta]), np.array([True])), cfg, _line_path, None)
+    """Smoothed intensity at ``p`` (pre-rounding); NaN where ``p`` is outside the raster by the
+    predicate of ``sample_bilinear`` (non-finite points included): there is no pixel to fall back on."""
+    cfg = cfg or EnhanceConfig()
+    _check_binary(image, binary)
+    xs, ys = (np.array([c], dtype=np.float64) for c in p)
+    if math.isnan(bilinear_many(image.pixels, xs, ys)[0]):
+        return math.nan
+    weights = gaussian_kernel(cfg.gaussian_sigma, cfg.kernel_half_length)
+    return float(_blend(image.pixels, binary.bits, _line_path, None, xs, ys, np.array([theta]), np.array([True]),
+                        weights)[0])
 
 
-def _sweep(image: GrayImage, flow: FlowField, path, bcfg: BinarizeConfig | None, ecfg: EnhanceConfig,
-           binary: BinaryImage | None = None, rounded: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Bits and enhanced values of every pixel, binarized along ``path`` unless ``binary`` is given; with
-    ``rounded``, the values are the bytes of ``GrayImage.from_float``, rounded band by band as they are made.
+def _enhance(image: GrayImage, binary: BinaryImage, flow: FlowField, path, cfg: EnhanceConfig | None,
+             rounded: bool) -> np.ndarray:
+    """Enhanced values of every pixel over the given ``binary``, band by band, with no tap table; with
+    ``rounded``, the bytes of ``GrayImage.from_float``, rounded band by band as they are made."""
+    _check_binary(image, binary)
+    cfg = cfg or EnhanceConfig()
+    img = image.pixels
+    weights = gaussian_kernel(cfg.gaussian_sigma, cfg.kernel_half_length)
+    out = np.empty(img.shape, np.uint8 if rounded else np.float64)
+    for rows, sites, X, Y, theta, defined in _bands(image, flow, cfg.kernel_half_length):
+        out[rows] = (_round_bytes if rounded else np.asarray)(
+            np.where(defined, _blend(img, binary.bits, path, sites, X, Y, theta, defined, weights), img[rows]))
+    return out
 
-    Each row band looks up orientations in one table of the site rows it reaches. Given ``binary``, it
-    blends its taps one at a time, in order, as they are sampled: no tap table exists. Otherwise it is
-    sampled once into a table, to the larger half length, for both readers. A row is enhanced once the
-    bits up to ke rows below it exist; rows that wait for later bands carry over as copies.
+
+def _sweep(image: GrayImage, flow: FlowField, path, bcfg: BinarizeConfig, ecfg: EnhanceConfig):
+    """Bits and enhanced bytes of every pixel, binarized then enhanced along ``path`` in one band sweep.
+
+    Each band's taps are sampled once, to the larger half length, into one table that both readers share.
+    A row is enhanced once the bits up to ke rows below it exist; rows still waiting stay at the table's top.
     """
-    _check_inputs(image, flow, binary)
     img = image.pixels
     h, w = img.shape
-    ke = ecfg.kernel_half_length
-    weights = gaussian_kernel(ecfg.gaussian_sigma, ke)
-    out = np.empty((h, w), np.uint8 if rounded else np.float64)
-    finish = _round_bytes if rounded else np.asarray
-    if binary is not None:
-        for rows, X, Y in row_bands(w, h):
-            sites = _band_sites(flow, rows, ke)
-            theta, defined = angles_at(sites, X, Y)
-            taps = _in_order(_taps(img, path, sites, X, Y, theta, defined, ke, True), ke)
-            center = np.arange(rows.start * w, rows.stop * w).reshape(X.shape)
-            out[rows] = finish(np.where(defined, _masked_blend(img, binary.bits, taps, center, weights), img[rows]))
-        return binary.bits, out
-    kb = bcfg.line_half_length
+    kb, ke = bcfg.line_half_length, ecfg.kernel_half_length
     k = max(kb, ke)
-    bits = np.empty((h, w), dtype=np.uint8)
-    pending, table = [], None  # pending: (first row, taps, nearest, defined) of rows not yet enhanced
-    for rows, X, Y in row_bands(w, h):
-        sites = _band_sites(flow, rows, k)
-        theta, defined = angles_at(sites, X, Y)
-        table = table or tuple(np.empty((2 * k + 1,) + X.shape, t) for t in (np.float64, np.int32))
-        vals, near = (t[:, : len(X)] for t in table)  # the first band's table, the largest
-        for o, sample, nr in _taps(img, path, sites, X, Y, theta, defined, k, True):
-            vals[k + o], near[k + o] = sample, nr
+    weights = gaussian_kernel(ecfg.gaussian_sigma, ke)
+    bits, out = np.empty((h, w), np.uint8), np.empty((h, w), np.uint8)
+    table, y0 = None, 0  # y0: the first row not yet enhanced, the table's top row
+    for rows, sites, X, Y, theta, defined in _bands(image, flow, k):
+        n, end = rows.start - y0, rows.stop - y0  # the table's rows: n waiting, then this band's
+        if table is None:  # sized by the first band, the largest, and the ke rows at most that wait
+            shape = (2 * k + 1, min(len(X) + ke, h), w)
+            table = np.empty(shape), np.empty(shape, np.int32), np.empty(shape[1:], bool)
+        vals, near, live = table
+        for o, sample, nr in _taps(img, path, sites, X, Y, theta, defined, k, True):  # filed in path order
+            vals[k + o, n:end], near[k + o, n:end] = sample, nr
             del sample, nr  # copied; not held while the next tap is sampled
-        bits[rows] = ~_is_ridge(img, vals[k - kb : k + kb + 1], X, Y, theta, defined, kb)
-        ready = h if rows.stop == h else rows.stop - ke
-        pending.append((rows.start, vals[k - ke : k + ke + 1], near[k - ke : k + ke + 1], defined))
-        for _ in range(len(pending)):  # popped one at a time, so each copy goes once spent
-            y0, v, nr, d = pending.pop(0)
-            n = min(max(ready - y0, 0), len(d))
-            if n:
-                center = np.arange(y0 * w, (y0 + n) * w).reshape(n, w)
-                blended = _masked_blend(img, bits, zip(v[:, :n], nr[:, :n]), center, weights)
-                out[y0 : y0 + n] = finish(np.where(d[:n], blended, img[y0 : y0 + n]))
-            if n < len(d):
-                pending.append((y0 + n, v[:, n:].copy(), nr[:, n:].copy(), d[n:]))
+        live[n:end] = defined
+        bits[rows] = ~_is_ridge(img, vals[k - kb : k + kb + 1, n:end], X, Y, theta, defined, kb)
+        ready = h if rows.stop == h else max(rows.stop - ke, y0)
+        m = ready - y0
+        taps = zip(vals[k - ke : k + ke + 1, :m], near[k - ke : k + ke + 1, :m])
+        blended = _masked_blend(img, bits, taps, np.arange(y0 * w, ready * w).reshape(m, w), weights)
+        out[y0:ready] = _round_bytes(np.where(live[:m], blended, img[y0:ready]))
+        del blended  # not held while the next band is sampled
+        for plane in (*vals[k - ke : k + ke + 1], *near[k - ke : k + ke + 1], live):
+            plane[: end - m] = plane[m:end]  # the waiting rows to the top; numpy buffers an overlapping move
+        y0 = ready
     return bits, out
 
 
@@ -153,10 +145,10 @@ def enhance_values(
     image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None = None
 ) -> np.ndarray:
     """Full-image smoothing before rounding; pass-through where flow is undefined."""
-    return _sweep(image, flow, _line_path, None, cfg or EnhanceConfig(), binary)[1]
+    return _enhance(image, binary, flow, _line_path, cfg, False)
 
 
 def enhance_image(
     image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None = None
 ) -> GrayImage:
-    return GrayImage._of_bytes(_sweep(image, flow, _line_path, None, cfg or EnhanceConfig(), binary, rounded=True)[1])
+    return GrayImage._of_bytes(_enhance(image, binary, flow, _line_path, cfg, True))

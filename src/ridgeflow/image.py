@@ -97,6 +97,15 @@ class BinaryImage:
         b.setflags(write=False)
         self.bits = b
 
+    @classmethod
+    def _of_bits(cls, bits: np.ndarray) -> "BinaryImage":
+        """An image of a new 2-D uint8 array of 0s and 1s that no caller holds, as ``GrayImage._of_bytes``."""
+        assert bits.dtype == np.uint8 and bits.ndim == 2 and bits.size
+        binary = cls.__new__(cls)
+        bits.setflags(write=False)
+        binary.bits = bits
+        return binary
+
     @property
     def width(self) -> int:
         return self.bits.shape[1]

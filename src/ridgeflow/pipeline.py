@@ -89,8 +89,8 @@ def run_iteration(image: GrayImage, cfg: PipelineConfig | None = None) -> tuple[
     """One pass: flow, then binarize with it and enhance the input image, in one shared sweep."""
     cfg = cfg or PipelineConfig()
     flow = _flow_for(image, cfg)
-    bits, enhanced = _sweep(image, flow, PATHS[cfg.path_mode], cfg.binarize, cfg.enhance, rounded=True)
-    return flow, BinaryImage(bits), GrayImage._of_bytes(enhanced)
+    bits, enhanced = _sweep(image, flow, PATHS[cfg.path_mode], cfg.binarize, cfg.enhance)
+    return flow, BinaryImage._of_bits(bits), GrayImage._of_bytes(enhanced)
 
 
 def run_pipeline(image: GrayImage, cfg: PipelineConfig | None = None) -> PipelineResult:

@@ -42,7 +42,7 @@ _VAR_EPS = 1e-9
 # smoothing, so every candidate angle plays by the same rules.
 _STAT_OFFSET = (1.0 - 3.0**-0.5) / 2.0
 
-# Map pixels per band of ``_mean_deviation_map``. Each band recomputes s
+# Map pixels per band of ``_site_mean_deviations``. Each band recomputes s
 # rows of half-span deviations, so its bands are larger than the image
 # stages': at 512x512 a map took about 37 ms in bands of 32768 or 65536
 # pixels, 44 ms in bands of 8192 and 55 ms in one pass.

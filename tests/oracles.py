@@ -13,10 +13,10 @@ import numpy as np
 from scipy import ndimage
 
 import ridgeflow as rf
-from ridgeflow.binarize import BinarizeConfig, _binarize_pixel, _nearest
+from ridgeflow.binarize import BinarizeConfig, _check_binary, _nearest, _ridge
 from ridgeflow.contour import _trace_path
-from ridgeflow.enhance import EnhanceConfig, _enhance_pixel, gaussian_kernel
-from ridgeflow.flowfield import FlowField, _grid_sites, angles_at
+from ridgeflow.enhance import EnhanceConfig, _blend, gaussian_kernel
+from ridgeflow.flowfield import FlowField, _grid_sites, angles_at, check_flow_grid
 from ridgeflow.gradient import GradientField, _window_weights
 from ridgeflow.image import GrayImage, Point, band_rows, bilinear_many, rotate_raster
 from ridgeflow.projection import (
@@ -94,17 +94,31 @@ def binarize_pixel_contour(image: GrayImage, p: Point, flow: FlowField, cfg: Bin
     The orthogonal mean stays on the straight perpendicular at the seed's
     orientation.
     """
-    return _binarize_pixel(image, p, angles_at(flow, [p[0]], [p[1]]), cfg, _trace_path, flow)
+    check_flow_grid(flow, image.width, image.height)
+    xs, ys = (np.array([c], dtype=np.float64) for c in p)
+    half = (cfg or BinarizeConfig()).line_half_length
+    return 0 if _ridge(image.pixels, _trace_path, flow, xs, ys, *angles_at(flow, xs, ys), half)[0] else 1
 
 
 def enhance_pixel_contour(
     image: GrayImage, binary: rf.BinaryImage, p: Point, flow: FlowField, cfg: EnhanceConfig | None = None
 ) -> float:
-    """Like enhance_pixel, but the Gaussian runs along the contour through ``p``.
+    """Like enhance_pixel, but the Gaussian runs along the contour through ``p``; its bilinear sample
+    where the orientation there is undefined.
 
     NaN where ``p`` is outside the raster, as for ``enhance_pixel``.
     """
-    return _enhance_pixel(image, binary, p, angles_at(flow, [p[0]], [p[1]]), cfg, _trace_path, flow)
+    cfg = cfg or EnhanceConfig()
+    _check_binary(image, binary)
+    check_flow_grid(flow, image.width, image.height)
+    xs, ys = (np.array([c], dtype=np.float64) for c in p)
+    sample = bilinear_many(image.pixels, xs, ys)
+    if math.isnan(sample[0]):
+        return math.nan
+    theta, defined = angles_at(flow, xs, ys)
+    weights = gaussian_kernel(cfg.gaussian_sigma, cfg.kernel_half_length)
+    blended = _blend(image.pixels, binary.bits, _trace_path, flow, xs, ys, theta, defined, weights)
+    return float(np.where(defined, blended, sample)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ Run from the repository root with ``PYTHONPATH=src python tests/output_digest.py
 on two checkouts and compare the printed digests. It covers, for the three
 synthetic patterns at two sizes and grid strides 1-3: the synthetic image and
 its truth flow, both flow methods, both pipeline paths at three settings of
-the binarize and enhance half lengths, the standalone stages that take their
-path outside the pipeline (``binarize_image_contour``, ``enhance_values``
-and ``contour_enhance_values``) at the same settings, the flow CSV bytes,
+the binarize and enhance half lengths, the standalone stages
+(``binarize_image``, ``binarize_image_contour``, ``enhance_values``,
+``contour_enhance_values``, ``enhance_image`` and ``enhance_image_contour``)
+at the same settings, ``binarize_pixel`` and ``enhance_pixel`` at pixel
+centres, sub-pixel, off-raster and NaN points for a few angles,
+``trace_contour`` from a few seeds with and without bounds, the flow CSV bytes,
 the comparison CSV and summary lines with and without truth, and the
 interior site mask; then projection flows at the default settings of a
 parallel and a concentric image large enough that every coarse angle's map
@@ -82,6 +85,12 @@ def _library(h, tmp: Path) -> None:
                     ecfg = rf.EnhanceConfig(gaussian_sigma=sigma, kernel_half_length=ke)
                     h.update(rf.enhance_values(image, binary, proj, ecfg).tobytes())
                     h.update(rf.contour_enhance_values(image, binary, proj, ecfg).tobytes())
+                    linear = rf.binarize_image(image, proj, rf.BinarizeConfig(kb))
+                    h.update(linear.bits.tobytes())
+                    h.update(rf.enhance_image(image, linear, proj, ecfg).pixels.tobytes())
+                    h.update(rf.enhance_image_contour(image, binary, proj, ecfg).pixels.tobytes())
+                    _single_points(h, image, linear, rf.BinarizeConfig(kb), ecfg)
+                _traces(h, proj, width, height)
                 csv = tmp / "flow.csv"
                 rf.save_flow_csv(proj, csv)
                 h.update(csv.read_bytes())
@@ -92,6 +101,25 @@ def _library(h, tmp: Path) -> None:
                     h.update((tmp / "cmp.csv").read_bytes())
                     h.update("\n".join(rf.summary_lines(report)).encode())
                 h.update(rf.interior_site_mask(truth, width, height, 8.0).tobytes())
+
+
+def _single_points(h, image: rf.GrayImage, binary: rf.BinaryImage, bcfg, ecfg) -> None:
+    """``binarize_pixel`` and ``enhance_pixel`` at pixel centres, sub-pixel, off-raster and NaN points."""
+    w, ht = image.width, image.height
+    points = [(0.0, 0.0), (w - 1.0, ht - 1.0), (w // 2, ht // 3), (3.25, 4.5), (w - 1.5, 2.75),
+              (-0.5, 3.0), (w + 2.0, ht / 2), (3.0, ht - 0.5), (math.nan, 5.0)]
+    for (x, y), theta in itertools.product(points, (0.0, 0.7, math.pi / 2, 2.5)):
+        p = rf.Point(float(x), float(y))
+        value = rf.enhance_pixel(image, binary, p, theta, ecfg)
+        h.update(f"pixel {p} {theta!r} {rf.binarize_pixel(image, p, theta, bcfg)} {value!r}".encode())
+
+
+def _traces(h, flow: rf.FlowField, width: int, height: int) -> None:
+    """``trace_contour`` from a few seeds, with and without bounds."""
+    for seed, bounds in itertools.product([(2.0, 3.0), (width / 2, height / 2), (width - 1.25, 0.5)],
+                                          (None, (width, height))):
+        path = rf.trace_contour(flow, rf.Point(*seed), 12, bounds)
+        h.update(f"trace {seed} {bounds} {path.seed_index} {[(q.x, q.y) for q in path.points]!r}".encode())
 
 
 def _banded(h) -> None:

@@ -5,6 +5,7 @@ import pytest
 
 import ridgeflow as rf
 import ridgeflow.pipeline as pipeline
+from ridgeflow.enhance import _sweep
 
 from oracles import flow_mae
 
@@ -74,6 +75,24 @@ class TestRunIteration:
         img, truth = noisy()
         flow, binary, _ = rf.run_iteration(img)
         assert flow_mae(flow, truth, 128, 128) <= math.pi / 32
+
+    def test_binary_images_the_package_makes_keep_its_bits_and_callers_arrays_are_copied(self, monkeypatch):
+        # the iteration's binary holds the sweep's own bits, read-only, neither copied nor scanned
+        img, flow = noisy()
+        swept = []
+
+        def sweep(*args):
+            swept.append(_sweep(*args))
+            return swept[-1]
+
+        monkeypatch.setattr(pipeline, "_flow_for", lambda image, cfg: flow)
+        monkeypatch.setattr(pipeline, "_sweep", sweep)
+        _, binary, enhanced = rf.run_iteration(img)
+        assert np.shares_memory(binary.bits, swept[0][0]) and np.shares_memory(enhanced.pixels, swept[0][1])
+        for made in (binary, rf.binarize_image(img, flow), rf.binarize_image_contour(img, flow)):
+            assert made.bits.dtype == np.uint8 and not made.bits.flags.writeable
+        mine = np.ones((2, 3), dtype=np.uint8)
+        assert not np.shares_memory(rf.BinaryImage(mine).bits, mine) and mine.flags.writeable
 
 
 class TestRunPipeline:

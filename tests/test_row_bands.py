@@ -165,12 +165,15 @@ class TestBoundedMemory:
         assert peak < self.CONTOUR_ENHANCE_256_CEILING_MIB
 
     # One sweep binarizes and enhances along the contour, to max(4, 9) taps
-    # each way: 4.23 MiB at 256x256 with the truth flow, sampling the image's
-    # bytes, looking orientations up in one table per band and rounding
-    # each band as it is enhanced; 4.09 without the band tables, where the
-    # flow kept a whole-grid table built beforehand; 5.03 with float64
-    # copies of the input and the output, and 5.49 before that, where
-    # binarize_image_contour then contour_enhance_values peaked at 5.82 MiB.
+    # each way: 4.14 MiB at 256x256 with the truth flow, sampling the image's
+    # bytes, looking orientations up in one table per band, rounding each
+    # band as it is enhanced and keeping the rows that wait for later bits
+    # in its tap table; 4.23 with those rows carried over as copies and each
+    # band's blend held while the next was sampled; 4.09 without the band
+    # tables, where the flow kept a whole-grid table built beforehand; 5.03
+    # with float64 copies of the input and the output, and 5.49 before
+    # that, where binarize_image_contour then contour_enhance_values peaked
+    # at 5.82 MiB.
     # Do not raise it.
     FUSED_CONTOUR_256_CEILING_MIB = 4.7
 
