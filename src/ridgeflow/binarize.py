@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flowfield import FlowField, _band_sites, angles_at, check_flow_grid
-from .image import BinaryImage, GrayImage, Point, bilinear_many, row_bands
+from .image import BinaryImage, GrayImage, Point, band_rows, bilinear_many
 
 
 # Decision margin: means closer than this count as a tie (valley). Intensity
@@ -48,7 +48,7 @@ def _nearest(coords, size: int) -> np.ndarray:
     return np.fmin(np.fmax(c, 0.0, out=c), size - 1.0, out=c).astype(np.intp)
 
 
-def _line_path(flow, xs, ys, theta, defined, half: int, bounds):
+def _line_path(flow, xs, ys, theta, half: int, bounds):
     """The straight sampling path (see the contour module): ``half`` unit steps each way along ``theta``, all kept."""
     c = np.cos(theta)
     s = np.sin(theta)
@@ -56,11 +56,11 @@ def _line_path(flow, xs, ys, theta, defined, half: int, bounds):
         yield o, xs + o * c, ys + o * s, True
 
 
-def _taps(img: np.ndarray, path, flow, xs, ys, theta, defined, half: int, nearest: bool):
+def _taps(img: np.ndarray, path, flow, xs, ys, theta, half: int, nearest: bool):
     """Each tap of ``path`` sampled once, in the path's order: (o, sample, nearest flat index or None). The
     sample is NaN off the raster or where the path drops the tap; neither is kept once the next tap is asked for."""
     h, w = img.shape
-    for o, px, py, ok in path(flow, xs, ys, theta, defined, half, (w, h)):
+    for o, px, py, ok in path(flow, xs, ys, theta, half, (w, h)):
         sample = bilinear_many(img, px, py)
         np.copyto(sample, np.nan, where=np.logical_not(ok))
         near = _nearest(py, h) * w + _nearest(px, w) if nearest else None
@@ -88,42 +88,45 @@ def _tap_mean(taps, shape) -> np.ndarray:
     return np.where(n > 0, s / np.maximum(n, 1), np.nan)
 
 
-def _is_ridge(img: np.ndarray, taps, xs, ys, theta, defined, half: int) -> np.ndarray:
+def _is_ridge(img: np.ndarray, taps, xs, ys, theta, half: int) -> np.ndarray:
     """Ridge mask: the mean of the along-ridge samples ``taps``, in order, is below the straight orthogonal mean."""
     g = _tap_mean(taps, np.shape(xs))
-    across = _line_path(None, xs, ys, theta + math.pi / 2.0, defined, half, None)
-    m = _tap_mean((bilinear_many(img, px, py) for _, px, py, _ in across), np.shape(xs))
-    return defined & ~np.isnan(g) & ~np.isnan(m) & (g < m - _TIE_EPS)
+    across = _taps(img, _line_path, None, xs, ys, theta + math.pi / 2.0, half, False)
+    m = _tap_mean((v for _, v, _ in across), np.shape(xs))
+    return ~np.isnan(g) & ~np.isnan(m) & (g < m - _TIE_EPS)
 
 
 def _bands(image: GrayImage, flow: FlowField, half: int):
-    """(rows, sites, xs, ys, theta, defined) of each row band, with the table of the site rows that its
-    paths reach in ``half`` steps; ValueError first unless ``flow`` is on the image's grid."""
+    """(rows, sites, xs, ys, theta) of each row band: the table of the site rows its paths reach in ``half`` steps,
+    its pixel centres and their orientations, NaN where none; ValueError first unless ``flow`` is on the grid."""
     check_flow_grid(flow, image.width, image.height)
-    for rows, xs, ys in row_bands(image.width, image.height):
+    for rows in band_rows(image.width, image.height):
+        xs, ys = np.meshgrid(np.arange(image.width, dtype=float), np.arange(rows.start, rows.stop, dtype=float))
         sites = _band_sites(flow, rows, half)
-        yield rows, sites, xs, ys, *angles_at(sites, xs, ys)
+        theta, defined = angles_at(sites, xs, ys)
+        np.copyto(theta, np.nan, where=~defined)
+        yield rows, sites, xs, ys, theta
 
 
-def _ridge(img: np.ndarray, path, sites, xs, ys, theta, defined, half: int) -> np.ndarray:
+def _ridge(img: np.ndarray, path, sites, xs, ys, theta, half: int) -> np.ndarray:
     """Ridge mask along ``path``, each along-ridge tap summed in order as it is sampled."""
-    taps = _in_order(_taps(img, path, sites, xs, ys, theta, defined, half, False), half)
-    return _is_ridge(img, (v for v, _ in taps), xs, ys, theta, defined, half)
+    taps = _in_order(_taps(img, path, sites, xs, ys, theta, half, False), half)
+    return _is_ridge(img, (v for v, _ in taps), xs, ys, theta, half)
 
 
 def binarize_pixel(image: GrayImage, p: Point, theta: float, cfg: BinarizeConfig | None = None) -> int:
     """Bit at ``p`` given orientation ``theta`` (pi-periodic)."""
     xs, ys = (np.array([c], dtype=np.float64) for c in p)
     half = (cfg or BinarizeConfig()).line_half_length
-    return 0 if _ridge(image.pixels, _line_path, None, xs, ys, np.array([theta]), np.array([True]), half)[0] else 1
+    return 0 if _ridge(image.pixels, _line_path, None, xs, ys, np.array([theta]), half)[0] else 1
 
 
 def _binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None, path) -> BinaryImage:
     """Classify every pixel along ``path``, band by band."""
     half = (cfg or BinarizeConfig()).line_half_length
     bits = np.empty((image.height, image.width), dtype=np.uint8)
-    for rows, sites, X, Y, theta, defined in _bands(image, flow, half):
-        bits[rows] = ~_ridge(image.pixels, path, sites, X, Y, theta, defined, half)
+    for rows, sites, X, Y, theta in _bands(image, flow, half):
+        bits[rows] = ~_ridge(image.pixels, path, sites, X, Y, theta, half)
     return BinaryImage._of_bits(bits)
 
 

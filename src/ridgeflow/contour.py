@@ -7,16 +7,19 @@ flow field the contour degenerates to the straight line used elsewhere.
 
 The contour variants differ from plain binarization and enhancement only in
 where the samples come from. A sampling path is a generator
-``(sites, xs, ys, theta, defined, half, bounds)`` yielding ``(o, px, py, ok)``
+``(sites, xs, ys, theta, half, bounds)`` yielding ``(o, px, py, ok)``
 once for each tap o in -half..half, in any order: the tap's coordinates
 (shaped like ``xs``) and whether it is kept (an array of that shape, or a
-bool), valid until the next tap is asked for. The taps within k of the seed
-do not depend on ``half`` >= k, so one walk serves both stages. ``sites`` is
-what ``angles_at`` reads: a flow, or the table of the site rows that a row
-band's paths reach (``flowfield._band_sites``), built once per band. One sampler,
-``binarize._taps``, samples the taps as the path gives them; the pipeline
-sweep files them in a table by o, and the kernels ``binarize._ridge`` and
-``enhance._blend`` take them through ``binarize._in_order``, in order -k..k.
+bool), valid until the next tap is asked for. ``theta`` is NaN where a seed
+has no orientation, and a path keeps none of its taps (the line's are at
+NaN): its means are NaN, a valley, and its blend gives back the pixel. The
+taps within k of the seed do not depend on ``half`` >= k, so one walk serves
+both stages. ``sites`` is what ``angles_at`` reads: a flow, or the table of
+the site rows that a row band's paths reach (``flowfield._band_sites``),
+built once per band. One sampler, ``binarize._taps``, samples every tap,
+the orthogonal line's too; the pipeline sweep files them in a table by o,
+and the kernels ``binarize._ridge`` and ``enhance._blend`` take them
+through ``binarize._in_order``, in order -k..k.
 ``pipeline.PATHS`` names the paths: the straight line (``binarize._line_path``)
 and the traced contour (``_trace_path`` here).
 """
@@ -41,26 +44,27 @@ class ContourPath:
     seed_index: int
 
 
-def _trace_path(sites, xs, ys, theta, defined, half_steps: int, bounds: tuple[int, int] | None):
+def _trace_path(sites, xs, ys, theta, half_steps: int, bounds: tuple[int, int] | None):
     """Trace contours for many seeds at once, one step per tap asked for; the contour sampling path.
 
-    ``theta`` and ``defined`` are the seeds' orientations as ``angles_at``
-    gives them. Yields taps -1..-half_steps, the seed, then +1..+half_steps,
-    so a reader that takes the taps in order -k..k holds only the k - 1
-    taps before -k; ok marks points actually reached before an early stop.
+    ``theta`` is the seeds' orientations, NaN where none. Yields taps
+    -1..-half_steps, the seed, then +1..+half_steps, so a reader that takes
+    the taps in order -k..k holds only the k - 1 taps before -k; ok marks
+    points actually reached before an early stop, none for a NaN seed.
     """
+    oriented = ~np.isnan(theta)
     cur_x, cur_y = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
     # the per-step buffers, reused by every step; (dir_x, dir_y) and (cx, sy) swap after each turn
     nx, ny, dir_x, dir_y, cx, sy = (np.empty_like(cur_x) for _ in range(6))
     alive, mask = np.empty(cur_x.shape, dtype=bool), np.empty(cur_x.shape, dtype=bool)
     for direction in (-1, +1):
         if direction > 0:
-            yield 0, xs, ys, True
+            yield 0, xs, ys, oriented
         np.copyto(cur_x, xs)
         np.copyto(cur_y, ys)
         np.multiply(np.cos(theta, out=dir_x), direction, out=dir_x)
         np.multiply(np.sin(theta, out=dir_y), direction, out=dir_y)
-        np.copyto(alive, defined)
+        np.copyto(alive, oriented)
         for step in range(1, half_steps + 1):
             if step > 1:
                 th, step_defined = angles_at(sites, cur_x, cur_y)
@@ -100,8 +104,9 @@ def trace_contour(
         raise ValueError("half_steps must be >= 1")
     xs = np.array([p[0]], dtype=np.float64)
     ys = np.array([p[1]], dtype=np.float64)
-    taps = _trace_path(flow, xs, ys, *angles_at(flow, xs, ys), half_steps, bounds)
-    reached = sorted((o, Point(float(px[0]), float(py[0]))) for o, px, py, ok in taps if np.all(ok))
+    theta, defined = angles_at(flow, xs, ys)
+    taps = _trace_path(flow, xs, ys, np.where(defined, theta, np.nan), half_steps, bounds)
+    reached = sorted((o, Point(float(px[0]), float(py[0]))) for o, px, py, ok in taps if o == 0 or np.all(ok))
     points = [q for _, q in reached]
     seed_index = [o for o, _ in reached].index(0)
     for a, b, c in zip(points, points[1:], points[2:]):

@@ -66,28 +66,28 @@ def _masked_blend(img: np.ndarray, bits: np.ndarray, taps, center, weights) -> n
     return np.where(den > 0, out, center_val)
 
 
-def _blend(img: np.ndarray, bits: np.ndarray, path, sites, xs, ys, theta, defined, weights) -> np.ndarray:
+def _blend(img: np.ndarray, bits: np.ndarray, path, sites, xs, ys, theta, weights) -> np.ndarray:
     """``_masked_blend`` along ``path`` about each point's nearest pixel, each tap blended in order as
-    it is sampled."""
+    it is sampled; that pixel's value where ``theta`` is NaN, since the path then keeps no tap."""
     h, w = img.shape
     k = len(weights) // 2
-    taps = _in_order(_taps(img, path, sites, xs, ys, theta, defined, k, True), k)
+    taps = _in_order(_taps(img, path, sites, xs, ys, theta, k, True), k)
     return _masked_blend(img, bits, taps, _nearest(ys, h) * w + _nearest(xs, w), weights)
 
 
 def enhance_pixel(
     image: GrayImage, binary: BinaryImage, p: Point, theta: float, cfg: EnhanceConfig | None = None
 ) -> float:
-    """Smoothed intensity at ``p`` (pre-rounding); NaN where ``p`` is outside the raster by the
-    predicate of ``sample_bilinear`` (non-finite points included): there is no pixel to fall back on."""
+    """Smoothed intensity at ``p`` (pre-rounding); where ``theta`` is not finite, the bilinear sample at ``p``,
+    as the image stages pass an undefined pixel through, and NaN outside the raster, as ``sample_bilinear``."""
     cfg = cfg or EnhanceConfig()
     _check_binary(image, binary)
     xs, ys = (np.array([c], dtype=np.float64) for c in p)
-    if math.isnan(bilinear_many(image.pixels, xs, ys)[0]):
-        return math.nan
+    sample = float(bilinear_many(image.pixels, xs, ys)[0])
+    if math.isnan(sample) or not math.isfinite(theta):
+        return sample
     weights = gaussian_kernel(cfg.gaussian_sigma, cfg.kernel_half_length)
-    return float(_blend(image.pixels, binary.bits, _line_path, None, xs, ys, np.array([theta]), np.array([True]),
-                        weights)[0])
+    return float(_blend(image.pixels, binary.bits, _line_path, None, xs, ys, np.array([theta]), weights)[0])
 
 
 def _enhance(image: GrayImage, binary: BinaryImage, flow: FlowField, path, cfg: EnhanceConfig | None,
@@ -99,9 +99,9 @@ def _enhance(image: GrayImage, binary: BinaryImage, flow: FlowField, path, cfg: 
     img = image.pixels
     weights = gaussian_kernel(cfg.gaussian_sigma, cfg.kernel_half_length)
     out = np.empty(img.shape, np.uint8 if rounded else np.float64)
-    for rows, sites, X, Y, theta, defined in _bands(image, flow, cfg.kernel_half_length):
+    for rows, sites, X, Y, theta in _bands(image, flow, cfg.kernel_half_length):
         out[rows] = (_round_bytes if rounded else np.asarray)(
-            np.where(defined, _blend(img, binary.bits, path, sites, X, Y, theta, defined, weights), img[rows]))
+            _blend(img, binary.bits, path, sites, X, Y, theta, weights))
     return out
 
 
@@ -117,25 +117,22 @@ def _sweep(image: GrayImage, flow: FlowField, path, bcfg: BinarizeConfig, ecfg: 
     k = max(kb, ke)
     weights = gaussian_kernel(ecfg.gaussian_sigma, ke)
     bits, out = np.empty((h, w), np.uint8), np.empty((h, w), np.uint8)
-    table, y0 = None, 0  # y0: the first row not yet enhanced, the table's top row
-    for rows, sites, X, Y, theta, defined in _bands(image, flow, k):
+    vals, y0 = None, 0  # y0: the first row not yet enhanced, the tap table's top row
+    for rows, sites, X, Y, theta in _bands(image, flow, k):
         n, end = rows.start - y0, rows.stop - y0  # the table's rows: n waiting, then this band's
-        if table is None:  # sized by the first band, the largest, and the ke rows at most that wait
+        if vals is None:  # sized by the first band, the largest, and the ke rows at most that wait
             shape = (2 * k + 1, min(len(X) + ke, h), w)
-            table = np.empty(shape), np.empty(shape, np.int32), np.empty(shape[1:], bool)
-        vals, near, live = table
-        for o, sample, nr in _taps(img, path, sites, X, Y, theta, defined, k, True):  # filed in path order
+            vals, near = np.empty(shape), np.empty(shape, np.int32)
+        for o, sample, nr in _taps(img, path, sites, X, Y, theta, k, True):  # filed in path order
             vals[k + o, n:end], near[k + o, n:end] = sample, nr
             del sample, nr  # copied; not held while the next tap is sampled
-        live[n:end] = defined
-        bits[rows] = ~_is_ridge(img, vals[k - kb : k + kb + 1, n:end], X, Y, theta, defined, kb)
+        bits[rows] = ~_is_ridge(img, vals[k - kb : k + kb + 1, n:end], X, Y, theta, kb)
         ready = h if rows.stop == h else max(rows.stop - ke, y0)
         m = ready - y0
         taps = zip(vals[k - ke : k + ke + 1, :m], near[k - ke : k + ke + 1, :m])
-        blended = _masked_blend(img, bits, taps, np.arange(y0 * w, ready * w).reshape(m, w), weights)
-        out[y0:ready] = _round_bytes(np.where(live[:m], blended, img[y0:ready]))
-        del blended  # not held while the next band is sampled
-        for plane in (*vals[k - ke : k + ke + 1], *near[k - ke : k + ke + 1], live):
+        out[y0:ready] = _round_bytes(
+            _masked_blend(img, bits, taps, np.arange(y0 * w, ready * w).reshape(m, w), weights))
+        for plane in (*vals[k - ke : k + ke + 1], *near[k - ke : k + ke + 1]):
             plane[: end - m] = plane[m:end]  # the waiting rows to the top; numpy buffers an overlapping move
         y0 = ready
     return bits, out

@@ -283,19 +283,6 @@ def band_rows(width: int, height: int, pixels: int | None = None) -> Iterator[sl
         yield slice(y0, min(y0 + step, height))
 
 
-def row_bands(width: int, height: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Whole-row bands of about ``BAND_PIXELS`` pixels (at least one row each).
-
-    Yields (rows, xs, ys): the band's row slice and the float64 pixel-center
-    coordinates of its pixels, shaped (band rows, width).
-    """
-    for rows in band_rows(width, height):
-        xs, ys = np.meshgrid(
-            np.arange(width, dtype=np.float64), np.arange(rows.start, rows.stop, dtype=np.float64)
-        )
-        yield rows, xs, ys
-
-
 def sample_bilinear(image: GrayImage, p: Point) -> float | None:
     """Bilinear intensity at ``p``; None when the sample needs out-of-raster pixels."""
     v = bilinear_many(image.pixels, np.array([p[0]]), np.array([p[1]]))[0]

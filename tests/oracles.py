@@ -97,7 +97,8 @@ def binarize_pixel_contour(image: GrayImage, p: Point, flow: FlowField, cfg: Bin
     check_flow_grid(flow, image.width, image.height)
     xs, ys = (np.array([c], dtype=np.float64) for c in p)
     half = (cfg or BinarizeConfig()).line_half_length
-    return 0 if _ridge(image.pixels, _trace_path, flow, xs, ys, *angles_at(flow, xs, ys), half)[0] else 1
+    theta, defined = angles_at(flow, xs, ys)
+    return 0 if _ridge(image.pixels, _trace_path, flow, xs, ys, np.where(defined, theta, np.nan), half)[0] else 1
 
 
 def enhance_pixel_contour(
@@ -112,13 +113,12 @@ def enhance_pixel_contour(
     _check_binary(image, binary)
     check_flow_grid(flow, image.width, image.height)
     xs, ys = (np.array([c], dtype=np.float64) for c in p)
-    sample = bilinear_many(image.pixels, xs, ys)
-    if math.isnan(sample[0]):
-        return math.nan
+    sample = float(bilinear_many(image.pixels, xs, ys)[0])
     theta, defined = angles_at(flow, xs, ys)
+    if math.isnan(sample) or not defined[0]:
+        return sample
     weights = gaussian_kernel(cfg.gaussian_sigma, cfg.kernel_half_length)
-    blended = _blend(image.pixels, binary.bits, _trace_path, flow, xs, ys, theta, defined, weights)
-    return float(np.where(defined, blended, sample)[0])
+    return float(_blend(image.pixels, binary.bits, _trace_path, flow, xs, ys, theta, weights)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +459,14 @@ def reference_angles_at(flow: rf.FlowField, xs, ys) -> tuple[np.ndarray, np.ndar
 
 
 def reference_line_path(flow, xs, ys, theta, defined, half: int, bounds):
-    """The straight sampling path: ``half`` unit steps each way along ``theta``, all kept.
+    """The straight sampling path: ``half`` unit steps each way along ``theta``, kept where the seed's
+    orientation is defined.
 
     Paths are described in the contour module docstring.
     """
     offs = np.arange(-half, half + 1, dtype=np.float64)
     offs = offs.reshape((offs.size,) + (1,) * np.ndim(xs))
-    return xs + offs * np.cos(theta), ys + offs * np.sin(theta), True
+    return xs + offs * np.cos(theta), ys + offs * np.sin(theta), defined
 
 
 def reference_trace_batch(
@@ -482,7 +483,7 @@ def reference_trace_batch(
     ``theta`` and ``defined`` are the seeds' orientations as ``angles_at``
     gives them. Returns (px, py, ok), each shaped (2*half_steps+1,) +
     xs.shape; row half_steps is the seed. ok marks points actually reached
-    before an early stop.
+    before an early stop; a seed without an orientation keeps no point.
     """
     k = half_steps
     px = np.zeros((2 * k + 1,) + xs.shape)
@@ -490,7 +491,7 @@ def reference_trace_batch(
     ok = np.zeros((2 * k + 1,) + xs.shape, dtype=bool)
     px[k] = xs
     py[k] = ys
-    ok[k] = True
+    ok[k] = defined
 
     for direction in (+1, -1):
         cur_x = xs.copy()

@@ -73,6 +73,12 @@ class TestEnhancePixel:
             assert math.isnan(rf.enhance_pixel(img, binary, p, 0.3))
         # an undefined orientation passes the pixel through
         assert rf.enhance_pixel(img, binary, rf.Point(12.0, 12.0), math.nan) == 133.0
+        # as its bilinear sample between pixel centres, where the nearest pixel would read 43.0
+        ramp = rf.GrayImage(np.arange(64, dtype=np.int64).reshape(8, 8))
+        p = rf.Point(3.25, 4.5)
+        for theta in (math.nan, math.inf):
+            assert rf.enhance_pixel(ramp, rf.BinaryImage(np.zeros((8, 8), dtype=np.int64)), p, theta) == 39.25
+        assert rf.sample_bilinear(ramp, p) == 39.25
 
     def test_point_outside_the_raster_is_nan(self):
         # an 8x8 ramp: a clamped edge pixel would read 0.0 at (-100, -100)

@@ -11,6 +11,8 @@ import ridgeflow as rf
 import ridgeflow.image as rimage
 import ridgeflow.pipeline as rpipeline
 import ridgeflow.projection as rproj
+from ridgeflow.binarize import _bands
+from ridgeflow.flowfield import _grid_sites
 
 from oracles import binarize_pixel_contour, enhance_pixel_contour, reference_mean_deviation_map
 
@@ -42,14 +44,17 @@ class TestRowBands:
     @pytest.mark.parametrize("band_pixels, n_bands", [(1, H), (7 * W + 3, math.ceil(H / 7)), (H * W, 1)])
     def test_bands_cover_each_row_once_in_order(self, monkeypatch, band_pixels, n_bands):
         monkeypatch.setattr(rimage, "BAND_PIXELS", band_pixels)
-        bands = list(rimage.row_bands(W, H))
+        sx, sy = _grid_sites(W, H, 3)
+        flow = rf.FlowField(np.zeros((sy.size, sx.size)), np.zeros((sy.size, sx.size), dtype=bool), 3)
+        bands = list(_bands(rf.GrayImage(np.zeros((H, W), dtype=np.uint8)), flow, 4))
         assert len(bands) == n_bands
-        rows = np.concatenate([np.arange(H)[r] for r, _, _ in bands])
+        rows = np.concatenate([np.arange(H)[r] for r, *_ in bands])
         assert rows.tolist() == list(range(H))
-        for r, xs, ys in bands:
+        for r, _, xs, ys, theta in bands:
             want_y, want_x = np.mgrid[r, 0:W]
             assert xs.dtype == ys.dtype == np.float64
             assert np.array_equal(xs, want_x) and np.array_equal(ys, want_y)
+            assert theta.shape == xs.shape and np.isnan(theta).all()  # an all-invalid flow orients no pixel
 
     @pytest.mark.parametrize("method", ["projection", "gradient"])
     def test_outputs_byte_identical_across_band_sizes(self, noisy, monkeypatch, method):

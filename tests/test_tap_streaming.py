@@ -58,10 +58,12 @@ def _flow(rng, width, height, stride, valid_frac):
 
 
 def _case(rng, width, height, stride, valid_frac):
-    """Image, flow and query points with their orientations as the stages get them.
+    """Image, flow and query points with their orientations as ``angles_at`` gives them.
 
     The points are on pixel centres, anywhere in and around the raster, and
-    non-finite on either axis; there are always at least two of them.
+    non-finite on either axis; there are always at least two of them. The
+    streamed paths take ``theta`` with NaN where it is undefined, as
+    ``binarize._bands`` gives it.
     """
     img = rng.integers(0, 256, (height, width)).astype(np.float64)
     flow = _flow(rng, width, height, stride, valid_frac)
@@ -86,13 +88,15 @@ def test_in_order_gives_the_rows_of_the_table_filed_by_o(seed, width, height, st
     rng = np.random.default_rng(seed)
     img, flow, xs, ys, theta, defined = _case(rng, width, height, stride, valid_frac)
     streamed, _ = PATHS[path]
+    theta = np.where(defined, theta, np.nan)
     filed = {}
-    for o, sample, near in _taps(img, streamed, flow, xs, ys, theta, defined, half, nearest):
+    for o, sample, near in _taps(img, streamed, flow, xs, ys, theta, half, nearest):
         assert o not in filed and -half <= o <= half
         assert sample.shape == xs.shape and (near is None) != nearest
+        assert np.isnan(sample[~defined]).all()  # a seed without an orientation keeps no tap
         filed[o] = sample, near
     assert sorted(filed) == list(range(-half, half + 1))
-    got = list(_in_order(_taps(img, streamed, flow, xs, ys, theta, defined, half, nearest), half))
+    got = list(_in_order(_taps(img, streamed, flow, xs, ys, theta, half, nearest), half))
     assert len(got) == 2 * half + 1
     for o, (sample, near) in zip(range(-half, half + 1), got):
         assert sample.tobytes() == filed[o][0].tobytes()
@@ -110,7 +114,7 @@ def test_path_mean_matches_reference(seed, width, height, stride, valid_frac, ha
     if orthogonal:  # as ``_is_ridge`` asks for the orthogonal mean
         theta = theta + math.pi / 2.0
     streamed, reference = PATHS[path]
-    taps = _in_order(_taps(img, streamed, flow, xs, ys, theta, defined, half, True), half)
+    taps = _in_order(_taps(img, streamed, flow, xs, ys, np.where(defined, theta, np.nan), half, True), half)
     got = _tap_mean((v for v, _ in taps), xs.shape)
     want = reference_path_mean(img, reference, flow, xs, ys, theta, defined, half)
     assert got.shape == xs.shape
@@ -125,7 +129,7 @@ def test_masked_blend_matches_reference(seed, width, height, stride, valid_frac,
     bits = rng.integers(0, 2, img.shape).astype(np.uint8)
     cfg = rf.EnhanceConfig(gaussian_sigma=sigma_frac * half / 2.0, kernel_half_length=half)
     streamed, reference = PATHS[path]
-    taps = _in_order(_taps(img, streamed, flow, xs, ys, theta, defined, half, True), half)
+    taps = _in_order(_taps(img, streamed, flow, xs, ys, np.where(defined, theta, np.nan), half, True), half)
     center = _nearest(ys, img.shape[0]) * img.shape[1] + _nearest(xs, img.shape[1])
     got = _masked_blend(img, bits, taps, center, rf.gaussian_kernel(cfg.gaussian_sigma, half))
     want = reference_masked_blend(img, bits, reference, flow, xs, ys, theta, defined, cfg)
