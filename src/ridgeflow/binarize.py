@@ -115,10 +115,11 @@ def _ridge(img: np.ndarray, path, sites, xs, ys, theta, half: int) -> np.ndarray
 
 
 def binarize_pixel(image: GrayImage, p: Point, theta: float, cfg: BinarizeConfig | None = None) -> int:
-    """Bit at ``p`` given orientation ``theta`` (pi-periodic)."""
+    """Bit at ``p`` given orientation ``theta`` (pi-periodic); a non-finite ``theta`` gives no orientation."""
     xs, ys = (np.array([c], dtype=np.float64) for c in p)
     half = (cfg or BinarizeConfig()).line_half_length
-    return 0 if _ridge(image.pixels, _line_path, None, xs, ys, np.array([theta]), half)[0] else 1
+    theta = np.array([theta if math.isfinite(theta) else math.nan])
+    return 0 if _ridge(image.pixels, _line_path, None, xs, ys, theta, half)[0] else 1
 
 
 def _binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None, path) -> BinaryImage:

@@ -141,4 +141,4 @@ def compute_flow_field_gradient(
 
     foreground = patch_variance_grid(image, cfg) >= cfg.background_variance_threshold
     valid = foreground & (coherence >= coherence_threshold)
-    return FlowField(np.where(valid, ridge, 0.0), valid, cfg.stride, coherence=coherence)
+    return FlowField(ridge, valid, cfg.stride, coherence=coherence)

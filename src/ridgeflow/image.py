@@ -346,8 +346,7 @@ class RotatedRaster:
     ``origin[1] + j``) of ``frame``.
     """
 
-    values: np.ndarray  # float64, 0.0 where invalid
-    valid: np.ndarray  # bool, False where mapped from outside the source
+    values: np.ndarray  # float64, NaN where mapped from outside the source
     frame: RotationFrame
     origin: tuple[int, int]
 
@@ -362,17 +361,17 @@ def rotate_raster(
 
     A uint8 raster gives the values of its float64 promotion. The canvas
     covers the rotated bounding box; pixels that map from outside the
-    source are flagged invalid and set to 0. ``window``, a (rows, columns)
-    pair of slices of the canvas, clipped to it, limits the output to that
-    part; every pixel comes out as in the whole canvas. ``source_offset``
-    shifts every source sample position by a constant amount, letting
-    callers force interpolation even for lattice-preserving angles.
+    source are NaN. ``window``, a (rows, columns) pair of slices of the
+    canvas, clipped to it, limits the output to that part; every pixel
+    comes out as in the whole canvas. ``source_offset`` shifts every
+    source sample position by a constant amount, letting callers force
+    interpolation even for lattice-preserving angles.
 
     Rows are resampled in bands, so the sampling temporaries stay small.
     Each band samples only the columns whose source position can be in
     bounds on the band's first or last row (and so on any row between),
-    widened by a source pixel and a column; the rest stay 0 and invalid,
-    and ``bilinear_many`` alone decides validity inside that interval.
+    widened by a source pixel and a column; the rest stay NaN, and
+    ``bilinear_many`` alone decides which samples inside are NaN.
     """
     h, w = values.shape
     frame = RotationFrame.of((h, w), angle, source_offset)
@@ -380,8 +379,7 @@ def rotate_raster(
     c = math.cos(angle)
     s = math.sin(angle)
     (scx, scy), (dcx, dcy) = frame.src_center, frame.dst_center
-    out = np.zeros((len(rows), len(cols)))
-    valid = np.zeros((len(rows), len(cols)), dtype=bool)
+    out = np.full((len(rows), len(cols)), np.nan)
     dx = (np.arange(cols.start, cols.stop, dtype=np.float64) - dcx)[None, :]
     for band in band_rows(max(len(cols), 1), len(rows)):
         y0, y1 = rows[band.start], rows[band.stop - 1]
@@ -403,8 +401,5 @@ def rotate_raster(
         dy = (np.arange(y0, y1 + 1, dtype=np.float64) - dcy)[:, None]
         sx = scx + source_offset[0] + c * dx[:, a:b] - s * dy
         sy = scy + source_offset[1] + s * dx[:, a:b] + c * dy
-        sampled = bilinear_many(values, sx, sy)
-        ok = ~np.isnan(sampled)
-        valid[band, a:b] = ok
-        np.copyto(out[band, a:b], sampled, where=ok)
-    return RotatedRaster(out, valid, frame, (rows.start, cols.start))
+        out[band, a:b] = bilinear_many(values, sx, sy)
+    return RotatedRaster(out, frame, (rows.start, cols.start))

@@ -112,29 +112,20 @@ def _span_deviation(n: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray
     return var
 
 
-def _scratch(work: dict[str, np.ndarray], key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A float64 view of ``shape`` on the reusable buffer ``work[key]``, grown as needed."""
-    n = math.prod(shape)
-    if key not in work or work[key].size < n:
-        work[key] = None  # free the smaller buffer before allocating its successor
-        work[key] = np.empty(n)
-    return work[key][:n].reshape(shape)
-
-
 def _site_mean_deviations(
     read_rows, shape: tuple[int, int], cfg: FlowConfig, row: np.ndarray, col: np.ndarray, work: dict[str, np.ndarray]
 ) -> np.ndarray:
     """Mean deviation at the map sites (``row``, ``col``) of a canvas, NaN where undefined.
 
-    The canvas has ``shape``, and ``read_rows(a, b)`` returns the (values,
-    valid) of its rows a .. b - 1, values 0.0 where invalid. Map row r,
+    The canvas has ``shape``, and ``read_rows(a, b)`` returns the values of
+    its rows a .. b - 1, NaN where a sample has no value. Map row r,
     column c is the site (c - t, r - s) of the canvas, so the map covers
     every site whose window touches the canvas. Perpendicular spans are
     vertical runs clipped to the canvas rows, read as row-shifted slices of
     column prefix sums; the upper half span of a row is the lower half span
     of the row s below it. A site's tangent mean adds the 2t+1 span
     deviations of its row at columns c - 2t .. c in order, read at the site
-    alone, columns off the canvas counting as undefined.
+    alone; a NaN span deviation, or a column off the canvas, adds no tap.
 
     The prefix rows advance one band of map rows at a time, down to the
     band of the last site, and each advance reads the canvas rows of its
@@ -145,7 +136,7 @@ def _site_mean_deviations(
     the whole-canvas map, every canvas row is read and summed once, and no
     read is taller than a band, nor the prefix buffer than a band and
     2s + 1 rows. Nothing is canvas-sized; the prefix buffer lives in
-    ``work`` for the next call.
+    ``work["prefix"]`` for the next call, grown as needed.
     """
     t = cfg.tangent_half_length
     s = cfg.perp_half_length
@@ -161,14 +152,22 @@ def _site_mean_deviations(
 
     def advance(rows: slice) -> np.ndarray:
         """Prefix rows rows.start .. rows.stop + 2s, from the carried rows and the canvas rows of ``rows``."""
-        p = _scratch(work, "prefix", (3, k + rows.stop - rows.start, w))
+        shape = (3, k + rows.stop - rows.start, w)
+        size = math.prod(shape)
+        if "prefix" not in work or work["prefix"].size < size:
+            work["prefix"] = None  # free the smaller buffer before allocating its successor
+            work["prefix"] = np.empty(size)
+        p = work["prefix"][:size].reshape(shape)
         p[:, :k] = carry
         n = max(min(rows.stop, h) - rows.start, 0)
         if n:
-            values, valid = read_rows(rows.start, rows.start + n)
-            p[0, k : k + n] = valid
-            p[1, k : k + n] = values
-            np.multiply(values, values, out=p[2, k : k + n])
+            v = p[1, k : k + n]
+            v[...] = read_rows(rows.start, rows.start + n)
+            # zeroed here, not in the rows read, which the caller may still hold
+            nan = np.isnan(v)
+            np.copyto(v, 0.0, where=nan)
+            p[0, k : k + n] = np.logical_not(nan, out=nan)
+            np.multiply(v, v, out=p[2, k : k + n])
         p[:, k + n :] = 0.0
         # row by row: the sequential sums of np.cumsum(p, axis=1), which is slower along a middle axis
         for j in range(k, p.shape[1]):
@@ -195,24 +194,24 @@ def _site_mean_deviations(
             np.fmin(sig, half[: r1 - r0], out=sig)
             np.fmin(sig, half[s:], out=sig)
             del half
-        # the span deviations and their validity, each row padded by 2t undefined columns a side
-        ok = ~np.isnan(sig)
-        padded = np.zeros((r1 - r0, w + 4 * t))
-        np.copyto(padded[:, 2 * t : 2 * t + w], sig, where=ok)
-        defined = np.zeros(padded.shape, dtype=np.uint8)
-        defined[:, 2 * t : 2 * t + w] = ok
-        del sig, ok
+        # the span deviations, each row padded by 2t NaN columns a side
+        padded = np.full((r1 - r0, w + 4 * t), np.nan)
+        padded[:, 2 * t : 2 * t + w] = sig
+        del sig
         sites = order[lo:hi]
         at_site = np.ravel_multi_index((row[sites] - r0, col[sites]), padded.shape)
-        # the whole map's sum of shifted slices, 0.0 + tap 0 + tap 1 + ..., at the sites alone; every
-        # index is in range, and mode="clip" skips the copy that ``take`` makes for ``out`` by default
+        # the whole map's sum of shifted slices, 0.0 + tap 0 + tap 1 + ..., at the sites alone, a NaN tap
+        # adding 0.0 and leaving the count; every index is in range, and mode="clip" skips the copy that
+        # ``take`` makes for ``out`` by default
         total = np.zeros(hi - lo)
-        count = np.zeros(hi - lo, dtype=np.intp)
+        count = np.full(hi - lo, 2 * t + 1, dtype=np.intp)
         tap = np.empty(hi - lo)
-        hit = np.empty(hi - lo, dtype=np.uint8)
+        nan = np.empty(hi - lo, dtype=bool)
         for _ in range(2 * t + 1):
-            total += padded.ravel().take(at_site, out=tap, mode="clip")
-            count += defined.ravel().take(at_site, out=hit, mode="clip")
+            np.isnan(padded.ravel().take(at_site, out=tap, mode="clip"), out=nan)
+            count -= nan
+            np.copyto(tap, 0.0, where=nan)
+            total += tap
             at_site += 1
         vals = np.divide(total, np.maximum(count, 1), out=total)
         np.copyto(vals, np.nan, where=count == 0)
@@ -246,7 +245,8 @@ class RotatedDeviationEvaluator:
     prefix sums start, to s below the last site. It rotates those rows one
     map band at a time, in one read per band, as the prefix sums take them
     in, reads the band's sites and drops the rows; no rotated window, map
-    or table is kept, per band or per angle. The prefix buffer is private
+    or table is kept, per band or per angle. A read gives only values, NaN
+    where a sample maps from outside the image. The prefix buffer is private
     and sized to the largest band seen, since allocating it afresh for
     every angle makes the allocator return its pages to the system and
     fault them in again.
@@ -276,9 +276,8 @@ class RotatedDeviationEvaluator:
         # map row r reads canvas rows up to r, map column c canvas columns c - 2t .. c
         cols = range(w)[max(int(col.min()) - 2 * t, 0) : int(col.max()) + 1]
 
-        def read_rows(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-            rr = rotate_raster(self._img, float(alpha), offset, (slice(a, b), slice(cols.start, cols.stop)))
-            return rr.values, rr.valid
+        def read_rows(a: int, b: int) -> np.ndarray:
+            return rotate_raster(self._img, float(alpha), offset, (slice(a, b), slice(cols.start, cols.stop))).values
 
         col -= cols.start
         mu = _site_mean_deviations(read_rows, (h, len(cols)), self._cfg, row, col, self._work)
@@ -294,7 +293,7 @@ class RotatedDeviationEvaluator:
 
 
 def _search_orientations(mean_deviation, px: np.ndarray, py: np.ndarray, cfg: FlowConfig):
-    """Coarse argmin then fine refinement; returns (theta, defined) arrays.
+    """Coarse argmin then fine refinement; returns theta, NaN where no candidate was defined.
 
     Each site keeps only its running optimum: mu, and its angle as a small
     index into the angles searched. A value replaces it when smaller, or,
@@ -303,7 +302,7 @@ def _search_orientations(mean_deviation, px: np.ndarray, py: np.ndarray, cfg: Fl
     """
     n_sites = px.shape[0]
     if n_sites == 0:
-        return np.zeros(0), np.zeros(0, dtype=bool)
+        return np.zeros(0)
 
     coarse = cfg.coarse_angles()
     best_mu = np.full(n_sites, np.inf)
@@ -314,8 +313,7 @@ def _search_orientations(mean_deviation, px: np.ndarray, py: np.ndarray, cfg: Fl
         np.copyto(best_mu, mu, where=better)
         best_idx[better] = i
         del mu, better  # so they are gone during the next call
-    defined = best_mu < np.inf
-    best_idx[~defined] = len(coarse)  # undefined sites reach no fine angle
+    best_idx[best_mu == np.inf] = len(coarse)  # undefined sites reach no fine angle
 
     # A fine angle can be reached from two coarse optima (at the defaults,
     # 4k+2 from k and k+1), so each distinct angle is asked for once, on the
@@ -331,8 +329,8 @@ def _search_orientations(mean_deviation, px: np.ndarray, py: np.ndarray, cfg: Fl
             for i, a in zip(reached, np.mod(coarse[reached] + off, math.pi)):
                 sources.setdefault(float(a), []).append(i)
     fine = sorted(sources)
-    # a site's angle is angles[pick]: its coarse optimum, 0 where undefined, then a fine angle
-    angles = np.concatenate((coarse, [0.0], fine))
+    # a site's angle is angles[pick]: its coarse optimum, NaN where undefined, then a fine angle
+    angles = np.concatenate((coarse, [np.nan], fine))
     pick = best_idx.astype(np.min_scalar_type(len(angles)))
     for j, a in enumerate(fine, start=len(coarse) + 1):
         lookup = np.zeros(len(coarse) + 1, dtype=bool)
@@ -346,8 +344,7 @@ def _search_orientations(mean_deviation, px: np.ndarray, py: np.ndarray, cfg: Fl
         best_mu[sites] = vals[better]
         pick[sites] = j
         del sel, vals, sites, mu, better  # so they are gone during the next call
-    theta = np.mod(angles[pick] + math.pi / 2.0, math.pi)
-    return np.where(defined, theta, 0.0), defined
+    return np.mod(angles[pick] + math.pi / 2.0, math.pi)
 
 
 def patch_variance_grid(image: GrayImage, cfg: FlowConfig) -> np.ndarray:
@@ -399,10 +396,8 @@ def compute_flow_field(image: GrayImage, cfg: FlowConfig | None = None) -> FlowF
     px = np.broadcast_to(gx.astype(coord), foreground.shape)[foreground]
     py = np.broadcast_to(gy.astype(coord)[:, None], foreground.shape)[foreground]
     ev = RotatedDeviationEvaluator(image, cfg)
-    theta, ok = _search_orientations(ev.mean_deviation, px, py, cfg)
+    theta = _search_orientations(ev.mean_deviation, px, py, cfg)
 
-    angles = np.zeros(foreground.shape)
-    valid = np.zeros(foreground.shape, dtype=bool)
+    angles = np.full(foreground.shape, np.nan)
     angles[foreground] = theta
-    valid[foreground] = ok
-    return FlowField(angles, valid, cfg.stride)
+    return FlowField(angles, ~np.isnan(angles), cfg.stride)

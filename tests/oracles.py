@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import ndimage
@@ -67,8 +68,17 @@ def rotate_image(image: rf.GrayImage, alpha: float) -> tuple[rf.GrayImage, np.nd
     """
     if not 0.0 <= alpha < math.pi:
         raise ValueError("alpha must lie in [0, pi)")
-    rr = rotate_raster(image.as_float(), alpha)
-    return rf.GrayImage.from_float(rr.values), rr.valid.copy()
+    rr = canvas(rotate_raster(image.as_float(), alpha).values)
+    return rf.GrayImage.from_float(rr.values), rr.valid
+
+
+def canvas(values: np.ndarray) -> SimpleNamespace:
+    """A rotated canvas, NaN where a sample has no value, as the references read it.
+
+    ``values`` holds 0.0 where the canvas is NaN, and ``valid`` is False there.
+    """
+    valid = ~np.isnan(values)
+    return SimpleNamespace(values=np.where(valid, values, 0.0), valid=valid)
 
 
 def squared_intensities(image: rf.GrayImage) -> np.ndarray:
@@ -198,8 +208,8 @@ def dominant_orientation(image: GrayImage, p: Point, cfg: FlowConfig | None = No
     """
     cfg = cfg or FlowConfig()
     ev = DirectDeviationEvaluator(image, cfg)
-    theta, ok = _search_orientations(ev.mean_deviation, np.asarray([p[0]], dtype=np.float64), np.asarray([p[1]], dtype=np.float64), cfg)
-    return float(theta[0]) if bool(ok[0]) else None
+    theta = _search_orientations(ev.mean_deviation, np.asarray([p[0]], dtype=np.float64), np.asarray([p[1]], dtype=np.float64), cfg)
+    return None if math.isnan(theta[0]) else float(theta[0])
 
 
 # ---------------------------------------------------------------------------

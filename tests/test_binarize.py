@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 
@@ -46,6 +47,12 @@ class TestBinarizePixel:
         assert rf.binarize_pixel(img, rf.Point(math.nan, 4.0), math.pi / 2) == 1
         assert rf.binarize_pixel(img, rf.Point(4.0, math.inf), math.pi / 2) == 1
         assert rf.binarize_pixel(img, rf.Point(4.0, 4.0), math.nan) == 1
+        # an infinite angle is no orientation either, and takes no trig that warns
+        ramp = rf.GrayImage(np.arange(64).reshape(8, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for theta in (math.nan, math.inf, -math.inf):
+                assert rf.binarize_pixel(ramp, rf.Point(3.25, 4.5), theta) == 1
 
 
 class TestBinarizeImage:

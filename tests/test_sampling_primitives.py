@@ -227,8 +227,7 @@ def test_byte_raster_rotates_as_its_float_promotion(seed, width, height, angle, 
     got = _no_warnings(rotate_raster, raster, angle, offset, window)
     want = rotate_raster(raster.astype(np.float64), angle, offset, window)
     assert got.values.dtype == np.float64
-    assert got.values.tobytes() == want.values.tobytes()
-    assert got.valid.tobytes() == want.valid.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()  # NaN at the same pixels too
     assert (got.frame, got.origin) == (want.frame, want.origin)
 
 

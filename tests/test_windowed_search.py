@@ -2,7 +2,6 @@
 ``oracles``, and the window a query rotates."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ import ridgeflow as rf
 import ridgeflow.projection as rproj
 from ridgeflow.image import rotate_raster
 
-from oracles import CachedRotatedEvaluator, reference_mean_deviation_map, reference_rotate_raster
+from oracles import CachedRotatedEvaluator, canvas, reference_mean_deviation_map, reference_rotate_raster
 
 ANGLES = st.one_of(
     st.sampled_from([0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi - 1e-12]),
@@ -40,8 +39,7 @@ def test_windowed_rotation_is_the_reference_slice(seed, height, width, angle, of
     sl = (slice(None), slice(None)) if window is None else (slice(*window[:2]), slice(*window[2:]))
     got = rotate_raster(values, angle, offset, None if window is None else sl)
     assert got.values.shape == want.values[sl].shape
-    assert got.values.tobytes() == want.values[sl].tobytes()
-    assert got.valid.tobytes() == want.valid[sl].tobytes()
+    assert got.values.tobytes() == np.where(want.valid, want.values, np.nan)[sl].tobytes()
     assert got.frame.shape == want.values.shape
     assert got.origin == tuple(range(n)[s].start for n, s in zip(want.values.shape, sl))
     xs, ys = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
@@ -115,21 +113,20 @@ def test_one_site_query_rotates_a_window_2t_plus_1_wide(monkeypatch):
 
 
 def _raster(rng, height, width, invalid_frac):
-    """A canvas of random values and validity, 0.0 where invalid, as ``rotate_raster`` gives it.
+    """A canvas of random values, NaN where a sample has no value, as ``rotate_raster`` gives it.
 
-    Whole invalid columns and scattered invalid pixels leave spans of fewer
-    than two valid samples, whose deviations are NaN.
+    Whole NaN columns and scattered NaN pixels leave spans of fewer than two
+    samples, whose deviations are NaN.
     """
     valid = rng.random((height, width)) >= invalid_frac
     valid[:, rng.random(width) < invalid_frac] = False
-    values = np.where(valid, rng.integers(0, 256, (height, width)).astype(np.float64), 0.0)
-    return SimpleNamespace(values=values, valid=valid)
+    return np.where(valid, rng.integers(0, 256, (height, width)).astype(np.float64), np.nan)
 
 
-def _read_recorder(rr, reads):
+def _read_recorder(values, reads):
     def read_rows(a, b):
         reads.append((a, b))
-        return rr.values[a:b], rr.valid[a:b]
+        return values[a:b]
 
     return read_rows
 
@@ -152,7 +149,7 @@ def test_tangent_means_read_at_the_sites_are_the_whole_map(seed, height, width, 
     # has the bytes of the whole map, NaN spans and the first and last 2t map
     # columns, whose windows run off the canvas, included.
     rng = np.random.default_rng(seed)
-    rr = _raster(rng, height, width, invalid_frac)
+    values = _raster(rng, height, width, invalid_frac)
     cfg = rf.FlowConfig(tangent_half_length=tangent, perp_half_length=perp, use_half_line_rule=half_rule)
     map_h, map_w = height + 2 * perp, width + 2 * tangent
     edge = np.r_[0 : min(2 * tangent, map_w), max(map_w - 2 * tangent, 0) : map_w]
@@ -161,9 +158,9 @@ def test_tangent_means_read_at_the_sites_are_the_whole_map(seed, height, width, 
     reads = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rproj, "_MAP_BAND_PIXELS", band_pixels)
-        got = rproj._site_mean_deviations(_read_recorder(rr, reads), (height, width), cfg,
+        got = rproj._site_mean_deviations(_read_recorder(values, reads), (height, width), cfg,
                                           row.astype(np.int32), col.astype(np.int32), {})
-    assert got.tobytes() == reference_mean_deviation_map(rr, cfg)[row, col].tobytes()
+    assert got.tobytes() == reference_mean_deviation_map(canvas(values), cfg)[row, col].tobytes()
     # each canvas row read once, in order, and no read longer than a map band
     rows = [r for a, b in reads for r in range(a, b)]
     assert rows == list(range(len(rows)))
@@ -171,14 +168,14 @@ def test_tangent_means_read_at_the_sites_are_the_whole_map(seed, height, width, 
 
 
 def test_site_free_rows_before_the_first_band_are_read_in_band_sized_chunks(monkeypatch):
-    rr = _raster(np.random.default_rng(3), 90, 30, 0.3)
+    values = _raster(np.random.default_rng(3), 90, 30, 0.3)
     cfg = rf.FlowConfig(tangent_half_length=3, perp_half_length=2)
     map_w = 30 + 2 * 3
     monkeypatch.setattr(rproj, "_MAP_BAND_PIXELS", 10 * map_w)  # map bands of 10 rows
     row = np.array([80, 83, 87, 93], dtype=np.int32)
     col = np.array([0, 17, 35, 5], dtype=np.int32)
     reads = []
-    got = rproj._site_mean_deviations(_read_recorder(rr, reads), (90, 30), cfg, row, col, {})
-    assert got.tobytes() == reference_mean_deviation_map(rr, cfg)[row, col].tobytes()
+    got = rproj._site_mean_deviations(_read_recorder(values, reads), (90, 30), cfg, row, col, {})
+    assert got.tobytes() == reference_mean_deviation_map(canvas(values), cfg)[row, col].tobytes()
     # eight site-free bands of ten rows, then the band of map rows 80..89, then the canvas rows left
     assert reads == [(a, a + 10) for a in range(0, 90, 10)]
