@@ -24,7 +24,7 @@ from .flowfield import (
     load_flow_csv,
     save_flow_csv,
 )
-from .gradient import GradientField, compute_flow_field_gradient, gradient
+from .gradient import compute_flow_field_gradient
 from .image import (
     BinaryImage,
     GrayImage,
@@ -59,7 +59,6 @@ __all__ = [
     "EnhanceConfig",
     "FlowConfig",
     "FlowField",
-    "GradientField",
     "GrayImage",
     "IterationRecord",
     "PgmFormatError",
@@ -85,7 +84,6 @@ __all__ = [
     "flow_overlay_svg",
     "gaussian_kernel",
     "generate",
-    "gradient",
     "interior_site_mask",
     "invert",
     "load_flow_csv",

@@ -6,71 +6,40 @@ outer products over a square window; its dominant eigenvector points across
 ridges, so the flow field stores that angle plus pi/2 to be directly
 comparable with the projection method.
 
-The window sums are taken at the stride grid sites only, one product at a
-time, with the operations of a zero-padded ``scipy.ndimage.convolve`` read at
-those sites, so every value has its bytes: each site's sum starts at 0 and
-adds weight times value tap by tap, in row-major order of the flipped
-kernel, skipping every tap whose |weight| is at most the float64 epsilon as
-scipy's footprint does.
+The tensor is taken in one pass over bands of grid-site rows, with no
+whole-image gradient or product: each band takes the Sobel gradients of the
+pixel rows its windows reach and sums their products at its sites only.
+Sobel values of 8-bit pixels are exact (multiples of 1/8), and each sum has
+the operations of a zero-padded ``scipy.ndimage.convolve`` read at the
+sites, so every value has its bytes: each site's sum starts at 0 and adds
+weight times value tap by tap, in row-major order of the flipped kernel,
+skipping every tap whose |weight| is at most the float64 epsilon as scipy's
+footprint does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .enhance import _two_sigma_squared
 from .flowfield import FlowField, _grid_sites
 from .image import GrayImage, band_rows
 from .projection import FlowConfig, patch_variance_grid
 
-# Grid sites per band of ``_site_window_sums``.
-_SITE_BAND = 32768
 
-
-@dataclass(eq=False)
-class GradientField:
-    """Per-pixel intensity derivatives, units of intensity per pixel."""
-
-    gx: np.ndarray
-    gy: np.ndarray
-
-    def __post_init__(self):
-        if self.gx.shape != self.gy.shape or self.gx.ndim != 2:
-            raise ValueError("gx and gy must be 2-D arrays of equal shape")
-
-    @property
-    def width(self) -> int:
-        return self.gx.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.gx.shape[0]
-
-
-def gradient(image: GrayImage) -> GradientField:
-    """3x3 Sobel derivatives with replicated borders, scaled by 1/8."""
-    if image.width < 3 or image.height < 3:
-        raise ValueError(f"image must be at least 3x3 pixels, got {image.width}x{image.height}")
-    f = np.pad(image.as_float(), 1, mode="edge")
-    gx = (
-        (f[:-2, 2:] + 2.0 * f[1:-1, 2:] + f[2:, 2:])
-        - (f[:-2, :-2] + 2.0 * f[1:-1, :-2] + f[2:, :-2])
-    ) / 8.0
-    gy = (
-        (f[2:, :-2] + 2.0 * f[2:, 1:-1] + f[2:, 2:])
-        - (f[:-2, :-2] + 2.0 * f[:-2, 1:-1] + f[:-2, 2:])
-    ) / 8.0
-    return GradientField(gx, gy)
-
-
-def check_window(window_half: int, weight_sigma: float | None) -> None:
-    """Reject a negative window half size or a non-positive or non-finite weight sigma."""
+def check_settings(window_half: int, weight_sigma: float | None, coherence_threshold: float) -> None:
+    """Reject a negative window half size, a weight sigma other than None that is not positive and finite or
+    whose 2 sigma^2 underflows to 0, and a non-finite coherence threshold."""
     if window_half < 0:
         raise ValueError(f"gradient window half size must be >= 0, got {window_half}")
-    if weight_sigma is not None and not 0 < weight_sigma < math.inf:
-        raise ValueError(f"gradient weight sigma must be positive and finite, or None, got {weight_sigma}")
+    if weight_sigma is not None:
+        if not 0 < weight_sigma < math.inf:
+            raise ValueError(f"gradient weight sigma must be positive and finite, or None, got {weight_sigma}")
+        _two_sigma_squared(weight_sigma, "gradient_weight_sigma")
+    if not math.isfinite(coherence_threshold):
+        raise ValueError(f"coherence_threshold must be finite, got {coherence_threshold}")
 
 
 def _window_weights(window_half: int, weight_sigma: float | None) -> np.ndarray:
@@ -78,33 +47,46 @@ def _window_weights(window_half: int, weight_sigma: float | None) -> np.ndarray:
     if weight_sigma is None:
         return np.ones((offs.size, offs.size))
     dx, dy = np.meshgrid(offs, offs)
-    return np.exp(-(dx * dx + dy * dy) / (2.0 * weight_sigma * weight_sigma))
+    # for a tiny sigma an exponent overflows to -inf, whose weight is exactly 0
+    with np.errstate(over="ignore"):
+        return np.exp(-(dx * dx + dy * dy) / _two_sigma_squared(weight_sigma, "gradient_weight_sigma"))
 
 
-def _site_window_sums(a: np.ndarray, b: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
-    """Window sums of the product ``a * b`` weighted by the odd square ``kernel`` at the stride grid sites.
+def _tensor_sums(pixels: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
+    """The a11, a12 and a22 sums of the odd square ``kernel`` at the stride grid sites, as a (3, rows, columns) array.
 
-    The zero-padded product is split into contiguous stride-phase planes, so
-    each tap reads one plane at a fixed offset; per band of sites every kept
-    tap multiplies its slice by the weight and adds it to the band's sums.
+    Per band of site rows, the Sobel gradients of the pixel rows its windows
+    reach (indices clamped, which replicates the borders) give the three
+    products, zero outside the image. Split into contiguous stride-phase
+    planes, each kept tap reads one plane at a fixed offset for all three.
     """
-    h, w = a.shape
+    h, w = pixels.shape
     c = kernel.shape[0] // 2
-    padded = np.zeros((h + 2 * c, w + 2 * c))
-    np.multiply(a, b, out=padded[c : c + h, c : c + w])
-    planes = [[np.ascontiguousarray(padded[p::stride, q::stride]) for q in range(stride)] for p in range(stride)]
-    del padded
-    eps = np.finfo(np.float64).eps
-    taps = [(i, j, weight) for (i, j), weight in np.ndenumerate(kernel[::-1, ::-1]) if abs(weight) > eps]
+    taps = [(i, j, wt) for (i, j), wt in np.ndenumerate(kernel[::-1, ::-1]) if abs(wt) > np.finfo(np.float64).eps]
     xs, ys = _grid_sites(w, h, stride)
-    out = np.zeros((ys.size, xs.size))
-    for rows in band_rows(xs.size, ys.size, _SITE_BAND):
-        acc = out[rows]
-        prod = np.empty(acc.shape)
-        for i, j, weight in taps:
-            y0, x0 = rows.start + i // stride, j // stride
-            np.multiply(planes[i % stride][j % stride][y0 : y0 + acc.shape[0], x0 : x0 + xs.size], weight, out=prod)
-            acc += prod
+    cols = np.clip(np.arange(-1, w + 1), 0, w - 1)
+    out = np.zeros((3, ys.size, xs.size))
+    for rows in band_rows(xs.size, ys.size):
+        top = rows.start * stride - c  # the first pixel row the band's windows reach
+        n = (rows.stop - 1 - rows.start) * stride + 2 * c + 1
+        y0, y1 = max(top, 0), min(top + n, h)
+        f = pixels[np.clip(np.arange(y0 - 1, y1 + 1), 0, h - 1)][:, cols].astype(np.float64)
+        # sums of bytes are exact in any order, so the separable form gives the 3x3 kernels' bytes
+        across, down = f[:-2] + 2.0 * f[1:-1] + f[2:], f[:, :-2] + 2.0 * f[:, 1:-1] + f[:, 2:]
+        gx, gy = (across[:, 2:] - across[:, :-2]) / 8.0, (down[2:] - down[:-2]) / 8.0
+        del f, across, down
+        prod = np.zeros((3, n, w + 2 * c))
+        for k, (a, b) in enumerate(((gx, gx), (gx, gy), (gy, gy))):
+            np.multiply(a, b, out=prod[k, y0 - top : y1 - top, c : c + w])
+        del gx, gy, a, b
+        planes = [[np.ascontiguousarray(prod[:, p::stride, q::stride]) for q in range(stride)] for p in range(stride)]
+        del prod
+        acc = out[:, rows]
+        term = np.empty(acc.shape)
+        for i, j, wt in taps:
+            y, x = i // stride, j // stride
+            np.multiply(planes[i % stride][j % stride][:, y : y + acc.shape[1], x : x + xs.size], wt, out=term)
+            acc += term
     return out
 
 
@@ -121,15 +103,15 @@ def compute_flow_field_gradient(
     invalid where coherence < ``coherence_threshold`` or where the local
     patch variance is below the background threshold.
     """
-    check_window(window_half, weight_sigma)
+    check_settings(window_half, weight_sigma, coherence_threshold)
+    if image.width < 3 or image.height < 3:
+        raise ValueError(f"image must be at least 3x3 pixels, got {image.width}x{image.height}")
     cfg = cfg or FlowConfig()
-    grad = gradient(image)
+    # before the tensor sums, so the patch variance's prefix sums are freed first
+    foreground = patch_variance_grid(image, cfg) >= cfg.background_variance_threshold
     # weights past the image borders only multiply the zero padding
     kernel = _window_weights(min(window_half, max(image.width, image.height) - 1), weight_sigma)
-    a11 = _site_window_sums(grad.gx, grad.gx, kernel, cfg.stride)
-    a12 = _site_window_sums(grad.gx, grad.gy, kernel, cfg.stride)
-    a22 = _site_window_sums(grad.gy, grad.gy, kernel, cfg.stride)
-    del grad  # frees two full-resolution arrays before the patch variance pass
+    a11, a12, a22 = _tensor_sums(image.pixels, kernel, cfg.stride)
 
     theta = 0.5 * np.arctan2(2.0 * a12, a11 - a22)
     ridge = np.mod(theta + math.pi / 2.0, math.pi)
@@ -139,6 +121,5 @@ def compute_flow_field_gradient(
     with np.errstate(invalid="ignore", divide="ignore"):
         coherence = np.where(trace < 1e-12, 0.0, np.minimum(spread / np.maximum(trace, 1e-300), 1.0))
 
-    foreground = patch_variance_grid(image, cfg) >= cfg.background_variance_threshold
     valid = foreground & (coherence >= coherence_threshold)
     return FlowField(ridge, valid, cfg.stride, coherence=coherence)

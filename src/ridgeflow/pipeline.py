@@ -17,7 +17,7 @@ from .binarize import BinarizeConfig, _line_path
 from .contour import _trace_path
 from .enhance import EnhanceConfig, _sweep
 from .flowfield import FlowField, angular_distance, check_flow_grid, interior_site_mask
-from .gradient import check_window, compute_flow_field_gradient
+from .gradient import check_settings, compute_flow_field_gradient
 from .image import BinaryImage, GrayImage
 from .projection import FlowConfig, compute_flow_field
 
@@ -44,9 +44,7 @@ class PipelineConfig:
             raise ValueError(f"path_mode must be one of {tuple(PATHS)}")
         if self.flow_method not in FLOW_METHODS:
             raise ValueError(f"flow_method must be one of {FLOW_METHODS}")
-        check_window(self.gradient_window_half, self.gradient_weight_sigma)
-        if not math.isfinite(self.coherence_threshold):
-            raise ValueError(f"coherence_threshold must be finite, got {self.coherence_threshold}")
+        check_settings(self.gradient_window_half, self.gradient_weight_sigma, self.coherence_threshold)
 
 
 @dataclass(eq=False)

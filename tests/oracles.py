@@ -18,7 +18,7 @@ from ridgeflow.binarize import BinarizeConfig, _check_binary, _nearest, _ridge
 from ridgeflow.contour import _trace_path
 from ridgeflow.enhance import EnhanceConfig, _blend, gaussian_kernel
 from ridgeflow.flowfield import FlowField, _grid_sites, angles_at, check_flow_grid
-from ridgeflow.gradient import GradientField, _window_weights
+from ridgeflow.gradient import _window_weights
 from ridgeflow.image import GrayImage, Point, band_rows, bilinear_many, rotate_raster
 from ridgeflow.projection import (
     _MAP_BAND_PIXELS,
@@ -230,9 +230,46 @@ class DirectDeviationEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# The scalar structure tensor, moved out of ``ridgeflow.gradient``; the
-# reference for the window sums of ``compute_flow_field_gradient``, which
-# the scipy convolution below gives byte for byte.
+# The whole-image Sobel gradient and the scalar structure tensor, moved out
+# of ``ridgeflow.gradient``; the reference for the window sums of
+# ``compute_flow_field_gradient``, which the scipy convolution below gives
+# byte for byte.
+
+
+@dataclass(eq=False)
+class GradientField:
+    """Per-pixel intensity derivatives, units of intensity per pixel."""
+
+    gx: np.ndarray
+    gy: np.ndarray
+
+    def __post_init__(self):
+        if self.gx.shape != self.gy.shape or self.gx.ndim != 2:
+            raise ValueError("gx and gy must be 2-D arrays of equal shape")
+
+    @property
+    def width(self) -> int:
+        return self.gx.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.gx.shape[0]
+
+
+def gradient(image: GrayImage) -> GradientField:
+    """3x3 Sobel derivatives with replicated borders, scaled by 1/8, of the whole image."""
+    if image.width < 3 or image.height < 3:
+        raise ValueError(f"image must be at least 3x3 pixels, got {image.width}x{image.height}")
+    f = np.pad(image.as_float(), 1, mode="edge")
+    gx = (
+        (f[:-2, 2:] + 2.0 * f[1:-1, 2:] + f[2:, 2:])
+        - (f[:-2, :-2] + 2.0 * f[1:-1, :-2] + f[2:, :-2])
+    ) / 8.0
+    gy = (
+        (f[2:, :-2] + 2.0 * f[2:, 1:-1] + f[2:, 2:])
+        - (f[:-2, :-2] + 2.0 * f[:-2, 1:-1] + f[:-2, 2:])
+    ) / 8.0
+    return GradientField(gx, gy)
 
 
 @dataclass
@@ -290,7 +327,7 @@ def tensor_orientation(t: StructureTensor) -> tuple[float, float]:
 
 
 def reference_site_sums(a: np.ndarray, b: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
-    """``gradient._site_window_sums`` as it used to be computed: a full-resolution
+    """One window sum of the structure tensor as it used to be computed: a full-resolution
     zero-padded ``ndimage.convolve`` of ``a * b``, then the stride grid sites picked."""
     xs, ys = _grid_sites(a.shape[1], a.shape[0], stride)
     return ndimage.convolve(a * b, kernel, mode="constant", cval=0.0)[np.ix_(ys, xs)]
@@ -300,6 +337,11 @@ def reference_tensor_sums(grad: GradientField, kernel: np.ndarray, stride: int) 
     """The a11, a12 and a22 window sums of ``compute_flow_field_gradient`` at the stride grid sites."""
     return tuple(reference_site_sums(a, b, kernel, stride)
                  for a, b in ((grad.gx, grad.gx), (grad.gx, grad.gy), (grad.gy, grad.gy)))
+
+
+def reference_pixel_tensor_sums(pixels: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
+    """``gradient._tensor_sums`` from the whole-image Sobel gradient and three scipy convolutions."""
+    return np.stack(reference_tensor_sums(gradient(GrayImage(pixels)), kernel, stride))
 
 
 # ---------------------------------------------------------------------------

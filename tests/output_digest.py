@@ -13,7 +13,9 @@ centres, sub-pixel, off-raster and NaN points for a few angles,
 the comparison CSV and summary lines with and without truth, and the
 interior site mask; then projection flows at the default settings of a
 parallel and a concentric image large enough that every coarse angle's map
-spans several row bands, and of an image whose sites all lie below its
+spans several row bands, with gradient flows of both at strides 1-3 and
+four window settings, whose tensor sums span several bands of site rows,
+and a projection flow of an image whose sites all lie below its
 flat top, so the search reads the site-free canvas rows above them in
 band-sized chunks; then the files and standard output of a set of CLI
 runs, each path of binarize and enhance among them. There is no golden
@@ -45,6 +47,11 @@ PATTERNS = ("parallel", "concentric", "half_plane_stripe")
 # ``projection._MAP_BAND_PIXELS`` (most fine angles' maps two or more), so a
 # slip where one band hands over to the next changes the digest.
 BANDED_SIZE = (256, 200)
+# (window half, weight sigma) of the gradient flows of the banded images: the
+# defaults, the centre tap alone, uniform weights, and a wide window whose
+# Gaussian keeps only its middle taps. At stride 1 the tensor sums of this
+# size take seven bands of ``image.BAND_PIXELS`` sites.
+GRADIENT_WINDOWS = ((8, 4.0), (0, 4.0), (3, None), (12, 0.3))
 # Ridges at 3pi/4 under 200 flat rows: the fine calls, near pi/4, begin two
 # or more map bands below the canvas top.
 DEEP_SIZE, DEEP_FLAT_ROWS = (256, 320), 200
@@ -131,6 +138,9 @@ def _banded(h) -> None:
         h.update(f"banded {pattern} {width}x{height}".encode())
         h.update(image.pixels.tobytes())
         _flow(h, rf.compute_flow_field(image))
+        for stride, (half, sigma) in itertools.product(STRIDES, GRADIENT_WINDOWS):
+            h.update(f"gradient stride {stride} window {half} sigma {sigma}".encode())
+            _flow(h, rf.compute_flow_field_gradient(image, rf.FlowConfig(stride=stride), half, sigma))
     width, height = DEEP_SIZE
     spec = rf.SyntheticSpec(width=width, height=height, pattern="parallel", orientation=3 * math.pi / 4,
                             noise_sigma=40.0, rng_seed=7)

@@ -146,6 +146,8 @@ class TestExitCodes:
         (["enhance", "IN", "--sigma", "inf"], "gaussian_sigma must be finite"),
         (["enhance", "IN", "--sigma", "1e308"], "kernel_half_length must be >= ceil(2 * gaussian_sigma)"),
         (["flow", "IN", "--method", "gradient", "--grad-weight-sigma", "inf"], "gradient weight sigma must be positive and finite"),
+        (["flow", "IN", "--method", "gradient", "--grad-weight-sigma", "1e-200"],
+         "gradient_weight_sigma 1e-200 is too small: 2 * gradient_weight_sigma**2 underflows to 0"),
         (["synth", "--stride", "0"], "stride must be >= 1"),
         (["enhance", "IN", "--sigma", "1e-300"], "gaussian_sigma 1e-300 is too small: 2 * gaussian_sigma**2 underflows to 0"),
     ])

@@ -1,5 +1,5 @@
-import importlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,19 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridgeflow as rf
-from ridgeflow.gradient import _site_window_sums, _window_weights
+import ridgeflow.gradient as rgradient
+from ridgeflow.gradient import _tensor_sums, _window_weights
 
 from oracles import (
+    GradientField,
     StructureTensor,
     flow_mae,
-    reference_site_sums,
+    gradient,
+    reference_pixel_tensor_sums,
     reference_tensor_sums,
     second_moment_matrix,
     tensor_orientation,
 )
-
-# the package's ``gradient`` attribute is the function of that name
-rgradient = importlib.import_module("ridgeflow.gradient")
 
 
 def sinusoid(orientation_deg, size=64):
@@ -30,20 +30,22 @@ def sinusoid(orientation_deg, size=64):
 
 
 class TestGradient:
+    """The whole-image Sobel reference of ``tests/oracles.py``."""
+
     def test_constant_image_has_zero_gradient(self):
-        g = rf.gradient(rf.GrayImage(np.full((8, 8), 9, dtype=np.int64)))
+        g = gradient(rf.GrayImage(np.full((8, 8), 9, dtype=np.int64)))
         assert (g.gx == 0).all() and (g.gy == 0).all()
 
     def test_ramp(self):
         img = rf.GrayImage((2 * np.arange(16)[None, :] + np.zeros((10, 1))).astype(np.int64))
-        g = rf.gradient(img)
+        g = gradient(img)
         assert np.allclose(g.gx[1:-1, 1:-1], 2.0)
         assert np.allclose(g.gy[1:-1, 1:-1], 0.0)
 
     def test_matches_direct_convolution_oracle(self):
         rng = np.random.RandomState(17)
         img = rf.GrayImage(rng.randint(0, 256, size=(7, 7)).astype(np.int64))
-        g = rf.gradient(img)
+        g = gradient(img)
         f = img.as_float()
         kx = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64) / 8.0
         ky = kx.T
@@ -54,18 +56,19 @@ class TestGradient:
                 assert g.gy[y, x] == pytest.approx((patch * ky).sum(), abs=1e-12)
 
     def test_too_small(self):
-        with pytest.raises(ValueError):
-            rf.gradient(rf.GrayImage(np.zeros((2, 5), dtype=np.int64)))
+        for shape in ((2, 5), (5, 2)):
+            with pytest.raises(ValueError, match="at least 3x3"):
+                rf.compute_flow_field_gradient(rf.GrayImage(np.zeros(shape, dtype=np.int64)))
 
 
 class TestSecondMomentMatrix:
     def test_uniform_unit_gradient_x(self):
-        grad = rf.GradientField(np.ones((9, 9)), np.zeros((9, 9)))
+        grad = GradientField(np.ones((9, 9)), np.zeros((9, 9)))
         t = second_moment_matrix(grad, rf.Point(4, 4), window_half=1, weight_sigma=None)
         assert (t.a11, t.a12, t.a22) == (9.0, 0.0, 0.0)
 
     def test_uniform_diagonal_gradient(self):
-        grad = rf.GradientField(np.ones((11, 11)), np.ones((11, 11)))
+        grad = GradientField(np.ones((11, 11)), np.ones((11, 11)))
         t = second_moment_matrix(grad, rf.Point(5, 5), window_half=2, weight_sigma=2.0)
         offs = np.arange(-2, 3, dtype=np.float64)
         dx, dy = np.meshgrid(offs, offs)
@@ -76,7 +79,7 @@ class TestSecondMomentMatrix:
 
     def test_matches_double_loop_oracle(self):
         img, _ = sinusoid(30)
-        grad = rf.gradient(img)
+        grad = gradient(img)
         p = rf.Point(31, 29)
         t = second_moment_matrix(grad, p, window_half=8, weight_sigma=4.0)
         a11 = a12 = a22 = 0.0
@@ -95,7 +98,7 @@ class TestSecondMomentMatrix:
     def test_always_positive_semidefinite(self):
         rng = np.random.RandomState(23)
         img = rf.GrayImage(rng.randint(0, 256, size=(32, 32)).astype(np.int64))
-        grad = rf.gradient(img)
+        grad = gradient(img)
         for _ in range(100):
             p = rf.Point(rng.randint(0, 32), rng.randint(0, 32))
             t = second_moment_matrix(grad, p, window_half=3, weight_sigma=2.0)
@@ -129,7 +132,7 @@ class TestTensorOrientation:
 
     def test_matches_eigendecomposition_oracle(self):
         img, _ = sinusoid(30)
-        grad = rf.gradient(img)
+        grad = gradient(img)
         for p in (rf.Point(30, 30), rf.Point(25, 38), rf.Point(40, 22)):
             t = second_moment_matrix(grad, p, window_half=8, weight_sigma=4.0)
             theta, coh = tensor_orientation(t)
@@ -158,31 +161,51 @@ class TestGradientFlowField:
         assert not flow.valid.any()
 
     @pytest.mark.parametrize("kw", [{"window_half": -1}, {"weight_sigma": 0.0},
-                                    {"weight_sigma": -1.0}, {"weight_sigma": math.nan}])
+                                    {"weight_sigma": -1.0}, {"weight_sigma": math.nan},
+                                    {"weight_sigma": 1e-200}])
     def test_rejects_bad_window_parameters(self, kw):
         img, _ = sinusoid(30)
         with pytest.raises(ValueError, match="gradient"):
             rf.compute_flow_field_gradient(img, **kw)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coherence_threshold(self, value):
+        img, _ = sinusoid(30)
+        with pytest.raises(ValueError, match="coherence_threshold must be finite"):
+            rf.compute_flow_field_gradient(img, coherence_threshold=value)
+
+    def test_tiny_weight_sigma_keeps_only_the_centre_tap(self):
+        # 2 sigma^2 is subnormal: every off-centre exponent overflows to -inf, a weight of exactly 0
+        img, _ = rf.generate(rf.SyntheticSpec(width=40, height=36, pattern="concentric", noise_sigma=20.0, rng_seed=5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tiny = rf.compute_flow_field_gradient(img, weight_sigma=1e-160)
+        centre = rf.compute_flow_field_gradient(img, window_half=0)
+        assert tiny.valid.any()
+        assert tiny.angles.tobytes() == centre.angles.tobytes()
+        assert tiny.valid.tobytes() == centre.valid.tobytes()
+        assert tiny.coherence.tobytes() == centre.coherence.tobytes()
 
     @pytest.mark.parametrize("weight_sigma", [4.0, None, 30.0])
     def test_window_is_capped_at_the_image_size(self, monkeypatch, weight_sigma):
         img, _ = rf.generate(rf.SyntheticSpec(width=24, height=20, pattern="concentric", noise_sigma=20.0, rng_seed=3))
         cap = max(img.width, img.height) - 1
         # weights past the borders multiply only the zero padding, so the capped window gives the same bytes
-        grad = rf.gradient(img)
+        grad = gradient(img)
         for stride in (1, 2):
-            for a, b in ((grad.gx, grad.gx), (grad.gx, grad.gy), (grad.gy, grad.gy)):
-                capped = _site_window_sums(a, b, _window_weights(cap, weight_sigma), stride)
-                full = _site_window_sums(a, b, _window_weights(cap + 5, weight_sigma), stride)
-                assert capped.tobytes() == full.tobytes()
+            capped = _tensor_sums(img.pixels, _window_weights(cap, weight_sigma), stride)
+            full = _tensor_sums(img.pixels, _window_weights(cap + 5, weight_sigma), stride)
+            assert capped.tobytes() == full.tobytes()
+            want = reference_tensor_sums(grad, _window_weights(cap, weight_sigma), stride)
+            assert [c.tobytes() for c in capped] == [r.tobytes() for r in want]
 
         shapes = []
 
-        def recording(a, b, kernel, stride):
+        def recording(pixels, kernel, stride):
             shapes.append(kernel.shape)
-            return _site_window_sums(a, b, kernel, stride)
+            return _tensor_sums(pixels, kernel, stride)
 
-        monkeypatch.setattr(rgradient, "_site_window_sums", recording)
+        monkeypatch.setattr(rgradient, "_tensor_sums", recording)
         flows = [rf.compute_flow_field_gradient(img, window_half=h, weight_sigma=weight_sigma)
                  for h in (cap, cap + 5, 3 * (cap + 1))]
         assert set(shapes) == {(2 * cap + 1, 2 * cap + 1)}
@@ -213,7 +236,7 @@ class TestGradientFlowField:
     def test_field_matches_scalar_ops(self):
         img, _ = sinusoid(30)
         flow = rf.compute_flow_field_gradient(img)
-        grad = rf.gradient(img)
+        grad = gradient(img)
         t = second_moment_matrix(grad, rf.Point(30, 30), window_half=8, weight_sigma=4.0)
         theta, coh = tensor_orientation(t)
         iy, ix = 15, 15  # site at (30, 30) with stride 2
@@ -232,8 +255,9 @@ class TestGradientFlowField:
 
 
 class TestSiteWindowSums:
-    """The window sums at the grid sites have the bytes of a full-resolution
-    ``ndimage.convolve`` read at those sites."""
+    """The banded window sums at the grid sites have the bytes of a
+    full-resolution ``ndimage.convolve`` of the whole-image Sobel products,
+    read at those sites."""
 
     @settings(max_examples=80, deadline=None)
     @given(height=st.integers(3, 70), width=st.integers(3, 67), stride=st.integers(1, 4),
@@ -245,27 +269,27 @@ class TestSiteWindowSums:
         px = np.random.default_rng(seed).integers(0, 256, size=(height, width))
         px[:flat_rows] = 128  # zero gradients, where taps at most epsilon would still show
         img = rf.GrayImage(px)
-        grad = rf.gradient(img)
         # uncapped: the window may reach past the image on every side
         kernel = _window_weights(window_half, weight_sigma)
-        got = [_site_window_sums(a, b, kernel, stride) for a, b in ((grad.gx, grad.gx), (grad.gx, grad.gy),
-                                                                     (grad.gy, grad.gy))]
-        assert [g.tobytes() for g in got] == [r.tobytes() for r in reference_tensor_sums(grad, kernel, stride)]
+        got = _tensor_sums(img.pixels, kernel, stride)
+        want = reference_tensor_sums(gradient(img), kernel, stride)
+        assert [g.tobytes() for g in got] == [r.tobytes() for r in want]
 
         cfg = rf.FlowConfig(stride=stride)
         flow = rf.compute_flow_field_gradient(img, cfg, window_half, weight_sigma)
-        with mock.patch.object(rgradient, "_site_window_sums", reference_site_sums):
+        with mock.patch.object(rgradient, "_tensor_sums", reference_pixel_tensor_sums):
             want = rf.compute_flow_field_gradient(img, cfg, window_half, weight_sigma)
         assert flow.angles.tobytes() == want.angles.tobytes()
         assert flow.valid.tobytes() == want.valid.tobytes()
         assert flow.coherence.tobytes() == want.coherence.tobytes()
 
-    @pytest.mark.parametrize("weight, want", [(1e-17, 0.0), (3e-16, 30000.0)])
-    def test_taps_at_most_epsilon_are_skipped_like_scipy(self, weight, want):
-        values = np.zeros((5, 5))
-        values[2, 2] = 1e20
+    @pytest.mark.parametrize("weight, kept", [(1e-17, False), (3e-16, True)])
+    def test_taps_at_most_epsilon_are_skipped_like_scipy(self, weight, kept):
+        pixels = np.zeros((5, 5), dtype=np.uint8)
+        pixels[2, 2] = 255  # Sobel gx = 2 * 255 / 8 at row 2, column 1, left of the bright pixel
         kernel = np.zeros((3, 3))
         kernel[1, 1] = weight
-        got = _site_window_sums(values, np.ones((5, 5)), kernel, 1)
-        assert got.tobytes() == reference_site_sums(values, np.ones((5, 5)), kernel, 1).tobytes()
-        assert got[2, 2] == want
+        got = _tensor_sums(pixels, kernel, 1)
+        assert got.tobytes() == reference_pixel_tensor_sums(pixels, kernel, 1).tobytes()
+        assert got[0, 2, 1] == (63.75 * 63.75 * weight if kept else 0.0)
+        assert (got != 0).any() == kept

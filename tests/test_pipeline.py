@@ -33,7 +33,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("kw", [{"gradient_window_half": -1}, {"gradient_weight_sigma": 0.0},
                                     {"gradient_weight_sigma": -2.0}, {"gradient_weight_sigma": math.nan},
-                                    {"gradient_weight_sigma": math.inf}])
+                                    {"gradient_weight_sigma": math.inf}, {"gradient_weight_sigma": 1e-200}])
     def test_gradient_parameters_validated(self, kw):
         with pytest.raises(ValueError, match="gradient"):
             rf.PipelineConfig(**kw)

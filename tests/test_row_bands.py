@@ -58,12 +58,14 @@ class TestRowBands:
 
     @pytest.mark.parametrize("method", ["projection", "gradient"])
     def test_outputs_byte_identical_across_band_sizes(self, noisy, monkeypatch, method):
-        flow = rf.compute_flow_field(noisy) if method == "projection" else rf.compute_flow_field_gradient(noisy)
-        assert flow.valid.any() and not flow.valid.all()
         outs = []
         for band_pixels in (1, 7 * W + 3, H * W):
             monkeypatch.setattr(rimage, "BAND_PIXELS", band_pixels)
-            outs.append(_stages(noisy, flow))
+            # the gradient flow sums its tensor in bands of site rows too
+            flow = rf.compute_flow_field(noisy) if method == "projection" else rf.compute_flow_field_gradient(noisy)
+            assert flow.valid.any() and not flow.valid.all()
+            sums = [flow.angles, flow.valid] + ([] if flow.coherence is None else [flow.coherence])
+            outs.append([a.tobytes() for a in sums] + _stages(noisy, flow))
         assert outs[0] == outs[2]
         assert outs[1] == outs[2]
 
@@ -307,8 +309,10 @@ class TestBoundedMemory:
         peak = self._peak_mib(lambda: rf.save_comparison_csv(report, tmp_path / "cmp.csv"))
         assert peak < self.CSV_WRITER_CEILING_MIB
 
-    # compute_flow_field_gradient at 256x256 measured 3.51 MiB on this image:
-    # the window sums are taken at the grid sites only, one product at a time.
+    # compute_flow_field_gradient at 256x256 measured 2.40 MiB on this image
+    # with whole-image Sobel gradients and window sums taken at the grid sites
+    # only, one product at a time; with the tensor summed in bands of site
+    # rows, whose band at this size outweighs that working set, 3.29 MiB.
     # Three full-resolution ndimage.convolve products took 6.02 MiB. Do not raise it.
     GRADIENT_FLOW_256_CEILING_MIB = 4.5
 
@@ -316,6 +320,17 @@ class TestBoundedMemory:
         img, _ = medium
         peak = self._peak_mib(lambda: rf.compute_flow_field_gradient(img))
         assert peak < self.GRADIENT_FLOW_256_CEILING_MIB
+
+    # The same at 512x512: 4.84 MiB, where the Sobel gradients, products and
+    # window sums are taken per band of site rows (the patch variance before
+    # them peaks at 4.15); 9.28 MiB with whole-image gradients and a padded
+    # whole-image copy of each product. Do not raise it.
+    GRADIENT_FLOW_512_CEILING_MIB = 6.0
+
+    def test_gradient_flow_peak_holds_no_whole_image_gradient(self, large):
+        img, _ = large
+        peak = self._peak_mib(lambda: rf.compute_flow_field_gradient(img))
+        assert peak < self.GRADIENT_FLOW_512_CEILING_MIB
 
 
 class TestFlowGridContract:
