@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flowfield import FlowField, _band_sites, angles_at, check_flow_grid
-from .image import BinaryImage, GrayImage, Point, band_rows, bilinear_many
+from .image import BinaryImage, GrayImage, Point, _check_sizes, band_rows, bilinear_many
 
 
 # Decision margin: means closer than this count as a tie (valley). Intensity
@@ -29,8 +29,7 @@ class BinarizeConfig:
     line_half_length: int = 4
 
     def __post_init__(self):
-        if self.line_half_length < 1:
-            raise ValueError("line_half_length must be >= 1")
+        _check_sizes(1, "line_half_length must be >= 1", line_half_length=self.line_half_length)
 
 
 def _check_binary(image: GrayImage, binary: BinaryImage) -> None:
@@ -103,9 +102,7 @@ def _bands(image: GrayImage, flow: FlowField, half: int):
     for rows in band_rows(image.width, image.height):
         xs, ys = np.meshgrid(np.arange(image.width, dtype=float), np.arange(rows.start, rows.stop, dtype=float))
         sites = _band_sites(flow, rows, half)
-        theta, defined = angles_at(sites, xs, ys)
-        np.copyto(theta, np.nan, where=~defined)
-        yield rows, sites, xs, ys, theta
+        yield rows, sites, xs, ys, angles_at(sites, xs, ys)[0]
 
 
 def _ridge(img: np.ndarray, path, sites, xs, ys, theta, half: int) -> np.ndarray:

@@ -32,8 +32,8 @@ import numpy as np
 
 from .binarize import BinarizeConfig, BinaryImage, _binarize_image
 from .enhance import EnhanceConfig, _enhance
-from .flowfield import FlowField, angles_at
-from .image import GrayImage, Point
+from .flowfield import FlowField, _band_sites, angles_at
+from .image import GrayImage, Point, _check_sizes
 
 
 @dataclass
@@ -100,12 +100,13 @@ def trace_contour(
     when ``bounds`` (width, height) is given, where the next point would
     leave the raster.
     """
-    if half_steps < 1:
-        raise ValueError("half_steps must be >= 1")
+    _check_sizes(1, "half_steps must be >= 1", half_steps=half_steps)
     xs = np.array([p[0]], dtype=np.float64)
     ys = np.array([p[1]], dtype=np.float64)
-    theta, defined = angles_at(flow, xs, ys)
-    taps = _trace_path(flow, xs, ys, np.where(defined, theta, np.nan), half_steps, bounds)
+    # one table of the site rows within half_steps of the seed's serves every step; a non-finite seed reads none
+    row = int(np.nan_to_num(np.floor(ys[0])))
+    sites = _band_sites(flow, slice(row, row + 1), half_steps)
+    taps = _trace_path(sites, xs, ys, angles_at(sites, xs, ys)[0], half_steps, bounds)
     reached = sorted((o, Point(float(px[0]), float(py[0]))) for o, px, py, ok in taps if o == 0 or np.all(ok))
     points = [q for _, q in reached]
     seed_index = [o for o, _ in reached].index(0)

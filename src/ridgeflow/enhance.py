@@ -12,7 +12,7 @@ import numpy as np
 
 from .binarize import BinarizeConfig, _bands, _check_binary, _in_order, _is_ridge, _line_path, _nearest, _taps
 from .flowfield import FlowField
-from .image import BinaryImage, GrayImage, Point, _round_bytes, bilinear_many
+from .image import BinaryImage, GrayImage, Point, _check_sizes, _round_bytes, bilinear_many
 
 
 @dataclass
@@ -24,8 +24,9 @@ class EnhanceConfig:
         if not math.isfinite(self.gaussian_sigma):
             raise ValueError(f"gaussian_sigma must be finite, got {self.gaussian_sigma}")
         _two_sigma_squared(self.gaussian_sigma, "gaussian_sigma")
-        if self.kernel_half_length < 2 * self.gaussian_sigma:  # k < ceil(2 sigma) for an integer k, without overflow
-            raise ValueError("kernel_half_length must be >= ceil(2 * gaussian_sigma)")
+        # an integer k < 2 sigma is k < ceil(2 sigma), without overflow
+        _check_sizes(2 * self.gaussian_sigma, "kernel_half_length must be >= ceil(2 * gaussian_sigma)",
+                     kernel_half_length=self.kernel_half_length)
 
 
 def _two_sigma_squared(sigma: float, name: str) -> float:

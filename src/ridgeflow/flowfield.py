@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .image import _check_sizes
 
 
 @dataclass(eq=False)
@@ -31,8 +32,7 @@ class FlowField:
         val = np.asarray(self.valid, dtype=bool)
         if ang.ndim != 2 or ang.shape != val.shape:
             raise ValueError("angles and valid must be 2-D arrays of equal shape")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        _check_sizes(1, "stride must be >= 1", stride=self.stride)
         if np.any(val & ~((ang >= 0.0) & (ang < math.pi))):
             raise ValueError("valid angles must be finite and lie in [0, pi)")
         ang = np.where(val, ang, 0.0)
@@ -117,15 +117,13 @@ def angles_at(flow: FlowField | _SiteRows, xs, ys) -> tuple[np.ndarray, np.ndarr
     Interpolation runs in the doubled-angle domain: the unit vectors
     (cos 2t, sin 2t) of the four surrounding grid sites are blended with
     bilinear weights renormalized over valid sites, then the angle of the
-    blend is halved. Returns (angles, defined); angle is 0 where undefined,
-    which includes every non-finite point.
+    blend is halved. Returns (angles, defined): the angle is NaN wherever a
+    point has no orientation, by one rule, nx^2 + ny^2 < 1e-12 for the blend
+    n, and at every non-finite point; ``defined`` is where it is not NaN.
 
-    The blend n is defined where |n| >= 1e-6, tested as nx^2 + ny^2 >= 1e-12;
-    where the squared norm is within rounding of 1e-12, ``hypot`` decides.
     The halved angle lies in [-pi/2, pi/2], where ``fmod`` is exact, so its
     value mod pi is the angle plus pi below zero and the angle otherwise; a
-    sum that rounds to pi is 0. Both give the bytes of the ``hypot`` and
-    ``mod`` they replace.
+    sum that rounds to pi is 0, which gives the bytes of ``mod``.
 
     Given a flow, the lookup builds the table of the site rows its points
     read; the row band stages pass their band's table (``_band_sites``)
@@ -174,23 +172,18 @@ def angles_at(flow: FlowField | _SiteRows, xs, ys) -> tuple[np.ndarray, np.ndarr
             vy += np.multiply(w, sin2[off:].take(corner, out=t, mode="clip"), out=t)
             wsum += w
 
-        # (nx, ny), in place; NaN where wsum is 0 or NaN, so every test below is false there
+        # (nx, ny), in place; NaN where wsum is 0 or NaN, so the norm test is false there
         nx = np.divide(vx, wsum, out=vx)
         ny = np.divide(vy, wsum, out=vy)
-        # rounding can put the squared norm on the other side of 1e-12 from
-        # hypot, so hypot decides near it; subtracting 1e-12 keeps the sign exact
         r2 = np.multiply(nx, nx, out=w)
         r2 += np.multiply(ny, ny, out=t)
-        r2 -= 1e-12
-        defined = r2 >= 0.0
-        near = np.abs(r2, out=r2) <= 1e-21
-        if near.any():
-            defined[near] = np.hypot(nx[near], ny[near]) >= 1e-6
+        defined = r2 >= 1e-12
         theta = np.arctan2(ny, nx, out=t)
         theta *= 0.5
         # mod(theta, pi); -0.0 and angles a hair below zero give pi, which is 0. Adding 0.0 elsewhere is exact.
         theta += np.multiply(np.signbit(theta), math.pi, out=w)
-        np.copyto(theta, 0.0, where=~defined | (theta >= math.pi))
+        np.copyto(theta, 0.0, where=theta >= math.pi)
+        np.copyto(theta, math.nan, where=~defined)
     return theta.reshape(shape), defined.reshape(shape)
 
 

@@ -25,15 +25,15 @@ import numpy as np
 
 from .enhance import _two_sigma_squared
 from .flowfield import FlowField, _grid_sites
-from .image import GrayImage, band_rows
+from .image import GrayImage, _check_sizes, band_rows
 from .projection import FlowConfig, patch_variance_grid
 
 
 def check_settings(window_half: int, weight_sigma: float | None, coherence_threshold: float) -> None:
-    """Reject a negative window half size, a weight sigma other than None that is not positive and finite or
-    whose 2 sigma^2 underflows to 0, and a non-finite coherence threshold."""
-    if window_half < 0:
-        raise ValueError(f"gradient window half size must be >= 0, got {window_half}")
+    """Reject a window half size that is negative or not an integer, a weight sigma other than None that is not
+    positive and finite or whose 2 sigma^2 underflows to 0, and a non-finite coherence threshold."""
+    _check_sizes(0, f"gradient window half size must be >= 0, got {window_half}",
+                 **{"gradient window half size": window_half})
     if weight_sigma is not None:
         if not 0 < weight_sigma < math.inf:
             raise ValueError(f"gradient weight sigma must be positive and finite, or None, got {weight_sigma}")
@@ -113,13 +113,14 @@ def compute_flow_field_gradient(
     kernel = _window_weights(min(window_half, max(image.width, image.height) - 1), weight_sigma)
     a11, a12, a22 = _tensor_sums(image.pixels, kernel, cfg.stride)
 
-    theta = 0.5 * np.arctan2(2.0 * a12, a11 - a22)
-    ridge = np.mod(theta + math.pi / 2.0, math.pi)
-    ridge = np.where(ridge >= math.pi, 0.0, ridge)
-    trace = a11 + a22
-    spread = np.hypot(a11 - a22, 2.0 * a12)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        coherence = np.where(trace < 1e-12, 0.0, np.minimum(spread / np.maximum(trace, 1e-300), 1.0))
+    trace = a11 + a22  # its buffer becomes the coherence; every other step runs in place in the sums' planes
+    diff, twice = np.subtract(a11, a22, out=a11), np.multiply(a12, 2.0, out=a12)
+    spread = np.hypot(diff, twice, out=a22)
+    ridge = np.add(np.multiply(np.arctan2(twice, diff, out=twice), 0.5, out=twice), math.pi / 2.0, out=twice)
+    np.copyto(ridge, 0.0, where=np.mod(ridge, math.pi, out=ridge) >= math.pi)
+    flat = trace < 1e-12
+    coherence = np.minimum(np.divide(spread, np.maximum(trace, 1e-300, out=trace), out=trace), 1.0, out=trace)
+    np.copyto(coherence, 0.0, where=flat)
 
     valid = foreground & (coherence >= coherence_threshold)
     return FlowField(ridge, valid, cfg.stride, coherence=coherence)

@@ -27,6 +27,16 @@ class Point(NamedTuple):
     y: float
 
 
+def _check_sizes(least, message: str, **sizes) -> None:
+    """ValueError naming a size setting that is not an integer, Python's or numpy's (a length, stride or count
+    of 2.5 builds a window, grid or image of no size asked for), and with ``message`` for one below ``least``."""
+    for name, value in sizes.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(message)
+
+
 @dataclass(eq=False)
 class GrayImage:
     """Dense 8-bit grayscale raster; ``pixels`` has shape (height, width)."""

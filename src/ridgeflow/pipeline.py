@@ -18,7 +18,7 @@ from .contour import _trace_path
 from .enhance import EnhanceConfig, _sweep
 from .flowfield import FlowField, angular_distance, check_flow_grid, interior_site_mask
 from .gradient import check_settings, compute_flow_field_gradient
-from .image import BinaryImage, GrayImage
+from .image import BinaryImage, GrayImage, _check_sizes
 from .projection import FlowConfig, compute_flow_field
 
 PATHS = {"linear": _line_path, "contour": _trace_path}  # the sampling path of each ``path_mode``
@@ -38,8 +38,7 @@ class PipelineConfig:
     coherence_threshold: float = 0.1
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        _check_sizes(1, "iterations must be >= 1", iterations=self.iterations)
         if self.path_mode not in tuple(PATHS):  # not the dict, whose lookup raises TypeError for a list
             raise ValueError(f"path_mode must be one of {tuple(PATHS)}")
         if self.flow_method not in FLOW_METHODS:

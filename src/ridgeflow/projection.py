@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flowfield import FlowField, _grid_sites
-from .image import GrayImage, RotationFrame, band_rows, rotate_raster
+from .image import GrayImage, RotationFrame, _check_sizes, band_rows, rotate_raster
 
 # Variances below this are floating-point dust from interpolation; treating
 # them as exact zeros keeps argmin ties deterministic on flat regions.
@@ -74,8 +74,8 @@ class FlowConfig:
         for name in ("coarse_step", "fine_step", "fine_half_range", "background_variance_threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.tangent_half_length < 1 or self.perp_half_length < 1:
-            raise ValueError("segment half lengths must be >= 1")
+        _check_sizes(1, "segment half lengths must be >= 1", tangent_half_length=self.tangent_half_length,
+                     perp_half_length=self.perp_half_length)
         n = round(math.pi / self.coarse_step) if self.coarse_step > 0 else 0
         if n < 1 or abs(n * self.coarse_step - math.pi) > 1e-9:
             raise ValueError("coarse_step must divide pi into an integer number of angles")
@@ -83,8 +83,7 @@ class FlowConfig:
             raise ValueError("fine_step must be positive and <= coarse_step")
         if self.fine_half_range < 0 or self.fine_half_range > self.coarse_step / 2 + self.fine_step + 1e-12:
             raise ValueError("fine_half_range must lie in [0, coarse_step/2 + fine_step]")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        _check_sizes(1, "stride must be >= 1", stride=self.stride)
         if self.background_variance_threshold < 0:
             raise ValueError("background_variance_threshold must be non-negative")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flowfield import FlowField, _grid_sites
-from .image import GrayImage
+from .image import GrayImage, _check_sizes
 
 PATTERNS = ("parallel", "concentric", "half_plane_stripe")
 
@@ -65,8 +65,7 @@ class SyntheticSpec:
         for name in ("orientation", "period", "amplitude", "offset", "noise_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("dimensions must be positive")
+        _check_sizes(1, "dimensions must be positive", width=self.width, height=self.height)
         if self.pattern not in PATTERNS:
             raise ValueError(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
         if self.period < 4:
@@ -79,8 +78,7 @@ class SyntheticSpec:
 
 def generate(spec: SyntheticSpec, stride: int = 2) -> tuple[GrayImage, FlowField]:
     """Render the pattern and its ground-truth flow on a ``stride`` grid."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    _check_sizes(1, f"stride must be >= 1, got {stride}", stride=stride)
     xs = np.arange(spec.width, dtype=np.float64)
     ys = np.arange(spec.height, dtype=np.float64)
     X, Y = np.meshgrid(xs, ys)

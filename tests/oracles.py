@@ -456,6 +456,8 @@ def reference_bilinear_many(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) 
 def reference_angles_at(flow: rf.FlowField, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """``flowfield.angles_at`` as it was before the site table: per corner a
     bounds test, clipped 2-D indexing and cos/sin of the doubled site angle.
+    The blend gives an orientation where nx^2 + ny^2 >= 1e-12; the angle is
+    NaN everywhere else.
 
     A non-finite point casts to an arbitrary index whose corners fail the
     bounds test; numpy warns about that cast and the infinite weights.
@@ -494,11 +496,11 @@ def reference_angles_at(flow: rf.FlowField, xs, ys) -> tuple[np.ndarray, np.ndar
     with np.errstate(invalid="ignore", divide="ignore"):
         nx = vx / wsum
         ny = vy / wsum
-    defined = (wsum > 0.0) & (np.hypot(np.where(wsum > 0, nx, 0.0), np.where(wsum > 0, ny, 0.0)) >= 1e-6)
+    defined = nx * nx + ny * ny >= 1e-12
     theta = np.where(defined, 0.5 * np.arctan2(np.where(defined, ny, 0.0), np.where(defined, nx, 1.0)), 0.0)
     theta = np.where(defined, np.mod(theta, math.pi), 0.0)
     theta = np.where(theta >= math.pi, 0.0, theta)
-    return theta, defined
+    return np.where(defined, theta, np.nan), defined
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import ridgeflow as rf
 import ridgeflow.binarize as rbinarize
 import ridgeflow.contour as rcontour
 import ridgeflow.enhance as renhance
+import ridgeflow.flowfield as rflowfield
 import ridgeflow.pipeline as rpipeline
 
 from oracles import (LineSegment, angle_at, binarize_pixel_contour, enhance_pixel_contour, inner_pixel_mask,
@@ -81,6 +82,18 @@ class TestTraceContour:
     def test_rejects_bad_half_steps(self):
         with pytest.raises(ValueError):
             rf.trace_contour(uniform_flow(), rf.Point(5, 5), 0)
+
+    def test_builds_one_lookup_table(self, monkeypatch):
+        # the seed's lookup and every step read one table of the rows within half_steps of the seed
+        built = []
+        site_rows = rflowfield._site_rows
+        monkeypatch.setattr(rflowfield, "_site_rows", lambda *args: built.append(args) or site_rows(*args))
+        path = rf.trace_contour(uniform_flow(), rf.Point(14.0, 14.0), 5)
+        assert len(path.points) == 11 and len(built) == 1
+        for y in (math.nan, math.inf, -math.inf, 1e300):
+            built.clear()
+            path = rf.trace_contour(uniform_flow(), rf.Point(14.0, y), 5)
+            assert len(path.points) == 1 and path.seed_index == 0 and len(built) == 1
 
 
 class TestContourOps:

@@ -43,6 +43,41 @@ class TestConfig:
         assert cfg.gradient_weight_sigma is None
 
 
+def _small_image():
+    return rf.generate(rf.SyntheticSpec(width=16, height=16))[0]
+
+
+def _uniform_flow(stride=2):
+    return rf.FlowField(np.full((8, 8), 0.5), np.ones((8, 8), dtype=bool), stride)
+
+
+@pytest.mark.parametrize("name, bad, call", [
+    pytest.param("kernel_half_length", 9.5, lambda v: rf.EnhanceConfig(kernel_half_length=v), id="enhance-kernel"),
+    pytest.param("gradient window half size", 2.5,
+                 lambda v: rf.compute_flow_field_gradient(_small_image(), window_half=v), id="gradient-window"),
+    pytest.param("gradient window half size", 2.5, lambda v: rf.PipelineConfig(gradient_window_half=v),
+                 id="pipeline-gradient-window"),
+    pytest.param("stride", 1.5, lambda v: rf.generate(rf.SyntheticSpec(width=16, height=16), stride=v),
+                 id="generate-stride"),
+    pytest.param("stride", 1.5, _uniform_flow, id="flow-field-stride"),
+    pytest.param("width", 10.5, lambda v: rf.SyntheticSpec(width=v, height=16), id="synth-width"),
+    pytest.param("height", 10.5, lambda v: rf.SyntheticSpec(width=16, height=v), id="synth-height"),
+    pytest.param("stride", 1.5, lambda v: rf.FlowConfig(stride=v), id="flow-stride"),
+    pytest.param("tangent_half_length", 2.5, lambda v: rf.FlowConfig(tangent_half_length=v), id="flow-tangent"),
+    pytest.param("perp_half_length", 2.5, lambda v: rf.FlowConfig(perp_half_length=v), id="flow-perp"),
+    pytest.param("line_half_length", 2.5, lambda v: rf.BinarizeConfig(line_half_length=v), id="binarize-line"),
+    pytest.param("iterations", 1.5, lambda v: rf.PipelineConfig(iterations=v), id="pipeline-iterations"),
+    pytest.param("half_steps", 2.5, lambda v: rf.trace_contour(_uniform_flow(), rf.Point(8.0, 8.0), v),
+                 id="trace-half-steps"),
+])
+def test_non_integer_size_setting_is_rejected(name, bad, call):
+    # a half length, stride, count or side of x.5 built a window, grid or image of neither neighbouring size,
+    # or failed later with an IndexError or TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
+        call(bad)
+    call(np.int64(math.ceil(bad)))  # numpy integers pass
+
+
 class TestRunIteration:
     def test_constant_image(self):
         img = rf.GrayImage(np.full((64, 64), 77, dtype=np.int64))

@@ -3,10 +3,11 @@
 The fast versions must give the same bytes as the references in ``oracles``,
 NaNs included. ``bilinear_many`` reads the same values and does the same
 arithmetic in the same order. ``angles_at`` blends the same corners in the
-same order, then takes other steps to the same bytes: a squared-norm test
-that falls back to ``hypot`` within rounding of the threshold, and an exact
-branch in place of ``mod``. Random inputs never reach those edges, so tests
-below build them. Neither fast version may warn, for any input.
+same order, then takes other steps to the same bytes: the squared-norm test
+that the reference also makes, and an exact branch in place of ``mod``.
+Random inputs never reach those edges, so tests below build them. Neither
+fast version may warn, for any input. ``angles_at`` gives NaN exactly where
+a point has no orientation.
 
 A row band's lookup table holds only the site rows that its points reach,
 and gives the bytes of the reference for every point within that reach.
@@ -75,6 +76,37 @@ def test_angles_at_matches_reference(seed, gw, gh, stride, valid_frac):
     assert not defined.reshape(-1)[40:58].any()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gw=st.integers(1, 12),
+    gh=st.integers(1, 12),
+    stride=st.integers(1, 4),
+    valid_frac=st.floats(0.0, 1.0),
+    table=st.booleans(),
+)
+def test_angles_at_is_nan_exactly_where_undefined(seed, gw, gh, stride, valid_frac, table):
+    # Site angles a and a + pi/2 cancel halfway between them, so points on the
+    # half-site lattice reach norms near 0 as well as corners with no valid site.
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, math.pi / 2)
+    flow = rf.FlowField(a + rng.integers(0, 2, (gh, gw)) * (math.pi / 2), rng.random((gh, gw)) < valid_frac, stride)
+    xs = rng.uniform(-3 * stride, (gw + 2) * stride, 400)
+    ys = rng.uniform(-3 * stride, (gh + 2) * stride, 400)
+    xs[:200] = rng.integers(-2, 2 * gw + 2, 200) * (stride / 2)
+    ys[:200] = rng.integers(-2, 2 * gh + 2, 200) * (stride / 2)
+    bad = np.array([np.nan, np.inf, -np.inf])
+    xs[200:212] = rng.choice(bad, 12)
+    ys[206:218] = rng.choice(bad, 12)
+
+    theta, defined = _no_warnings(rf.angles_at, _site_rows(flow, 0, gh) if table else flow, xs, ys)
+    assert np.array_equal(np.isnan(theta), ~defined)
+    assert ((theta[defined] >= 0.0) & (theta[defined] < math.pi)).all()
+    assert not defined[200:218].any()
+    with np.errstate(invalid="ignore"):  # the reference casts non-finite points
+        assert np.array_equal(defined, reference_angles_at(flow, xs, ys)[1])
+
+
 def _assert_matches_reference(flow, xs, ys):
     theta, defined = _no_warnings(rf.angles_at, flow, xs, ys)
     want_theta, want_defined = reference_angles_at(flow, xs, ys)
@@ -101,7 +133,7 @@ def test_angles_at_is_exact_within_rounding_of_the_norm_threshold():
     # below the first, along the same random direction, adds a fy-sized part.
     # The crossing fy is found by bisection on the reference, and the scan
     # around it steps |n| by about 2e-23, so it lands on the values where the
-    # squared norm and hypot disagree.
+    # rounding of the squared norm decides.
     rng = np.random.default_rng(20260)
     m = 200
     a = rng.uniform(0.0, math.pi / 2, m)
