@@ -48,10 +48,10 @@ def _add_flow_flags(p: argparse.ArgumentParser, d: PipelineConfig) -> None:
                    help="background patch-variance threshold")
     p.add_argument("--no-half-line-rule", action="store_true", help="use full-segment deviations only")
     p.add_argument("--method", choices=FLOW_METHODS, default=d.flow_method)
-    p.add_argument("--grad-window-half", type=int, default=d.gradient_window_half, help="structure tensor window half size")
-    p.add_argument("--grad-weight-sigma", type=float, default=d.gradient_weight_sigma,
+    p.add_argument("--grad-window-half", type=int, default=f.gradient_window_half, help="structure tensor window half size")
+    p.add_argument("--grad-weight-sigma", type=float, default=f.gradient_weight_sigma,
                    help="structure tensor Gaussian weight sigma")
-    p.add_argument("--coherence-threshold", type=float, default=d.coherence_threshold, help="tensor coherence validity cutoff")
+    p.add_argument("--coherence-threshold", type=float, default=f.coherence_threshold, help="tensor coherence validity cutoff")
 
 
 def _add_binarize_flags(p: argparse.ArgumentParser, d: PipelineConfig) -> None:
@@ -142,6 +142,9 @@ def _flow_config(args) -> FlowConfig:
         stride=args.stride,
         background_variance_threshold=args.bg_var_threshold,
         use_half_line_rule=not args.no_half_line_rule,
+        gradient_window_half=args.grad_window_half,
+        gradient_weight_sigma=args.grad_weight_sigma,
+        coherence_threshold=args.coherence_threshold,
     )
 
 
@@ -155,9 +158,6 @@ def _pipeline_config(args) -> PipelineConfig:
         binarize=BinarizeConfig(line_half_length=getattr(args, "bin_half", d.binarize.line_half_length)),
         enhance=EnhanceConfig(gaussian_sigma=getattr(args, "sigma", d.enhance.gaussian_sigma),
                               kernel_half_length=getattr(args, "kernel_half", d.enhance.kernel_half_length)),
-        gradient_window_half=args.grad_window_half,
-        gradient_weight_sigma=args.grad_weight_sigma,
-        coherence_threshold=args.coherence_threshold,
     )
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .binarize import BinarizeConfig, _bands, _check_binary, _in_order, _is_ridge, _line_path, _nearest, _taps
 from .flowfield import FlowField
-from .image import BinaryImage, GrayImage, Point, _check_sizes, _round_bytes, bilinear_many
+from .image import BinaryImage, GrayImage, Point, _check_sizes, _round_bytes, _two_sigma_squared, bilinear_many
 
 
 @dataclass
@@ -29,18 +29,9 @@ class EnhanceConfig:
                      kernel_half_length=self.kernel_half_length)
 
 
-def _two_sigma_squared(sigma: float, name: str) -> float:
-    """The Gaussian's denominator 2 sigma^2; ValueError unless sigma and it are positive."""
-    if not sigma > 0:
-        raise ValueError(f"{name} must be positive")
-    denom = 2.0 * sigma * sigma
-    if not denom > 0:
-        raise ValueError(f"{name} {sigma:g} is too small: 2 * {name}**2 underflows to 0")
-    return denom
-
-
 def gaussian_kernel(sigma: float, half_length: int) -> np.ndarray:
     """Discrete Gaussian weights over [-half_length, half_length], sum 1."""
+    _check_sizes(0, f"half_length must be >= 0, got {half_length}", half_length=half_length)
     denom = _two_sigma_squared(sigma, "sigma")
     i = np.arange(-half_length, half_length + 1, dtype=np.float64)
     # for a tiny sigma an exponent overflows to -inf, whose weight is exactly 0

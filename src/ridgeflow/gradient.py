@@ -23,23 +23,9 @@ import math
 
 import numpy as np
 
-from .enhance import _two_sigma_squared
 from .flowfield import FlowField, _grid_sites
-from .image import GrayImage, _check_sizes, band_rows
+from .image import GrayImage, band_rows
 from .projection import FlowConfig, patch_variance_grid
-
-
-def check_settings(window_half: int, weight_sigma: float | None, coherence_threshold: float) -> None:
-    """Reject a window half size that is negative or not an integer, a weight sigma other than None that is not
-    positive and finite or whose 2 sigma^2 underflows to 0, and a non-finite coherence threshold."""
-    _check_sizes(0, f"gradient window half size must be >= 0, got {window_half}",
-                 **{"gradient window half size": window_half})
-    if weight_sigma is not None:
-        if not 0 < weight_sigma < math.inf:
-            raise ValueError(f"gradient weight sigma must be positive and finite, or None, got {weight_sigma}")
-        _two_sigma_squared(weight_sigma, "gradient_weight_sigma")
-    if not math.isfinite(coherence_threshold):
-        raise ValueError(f"coherence_threshold must be finite, got {coherence_threshold}")
 
 
 def _window_weights(window_half: int, weight_sigma: float | None) -> np.ndarray:
@@ -49,7 +35,7 @@ def _window_weights(window_half: int, weight_sigma: float | None) -> np.ndarray:
     dx, dy = np.meshgrid(offs, offs)
     # for a tiny sigma an exponent overflows to -inf, whose weight is exactly 0
     with np.errstate(over="ignore"):
-        return np.exp(-(dx * dx + dy * dy) / _two_sigma_squared(weight_sigma, "gradient_weight_sigma"))
+        return np.exp(-(dx * dx + dy * dy) / (2.0 * weight_sigma * weight_sigma))
 
 
 def _tensor_sums(pixels: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
@@ -90,27 +76,23 @@ def _tensor_sums(pixels: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndar
     return out
 
 
-def compute_flow_field_gradient(
-    image: GrayImage,
-    cfg: FlowConfig | None = None,
-    window_half: int = 8,
-    weight_sigma: float | None = 4.0,
-    coherence_threshold: float = 0.1,
-) -> FlowField:
-    """Structure-tensor flow on the same stride grid as the projection method.
+def compute_flow_field_gradient(image: GrayImage, cfg: FlowConfig | None = None) -> FlowField:
+    """Structure-tensor flow on the same stride grid as the projection method, with the settings ``cfg``.
 
-    Stored angles are ridge orientations (tensor angle + pi/2). Sites are
-    invalid where coherence < ``coherence_threshold`` or where the local
-    patch variance is below the background threshold.
+    Stored angles are ridge orientations (tensor angle + pi/2). The tensor
+    window has half size ``cfg.gradient_window_half`` and Gaussian weight
+    sigma ``cfg.gradient_weight_sigma``. Sites are invalid where coherence
+    < ``cfg.coherence_threshold`` or where the local patch variance is below
+    the background threshold.
     """
-    check_settings(window_half, weight_sigma, coherence_threshold)
     if image.width < 3 or image.height < 3:
         raise ValueError(f"image must be at least 3x3 pixels, got {image.width}x{image.height}")
     cfg = cfg or FlowConfig()
     # before the tensor sums, so the patch variance's prefix sums are freed first
     foreground = patch_variance_grid(image, cfg) >= cfg.background_variance_threshold
     # weights past the image borders only multiply the zero padding
-    kernel = _window_weights(min(window_half, max(image.width, image.height) - 1), weight_sigma)
+    kernel = _window_weights(min(cfg.gradient_window_half, max(image.width, image.height) - 1),
+                             cfg.gradient_weight_sigma)
     a11, a12, a22 = _tensor_sums(image.pixels, kernel, cfg.stride)
 
     trace = a11 + a22  # its buffer becomes the coherence; every other step runs in place in the sums' planes
@@ -122,5 +104,5 @@ def compute_flow_field_gradient(
     coherence = np.minimum(np.divide(spread, np.maximum(trace, 1e-300, out=trace), out=trace), 1.0, out=trace)
     np.copyto(coherence, 0.0, where=flat)
 
-    valid = foreground & (coherence >= coherence_threshold)
+    valid = foreground & (coherence >= cfg.coherence_threshold)
     return FlowField(ridge, valid, cfg.stride, coherence=coherence)

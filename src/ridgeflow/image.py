@@ -37,6 +37,16 @@ def _check_sizes(least, message: str, **sizes) -> None:
             raise ValueError(message)
 
 
+def _two_sigma_squared(sigma: float, name: str) -> float:
+    """The Gaussian's denominator 2 sigma^2; ValueError unless sigma and it are positive."""
+    if not sigma > 0:
+        raise ValueError(f"{name} must be positive")
+    denom = 2.0 * sigma * sigma
+    if not denom > 0:
+        raise ValueError(f"{name} {sigma:g} is too small: 2 * {name}**2 underflows to 0")
+    return denom
+
+
 @dataclass(eq=False)
 class GrayImage:
     """Dense 8-bit grayscale raster; ``pixels`` has shape (height, width)."""
@@ -293,10 +303,9 @@ def band_rows(width: int, height: int, pixels: int | None = None) -> Iterator[sl
         yield slice(y0, min(y0 + step, height))
 
 
-def sample_bilinear(image: GrayImage, p: Point) -> float | None:
-    """Bilinear intensity at ``p``; None when the sample needs out-of-raster pixels."""
-    v = bilinear_many(image.pixels, np.array([p[0]]), np.array([p[1]]))[0]
-    return None if math.isnan(v) else float(v)
+def sample_bilinear(image: GrayImage, p: Point) -> float:
+    """Bilinear intensity at ``p``; NaN when the sample needs out-of-raster pixels."""
+    return float(bilinear_many(image.pixels, np.array([p[0]]), np.array([p[1]]))[0])
 
 
 @dataclass(frozen=True)

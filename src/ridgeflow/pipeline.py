@@ -8,7 +8,7 @@ iteration. Binarization happens before enhancement inside an iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from .binarize import BinarizeConfig, _line_path
 from .contour import _trace_path
 from .enhance import EnhanceConfig, _sweep
 from .flowfield import FlowField, angular_distance, check_flow_grid, interior_site_mask
-from .gradient import check_settings, compute_flow_field_gradient
+from .gradient import compute_flow_field_gradient
 from .image import BinaryImage, GrayImage, _check_sizes
 from .projection import FlowConfig, compute_flow_field
 
@@ -33,9 +33,6 @@ class PipelineConfig:
     flow: FlowConfig = field(default_factory=FlowConfig)
     binarize: BinarizeConfig = field(default_factory=BinarizeConfig)
     enhance: EnhanceConfig = field(default_factory=EnhanceConfig)
-    gradient_window_half: int = 8
-    gradient_weight_sigma: float | None = 4.0
-    coherence_threshold: float = 0.1
 
     def __post_init__(self):
         _check_sizes(1, "iterations must be >= 1", iterations=self.iterations)
@@ -43,7 +40,6 @@ class PipelineConfig:
             raise ValueError(f"path_mode must be one of {tuple(PATHS)}")
         if self.flow_method not in FLOW_METHODS:
             raise ValueError(f"flow_method must be one of {FLOW_METHODS}")
-        check_settings(self.gradient_window_half, self.gradient_weight_sigma, self.coherence_threshold)
 
 
 @dataclass(eq=False)
@@ -71,15 +67,8 @@ class PipelineResult:
 
 
 def _flow_for(image: GrayImage, cfg: PipelineConfig) -> FlowField:
-    if cfg.flow_method == "projection":
-        return compute_flow_field(image, cfg.flow)
-    return compute_flow_field_gradient(
-        image,
-        cfg.flow,
-        window_half=cfg.gradient_window_half,
-        weight_sigma=cfg.gradient_weight_sigma,
-        coherence_threshold=cfg.coherence_threshold,
-    )
+    # the module-global names, looked up at each call, so a wrapper bound to either name is the one called
+    return (compute_flow_field if cfg.flow_method == "projection" else compute_flow_field_gradient)(image, cfg.flow)
 
 
 def run_iteration(image: GrayImage, cfg: PipelineConfig | None = None) -> tuple[FlowField, BinaryImage, GrayImage]:
@@ -137,8 +126,8 @@ def compare_methods(
         check_flow_grid(truth, image.width, image.height)
         if truth.stride != cfg.flow.stride:
             raise ValueError(f"truth field stride {truth.stride} does not match the flow stride {cfg.flow.stride}")
-    proj = _flow_for(image, replace(cfg, flow_method="projection"))
-    grad = _flow_for(image, replace(cfg, flow_method="gradient"))
+    proj = compute_flow_field(image, cfg.flow)
+    grad = compute_flow_field_gradient(image, cfg.flow)
 
     comparable = proj.valid & grad.valid
     if interior_margin is not None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flowfield import FlowField, _grid_sites
-from .image import GrayImage, RotationFrame, _check_sizes, band_rows, rotate_raster
+from .image import GrayImage, RotationFrame, _check_sizes, _two_sigma_squared, band_rows, rotate_raster
 
 # Variances below this are floating-point dust from interpolation; treating
 # them as exact zeros keeps argmin ties deterministic on flat regions.
@@ -51,14 +51,21 @@ _MAP_BAND_PIXELS = 32768
 
 @dataclass
 class FlowConfig:
-    """Window lengths, angular steps, grid stride and background threshold.
+    """The settings of both flow methods, ``compute_flow_field`` and ``compute_flow_field_gradient``.
 
     Angular search is coarse-to-fine: candidates every ``coarse_step`` over
     [0, pi), then a refinement at ``fine_step`` within ``fine_half_range`` of
     the coarse optimum. Flow is computed every ``stride`` pixels; grid sites
-    whose local patch variance falls below ``background_variance_threshold``
+    whose local patch variance, over a patch of half size
+    ``tangent_half_length``, falls below ``background_variance_threshold``
     are marked invalid. ``use_half_line_rule`` disables the min-over-halves
     rule when False (full-segment deviation only), for ablation.
+
+    The structure-tensor baseline reads the stride, the patch and the
+    background threshold too, and three settings of its own: the tensor
+    window's half size ``gradient_window_half``, its Gaussian weight sigma
+    ``gradient_weight_sigma`` (None for uniform weights), and the coherence
+    below which a site is invalid, ``coherence_threshold``.
     """
 
     tangent_half_length: int = 8
@@ -69,9 +76,13 @@ class FlowConfig:
     stride: int = 2
     background_variance_threshold: float = 25.0
     use_half_line_rule: bool = True
+    gradient_window_half: int = 8
+    gradient_weight_sigma: float | None = 4.0
+    coherence_threshold: float = 0.1
 
     def __post_init__(self):
-        for name in ("coarse_step", "fine_step", "fine_half_range", "background_variance_threshold"):
+        for name in ("coarse_step", "fine_step", "fine_half_range", "background_variance_threshold",
+                     "coherence_threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         _check_sizes(1, "segment half lengths must be >= 1", tangent_half_length=self.tangent_half_length,
@@ -86,6 +97,12 @@ class FlowConfig:
         _check_sizes(1, "stride must be >= 1", stride=self.stride)
         if self.background_variance_threshold < 0:
             raise ValueError("background_variance_threshold must be non-negative")
+        half, sigma = self.gradient_window_half, self.gradient_weight_sigma
+        _check_sizes(0, f"gradient window half size must be >= 0, got {half}", **{"gradient window half size": half})
+        if sigma is not None:
+            if not 0 < sigma < math.inf:
+                raise ValueError(f"gradient weight sigma must be positive and finite, or None, got {sigma}")
+            _two_sigma_squared(sigma, "gradient_weight_sigma")
 
     def coarse_angles(self) -> np.ndarray:
         return np.arange(round(math.pi / self.coarse_step)) * self.coarse_step

@@ -19,7 +19,9 @@ and a projection flow of an image whose sites all lie below its
 flat top, so the search reads the site-free canvas rows above them in
 band-sized chunks; then the files and standard output of a set of CLI
 runs, each path of binarize and enhance among them. There is no golden
-value: float bytes may differ across platforms and library builds.
+value: float bytes may differ across platforms and library builds, so the
+script prints numpy's version and the CPU dispatch targets it runs with to
+standard error, and only the digest to standard output.
 pytest does not collect this file.
 """
 
@@ -30,9 +32,12 @@ import hashlib
 import io
 import itertools
 import math
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 import ridgeflow as rf
 from ridgeflow.cli import run_cli
@@ -129,6 +134,16 @@ def _traces(h, flow: rf.FlowField, width: int, height: int) -> None:
         h.update(f"trace {seed} {bounds} {path.seed_index} {[(q.x, q.y) for q in path.points]!r}".encode())
 
 
+def _gradient_flow(image: rf.GrayImage, stride: int, half: int, sigma: float | None) -> rf.FlowField:
+    """The gradient flow with the tensor window (``half``, ``sigma``) at ``stride``; from a source whose
+    ``FlowConfig`` has no window settings, by its keywords, so one script takes the digest of either."""
+    try:
+        cfg = rf.FlowConfig(stride=stride, gradient_window_half=half, gradient_weight_sigma=sigma)
+    except TypeError:
+        return rf.compute_flow_field_gradient(image, rf.FlowConfig(stride=stride), half, sigma)
+    return rf.compute_flow_field_gradient(image, cfg)
+
+
 def _banded(h) -> None:
     width, height = BANDED_SIZE
     for pattern in ("parallel", "concentric"):
@@ -140,7 +155,7 @@ def _banded(h) -> None:
         _flow(h, rf.compute_flow_field(image))
         for stride, (half, sigma) in itertools.product(STRIDES, GRADIENT_WINDOWS):
             h.update(f"gradient stride {stride} window {half} sigma {sigma}".encode())
-            _flow(h, rf.compute_flow_field_gradient(image, rf.FlowConfig(stride=stride), half, sigma))
+            _flow(h, _gradient_flow(image, stride, half, sigma))
     width, height = DEEP_SIZE
     spec = rf.SyntheticSpec(width=width, height=height, pattern="parallel", orientation=3 * math.pi / 4,
                             noise_sigma=40.0, rng_seed=7)
@@ -186,7 +201,18 @@ def _cli(h, tmp: Path) -> None:
         h.update(f.read_bytes())
 
 
+def _numpy_build() -> str:
+    """numpy's version and the CPU dispatch targets it runs with, either of which may change float bytes."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy before 2.0
+        from numpy.core import _multiarray_umath as umath
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return f"numpy {np.__version__}, CPU dispatch targets {targets}"
+
+
 def main() -> None:
+    print(_numpy_build(), file=sys.stderr)
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as lib, tempfile.TemporaryDirectory() as cli:
         _library(h, Path(lib))

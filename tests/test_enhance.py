@@ -41,6 +41,12 @@ class TestKernel:
         with pytest.raises(ValueError, match="gaussian_sigma 1e-300 is too small"):
             rf.EnhanceConfig(gaussian_sigma=1e-300)
 
+    def test_negative_half_length_is_rejected(self):
+        # it gave an empty kernel
+        with pytest.raises(ValueError, match="^half_length must be >= 0, got -1$"):
+            rf.gaussian_kernel(3.0, -1)
+        assert rf.gaussian_kernel(3.0, 0).tolist() == [1.0]
+
     def test_tiny_sigma_whose_exponents_overflow_is_a_delta(self):
         with np.errstate(all="raise"):
             k = rf.gaussian_kernel(1e-160, 9)
@@ -90,7 +96,7 @@ class TestEnhancePixel:
         inside = [(0.0, 0.0), (7.0, 7.0), (7.0 + 1e-10, 3.0), (3.25, 4.5)]
         for x, y in outside + inside:
             p = rf.Point(x, y)
-            want_nan = rf.sample_bilinear(img, p) is None
+            want_nan = math.isnan(rf.sample_bilinear(img, p))
             assert want_nan == ((x, y) in outside)
             for theta in (0.3, math.nan):
                 assert math.isnan(rf.enhance_pixel(img, binary, p, theta)) == want_nan

@@ -160,27 +160,27 @@ class TestGradientFlowField:
         flow = rf.compute_flow_field_gradient(rf.GrayImage(np.full((64, 64), 80, dtype=np.int64)))
         assert not flow.valid.any()
 
-    @pytest.mark.parametrize("kw", [{"window_half": -1}, {"weight_sigma": 0.0},
-                                    {"weight_sigma": -1.0}, {"weight_sigma": math.nan},
-                                    {"weight_sigma": 1e-200}])
+    @pytest.mark.parametrize("kw", [{"gradient_window_half": -1}, {"gradient_weight_sigma": 0.0},
+                                    {"gradient_weight_sigma": -1.0}, {"gradient_weight_sigma": math.nan},
+                                    {"gradient_weight_sigma": 1e-200}])
     def test_rejects_bad_window_parameters(self, kw):
         img, _ = sinusoid(30)
         with pytest.raises(ValueError, match="gradient"):
-            rf.compute_flow_field_gradient(img, **kw)
+            rf.compute_flow_field_gradient(img, rf.FlowConfig(**kw))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_coherence_threshold(self, value):
         img, _ = sinusoid(30)
         with pytest.raises(ValueError, match="coherence_threshold must be finite"):
-            rf.compute_flow_field_gradient(img, coherence_threshold=value)
+            rf.compute_flow_field_gradient(img, rf.FlowConfig(coherence_threshold=value))
 
     def test_tiny_weight_sigma_keeps_only_the_centre_tap(self):
         # 2 sigma^2 is subnormal: every off-centre exponent overflows to -inf, a weight of exactly 0
         img, _ = rf.generate(rf.SyntheticSpec(width=40, height=36, pattern="concentric", noise_sigma=20.0, rng_seed=5))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            tiny = rf.compute_flow_field_gradient(img, weight_sigma=1e-160)
-        centre = rf.compute_flow_field_gradient(img, window_half=0)
+            tiny = rf.compute_flow_field_gradient(img, rf.FlowConfig(gradient_weight_sigma=1e-160))
+        centre = rf.compute_flow_field_gradient(img, rf.FlowConfig(gradient_window_half=0))
         assert tiny.valid.any()
         assert tiny.angles.tobytes() == centre.angles.tobytes()
         assert tiny.valid.tobytes() == centre.valid.tobytes()
@@ -206,7 +206,8 @@ class TestGradientFlowField:
             return _tensor_sums(pixels, kernel, stride)
 
         monkeypatch.setattr(rgradient, "_tensor_sums", recording)
-        flows = [rf.compute_flow_field_gradient(img, window_half=h, weight_sigma=weight_sigma)
+        flows = [rf.compute_flow_field_gradient(img, rf.FlowConfig(gradient_window_half=h,
+                                                                   gradient_weight_sigma=weight_sigma))
                  for h in (cap, cap + 5, 3 * (cap + 1))]
         assert set(shapes) == {(2 * cap + 1, 2 * cap + 1)}
         for flow in flows[1:]:
@@ -216,7 +217,7 @@ class TestGradientFlowField:
 
     def test_uniform_weights_allowed(self):
         img, _ = sinusoid(30)
-        flow = rf.compute_flow_field_gradient(img, weight_sigma=None)
+        flow = rf.compute_flow_field_gradient(img, rf.FlowConfig(gradient_weight_sigma=None))
         assert flow.valid.any()
 
     def test_sinusoid_accuracy(self):
@@ -275,10 +276,10 @@ class TestSiteWindowSums:
         want = reference_tensor_sums(gradient(img), kernel, stride)
         assert [g.tobytes() for g in got] == [r.tobytes() for r in want]
 
-        cfg = rf.FlowConfig(stride=stride)
-        flow = rf.compute_flow_field_gradient(img, cfg, window_half, weight_sigma)
+        cfg = rf.FlowConfig(stride=stride, gradient_window_half=window_half, gradient_weight_sigma=weight_sigma)
+        flow = rf.compute_flow_field_gradient(img, cfg)
         with mock.patch.object(rgradient, "_tensor_sums", reference_pixel_tensor_sums):
-            want = rf.compute_flow_field_gradient(img, cfg, window_half, weight_sigma)
+            want = rf.compute_flow_field_gradient(img, cfg)
         assert flow.angles.tobytes() == want.angles.tobytes()
         assert flow.valid.tobytes() == want.valid.tobytes()
         assert flow.coherence.tobytes() == want.coherence.tobytes()

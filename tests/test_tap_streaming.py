@@ -187,13 +187,13 @@ def test_single_pixel_entry_points_match_reference(seed, width, height, stride, 
 
     got = rf.enhance_pixel(image, binary, p, theta)
     want = reference_masked_blend(img, binary.bits, reference_line_path, None, xs, ys, *given_theta, ecfg)[0]
-    assert np.array_equal(got, math.nan if sample is None else want, equal_nan=True)
+    assert np.array_equal(got, math.nan if math.isnan(sample) else want, equal_nan=True)
 
     got = enhance_pixel_contour(image, binary, p, flow)
     want = reference_masked_blend(img, binary.bits, reference_trace_batch, flow, xs, ys, *flow_theta, ecfg)[0]
     if not flow_theta[1][0]:
         want = sample
-    assert np.array_equal(got, math.nan if sample is None else want, equal_nan=True)
+    assert np.array_equal(got, math.nan if math.isnan(sample) else want, equal_nan=True)
 
 
 def test_single_pixel_entry_points_equal_the_image_stages():
