@@ -24,8 +24,9 @@ from .image import BinaryImage, GrayImage, Point, _check_sizes, band_rows, bilin
 _TIE_EPS = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinarizeConfig:
+    """The binarizing line. Frozen: a variant is made with ``dataclasses.replace``, which checks it again."""
     line_half_length: int = 4
 
     def __post_init__(self):
@@ -111,24 +112,23 @@ def _ridge(img: np.ndarray, path, sites, xs, ys, theta, half: int) -> np.ndarray
     return _is_ridge(img, (v for v, _ in taps), xs, ys, theta, half)
 
 
-def binarize_pixel(image: GrayImage, p: Point, theta: float, cfg: BinarizeConfig | None = None) -> int:
+def binarize_pixel(image: GrayImage, p: Point, theta: float, cfg: BinarizeConfig = BinarizeConfig()) -> int:
     """Bit at ``p`` given orientation ``theta`` (pi-periodic); a non-finite ``theta`` gives no orientation."""
     xs, ys = (np.array([c], dtype=np.float64) for c in p)
-    half = (cfg or BinarizeConfig()).line_half_length
     theta = np.array([theta if math.isfinite(theta) else math.nan])
-    return 0 if _ridge(image.pixels, _line_path, None, xs, ys, theta, half)[0] else 1
+    return 0 if _ridge(image.pixels, _line_path, None, xs, ys, theta, cfg.line_half_length)[0] else 1
 
 
-def _binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None, path) -> BinaryImage:
+def _binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig, path) -> BinaryImage:
     """Classify every pixel along ``path``, band by band."""
-    half = (cfg or BinarizeConfig()).line_half_length
+    half = cfg.line_half_length
     bits = np.empty((image.height, image.width), dtype=np.uint8)
     for rows, sites, X, Y, theta in _bands(image, flow, half):
         bits[rows] = ~_ridge(image.pixels, path, sites, X, Y, theta, half)
     return BinaryImage._of_bits(bits)
 
 
-def binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None = None) -> BinaryImage:
+def binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig = BinarizeConfig()) -> BinaryImage:
     """Per-pixel classification with orientations interpolated from ``flow``.
 
     Pixels with no defined orientation are classified as valley (1).

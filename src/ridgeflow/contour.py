@@ -116,19 +116,19 @@ def trace_contour(
     return ContourPath(points, seed_index)
 
 
-def binarize_image_contour(image: GrayImage, flow: FlowField, cfg: BinarizeConfig | None = None) -> BinaryImage:
+def binarize_image_contour(image: GrayImage, flow: FlowField, cfg: BinarizeConfig = BinarizeConfig()) -> BinaryImage:
     """Like binarize_image, but each along-ridge mean follows the contour."""
     return _binarize_image(image, flow, cfg, _trace_path)
 
 
 def contour_enhance_values(
-    image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None = None
+    image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig = EnhanceConfig()
 ) -> np.ndarray:
     """Like enhance_values, but each Gaussian runs along the contour."""
     return _enhance(image, binary, flow, _trace_path, cfg, False)
 
 
 def enhance_image_contour(
-    image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None = None
+    image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig = EnhanceConfig()
 ) -> GrayImage:
     return GrayImage._of_bytes(_enhance(image, binary, flow, _trace_path, cfg, True))

@@ -15,8 +15,9 @@ from .flowfield import FlowField
 from .image import BinaryImage, GrayImage, Point, _check_sizes, _round_bytes, _two_sigma_squared, bilinear_many
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnhanceConfig:
+    """The smoothing Gaussian. Frozen: a variant is made with ``dataclasses.replace``, which checks it again."""
     gaussian_sigma: float = 3.0
     kernel_half_length: int = 9
 
@@ -68,11 +69,10 @@ def _blend(img: np.ndarray, bits: np.ndarray, path, sites, xs, ys, theta, weight
 
 
 def enhance_pixel(
-    image: GrayImage, binary: BinaryImage, p: Point, theta: float, cfg: EnhanceConfig | None = None
+    image: GrayImage, binary: BinaryImage, p: Point, theta: float, cfg: EnhanceConfig = EnhanceConfig()
 ) -> float:
     """Smoothed intensity at ``p`` (pre-rounding); where ``theta`` is not finite, the bilinear sample at ``p``,
     as the image stages pass an undefined pixel through, and NaN outside the raster, as ``sample_bilinear``."""
-    cfg = cfg or EnhanceConfig()
     _check_binary(image, binary)
     xs, ys = (np.array([c], dtype=np.float64) for c in p)
     sample = float(bilinear_many(image.pixels, xs, ys)[0])
@@ -82,12 +82,11 @@ def enhance_pixel(
     return float(_blend(image.pixels, binary.bits, _line_path, None, xs, ys, np.array([theta]), weights)[0])
 
 
-def _enhance(image: GrayImage, binary: BinaryImage, flow: FlowField, path, cfg: EnhanceConfig | None,
+def _enhance(image: GrayImage, binary: BinaryImage, flow: FlowField, path, cfg: EnhanceConfig,
              rounded: bool) -> np.ndarray:
     """Enhanced values of every pixel over the given ``binary``, band by band, with no tap table; with
     ``rounded``, the bytes of ``GrayImage.from_float``, rounded band by band as they are made."""
     _check_binary(image, binary)
-    cfg = cfg or EnhanceConfig()
     img = image.pixels
     weights = gaussian_kernel(cfg.gaussian_sigma, cfg.kernel_half_length)
     out = np.empty(img.shape, np.uint8 if rounded else np.float64)
@@ -131,13 +130,13 @@ def _sweep(image: GrayImage, flow: FlowField, path, bcfg: BinarizeConfig, ecfg: 
 
 
 def enhance_values(
-    image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None = None
+    image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig = EnhanceConfig()
 ) -> np.ndarray:
     """Full-image smoothing before rounding; pass-through where flow is undefined."""
     return _enhance(image, binary, flow, _line_path, cfg, False)
 
 
 def enhance_image(
-    image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig | None = None
+    image: GrayImage, binary: BinaryImage, flow: FlowField, cfg: EnhanceConfig = EnhanceConfig()
 ) -> GrayImage:
     return GrayImage._of_bytes(_enhance(image, binary, flow, _line_path, cfg, True))

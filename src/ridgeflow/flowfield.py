@@ -12,7 +12,7 @@ import numpy as np
 from .image import _check_sizes
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FlowField:
     """Orientation samples on the stride grid of a source image.
 
@@ -38,8 +38,8 @@ class FlowField:
         ang = np.where(val, ang, 0.0)
         ang.setflags(write=False)
         val.setflags(write=False)
-        self.angles = ang
-        self.valid = val
+        object.__setattr__(self, "angles", ang)
+        object.__setattr__(self, "valid", val)
         if self.coherence is not None:
             coh = np.asarray(self.coherence, dtype=np.float64)
             if coh.shape != ang.shape:
@@ -47,7 +47,7 @@ class FlowField:
             if not np.all((coh >= 0.0) & (coh <= 1.0)):
                 raise ValueError("coherence must be finite and lie in [0, 1]")
             coh.setflags(write=False)
-            self.coherence = coh
+            object.__setattr__(self, "coherence", coh)
 
     @property
     def grid_width(self) -> int:

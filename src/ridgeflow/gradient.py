@@ -76,7 +76,7 @@ def _tensor_sums(pixels: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndar
     return out
 
 
-def compute_flow_field_gradient(image: GrayImage, cfg: FlowConfig | None = None) -> FlowField:
+def compute_flow_field_gradient(image: GrayImage, cfg: FlowConfig = FlowConfig()) -> FlowField:
     """Structure-tensor flow on the same stride grid as the projection method, with the settings ``cfg``.
 
     Stored angles are ridge orientations (tensor angle + pi/2). The tensor
@@ -87,7 +87,6 @@ def compute_flow_field_gradient(image: GrayImage, cfg: FlowConfig | None = None)
     """
     if image.width < 3 or image.height < 3:
         raise ValueError(f"image must be at least 3x3 pixels, got {image.width}x{image.height}")
-    cfg = cfg or FlowConfig()
     # before the tensor sums, so the patch variance's prefix sums are freed first
     foreground = patch_variance_grid(image, cfg) >= cfg.background_variance_threshold
     # weights past the image borders only multiply the zero padding

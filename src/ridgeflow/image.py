@@ -28,10 +28,10 @@ class Point(NamedTuple):
 
 
 def _check_sizes(least, message: str, **sizes) -> None:
-    """ValueError naming a size setting that is not an integer, Python's or numpy's (a length, stride or count
-    of 2.5 builds a window, grid or image of no size asked for), and with ``message`` for one below ``least``."""
+    """ValueError naming a size setting that is a bool or not an integer, Python's or numpy's (a length, stride or
+    count of 2.5 or True builds a window, grid or image of no size asked for), and with ``message`` below ``least``."""
     for name, value in sizes.items():
-        if not isinstance(value, (int, np.integer)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise ValueError(message)
@@ -47,7 +47,7 @@ def _two_sigma_squared(sigma: float, name: str) -> float:
     return denom
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GrayImage:
     """Dense 8-bit grayscale raster; ``pixels`` has shape (height, width)."""
 
@@ -63,7 +63,7 @@ class GrayImage:
             raise ValueError("intensities must lie in [0, 255]")
         px = px.astype(np.uint8)
         px.setflags(write=False)
-        self.pixels = px
+        object.__setattr__(self, "pixels", px)
 
     @property
     def width(self) -> int:
@@ -87,7 +87,7 @@ class GrayImage:
         assert px.dtype == np.uint8 and px.ndim == 2 and px.size
         image = cls.__new__(cls)
         px.setflags(write=False)
-        image.pixels = px
+        object.__setattr__(image, "pixels", px)
         return image
 
 
@@ -99,7 +99,7 @@ def _round_bytes(values) -> np.ndarray:
     return np.clip(np.floor(v, out=v), 0.0, 255.0, out=v).astype(np.uint8)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BinaryImage:
     """Dense 1-bit raster; bit 0 marks ridge (dark), 1 valley/background."""
 
@@ -115,7 +115,7 @@ class BinaryImage:
         if b.max(initial=0) > 1:
             raise ValueError("bits must be 0 or 1")
         b.setflags(write=False)
-        self.bits = b
+        object.__setattr__(self, "bits", b)
 
     @classmethod
     def _of_bits(cls, bits: np.ndarray) -> "BinaryImage":
@@ -123,7 +123,7 @@ class BinaryImage:
         assert bits.dtype == np.uint8 and bits.ndim == 2 and bits.size
         binary = cls.__new__(cls)
         bits.setflags(write=False)
-        binary.bits = bits
+        object.__setattr__(binary, "bits", bits)
         return binary
 
     @property

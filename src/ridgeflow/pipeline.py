@@ -8,7 +8,7 @@ iteration. Binarization happens before enhancement inside an iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +25,15 @@ PATHS = {"linear": _line_path, "contour": _trace_path}  # the sampling path of e
 FLOW_METHODS = ("projection", "gradient")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """Frozen, as each stage's settings are: a variant is made with ``dataclasses.replace``, which checks it again."""
     iterations: int = 2
     path_mode: str = "linear"
     flow_method: str = "projection"
-    flow: FlowConfig = field(default_factory=FlowConfig)
-    binarize: BinarizeConfig = field(default_factory=BinarizeConfig)
-    enhance: EnhanceConfig = field(default_factory=EnhanceConfig)
+    flow: FlowConfig = FlowConfig()
+    binarize: BinarizeConfig = BinarizeConfig()
+    enhance: EnhanceConfig = EnhanceConfig()
 
     def __post_init__(self):
         _check_sizes(1, "iterations must be >= 1", iterations=self.iterations)
@@ -71,17 +72,15 @@ def _flow_for(image: GrayImage, cfg: PipelineConfig) -> FlowField:
     return (compute_flow_field if cfg.flow_method == "projection" else compute_flow_field_gradient)(image, cfg.flow)
 
 
-def run_iteration(image: GrayImage, cfg: PipelineConfig | None = None) -> tuple[FlowField, BinaryImage, GrayImage]:
+def run_iteration(image: GrayImage, cfg: PipelineConfig = PipelineConfig()) -> tuple[FlowField, BinaryImage, GrayImage]:
     """One pass: flow, then binarize with it and enhance the input image, in one shared sweep."""
-    cfg = cfg or PipelineConfig()
     flow = _flow_for(image, cfg)
     bits, enhanced = _sweep(image, flow, PATHS[cfg.path_mode], cfg.binarize, cfg.enhance)
     return flow, BinaryImage._of_bits(bits), GrayImage._of_bytes(enhanced)
 
 
-def run_pipeline(image: GrayImage, cfg: PipelineConfig | None = None) -> PipelineResult:
+def run_pipeline(image: GrayImage, cfg: PipelineConfig = PipelineConfig()) -> PipelineResult:
     """Run ``cfg.iterations`` passes, feeding each enhanced image onward."""
-    cfg = cfg or PipelineConfig()
     records = []
     current = image
     for _ in range(cfg.iterations):
@@ -116,10 +115,9 @@ class ComparisonReport:
 def compare_methods(
     image: GrayImage,
     truth: FlowField | None = None,
-    cfg: PipelineConfig | None = None,
+    cfg: PipelineConfig = PipelineConfig(),
     interior_margin: float | None = None,
 ) -> ComparisonReport:
-    cfg = cfg or PipelineConfig()
     if interior_margin is not None and not math.isfinite(interior_margin):
         raise ValueError(f"interior_margin must be finite, got {interior_margin}")
     if truth is not None:  # before the two flows, which are the costly part

@@ -49,7 +49,7 @@ _STAT_OFFSET = (1.0 - 3.0**-0.5) / 2.0
 _MAP_BAND_PIXELS = 32768
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowConfig:
     """The settings of both flow methods, ``compute_flow_field`` and ``compute_flow_field_gradient``.
 
@@ -65,7 +65,8 @@ class FlowConfig:
     background threshold too, and three settings of its own: the tensor
     window's half size ``gradient_window_half``, its Gaussian weight sigma
     ``gradient_weight_sigma`` (None for uniform weights), and the coherence
-    below which a site is invalid, ``coherence_threshold``.
+    below which a site is invalid, ``coherence_threshold``. Frozen: a variant
+    is made with ``dataclasses.replace``, which checks it again.
     """
 
     tangent_half_length: int = 8
@@ -394,9 +395,8 @@ def patch_variance_grid(image: GrayImage, cfg: FlowConfig) -> np.ndarray:
     return np.maximum(patch_sums(True) / n - mean * mean, 0.0)
 
 
-def compute_flow_field(image: GrayImage, cfg: FlowConfig | None = None) -> FlowField:
+def compute_flow_field(image: GrayImage, cfg: FlowConfig = FlowConfig()) -> FlowField:
     """Dominant orientation on the stride grid, background sites invalid."""
-    cfg = cfg or FlowConfig()
     min_dim = 2 * (cfg.tangent_half_length + cfg.perp_half_length)
     if image.width < min_dim or image.height < min_dim:
         raise ValueError(

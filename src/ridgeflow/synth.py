@@ -42,13 +42,14 @@ def seeded_normals(seed: int, count: int) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters of a generated ridge pattern.
 
     ``orientation`` is the direction ridges run along (parallel pattern only).
     Intensity pre-noise is offset + amplitude * cos(...), so with the defaults
     the pattern spans the full 8-bit range. Dark troughs are the "ridges".
+    Frozen: a variant is made with ``dataclasses.replace``, which checks it again.
     """
 
     width: int

@@ -134,16 +134,6 @@ def _traces(h, flow: rf.FlowField, width: int, height: int) -> None:
         h.update(f"trace {seed} {bounds} {path.seed_index} {[(q.x, q.y) for q in path.points]!r}".encode())
 
 
-def _gradient_flow(image: rf.GrayImage, stride: int, half: int, sigma: float | None) -> rf.FlowField:
-    """The gradient flow with the tensor window (``half``, ``sigma``) at ``stride``; from a source whose
-    ``FlowConfig`` has no window settings, by its keywords, so one script takes the digest of either."""
-    try:
-        cfg = rf.FlowConfig(stride=stride, gradient_window_half=half, gradient_weight_sigma=sigma)
-    except TypeError:
-        return rf.compute_flow_field_gradient(image, rf.FlowConfig(stride=stride), half, sigma)
-    return rf.compute_flow_field_gradient(image, cfg)
-
-
 def _banded(h) -> None:
     width, height = BANDED_SIZE
     for pattern in ("parallel", "concentric"):
@@ -155,7 +145,8 @@ def _banded(h) -> None:
         _flow(h, rf.compute_flow_field(image))
         for stride, (half, sigma) in itertools.product(STRIDES, GRADIENT_WINDOWS):
             h.update(f"gradient stride {stride} window {half} sigma {sigma}".encode())
-            _flow(h, _gradient_flow(image, stride, half, sigma))
+            cfg = rf.FlowConfig(stride=stride, gradient_window_half=half, gradient_weight_sigma=sigma)
+            _flow(h, rf.compute_flow_field_gradient(image, cfg))
     width, height = DEEP_SIZE
     spec = rf.SyntheticSpec(width=width, height=height, pattern="parallel", orientation=3 * math.pi / 4,
                             noise_sigma=40.0, rng_seed=7)

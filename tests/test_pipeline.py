@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -44,6 +46,62 @@ class TestConfig:
         assert cfg.gradient_weight_sigma is None
 
 
+# one instance of each settings class and each data value
+FROZEN = {
+    "FlowConfig": rf.FlowConfig,
+    "BinarizeConfig": rf.BinarizeConfig,
+    "EnhanceConfig": rf.EnhanceConfig,
+    "PipelineConfig": rf.PipelineConfig,
+    "SyntheticSpec": lambda: rf.SyntheticSpec(width=16, height=12),
+    "GrayImage": lambda: rf.GrayImage(np.zeros((4, 5), dtype=np.uint8)),
+    "BinaryImage": lambda: rf.BinaryImage(np.ones((4, 5), dtype=np.uint8)),
+    "FlowField": lambda: rf.FlowField(np.zeros((3, 3)), np.ones((3, 3), dtype=bool), 2, coherence=np.ones((3, 3))),
+}
+SETTINGS = (rf.FlowConfig, rf.BinarizeConfig, rf.EnhanceConfig, rf.PipelineConfig)
+ENTRY_POINTS = (rf.compute_flow_field, rf.compute_flow_field_gradient, rf.binarize_pixel, rf.binarize_image,
+                rf.enhance_pixel, rf.enhance_values, rf.enhance_image, rf.binarize_image_contour,
+                rf.contour_enhance_values, rf.enhance_image_contour, rf.run_iteration, rf.run_pipeline,
+                rf.compare_methods)
+
+
+class TestFrozen:
+    @pytest.mark.parametrize("make", FROZEN.values(), ids=FROZEN.keys())
+    def test_assigning_any_field_raises(self, make):
+        made = make()
+        for f in dataclasses.fields(made):
+            before = getattr(made, f.name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(made, f.name, before)
+            assert getattr(made, f.name) is before
+
+    def test_a_value_cannot_be_set_after_it_is_checked(self):
+        # each assignment was accepted, and the call after it raised ZeroDivisionError, gave an all-invalid
+        # flow, a result with no records, smoothed with an unchecked kernel or read 1000x intensities
+        image, truth = rf.generate(rf.SyntheticSpec(width=40, height=40, noise_sigma=20.0, rng_seed=1))
+        flow_cfg, pipe_cfg, enh_cfg = rf.FlowConfig(), rf.PipelineConfig(iterations=1), rf.EnhanceConfig()
+        for made, name, value in ((flow_cfg, "stride", 0), (flow_cfg, "gradient_window_half", -1),
+                                  (pipe_cfg, "iterations", 0), (enh_cfg, "kernel_half_length", 1),
+                                  (truth, "stride", 0), (image, "pixels", image.pixels.astype(float) * 1000)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(made, name, value)
+        assert rf.compute_flow_field(image, flow_cfg).valid.any()
+        assert rf.compute_flow_field_gradient(image, flow_cfg).valid.any()
+        assert len(rf.run_pipeline(image, pipe_cfg).records) == 1
+        assert rf.binarize_image(image, truth).bits.shape == (40, 40)
+        assert image.pixels.dtype == np.uint8
+        # a variant is a new instance, checked as it is made
+        with pytest.raises(ValueError, match="^stride must be >= 1$"):
+            dataclasses.replace(flow_cfg, stride=0)
+        with pytest.raises(ValueError, match="^iterations must be >= 1$"):
+            dataclasses.replace(pipe_cfg, iterations=0)
+        assert dataclasses.replace(flow_cfg, stride=3) == rf.FlowConfig(stride=3)
+
+    @pytest.mark.parametrize("entry_point", ENTRY_POINTS, ids=lambda fn: fn.__name__)
+    def test_every_entry_point_defaults_to_a_settings_instance(self, entry_point):
+        default = inspect.signature(entry_point).parameters["cfg"].default
+        assert type(default) in SETTINGS and default == type(default)()
+
+
 def _uniform_flow(stride=2):
     return rf.FlowField(np.full((8, 8), 0.5), np.ones((8, 8), dtype=bool), stride)
 
@@ -68,9 +126,10 @@ def _uniform_flow(stride=2):
 ])
 def test_non_integer_size_setting_is_rejected(name, bad, call):
     # a half length, stride, count or side of x.5 built a window, grid or image of neither neighbouring size,
-    # or failed later with an IndexError or TypeError
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
-        call(bad)
+    # or failed later with an IndexError or TypeError; True, an int to isinstance, built one of size 1
+    for value in (bad, True):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+            call(value)
     call(np.int64(math.ceil(bad)))  # numpy integers pass
 
 
