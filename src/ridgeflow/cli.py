@@ -1,7 +1,7 @@
 """Command-line frontend: flow, binarize, enhance, pipeline, compare, synth, viz.
 
 Exit status: 0 on success, 1 on usage errors (usage text on stderr), 2 on
-runtime/data errors. Flag defaults are those of ``PipelineConfig()`` and, for
+runtime/data errors, running out of memory among them. Flag defaults are those of ``PipelineConfig()`` and, for
 ``synth``, ``SyntheticSpec``. ``--print-config`` dumps the effective flag
 values as a sorted key=value listing and exits without running the subcommand.
 """
@@ -294,6 +294,9 @@ def run_cli(argv: list[str]) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as err:
         print(f"ridgeflow {args.command}: error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:  # numpy names the allocation it could not make
+        print(f"ridgeflow {args.command}: error: out of memory{f': {err}' if str(err) else ''}", file=sys.stderr)
         return 2
 
 

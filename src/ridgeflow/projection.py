@@ -8,13 +8,14 @@ the minimum over the full segment and its two halves, which keeps the
 statistic meaningful where a ridge ends inside the window.
 
 One evaluator computes the statistic: it rotates the image per candidate
-angle so all segments become axis-aligned runs. It reads only the columns
-of the canvas its queried sites read, and rotates their rows one band at a
-time, each row once, straight into column prefix sums of the rotated values
-and squared values; from these it takes the perpendicular deviations of
-only the rows the sites fall on, and each site reads its tangent mean from
-its own row of them. Per angle it holds one band of rotated rows, prefix
-sums and deviations, never a whole rotated window or mean-deviation map.
+angle so all segments become axis-aligned runs. The rotated samples are
+rounded to multiples of 1/256, so their column sums are exact, and each
+band of site rows rotates only the rows and columns its own sites read
+straight into column prefix sums of the values and squared values, which
+start at zero; from these it takes the perpendicular deviations of only
+the rows the sites fall on, and each site reads its tangent mean from its
+own row of them. Per angle it holds one band of rotated rows, prefix sums
+and deviations, never a whole rotated window or mean-deviation map.
 The search asks for each distinct candidate angle once and keeps only each
 site's running optimum, so no table of angles by sites exists either.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flowfield import FlowField, _grid_sites
-from .image import GrayImage, RotationFrame, _check_sizes, _two_sigma_squared, band_rows, rotate_raster
+from .image import GrayImage, RotationFrame, _check_sizes, _two_sigma_squared, rotate_raster
 
 # Variances below this are floating-point dust from interpolation; treating
 # them as exact zeros keeps argmin ties deterministic on flat regions.
@@ -42,10 +43,12 @@ _VAR_EPS = 1e-9
 # smoothing, so every candidate angle plays by the same rules.
 _STAT_OFFSET = (1.0 - 3.0**-0.5) / 2.0
 
-# Map pixels per band of ``_site_mean_deviations``. Each band recomputes s
+# Map pixels per band of ``_site_mean_deviations``. Each band rotates and
+# sums the 2s canvas rows above its first site row again and recomputes s
 # rows of half-span deviations, so its bands are larger than the image
-# stages': at 512x512 a map took about 37 ms in bands of 32768 or 65536
-# pixels, 44 ms in bands of 8192 and 55 ms in one pass.
+# stages': a 512x512 flow took about 0.37 s on parallel and 0.57 s on
+# concentric ridges in bands of 32768 pixels, 0.60 and 0.73 s in bands of
+# 16384, and 0.46 and 0.61 s in bands of 65536, which peak 2.4 MiB higher.
 _MAP_BAND_PIXELS = 32768
 
 
@@ -130,67 +133,38 @@ def _span_deviation(n: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray
 
 
 def _site_mean_deviations(
-    read_rows, shape: tuple[int, int], cfg: FlowConfig, row: np.ndarray, col: np.ndarray, work: dict[str, np.ndarray]
+    read, shape: tuple[int, int], cfg: FlowConfig, row: np.ndarray, col: np.ndarray, work: dict[str, np.ndarray]
 ) -> np.ndarray:
     """Mean deviation at the map sites (``row``, ``col``) of a canvas, NaN where undefined.
 
-    The canvas has ``shape``, and ``read_rows(a, b)`` returns the values of
-    its rows a .. b - 1, NaN where a sample has no value. Map row r,
-    column c is the site (c - t, r - s) of the canvas, so the map covers
-    every site whose window touches the canvas. Perpendicular spans are
-    vertical runs clipped to the canvas rows, read as row-shifted slices of
-    column prefix sums; the upper half span of a row is the lower half span
-    of the row s below it. A site's tangent mean adds the 2t+1 span
-    deviations of its row at columns c - 2t .. c in order, read at the site
-    alone; a NaN span deviation, or a column off the canvas, adds no tap.
+    The canvas has ``shape``, and ``read(rows, cols)`` returns the values of
+    its rows and columns in those two slices, NaN where a sample has no
+    value. Map row r, column c is the site (c - t, r - s) of the canvas, so
+    the map covers every site whose window touches the canvas.
+    Perpendicular spans are vertical runs clipped to the canvas rows, read
+    as row-shifted slices of column prefix sums; the upper half span of a
+    row is the lower half span of the row s below it. A site's tangent mean
+    adds the 2t+1 span deviations of its row at columns c - 2t .. c in
+    order, read at the site alone; a NaN span deviation, or a column off the
+    canvas, adds no tap.
 
-    The prefix rows advance one band of map rows at a time, down to the
-    band of the last site, and each advance reads the canvas rows of its
-    band with one ``read_rows`` call and adds them one row at a time, as
-    ``np.cumsum`` does, after the last 2s + 1 prefix rows before them. The
-    span deviations are built only in bands where a site falls, each
-    trimmed to its first..last site row. So every value has the bytes of
-    the whole-canvas map, every canvas row is read and summed once, and no
-    read is taller than a band, nor the prefix buffer than a band and
-    2s + 1 rows. Nothing is canvas-sized; the prefix buffer lives in
-    ``work["prefix"]`` for the next call, grown as needed.
+    Each sample is rounded to a multiple of 1/256 as it is read, so a value
+    has at most 16 significant bits and a square 32, and every column sum
+    over fewer than 2**21 rows is exact: a span's sums have the same bytes
+    wherever its prefix sums start. So the sites are taken in bands of map
+    rows r0 .. r1 - 1, each at most a map band tall and ended where the next
+    site row lies more than 2s + 1 rows on, and each band reads only the
+    canvas rows r0 - 2s .. r1 - 1 and the columns min c - 2t .. max c of its
+    own sites, in one ``read`` call, and sums them from zero. No rows that no
+    site's spans need are read, and nothing is canvas-sized; the prefix
+    planes live in ``work["prefix"]`` for the next call, grown as needed.
     """
     t = cfg.tangent_half_length
     s = cfg.perp_half_length
     h, w = shape
-    k = 2 * s + 1
     out = np.full(row.shape, np.nan)
-    if row.size == 0:
-        return out
     order = np.argsort(row, kind="stable")  # the sites in row order; no sorted copy of their rows is made
-    # the prefix rows of counts, values and squares at a band's first row .. 2s below it: row j sums canvas rows
-    # [0, j - 2s), clipped
-    carry = np.zeros((3, k, w))
-
-    def advance(rows: slice) -> np.ndarray:
-        """Prefix rows rows.start .. rows.stop + 2s, from the carried rows and the canvas rows of ``rows``."""
-        shape = (3, k + rows.stop - rows.start, w)
-        size = math.prod(shape)
-        if "prefix" not in work or work["prefix"].size < size:
-            work["prefix"] = None  # free the smaller buffer before allocating its successor
-            work["prefix"] = np.empty(size)
-        p = work["prefix"][:size].reshape(shape)
-        p[:, :k] = carry
-        n = max(min(rows.stop, h) - rows.start, 0)
-        if n:
-            v = p[1, k : k + n]
-            v[...] = read_rows(rows.start, rows.start + n)
-            # zeroed here, not in the rows read, which the caller may still hold
-            nan = np.isnan(v)
-            np.copyto(v, 0.0, where=nan)
-            p[0, k : k + n] = np.logical_not(nan, out=nan)
-            np.multiply(v, v, out=p[2, k : k + n])
-        p[:, k + n :] = 0.0
-        # row by row: the sequential sums of np.cumsum(p, axis=1), which is slower along a middle axis
-        for j in range(k, p.shape[1]):
-            np.add(p[:, j - 1], p[:, j], out=p[:, j])
-        carry[...] = p[:, -k:]
-        return p
+    step = max(1, _MAP_BAND_PIXELS // (w + 2 * t))
 
     def runs(p: np.ndarray, length: int, n: int) -> np.ndarray:
         """Deviations of the runs of ``length`` rows from each of the first ``n`` rows of ``p``."""
@@ -198,32 +172,59 @@ def _site_mean_deviations(
         return _span_deviation(d[0], d[1], d[2]).copy()  # a copy, so the count and sum planes go
 
     lo = 0
-    for band in band_rows(w + 2 * t, int(row[order[-1]]) + 1, _MAP_BAND_PIXELS):
-        p = advance(band)
-        hi = int(np.searchsorted(row, band.stop, sorter=order))
-        if hi == lo:
-            continue  # no site: the band only carries its prefix rows on
-        r0, r1 = int(row[order[lo]]), int(row[order[hi - 1]]) + 1
-        p = p[:, r0 - band.start :]
+    while lo < row.size:
+        r0 = int(row[order[lo]])
+        hi = int(np.searchsorted(row, r0 + step, sorter=order))
+        gap = np.flatnonzero(np.diff(row[order[lo:hi]]) > 2 * s + 1)
+        if gap.size:
+            hi = lo + int(gap[0]) + 1
+        sites = order[lo:hi]
+        lo = hi
+        r1 = int(row[sites[-1]]) + 1
+        c0, c1 = int(col[sites].min()) - 2 * t, int(col[sites].max()) + 1
+        rows, cols = slice(max(r0 - 2 * s, 0), min(r1, h)), slice(max(c0, 0), min(c1, w))
+        # prefix row i sums canvas rows r0 - 2s .. r0 - 2s + i - 1, clipped; the rows read are its rows a .. b - 1
+        planes = (3, r1 - r0 + 2 * s + 1, cols.stop - cols.start)
+        size = math.prod(planes)
+        if "prefix" not in work or work["prefix"].size < size:
+            work["prefix"] = None  # free the smaller buffer before allocating its successor
+            work["prefix"] = np.empty(size)
+        p = work["prefix"][:size].reshape(planes)
+        a = rows.start - (r0 - 2 * s) + 1
+        b = a + rows.stop - rows.start
+        p[:, :a] = 0.0
+        v = p[1, a:b]
+        v[...] = read(rows, cols)
+        v *= 256.0
+        np.rint(v, out=v)
+        v *= 1.0 / 256.0
+        # zeroed here, not in the rows read, which the caller may still hold
+        nan = np.isnan(v)
+        np.copyto(v, 0.0, where=nan)
+        p[0, a:b] = np.logical_not(nan, out=nan)
+        np.multiply(v, v, out=p[2, a:b])
+        # row by row: np.cumsum(p, axis=1) is slower along a middle axis
+        for j in range(a, b):
+            np.add(p[:, j - 1], p[:, j], out=p[:, j])
+        p[:, b:] = p[:, b - 1 : b]
         sig = runs(p, 2 * s + 1, r1 - r0)
         if cfg.use_half_line_rule:
             half = runs(p, s + 1, r1 - r0 + s)
             np.fmin(sig, half[: r1 - r0], out=sig)
             np.fmin(sig, half[s:], out=sig)
             del half
-        # the span deviations, each row padded by 2t NaN columns a side
-        padded = np.full((r1 - r0, w + 4 * t), np.nan)
-        padded[:, 2 * t : 2 * t + w] = sig
+        # the span deviations of canvas columns c0 .. c1 - 1, NaN off the canvas
+        padded = np.full((r1 - r0, c1 - c0), np.nan)
+        padded[:, cols.start - c0 : cols.stop - c0] = sig
         del sig
-        sites = order[lo:hi]
-        at_site = np.ravel_multi_index((row[sites] - r0, col[sites]), padded.shape)
+        at_site = np.ravel_multi_index((row[sites] - r0, col[sites] - 2 * t - c0), padded.shape)
         # the whole map's sum of shifted slices, 0.0 + tap 0 + tap 1 + ..., at the sites alone, a NaN tap
         # adding 0.0 and leaving the count; every index is in range, and mode="clip" skips the copy that
         # ``take`` makes for ``out`` by default
-        total = np.zeros(hi - lo)
-        count = np.full(hi - lo, 2 * t + 1, dtype=np.intp)
-        tap = np.empty(hi - lo)
-        nan = np.empty(hi - lo, dtype=bool)
+        total = np.zeros(len(sites))
+        count = np.full(len(sites), 2 * t + 1, dtype=np.intp)
+        tap = np.empty(len(sites))
+        nan = np.empty(len(sites), dtype=bool)
         for _ in range(2 * t + 1):
             np.isnan(padded.ravel().take(at_site, out=tap, mode="clip"), out=nan)
             count -= nan
@@ -233,7 +234,6 @@ def _site_mean_deviations(
         vals = np.divide(total, np.maximum(count, 1), out=total)
         np.copyto(vals, np.nan, where=count == 0)
         out[sites] = vals
-        lo = hi
     return out
 
 
@@ -257,16 +257,14 @@ class RotatedDeviationEvaluator:
     rotated lattice site comes from prefix sums of values and squared
     values. Grid sites are snapped to the nearest rotated lattice point of
     the whole canvas, so results match sampling the source along every
-    segment up to sub-pixel resampling. Each call reads only the columns
-    within t of a site, and rows from the top of the canvas, where the
-    prefix sums start, to s below the last site. It rotates those rows one
-    map band at a time, in one read per band, as the prefix sums take them
-    in, reads the band's sites and drops the rows; no rotated window, map
-    or table is kept, per band or per angle. A read gives only values, NaN
-    where a sample maps from outside the image. The prefix buffer is private
-    and sized to the largest band seen, since allocating it afresh for
-    every angle makes the allocator return its pages to the system and
-    fault them in again.
+    segment up to sub-pixel resampling and the rounding of each sample to
+    a multiple of 1/256. Each band of site rows rotates, in one read, only
+    the rows and columns its own sites' segments cover, reads its sites and
+    drops the rows; no rotated window, map or table is kept, per band or
+    per angle. A read gives only values, NaN where a sample maps from
+    outside the image. The prefix buffer is private and sized to the
+    largest band seen, since allocating it afresh for every angle makes the
+    allocator return its pages to the system and fault them in again.
     """
 
     def __init__(self, image: GrayImage, cfg: FlowConfig):
@@ -290,14 +288,10 @@ class RotatedDeviationEvaluator:
             row, col = row[inside], col[inside]
         if row.size == 0:
             return np.full(inside.shape, np.nan)
-        # map row r reads canvas rows up to r, map column c canvas columns c - 2t .. c
-        cols = range(w)[max(int(col.min()) - 2 * t, 0) : int(col.max()) + 1]
+        def read(rows: slice, cols: slice) -> np.ndarray:
+            return rotate_raster(self._img, float(alpha), offset, (rows, cols)).values
 
-        def read_rows(a: int, b: int) -> np.ndarray:
-            return rotate_raster(self._img, float(alpha), offset, (slice(a, b), slice(cols.start, cols.stop))).values
-
-        col -= cols.start
-        mu = _site_mean_deviations(read_rows, (h, len(cols)), self._cfg, row, col, self._work)
+        mu = _site_mean_deviations(read, (h, w), self._cfg, row, col, self._work)
         if not cut:
             return mu
         out = np.full(inside.shape, np.nan)

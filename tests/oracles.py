@@ -656,12 +656,18 @@ def _prefix_span_deviation(n: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.
     return np.where(n >= 2, np.sqrt(var), np.nan)
 
 
+def quantized(values: np.ndarray) -> np.ndarray:
+    """Rotated samples rounded to multiples of 1/256, as the search reads them, so its column sums are exact."""
+    return np.rint(values * 256.0) * (1.0 / 256.0)
+
+
 class PerSitePrefixEvaluator:
     """Per-site prefix-sum evaluator, the reference for the dense-map fast path.
 
-    Same rotation as ``RotatedDeviationEvaluator``, but every site makes its
-    own 2t+1 column lookups, each taking up to three span statistics from the
-    column prefix sums of counts, values and squared values.
+    Same rotation and sample rounding as ``RotatedDeviationEvaluator``, but
+    every site makes its own 2t+1 column lookups, each taking up to three
+    span statistics from the column prefix sums of counts, values and
+    squared values.
     """
 
     def __init__(self, image: rf.GrayImage, cfg: rf.FlowConfig):
@@ -672,7 +678,7 @@ class PerSitePrefixEvaluator:
         cfg = self._cfg
         rr = reference_rotate_raster(self._img, float(alpha), (_STAT_OFFSET, _STAT_OFFSET))
         h, w = rr.values.shape
-        v = np.where(rr.valid, rr.values, 0.0)
+        v = quantized(np.where(rr.valid, rr.values, 0.0))
         pn = np.zeros((h + 1, w))
         p1 = np.zeros((h + 1, w))
         p2 = np.zeros((h + 1, w))
@@ -708,6 +714,39 @@ class PerSitePrefixEvaluator:
         return np.where(sig_cnt > 0, sig_sum / np.maximum(sig_cnt, 1), np.nan)
 
 
+def check_band_reads(reads, row, col, shape: tuple[int, int], cfg: rf.FlowConfig,
+                     band_pixels: int = _MAP_BAND_PIXELS) -> None:
+    """Assert how ``projection._site_mean_deviations`` read the canvas of ``shape`` for the map sites (``row``, ``col``).
+
+    ``reads`` holds the (rows, columns) slice pair of each read. A site at
+    map row r, column c needs the canvas rows r - 2s .. r and columns
+    c - 2t .. c, clipped. Each read is at most a map band and 2s rows tall,
+    spans exactly the rows its sites need (the sites whose rows lie inside
+    it) and no column outside theirs; every site is served by a read; and
+    no canvas row that no site needs is read.
+    """
+    t, s = cfg.tangent_half_length, cfg.perp_half_length
+    h, w = shape
+    row, col = np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64)
+    r0, r1 = np.maximum(row - 2 * s, 0), np.minimum(row + 1, h)
+    c0, c1 = np.maximum(col - 2 * t, 0), np.minimum(col + 1, w)
+    needed = np.zeros(h + 1, dtype=np.int64)
+    np.add.at(needed, r0, 1)
+    np.add.at(needed, r1, -1)
+    needed = np.cumsum(needed[:h]) > 0
+    served = np.zeros(row.size, dtype=bool)
+    step = max(1, band_pixels // (w + 2 * t))
+    for rows, cols in reads:
+        assert 0 < rows.stop - rows.start <= step + 2 * s, (rows, step, s)
+        mine = (r0 >= rows.start) & (r1 <= rows.stop)
+        assert mine.any(), rows
+        assert (rows.start, rows.stop) == (r0[mine].min(), r1[mine].max()), rows
+        assert c0[mine].min() <= cols.start < cols.stop <= c1[mine].max(), cols
+        assert needed[rows].all(), rows
+        served |= mine & (c0 >= cols.start) & (c1 <= cols.stop)
+    assert served.all()
+
+
 # ---------------------------------------------------------------------------
 # The offset-major search with a per-angle map cache, kept verbatim as the
 # reference for the angle-major, cache-free search in ``projection``. The
@@ -716,7 +755,8 @@ class PerSitePrefixEvaluator:
 
 
 def reference_mean_deviation_map(rr, cfg: rf.FlowConfig) -> np.ndarray:
-    """Whole-canvas mean-deviation map, built in bands of map rows."""
+    """Whole-canvas mean-deviation map of the rounded samples, built in bands of map rows from
+    prefix sums that start at the canvas top."""
     t = cfg.tangent_half_length
     s = cfg.perp_half_length
     h, w = rr.values.shape
@@ -729,7 +769,8 @@ def reference_mean_deviation_map(rr, cfg: rf.FlowConfig) -> np.ndarray:
         p[2 * s + 1 + h :] = p[2 * s + h]
         return p
 
-    pn, p1, p2 = prefix(rr.valid), prefix(rr.values), prefix(rr.values * rr.values)
+    v = quantized(rr.values)
+    pn, p1, p2 = prefix(rr.valid), prefix(v), prefix(v * v)
 
     def runs(length: int, r0: int, r1: int) -> np.ndarray:
         """Deviations of the runs of ``length`` rows from canvas rows r0-2s .. r1-2s-1."""

@@ -16,8 +16,8 @@ parallel and a concentric image large enough that every coarse angle's map
 spans several row bands, with gradient flows of both at strides 1-3 and
 four window settings, whose tensor sums span several bands of site rows,
 and a projection flow of an image whose sites all lie below its
-flat top, so the search reads the site-free canvas rows above them in
-band-sized chunks; then the files and standard output of a set of CLI
+flat top, so the search's first band of sites starts far below the canvas
+top; then the files and standard output of a set of CLI
 runs, each path of binarize and enhance among them. There is no golden
 value: float bytes may differ across platforms and library builds, so the
 script prints numpy's version and the CPU dispatch targets it runs with to
@@ -48,9 +48,10 @@ STRIDES = (1, 2, 3)
 # binarize half longer than the enhance half, and both short
 HALF_LENGTHS = ((4, 9, 3.0), (6, 4, 2.0), (1, 2, 1.0))
 PATTERNS = ("parallel", "concentric", "half_plane_stripe")
-# Every coarse angle's map at this size spans two to four bands of
-# ``projection._MAP_BAND_PIXELS`` (most fine angles' maps two or more), so a
-# slip where one band hands over to the next changes the digest.
+# Every coarse angle's sites at this size span two to four bands of
+# ``projection._MAP_BAND_PIXELS`` (most fine angles' sites two or more), so a
+# slip in the 2s canvas rows that neighbouring bands both read changes the
+# digest.
 BANDED_SIZE = (256, 200)
 # (window half, weight sigma) of the gradient flows of the banded images: the
 # defaults, the centre tap alone, uniform weights, and a wide window whose
@@ -58,7 +59,7 @@ BANDED_SIZE = (256, 200)
 # size take seven bands of ``image.BAND_PIXELS`` sites.
 GRADIENT_WINDOWS = ((8, 4.0), (0, 4.0), (3, None), (12, 0.3))
 # Ridges at 3pi/4 under 200 flat rows: the fine calls, near pi/4, begin two
-# or more map bands below the canvas top.
+# or more map bands below the canvas top, and read none of the rows above.
 DEEP_SIZE, DEEP_FLAT_ROWS = (256, 320), 200
 
 

@@ -139,6 +139,25 @@ class TestExitCodes:
         assert "noise_sigma must be finite" in capsys.readouterr().err
         assert not syn.exists()
 
+    @pytest.mark.parametrize("argv, stage, error, message", [
+        (["pipeline", "IN", "--kernel-half", "100000000", "--out-prefix", "OUT/"], "run_pipeline",
+         MemoryError("Unable to allocate 5.96 TiB for an array with shape (2, 200000001, 4096) and data type float64"),
+         "ridgeflow pipeline: error: out of memory: Unable to allocate 5.96 TiB"),
+        (["synth", "--out", "OUT.pgm", "--width", "100000", "--height", "100000"], "generate", MemoryError(),
+         "ridgeflow synth: error: out of memory\n"),
+    ], ids=["pipeline", "synth"])
+    def test_out_of_memory_is_data_error(self, sample, tmp_path, capsys, monkeypatch, argv, stage, error, message):
+        # the stage raises as a huge allocation would; no test allocates one
+        def out_of_memory(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(f"ridgeflow.cli.{stage}", out_of_memory)
+        img_path, _ = sample
+        argv = [str(img_path) if a == "IN" else a.replace("OUT", str(tmp_path / "out")) for a in argv]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("argv, message", [
         (["flow", "IN", "--coarse-step-denom", "0"], "--coarse-step-denom must be nonzero"),
         (["flow", "IN", "--fine-step-denom", "0"], "--fine-step-denom must be nonzero"),

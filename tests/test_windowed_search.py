@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import ridgeflow as rf
 import ridgeflow.projection as rproj
-from ridgeflow.image import rotate_raster
+from ridgeflow.image import RotationFrame, rotate_raster
 
-from oracles import CachedRotatedEvaluator, canvas, reference_mean_deviation_map, reference_rotate_raster
+from oracles import (CachedRotatedEvaluator, canvas, check_band_reads, reference_mean_deviation_map,
+                     reference_rotate_raster)
 
 ANGLES = st.one_of(
     st.sampled_from([0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi - 1e-12]),
@@ -66,17 +67,17 @@ def _image(size=96):
 def test_any_site_subset_reads_the_cached_whole_canvas_map(seed, n_sites, angle, tangent, perp, half_rule,
                                                            band_pixels):
     # Small map bands put sparse sites in several bands with site-free rows
-    # between them, so the carried prefix rows and the folded gaps are read.
+    # between them, so each band's prefix sums start at its own first row.
     img = _image(48)
     cfg = rf.FlowConfig(tangent_half_length=tangent, perp_half_length=perp, use_half_line_rule=half_rule)
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, img.width, n_sites).astype(np.float64)
     ys = rng.integers(0, img.height, n_sites).astype(np.float64)
-    rows = []
+    windows = []
     rotate = rproj.rotate_raster
 
     def recording_rotate(values, angle, offset, window):
-        rows.extend(range(window[0].start, window[0].stop))
+        windows.append(window)
         return rotate(values, angle, offset, window)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -85,11 +86,17 @@ def test_any_site_subset_reads_the_cached_whole_canvas_map(seed, n_sites, angle,
         got = rf.RotatedDeviationEvaluator(img, cfg).mean_deviation(angle, xs, ys)
     want = CachedRotatedEvaluator(img, cfg).mean_deviation(angle, xs, ys)
     assert got.tobytes() == want.tobytes()
-    # each canvas row is rotated at most once, in order: the prefix sums take rows from the top
-    assert rows == list(range(len(rows)))
+    # each band reads only the rows and columns its own sites need
+    frame = RotationFrame.of(img.pixels.shape, angle, (rproj._STAT_OFFSET, rproj._STAT_OFFSET))
+    rx, ry = frame.to_rotated(xs, ys)
+    row = np.floor(ry + 0.5).astype(np.int64) + perp
+    col = np.floor(rx + 0.5).astype(np.int64) + tangent
+    inside = (row >= 0) & (row < frame.shape[0] + 2 * perp) & (col >= 0) & (col < frame.shape[1] + 2 * tangent)
+    check_band_reads(windows, row[inside], col[inside], frame.shape, cfg, band_pixels)
 
 
 def test_one_site_query_rotates_a_window_2t_plus_1_wide(monkeypatch):
+    # and 2s+1 tall: a site near the bottom of a 512x515 image reads no canvas row above its perpendicular
     shapes = []
     rotate = rproj.rotate_raster
 
@@ -99,17 +106,21 @@ def test_one_site_query_rotates_a_window_2t_plus_1_wide(monkeypatch):
         return rr
 
     monkeypatch.setattr(rproj, "rotate_raster", recording_rotate)
-    img = _image()
     cfg = rf.FlowConfig(tangent_half_length=5, perp_half_length=3)
-    ev = rf.RotatedDeviationEvaluator(img, cfg)
-    reference = CachedRotatedEvaluator(img, cfg)
-    t = cfg.tangent_half_length
-    for alpha in cfg.coarse_angles():
-        for x, y in [(0, 0), (48, 50), (95, 98), (0, 98), (95, 0)]:
-            got = ev.mean_deviation(alpha, np.array([float(x)]), np.array([float(y)]))
-            assert got.tobytes() == reference.mean_deviation(alpha, np.array([float(x)]), np.array([float(y)])).tobytes()
-    assert len(shapes) == 5 * len(cfg.coarse_angles())
-    assert max(w for _, w in shapes) <= 2 * t + 1
+    t, s = cfg.tangent_half_length, cfg.perp_half_length
+    for size, points in [(96, [(0, 0), (48, 50), (95, 98), (0, 98), (95, 0)]),
+                         (512, [(0, 0), (256, 257), (511, 514), (0, 514), (511, 0)])]:
+        img = _image(size)
+        ev = rf.RotatedDeviationEvaluator(img, cfg)
+        reference = CachedRotatedEvaluator(img, cfg)
+        shapes.clear()
+        for alpha in cfg.coarse_angles():
+            for x, y in points:
+                xs, ys = np.array([float(x)]), np.array([float(y)])
+                assert ev.mean_deviation(alpha, xs, ys).tobytes() == reference.mean_deviation(alpha, xs, ys).tobytes()
+        assert len(shapes) == 5 * len(cfg.coarse_angles())
+        assert max(w for _, w in shapes) <= 2 * t + 1
+        assert max(h for h, _ in shapes) <= 2 * s + 1
 
 
 def _raster(rng, height, width, invalid_frac):
@@ -124,11 +135,11 @@ def _raster(rng, height, width, invalid_frac):
 
 
 def _read_recorder(values, reads):
-    def read_rows(a, b):
-        reads.append((a, b))
-        return values[a:b]
+    def read(rows, cols):
+        reads.append((rows, cols))
+        return values[rows, cols]
 
-    return read_rows
+    return read
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,13 +172,11 @@ def test_tangent_means_read_at_the_sites_are_the_whole_map(seed, height, width, 
         got = rproj._site_mean_deviations(_read_recorder(values, reads), (height, width), cfg,
                                           row.astype(np.int32), col.astype(np.int32), {})
     assert got.tobytes() == reference_mean_deviation_map(canvas(values), cfg)[row, col].tobytes()
-    # each canvas row read once, in order, and no read longer than a map band
-    rows = [r for a, b in reads for r in range(a, b)]
-    assert rows == list(range(len(rows)))
-    assert all(b - a <= max(1, band_pixels // map_w) for a, b in reads)
+    # each read within its band's rows r0 - 2s .. r1 - 1 and its sites' columns, and no site-free rows
+    check_band_reads(reads, row, col, (height, width), cfg, band_pixels)
 
 
-def test_site_free_rows_before_the_first_band_are_read_in_band_sized_chunks(monkeypatch):
+def test_site_free_rows_before_the_first_band_are_not_read(monkeypatch):
     values = _raster(np.random.default_rng(3), 90, 30, 0.3)
     cfg = rf.FlowConfig(tangent_half_length=3, perp_half_length=2)
     map_w = 30 + 2 * 3
@@ -177,5 +186,7 @@ def test_site_free_rows_before_the_first_band_are_read_in_band_sized_chunks(monk
     reads = []
     got = rproj._site_mean_deviations(_read_recorder(values, reads), (90, 30), cfg, row, col, {})
     assert got.tobytes() == reference_mean_deviation_map(canvas(values), cfg)[row, col].tobytes()
-    # eight site-free bands of ten rows, then the band of map rows 80..89, then the canvas rows left
-    assert reads == [(a, a + 10) for a in range(0, 90, 10)]
+    # the band of map rows 80..87 reads canvas rows 76..87; row 93 lies more than 2s + 1 rows on, so it
+    # starts a band of its own, clipped to canvas row 89; rows 0..75 and row 88 are not read
+    assert [((r.start, r.stop), (c.start, c.stop)) for r, c in reads] == [((76, 88), (0, 30)), ((89, 90), (0, 6))]
+    check_band_reads(reads, row, col, (90, 30), cfg, 10 * map_w)
