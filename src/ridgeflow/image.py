@@ -111,9 +111,9 @@ class BinaryImage:
             raise ValueError("bits must be a 2-D array with positive dimensions")
         if not np.issubdtype(b.dtype, np.integer) and b.dtype != np.bool_:
             raise ValueError("bits must be integer or boolean")
-        b = b.astype(np.uint8)
-        if b.max(initial=0) > 1:
+        if int(b.min()) < 0 or int(b.max()) > 1:
             raise ValueError("bits must be 0 or 1")
+        b = b.astype(np.uint8)
         b.setflags(write=False)
         object.__setattr__(self, "bits", b)
 
@@ -325,7 +325,9 @@ class RotationFrame:
 
     @classmethod
     def of(cls, shape: tuple[int, int], angle: float, source_offset: tuple[float, float]) -> "RotationFrame":
-        """The frame of rotating a raster of ``shape`` (rows, columns) by -angle."""
+        """The frame of rotating a raster of ``shape`` (rows, columns) by -angle; ValueError unless it is finite."""
+        if not math.isfinite(angle):
+            raise ValueError(f"rotation angle must be finite, got {angle}")
         h, w = shape
         c = abs(math.cos(angle))
         s = abs(math.sin(angle))
@@ -341,19 +343,19 @@ class RotationFrame:
         ``dst_x + c * dx + s * dy`` and ``dst_y - s * dx + c * dy``, so at
         most four coordinate-sized arrays exist at once.
         """
-        c = math.cos(self.angle)
-        s = math.sin(self.angle)
-        dx = np.subtract(xs, self.src_center[0], dtype=np.float64)
-        dx -= self.source_offset[0]
-        dy = np.subtract(ys, self.src_center[1], dtype=np.float64)
-        dy -= self.source_offset[1]
-        rx = np.multiply(dx, c)
-        rx += self.dst_center[0]
-        term = np.multiply(dy, s)
-        rx += term
-        ry = np.multiply(dx, s, out=dx)
-        np.subtract(self.dst_center[1], ry, out=ry)
-        ry += np.multiply(dy, c, out=term)
+        c, s = math.cos(self.angle), math.sin(self.angle)
+        with np.errstate(invalid="ignore"):  # an infinite coordinate maps to inf or NaN (inf * 0, inf - inf)
+            dx = np.subtract(xs, self.src_center[0], dtype=np.float64)
+            dx -= self.source_offset[0]
+            dy = np.subtract(ys, self.src_center[1], dtype=np.float64)
+            dy -= self.source_offset[1]
+            rx = np.multiply(dx, c)
+            rx += self.dst_center[0]
+            term = np.multiply(dy, s)
+            rx += term
+            ry = np.multiply(dx, s, out=dx)
+            np.subtract(self.dst_center[1], ry, out=ry)
+            ry += np.multiply(dy, c, out=term)
         return rx, ry
 
 
@@ -381,10 +383,11 @@ def rotate_raster(
     A uint8 raster gives the values of its float64 promotion. The canvas
     covers the rotated bounding box; pixels that map from outside the
     source are NaN. ``window``, a (rows, columns) pair of slices of the
-    canvas, clipped to it, limits the output to that part; every pixel
-    comes out as in the whole canvas. ``source_offset`` shifts every
-    source sample position by a constant amount, letting callers force
-    interpolation even for lattice-preserving angles.
+    canvas with integer bounds, which may reach past it, limits the output
+    to that part; every pixel comes out as in the whole canvas, and one past
+    it is resampled alike. ``source_offset`` shifts every source sample
+    position by a constant amount, letting callers force interpolation even
+    for lattice-preserving angles.
 
     Rows are resampled in bands, so the sampling temporaries stay small.
     Each band samples only the columns whose source position can be in
@@ -394,7 +397,7 @@ def rotate_raster(
     """
     h, w = values.shape
     frame = RotationFrame.of((h, w), angle, source_offset)
-    rows, cols = (range(n)[sl] for n, sl in zip(frame.shape, window or (slice(None), slice(None))))
+    rows, cols = (range(sl.start, sl.stop) for sl in window) if window else (range(n) for n in frame.shape)
     c = math.cos(angle)
     s = math.sin(angle)
     (scx, scy), (dcx, dcy) = frame.src_center, frame.dst_center

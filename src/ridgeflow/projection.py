@@ -10,12 +10,12 @@ statistic meaningful where a ridge ends inside the window.
 One evaluator computes the statistic: it rotates the image per candidate
 angle so all segments become axis-aligned runs. The rotated samples are
 rounded to multiples of 1/256, so their column sums are exact, and each
-band of site rows rotates only the rows and columns its own sites read
-straight into column prefix sums of the values and squared values, which
-start at zero; from these it takes the perpendicular deviations of only
-the rows the sites fall on, and each site reads its tangent mean from its
-own row of them. Per angle it holds one band of rotated rows, prefix sums
-and deviations, never a whole rotated window or mean-deviation map.
+band of site rows rotates only the rows and columns its own sites read,
+unclipped, straight into column prefix sums of the values and squared
+values, which start at zero; from these it takes the perpendicular
+deviations of only the rows the sites fall on, and each site reads its
+tangent mean from its own row of them. Per angle it holds one band of
+rotated rows, prefix sums and deviations, never a whole rotated window or mean-deviation map.
 The search asks for each distinct candidate angle once and keeps only each
 site's running optimum, so no table of angles by sites exists either.
 """
@@ -139,14 +139,13 @@ def _site_mean_deviations(
 
     The canvas has ``shape``, and ``read(rows, cols)`` returns the values of
     its rows and columns in those two slices, NaN where a sample has no
-    value. Map row r, column c is the site (c - t, r - s) of the canvas, so
-    the map covers every site whose window touches the canvas.
-    Perpendicular spans are vertical runs clipped to the canvas rows, read
-    as row-shifted slices of column prefix sums; the upper half span of a
-    row is the lower half span of the row s below it. A site's tangent mean
+    value and everywhere past the canvas. Map row r, column c is the site
+    (c - t, r - s) of the canvas, so the map covers every site whose window
+    touches the canvas. Perpendicular spans are vertical runs, read as
+    row-shifted slices of column prefix sums; the upper half span of a row
+    is the lower half span of the row s below it. A site's tangent mean
     adds the 2t+1 span deviations of its row at columns c - 2t .. c in
-    order, read at the site alone; a NaN span deviation, or a column off the
-    canvas, adds no tap.
+    order, read at the site alone; a NaN span deviation adds no tap.
 
     Each sample is rounded to a multiple of 1/256 as it is read, so a value
     has at most 16 significant bits and a square 32, and every column sum
@@ -155,16 +154,15 @@ def _site_mean_deviations(
     rows r0 .. r1 - 1, each at most a map band tall and ended where the next
     site row lies more than 2s + 1 rows on, and each band reads only the
     canvas rows r0 - 2s .. r1 - 1 and the columns min c - 2t .. max c of its
-    own sites, in one ``read`` call, and sums them from zero. No rows that no
-    site's spans need are read, and nothing is canvas-sized; the prefix
-    planes live in ``work["prefix"]`` for the next call, grown as needed.
+    own sites, unclipped, in one ``read`` call, and sums them from zero. No
+    rows no site's spans need are read, and nothing is canvas-sized; the
+    prefix planes live in ``work["prefix"]`` for the next call, grown as needed.
     """
     t = cfg.tangent_half_length
     s = cfg.perp_half_length
-    h, w = shape
     out = np.full(row.shape, np.nan)
     order = np.argsort(row, kind="stable")  # the sites in row order; no sorted copy of their rows is made
-    step = max(1, _MAP_BAND_PIXELS // (w + 2 * t))
+    step = max(1, _MAP_BAND_PIXELS // (shape[1] + 2 * t))
 
     def runs(p: np.ndarray, length: int, n: int) -> np.ndarray:
         """Deviations of the runs of ``length`` rows from each of the first ``n`` rows of ``p``."""
@@ -182,42 +180,34 @@ def _site_mean_deviations(
         lo = hi
         r1 = int(row[sites[-1]]) + 1
         c0, c1 = int(col[sites].min()) - 2 * t, int(col[sites].max()) + 1
-        rows, cols = slice(max(r0 - 2 * s, 0), min(r1, h)), slice(max(c0, 0), min(c1, w))
-        # prefix row i sums canvas rows r0 - 2s .. r0 - 2s + i - 1, clipped; the rows read are its rows a .. b - 1
-        planes = (3, r1 - r0 + 2 * s + 1, cols.stop - cols.start)
+        # prefix row i sums canvas rows r0 - 2s .. r0 - 2s + i - 1, read from row 1 on
+        planes = (3, r1 - r0 + 2 * s + 1, c1 - c0)
         size = math.prod(planes)
         if "prefix" not in work or work["prefix"].size < size:
             work["prefix"] = None  # free the smaller buffer before allocating its successor
             work["prefix"] = np.empty(size)
         p = work["prefix"][:size].reshape(planes)
-        a = rows.start - (r0 - 2 * s) + 1
-        b = a + rows.stop - rows.start
-        p[:, :a] = 0.0
-        v = p[1, a:b]
-        v[...] = read(rows, cols)
+        p[:, 0] = 0.0
+        v = p[1, 1:]
+        v[...] = read(slice(r0 - 2 * s, r1), slice(c0, c1))
         v *= 256.0
         np.rint(v, out=v)
         v *= 1.0 / 256.0
         # zeroed here, not in the rows read, which the caller may still hold
         nan = np.isnan(v)
         np.copyto(v, 0.0, where=nan)
-        p[0, a:b] = np.logical_not(nan, out=nan)
-        np.multiply(v, v, out=p[2, a:b])
+        p[0, 1:] = np.logical_not(nan, out=nan)
+        np.multiply(v, v, out=p[2, 1:])
         # row by row: np.cumsum(p, axis=1) is slower along a middle axis
-        for j in range(a, b):
+        for j in range(1, planes[1]):
             np.add(p[:, j - 1], p[:, j], out=p[:, j])
-        p[:, b:] = p[:, b - 1 : b]
         sig = runs(p, 2 * s + 1, r1 - r0)
         if cfg.use_half_line_rule:
             half = runs(p, s + 1, r1 - r0 + s)
             np.fmin(sig, half[: r1 - r0], out=sig)
             np.fmin(sig, half[s:], out=sig)
             del half
-        # the span deviations of canvas columns c0 .. c1 - 1, NaN off the canvas
-        padded = np.full((r1 - r0, c1 - c0), np.nan)
-        padded[:, cols.start - c0 : cols.stop - c0] = sig
-        del sig
-        at_site = np.ravel_multi_index((row[sites] - r0, col[sites] - 2 * t - c0), padded.shape)
+        at_site = np.ravel_multi_index((row[sites] - r0, col[sites] - 2 * t - c0), sig.shape)
         # the whole map's sum of shifted slices, 0.0 + tap 0 + tap 1 + ..., at the sites alone, a NaN tap
         # adding 0.0 and leaving the count; every index is in range, and mode="clip" skips the copy that
         # ``take`` makes for ``out`` by default
@@ -226,7 +216,7 @@ def _site_mean_deviations(
         tap = np.empty(len(sites))
         nan = np.empty(len(sites), dtype=bool)
         for _ in range(2 * t + 1):
-            np.isnan(padded.ravel().take(at_site, out=tap, mode="clip"), out=nan)
+            np.isnan(sig.ravel().take(at_site, out=tap, mode="clip"), out=nan)
             count -= nan
             np.copyto(tap, 0.0, where=nan)
             total += tap
@@ -241,7 +231,8 @@ def _snap(r: np.ndarray, pad: int, size: int) -> np.ndarray:
     """Nearest lattice index of each rotated coordinate plus ``pad``, as int32; ``r`` is spent.
 
     Indices are clipped to [-1, size] and NaN maps to -1, so whatever lies
-    outside [0, size) stays outside and the cast is always defined.
+    outside [0, size) stays off the map, where its window is all NaN, and
+    the cast is always defined.
     """
     r += 0.5
     np.floor(r, out=r)
@@ -262,7 +253,9 @@ class RotatedDeviationEvaluator:
     the rows and columns its own sites' segments cover, reads its sites and
     drops the rows; no rotated window, map or table is kept, per band or
     per angle. A read gives only values, NaN where a sample maps from
-    outside the image. The prefix buffer is private and sized to the
+    outside the image, as every pixel past the canvas does: it lies 1 px or
+    more past the outermost pixel centres, and the sampling offset moves a
+    sample 0.30 px at most. The prefix buffer is private and sized to the
     largest band seen, since allocating it afresh for every angle makes the
     allocator return its pages to the system and fault them in again.
     """
@@ -282,21 +275,10 @@ class RotatedDeviationEvaluator:
         col = _snap(rx, t, w + 2 * t)
         row = _snap(ry, s, h + 2 * s)
         del rx, ry
-        inside = (row >= 0) & (row < h + 2 * s) & (col >= 0) & (col < w + 2 * t)
-        cut = not inside.all()
-        if cut:
-            row, col = row[inside], col[inside]
-        if row.size == 0:
-            return np.full(inside.shape, np.nan)
         def read(rows: slice, cols: slice) -> np.ndarray:
             return rotate_raster(self._img, float(alpha), offset, (rows, cols)).values
 
-        mu = _site_mean_deviations(read, (h, w), self._cfg, row, col, self._work)
-        if not cut:
-            return mu
-        out = np.full(inside.shape, np.nan)
-        out[inside] = mu
-        return out
+        return _site_mean_deviations(read, (h, w), self._cfg, row, col, self._work)
 
 
 # ---------------------------------------------------------------------------

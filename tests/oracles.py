@@ -720,31 +720,49 @@ def check_band_reads(reads, row, col, shape: tuple[int, int], cfg: rf.FlowConfig
 
     ``reads`` holds the (rows, columns) slice pair of each read. A site at
     map row r, column c needs the canvas rows r - 2s .. r and columns
-    c - 2t .. c, clipped. Each read is at most a map band and 2s rows tall,
-    spans exactly the rows its sites need (the sites whose rows lie inside
-    it) and no column outside theirs; every site is served by a read; and
-    no canvas row that no site needs is read.
+    c - 2t .. c, unclipped, past the canvas too. Each read is at most a map
+    band and 2s rows tall, spans exactly the rows and the columns its sites
+    need (the sites whose rows lie inside it); every site is served by a
+    read; and no row that no site needs is read.
     """
     t, s = cfg.tangent_half_length, cfg.perp_half_length
-    h, w = shape
     row, col = np.asarray(row, dtype=np.int64), np.asarray(col, dtype=np.int64)
-    r0, r1 = np.maximum(row - 2 * s, 0), np.minimum(row + 1, h)
-    c0, c1 = np.maximum(col - 2 * t, 0), np.minimum(col + 1, w)
-    needed = np.zeros(h + 1, dtype=np.int64)
-    np.add.at(needed, r0, 1)
-    np.add.at(needed, r1, -1)
-    needed = np.cumsum(needed[:h]) > 0
+    r0, r1 = row - 2 * s, row + 1
+    c0, c1 = col - 2 * t, col + 1
+    top = int(r0.min())  # needed[i] is canvas row top + i
+    needed = np.zeros(int(r1.max()) - top + 1, dtype=np.int64)
+    np.add.at(needed, r0 - top, 1)
+    np.add.at(needed, r1 - top, -1)
+    needed = np.cumsum(needed[:-1]) > 0
     served = np.zeros(row.size, dtype=bool)
-    step = max(1, band_pixels // (w + 2 * t))
+    step = max(1, band_pixels // (shape[1] + 2 * t))
     for rows, cols in reads:
         assert 0 < rows.stop - rows.start <= step + 2 * s, (rows, step, s)
         mine = (r0 >= rows.start) & (r1 <= rows.stop)
         assert mine.any(), rows
         assert (rows.start, rows.stop) == (r0[mine].min(), r1[mine].max()), rows
-        assert c0[mine].min() <= cols.start < cols.stop <= c1[mine].max(), cols
-        assert needed[rows].all(), rows
+        assert (cols.start, cols.stop) == (c0[mine].min(), c1[mine].max()), cols
+        assert needed[rows.start - top : rows.stop - top].all(), rows
         served |= mine & (c0 >= cols.start) & (c1 <= cols.stop)
     assert served.all()
+
+
+def canvas_reader(values: np.ndarray, reads: list):
+    """A ``read`` for ``projection._site_mean_deviations`` of the canvas ``values``, NaN past its edge.
+
+    Each (rows, columns) slice pair it is asked for is appended to ``reads``.
+    """
+    h, w = values.shape
+
+    def read(rows: slice, cols: slice) -> np.ndarray:
+        reads.append((rows, cols))
+        out = np.full((rows.stop - rows.start, cols.stop - cols.start), np.nan)
+        (a, b), (c, d) = (max(rows.start, 0), min(rows.stop, h)), (max(cols.start, 0), min(cols.stop, w))
+        if a < b and c < d:
+            out[a - rows.start : b - rows.start, c - cols.start : d - cols.start] = values[a:b, c:d]
+        return out
+
+    return read
 
 
 # ---------------------------------------------------------------------------

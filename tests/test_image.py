@@ -137,6 +137,14 @@ class TestGrayImage:
                 banded[rows] = _round_bytes(values[rows])
 
 
+class TestBinaryImage:
+    @pytest.mark.parametrize("value", [256, -255, 257])
+    def test_bits_are_checked_before_the_byte_cast(self, value):
+        # cast first, 256 and -255 wrapped to 0 and 1 and 257 to 1, and passed the check
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            rf.BinaryImage(np.array([[value, 0]]))
+
+
 class TestBilinear:
     def test_exact_at_lattice(self):
         rng = np.random.RandomState(3)

@@ -5,6 +5,7 @@ the same order, so the results must agree bit for bit, NaNs included.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,12 +58,29 @@ def test_bitwise_equal_to_per_site_oracle_on_pi_over_32_grid(noisy_image, cfg):
 def test_repeated_and_far_off_queries(noisy_image):
     cfg = rf.FlowConfig()
     ev = rf.RotatedDeviationEvaluator(noisy_image, cfg)
-    xs = np.array([40.0, -1e6, 40.0, 1e6, 95.0])
-    ys = np.array([30.0, 30.0, -1e6, 1e6, 79.0])
-    first = ev.mean_deviation(0.3, xs, ys)
-    assert np.array_equal(first, ev.mean_deviation(0.3, xs, ys), equal_nan=True)
-    assert np.isnan(first[1:4]).all() and np.isfinite(first[[0, 4]]).all()
-    assert np.array_equal(first, PerSitePrefixEvaluator(noisy_image, cfg).mean_deviation(0.3, xs, ys), equal_nan=True)
+    # far-off and non-finite sites go through the band loop like any other and read only NaN, with no warning
+    nan, inf = math.nan, math.inf
+    xs = np.array([40.0, -1e6, 40.0, 1e6, 95.0, nan, 40.0, inf, 40.0, -inf, 40.0, inf])
+    ys = np.array([30.0, 30.0, -1e6, 1e6, 79.0, 30.0, nan, 30.0, inf, 30.0, -inf, -inf])
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        first = ev.mean_deviation(0.3, xs, ys)
+        assert np.array_equal(first, ev.mean_deviation(0.3, xs, ys), equal_nan=True)
+        # the site (inf, -inf) maps through inf - inf at every angle, and at 0 each infinite one through inf * 0
+        for alpha in (0.3, 0.0, math.pi / 2):
+            mu = ev.mean_deviation(alpha, xs, ys)
+            assert np.isnan(mu[1:4]).all() and np.isfinite(mu[[0, 4]]).all() and np.isnan(mu[~finite]).all()
+    # the per-site oracle warns on casting a NaN index, so it is compared at the finite sites only
+    want = PerSitePrefixEvaluator(noisy_image, cfg).mean_deviation(0.3, xs[finite], ys[finite])
+    assert np.array_equal(first[finite], want, equal_nan=True)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_angle_is_a_value_error_that_names_it(noisy_image, alpha):
+    ev = rf.RotatedDeviationEvaluator(noisy_image, rf.FlowConfig())
+    with pytest.raises(ValueError, match=f"angle must be finite, got {alpha}"):
+        ev.mean_deviation(alpha, np.array([40.0]), np.array([30.0]))
 
 
 @settings(max_examples=25, deadline=None)

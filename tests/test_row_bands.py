@@ -14,7 +14,7 @@ import ridgeflow.projection as rproj
 from ridgeflow.binarize import _bands
 from ridgeflow.flowfield import _grid_sites
 
-from oracles import (binarize_pixel_contour, canvas, check_band_reads, enhance_pixel_contour,
+from oracles import (binarize_pixel_contour, canvas, canvas_reader, check_band_reads, enhance_pixel_contour,
                      reference_mean_deviation_map)
 
 W, H = 131, 97  # non-square; 7 rows per band does not divide H
@@ -91,16 +91,13 @@ class TestBandedFlowStage:
                 order = np.random.default_rng(7).permutation(row.size)
                 row, col = row.ravel()[order], col.ravel()[order]
                 reads = []
-
-                def read(rows, cols):
-                    reads.append((rows, cols))
-                    return rr.values[rows, cols]
-
-                mu = rproj._site_mean_deviations(read, (h, w), cfg, row, col, {})
+                mu = rproj._site_mean_deviations(canvas_reader(rr.values, reads), (h, w), cfg, row, col, {})
                 assert mu.tobytes() == reference_mean_deviation_map(canvas(rr.values), cfg)[row, col].tobytes()
-                # each band of map rows r0 .. r1 - 1 reads canvas rows r0 - 2s .. r1 - 1, the whole width
+                # each band of map rows r0 .. r1 - 1 reads canvas rows r0 - 2s .. r1 - 1, the whole map width,
+                # 2t columns past either edge of the canvas
                 check_band_reads(reads, row, col, (h, w), cfg, band_pixels)
-                assert all((c.start, c.stop) == (0, w) for _, c in reads)
+                t = cfg.tangent_half_length
+                assert all((c.start, c.stop) == (-2 * t, w + 2 * t) for _, c in reads)
                 got += [rr.values.tobytes(), mu.tobytes()]  # the values carry the NaN pattern
             flow = rf.compute_flow_field(noisy)
             got += [flow.angles.tobytes(), flow.valid.tobytes()]

@@ -1,5 +1,5 @@
 """The in-source, windowed rotation against the whole-canvas reference in
-``oracles``, and the window a query rotates."""
+``oracles``, and the window a query rotates, which may reach past the canvas."""
 
 import math
 
@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import ridgeflow as rf
 import ridgeflow.projection as rproj
-from ridgeflow.image import RotationFrame, rotate_raster
+from ridgeflow.image import RotationFrame, bilinear_many, rotate_raster
 
-from oracles import (CachedRotatedEvaluator, canvas, check_band_reads, reference_mean_deviation_map,
+from oracles import (CachedRotatedEvaluator, canvas, canvas_reader, check_band_reads, reference_mean_deviation_map,
                      reference_rotate_raster)
 
 ANGLES = st.one_of(
@@ -20,7 +20,7 @@ ANGLES = st.one_of(
     st.floats(0.0, math.pi, exclude_max=True),
 )
 OFFSETS = st.one_of(st.just(0.0), st.just(rproj._STAT_OFFSET), st.floats(-2.0, 2.0))
-BOUNDS = st.integers(0, 60)  # canvases of 40x40 rasters reach 57 pixels
+BOUNDS = st.integers(-5, 60)  # canvases of 40x40 rasters reach 57 pixels; a window may reach past them
 
 
 @settings(max_examples=300, deadline=None)
@@ -37,15 +37,42 @@ BOUNDS = st.integers(0, 60)  # canvases of 40x40 rasters reach 57 pixels
 def test_windowed_rotation_is_the_reference_slice(seed, height, width, angle, offset, window):
     values = np.random.default_rng(seed).integers(0, 256, (height, width)).astype(np.float64)
     want = reference_rotate_raster(values, angle, offset)
-    sl = (slice(None), slice(None)) if window is None else (slice(*window[:2]), slice(*window[2:]))
-    got = rotate_raster(values, angle, offset, None if window is None else sl)
-    assert got.values.shape == want.values[sl].shape
-    assert got.values.tobytes() == np.where(want.valid, want.values, np.nan)[sl].tobytes()
+    n_rows, n_cols = want.values.shape
+    got = rotate_raster(values, angle, offset, None if window is None else (slice(*window[:2]), slice(*window[2:])))
+    (r0, r1), (c0, c1) = ((0, n_rows), (0, n_cols)) if window is None else (window[:2], window[2:])
+    assert got.values.shape == (max(r1 - r0, 0), max(c1 - c0, 0))
+    # the window's part on the canvas is the reference's
+    rows, cols = np.arange(r0, r1), np.arange(c0, c1)
+    on_rows, on_cols = (rows >= 0) & (rows < n_rows), (cols >= 0) & (cols < n_cols)
+    assert (got.values[np.ix_(on_rows, on_cols)].tobytes()
+            == np.where(want.valid, want.values, np.nan)[np.ix_(rows[on_rows], cols[on_cols])].tobytes())
+    # and every pixel, past the canvas too, is resampled from its source position as the reference's are
+    c, s = math.cos(angle), math.sin(angle)
+    dx = (cols - want.dst_center[0])[None, :]
+    dy = (rows - want.dst_center[1])[:, None]
+    sx = want.src_center[0] + offset[0] + c * dx - s * dy
+    sy = want.src_center[1] + offset[1] + s * dx + c * dy
+    assert got.values.tobytes() == bilinear_many(values, sx, sy).tobytes()
     assert got.frame.shape == want.values.shape
-    assert got.origin == tuple(range(n)[s].start for n, s in zip(want.values.shape, sl))
+    assert got.origin == (r0, c0)
     xs, ys = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
     for g, w in zip(got.frame.to_rotated(xs, ys), want.to_rotated(xs, ys)):
         assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(height=st.integers(1, 60), width=st.integers(1, 60), angle=ANGLES, margin=st.integers(1, 4))
+@example(height=1, width=1, angle=2.2250738585e-313, margin=1)
+def test_every_pixel_past_the_canvas_is_nan_under_the_sampling_offset(height, width, angle, margin):
+    # it lies at least 1 px beyond the image's outermost pixel centres, and the offset moves a sample at most
+    # 0.30 px, so the evaluator may read a band's window past the canvas unclipped
+    offset = (rproj._STAT_OFFSET, rproj._STAT_OFFSET)
+    h, w = RotationFrame.of((height, width), angle, offset).shape
+    window = (slice(-margin, h + margin), slice(-margin, w + margin))
+    got = rotate_raster(np.full((height, width), 255, dtype=np.uint8), angle, offset, window).values
+    past = np.ones(got.shape, dtype=bool)
+    past[margin:-margin, margin:-margin] = False
+    assert np.isnan(got[past]).all()
 
 
 def _image(size=96):
@@ -89,10 +116,10 @@ def test_any_site_subset_reads_the_cached_whole_canvas_map(seed, n_sites, angle,
     # each band reads only the rows and columns its own sites need
     frame = RotationFrame.of(img.pixels.shape, angle, (rproj._STAT_OFFSET, rproj._STAT_OFFSET))
     rx, ry = frame.to_rotated(xs, ys)
-    row = np.floor(ry + 0.5).astype(np.int64) + perp
-    col = np.floor(rx + 0.5).astype(np.int64) + tangent
-    inside = (row >= 0) & (row < frame.shape[0] + 2 * perp) & (col >= 0) & (col < frame.shape[1] + 2 * tangent)
-    check_band_reads(windows, row[inside], col[inside], frame.shape, cfg, band_pixels)
+    # every site, off the map ones snapped next to it
+    row = np.clip(np.floor(ry + 0.5).astype(np.int64) + perp, -1, frame.shape[0] + 2 * perp)
+    col = np.clip(np.floor(rx + 0.5).astype(np.int64) + tangent, -1, frame.shape[1] + 2 * tangent)
+    check_band_reads(windows, row, col, frame.shape, cfg, band_pixels)
 
 
 def test_one_site_query_rotates_a_window_2t_plus_1_wide(monkeypatch):
@@ -134,14 +161,6 @@ def _raster(rng, height, width, invalid_frac):
     return np.where(valid, rng.integers(0, 256, (height, width)).astype(np.float64), np.nan)
 
 
-def _read_recorder(values, reads):
-    def read(rows, cols):
-        reads.append((rows, cols))
-        return values[rows, cols]
-
-    return read
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
@@ -169,10 +188,10 @@ def test_tangent_means_read_at_the_sites_are_the_whole_map(seed, height, width, 
     reads = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rproj, "_MAP_BAND_PIXELS", band_pixels)
-        got = rproj._site_mean_deviations(_read_recorder(values, reads), (height, width), cfg,
+        got = rproj._site_mean_deviations(canvas_reader(values, reads), (height, width), cfg,
                                           row.astype(np.int32), col.astype(np.int32), {})
     assert got.tobytes() == reference_mean_deviation_map(canvas(values), cfg)[row, col].tobytes()
-    # each read within its band's rows r0 - 2s .. r1 - 1 and its sites' columns, and no site-free rows
+    # each read exactly its band's rows r0 - 2s .. r1 - 1 and its sites' columns, unclipped, and no site-free rows
     check_band_reads(reads, row, col, (height, width), cfg, band_pixels)
 
 
@@ -184,9 +203,10 @@ def test_site_free_rows_before_the_first_band_are_not_read(monkeypatch):
     row = np.array([80, 83, 87, 93], dtype=np.int32)
     col = np.array([0, 17, 35, 5], dtype=np.int32)
     reads = []
-    got = rproj._site_mean_deviations(_read_recorder(values, reads), (90, 30), cfg, row, col, {})
+    got = rproj._site_mean_deviations(canvas_reader(values, reads), (90, 30), cfg, row, col, {})
     assert got.tobytes() == reference_mean_deviation_map(canvas(values), cfg)[row, col].tobytes()
-    # the band of map rows 80..87 reads canvas rows 76..87; row 93 lies more than 2s + 1 rows on, so it
-    # starts a band of its own, clipped to canvas row 89; rows 0..75 and row 88 are not read
-    assert [((r.start, r.stop), (c.start, c.stop)) for r, c in reads] == [((76, 88), (0, 30)), ((89, 90), (0, 6))]
+    # the band of map rows 80..87 reads canvas rows 76..87 and columns -6..35; row 93 lies more than 2s + 1
+    # rows on, so it starts a band of its own, canvas rows 89..93 and columns -1..5, past the canvas's last
+    # row 89 and first column 0; rows 0..75 and row 88 are not read
+    assert [((r.start, r.stop), (c.start, c.stop)) for r, c in reads] == [((76, 88), (-6, 36)), ((89, 94), (-1, 6))]
     check_band_reads(reads, row, col, (90, 30), cfg, 10 * map_w)
