@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flowfield import FlowField, _band_sites, angles_at, check_flow_grid
-from .image import BinaryImage, GrayImage, Point, _check_sizes, band_rows, bilinear_many
+from .image import BinaryImage, GrayImage, Point, _check_sizes, _tap_mean, band_rows, bilinear_many
 
 
 # Decision margin: means closer than this count as a tie (valley). Intensity
@@ -78,22 +78,13 @@ def _in_order(taps, half: int):
             turn += 1
 
 
-def _tap_mean(taps, shape) -> np.ndarray:
-    """Mean of the non-NaN tap values, summed one tap at a time in order; NaN where there are none."""
-    n, s = np.zeros(shape, dtype=np.intp), np.zeros(shape)
-    for vals in taps:
-        use = ~np.isnan(vals)
-        n += use
-        s += np.where(use, vals, 0.0)
-    return np.where(n > 0, s / np.maximum(n, 1), np.nan)
-
-
 def _is_ridge(img: np.ndarray, taps, xs, ys, theta, half: int) -> np.ndarray:
-    """Ridge mask: the mean of the along-ridge samples ``taps``, in order, is below the straight orthogonal mean."""
+    """Ridge mask: the mean of the along-ridge samples ``taps``, in order, is below the straight orthogonal
+    mean; a mean that kept no tap is NaN, which compares false, so its pixel is a valley."""
     g = _tap_mean(taps, np.shape(xs))
     across = _taps(img, _line_path, None, xs, ys, theta + math.pi / 2.0, half, False)
     m = _tap_mean((v for _, v, _ in across), np.shape(xs))
-    return ~np.isnan(g) & ~np.isnan(m) & (g < m - _TIE_EPS)
+    return g < m - _TIE_EPS
 
 
 def _bands(image: GrayImage, flow: FlowField, half: int):

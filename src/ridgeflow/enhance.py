@@ -42,9 +42,9 @@ def gaussian_kernel(sigma: float, half_length: int) -> np.ndarray:
 
 
 def _masked_blend(img: np.ndarray, bits: np.ndarray, taps, center, weights) -> np.ndarray:
-    """Gaussian-weighted mean of the taps that share the seed's class, tap by tap in path order; the
-    value at ``center``, each seed's flat nearest-pixel index, where none do. ``taps`` yields each tap's
-    (sample, nearest flat index) in order -k..k, as ``_in_order`` or the rows of a tap table give them."""
+    """Gaussian-weighted mean of the taps that share the seed's class, tap by tap in path order; where none do,
+    nothing is divided and the value at ``center``, each seed's flat nearest-pixel index, stays. ``taps`` yields
+    each tap's (sample, nearest flat index) in order -k..k, as ``_in_order`` or the rows of a tap table give them."""
     flat_bits = bits.ravel()
     center_bit = flat_bits.take(center)
     num, den = np.zeros(np.shape(center)), np.zeros(np.shape(center))
@@ -53,10 +53,7 @@ def _masked_blend(img: np.ndarray, bits: np.ndarray, taps, center, weights) -> n
         use = ~np.isnan(v) & (flat_bits.take(nr) == center_bit)
         num += np.where(use, v, 0.0) * weight
         den += np.where(use, weight, 0.0)
-    center_val = img.ravel().take(center)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = num / den
-    return np.where(den > 0, out, center_val)
+    return np.divide(num, den, out=img.ravel().take(center).astype(np.float64), where=den > 0)
 
 
 def _blend(img: np.ndarray, bits: np.ndarray, path, sites, xs, ys, theta, weights) -> np.ndarray:

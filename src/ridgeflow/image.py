@@ -285,6 +285,17 @@ def bilinear_many(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     return v.reshape(shape)
 
 
+def _tap_mean(taps, shape) -> np.ndarray:
+    """Mean of the non-NaN tap values, summed one tap at a time in order; NaN where there are none. The taps
+    are only read, so a tap table can be read again; every unweighted mean of taps in the stages is this one."""
+    n, s = np.zeros(shape, dtype=np.intp), np.zeros(shape)
+    for vals in taps:
+        use = ~np.isnan(vals)
+        n += use
+        s += np.where(use, vals, 0.0)
+    return np.where(n > 0, s / np.maximum(n, 1), np.nan)
+
+
 # Pixels per band of the per-pixel stages (binarize, enhance and their
 # contour variants) and of ``rotate_raster``. The stages add one tap at a
 # time into band-sized sums, so small bands reuse warm memory. Binarize plus

@@ -13,9 +13,10 @@ rounded to multiples of 1/256, so their column sums are exact, and each
 band of site rows rotates only the rows and columns its own sites read,
 unclipped, straight into column prefix sums of the values and squared
 values, which start at zero; from these it takes the perpendicular
-deviations of only the rows the sites fall on, and each site reads its
-tangent mean from its own row of them. Per angle it holds one band of
-rotated rows, prefix sums and deviations, never a whole rotated window or mean-deviation map.
+deviations of only the rows the sites fall on, and each site takes its
+tangent mean from its own row of them with ``image._tap_mean``, the mean
+the ridge test takes too. Per angle it holds one band of rotated rows,
+prefix sums and deviations, never a whole rotated window or map.
 The search asks for each distinct candidate angle once and keeps only each
 site's running optimum, so no table of angles by sites exists either.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flowfield import FlowField, _grid_sites
-from .image import GrayImage, RotationFrame, _check_sizes, _two_sigma_squared, rotate_raster
+from .image import GrayImage, RotationFrame, _check_sizes, _tap_mean, _two_sigma_squared, rotate_raster
 
 # Variances below this are floating-point dust from interpolation; treating
 # them as exact zeros keeps argmin ties deterministic on flat regions.
@@ -143,9 +144,9 @@ def _site_mean_deviations(
     (c - t, r - s) of the canvas, so the map covers every site whose window
     touches the canvas. Perpendicular spans are vertical runs, read as
     row-shifted slices of column prefix sums; the upper half span of a row
-    is the lower half span of the row s below it. A site's tangent mean
-    adds the 2t+1 span deviations of its row at columns c - 2t .. c in
-    order, read at the site alone; a NaN span deviation adds no tap.
+    is the lower half span of the row s below it. A site's tangent mean is
+    the ``_tap_mean`` of the 2t+1 span deviations of its row at columns
+    c - 2t .. c, each tap gathered at the sites alone; a NaN adds no tap.
 
     Each sample is rounded to a multiple of 1/256 as it is read, so a value
     has at most 16 significant bits and a square 32, and every column sum
@@ -208,22 +209,8 @@ def _site_mean_deviations(
             np.fmin(sig, half[s:], out=sig)
             del half
         at_site = np.ravel_multi_index((row[sites] - r0, col[sites] - 2 * t - c0), sig.shape)
-        # the whole map's sum of shifted slices, 0.0 + tap 0 + tap 1 + ..., at the sites alone, a NaN tap
-        # adding 0.0 and leaving the count; every index is in range, and mode="clip" skips the copy that
-        # ``take`` makes for ``out`` by default
-        total = np.zeros(len(sites))
-        count = np.full(len(sites), 2 * t + 1, dtype=np.intp)
-        tap = np.empty(len(sites))
-        nan = np.empty(len(sites), dtype=bool)
-        for _ in range(2 * t + 1):
-            np.isnan(sig.ravel().take(at_site, out=tap, mode="clip"), out=nan)
-            count -= nan
-            np.copyto(tap, 0.0, where=nan)
-            total += tap
-            at_site += 1
-        vals = np.divide(total, np.maximum(count, 1), out=total)
-        np.copyto(vals, np.nan, where=count == 0)
-        out[sites] = vals
+        flat = sig.ravel()
+        out[sites] = _tap_mean((flat.take(at_site + i) for i in range(2 * t + 1)), len(sites))
     return out
 
 
@@ -271,14 +258,15 @@ class RotatedDeviationEvaluator:
         offset = (_STAT_OFFSET, _STAT_OFFSET)
         frame = RotationFrame.of(self._img.shape, float(alpha), offset)
         h, w = frame.shape
-        rx, ry = frame.to_rotated(xs, ys)
+        shape = np.shape(xs)
+        rx, ry = frame.to_rotated(np.ravel(xs), np.ravel(ys))
         col = _snap(rx, t, w + 2 * t)
         row = _snap(ry, s, h + 2 * s)
         del rx, ry
         def read(rows: slice, cols: slice) -> np.ndarray:
             return rotate_raster(self._img, float(alpha), offset, (rows, cols)).values
 
-        return _site_mean_deviations(read, (h, w), self._cfg, row, col, self._work)
+        return _site_mean_deviations(read, (h, w), self._cfg, row, col, self._work).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

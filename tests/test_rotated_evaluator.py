@@ -101,3 +101,16 @@ def test_property_random_images_and_angles(seed, width, height, alpha, tangent, 
     got = rf.RotatedDeviationEvaluator(img, cfg).mean_deviation(alpha, xs, ys)
     want = PerSitePrefixEvaluator(img, cfg).mean_deviation(alpha, xs, ys)
     assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("shape", [(), (1, 2), (2, 1, 1)], ids=["0-d", "1x2", "2x1x1"])
+def test_points_of_any_shape_give_values_of_that_shape(shape):
+    # as ``angles_at``: the points are taken flat, and each value is the 1-D call's at the same point
+    img, _ = rf.generate(rf.SyntheticSpec(width=64, height=64, pattern="concentric", period=8.0, rng_seed=5))
+    ev = rf.RotatedDeviationEvaluator(img, rf.FlowConfig())
+    n = math.prod(shape)
+    xs, ys = np.array([31.0, 20.5])[:n], np.array([30.0, 41.25])[:n]
+    got = ev.mean_deviation(0.3, xs.reshape(shape), ys.reshape(shape))
+    assert got.shape == shape
+    assert np.array_equal(got.ravel(), ev.mean_deviation(0.3, xs, ys), equal_nan=True)
+    assert np.isfinite(got).all()

@@ -2,7 +2,7 @@
 
 ``binarize._taps`` samples each tap of a path once, in the order the path
 gives them; ``binarize._in_order`` hands them on in order -k..k, exactly
-as the pipeline sweep files them in its table by o. ``binarize._tap_mean``
+as the pipeline sweep files them in its table by o. ``image._tap_mean``
 and ``enhance._masked_blend`` read the taps in that order and add each
 tap's terms into accumulators shaped like the query points. The references
 in ``oracles`` gather all 2k+1 taps at once and reduce over the leading
@@ -28,10 +28,11 @@ from hypothesis import strategies as st
 import ridgeflow as rf
 import ridgeflow.image as rimage
 import ridgeflow.pipeline as rpipeline
-from ridgeflow.binarize import _TIE_EPS, _in_order, _line_path, _nearest, _tap_mean, _taps
+from ridgeflow.binarize import _TIE_EPS, _in_order, _line_path, _nearest, _taps
 from ridgeflow.contour import _trace_path
 from ridgeflow.enhance import _masked_blend
 from ridgeflow.flowfield import _grid_sites
+from ridgeflow.image import _tap_mean
 
 from oracles import (binarize_pixel_contour, enhance_pixel_contour, reference_line_path, reference_masked_blend,
                      reference_path_mean, reference_trace_batch)
@@ -119,6 +120,33 @@ def test_path_mean_matches_reference(seed, width, height, stride, valid_frac, ha
     want = reference_path_mean(img, reference, flow, xs, ys, theta, defined, half)
     assert got.shape == xs.shape
     assert np.array_equal(got, want, equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_taps=st.integers(1, 7),
+    rows=st.integers(1, 3),
+    cols=st.integers(1, 4),
+    data=st.data(),
+)
+def test_tap_mean_skips_nan_sums_in_order_and_leaves_its_taps(n_taps, rows, cols, data):
+    value = st.one_of(st.just(math.nan), st.floats(-1e6, 1e6, allow_nan=False))
+    table = np.array(data.draw(st.lists(value, min_size=n_taps * rows * cols, max_size=n_taps * rows * cols)))
+    table = table.reshape(n_taps, rows, cols)
+    table[:, -1, -1] = math.nan  # a position where every tap is NaN
+    before = table.copy()
+    got = _tap_mean(table, (rows, cols))
+    # the taps are only read: the sweep reads its tap table again for the blend
+    assert table.tobytes() == before.tobytes()
+    assert got.tobytes() == _tap_mean((tap.copy() for tap in table), (rows, cols)).tobytes()
+    for r in range(rows):
+        for c in range(cols):
+            kept = [float(v) for v in table[:, r, c] if not math.isnan(v)]
+            total = 0.0
+            for v in kept:  # in order, as a Python float sum
+                total += v
+            want = total / len(kept) if kept else math.nan
+            assert np.array_equal(got[r, c], want, equal_nan=True), (r, c)
 
 
 @settings(max_examples=80, deadline=None)
