@@ -1,25 +1,31 @@
 """Command-line frontend: flow, binarize, enhance, pipeline, compare, synth, viz.
 
 Exit status: 0 on success, 1 on usage errors (usage text on stderr), 2 on
-runtime/data errors, running out of memory among them. Flag defaults are those of ``PipelineConfig()`` and, for
-``synth``, ``SyntheticSpec``. ``--print-config`` dumps the effective flag
-values as a sorted key=value listing and exits without running the subcommand.
+runtime/data errors, running out of memory among them. Each flag that sets a
+value defaults to that value in ``PipelineConfig()`` or, for ``synth``,
+``SyntheticSpec``. A step or range given as pi/N takes N = inf for 0, and
+``--grad-weight-sigma none`` gives uniform weights. ``--print-config`` dumps
+the effective flag values as a sorted key=value listing and exits without
+running the subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import operator
 import os
 import sys
+from dataclasses import replace
+from functools import reduce
+from typing import Any, Callable, NamedTuple
 
-from .binarize import BinarizeConfig, _binarize_image
-from .enhance import EnhanceConfig, _enhance
+from .binarize import _binarize_image
+from .enhance import _enhance
 from .flowfield import load_flow_csv, save_flow_csv
 from .image import GrayImage, binary_as_gray, invert, load_pgm, save_pgm
 from .pipeline import (FLOW_METHODS, PATHS, PipelineConfig, _flow_for, compare_methods, run_pipeline,
                        save_comparison_csv, summary_lines)
-from .projection import FlowConfig
 from .synth import PATTERNS, SyntheticSpec, generate
 from .viz import render_flow_overlay
 
@@ -35,130 +41,137 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-def _add_flow_flags(p: argparse.ArgumentParser, d: PipelineConfig) -> None:
-    f = d.flow
-    p.add_argument("--stride", type=int, default=f.stride, help="grid stride in pixels")
-    p.add_argument("--tangent-half", type=int, default=f.tangent_half_length, help="tangent segment half length")
-    p.add_argument("--perp-half", type=int, default=f.perp_half_length, help="perpendicular segment half length")
-    p.add_argument("--coarse-step-denom", type=int, default=round(math.pi / f.coarse_step), help="coarse angular step = pi/N")
-    p.add_argument("--fine-step-denom", type=int, default=round(math.pi / f.fine_step), help="fine angular step = pi/N")
-    p.add_argument("--fine-half-range-denom", type=int, default=round(math.pi / f.fine_half_range),
-                   help="fine search half range = pi/N")
-    p.add_argument("--bg-var-threshold", type=float, default=f.background_variance_threshold,
-                   help="background patch-variance threshold")
-    p.add_argument("--no-half-line-rule", action="store_true", help="use full-segment deviations only")
-    p.add_argument("--method", choices=FLOW_METHODS, default=d.flow_method)
-    p.add_argument("--grad-window-half", type=int, default=f.gradient_window_half, help="structure tensor window half size")
-    p.add_argument("--grad-weight-sigma", type=float, default=f.gradient_weight_sigma,
-                   help="structure tensor Gaussian weight sigma")
-    p.add_argument("--coherence-threshold", type=float, default=f.coherence_threshold, help="tensor coherence validity cutoff")
+class _Flag(NamedTuple):
+    """One settable value's flag, which each subcommand whose ``_GROUPS`` entry holds ``group`` takes.
+
+    ``parse`` is argparse's ``type``, so text it cannot read is a usage error; ``None`` makes a switch.
+    ``value`` turns what it read into the value of ``field`` after parsing, so a value the settings reject is
+    a data error. ``text`` writes a value of the field as the flag's text; the flag's default is the text of
+    the field's default.
+    """
+    group: str
+    flag: str
+    field: str  # dotted, from the settings object
+    parse: Callable[[str], Any] | None = int
+    value: Callable[[Any], Any] = lambda v: v
+    text: Callable[[Any], str] = str
+    choices: tuple | None = None
+    help: str | None = None
 
 
-def _add_binarize_flags(p: argparse.ArgumentParser, d: PipelineConfig) -> None:
-    p.add_argument("--bin-half", type=int, default=d.binarize.line_half_length, help="binarization segment half length")
-    p.add_argument("--invert-polarity", action="store_true", help="treat bright lines as ridges")
-    p.add_argument("--path", choices=list(PATHS), default=d.path_mode, help="sampling path geometry")
+def _or_word(parse: Callable[[str], Any], word: str) -> Callable[[str], Any]:
+    """``parse``, except that ``word`` reads as itself."""
+    def read(text: str):
+        return text if text == word else parse(text)
+    read.__name__ = f"{parse.__name__} or {word!r}"  # the type argparse names in a usage error
+    return read
 
 
-def _add_enhance_flags(p: argparse.ArgumentParser, d: PipelineConfig) -> None:
-    p.add_argument("--sigma", type=float, default=d.enhance.gaussian_sigma, help="smoothing Gaussian sigma")
-    p.add_argument("--kernel-half", type=int, default=d.enhance.kernel_half_length, help="smoothing kernel half length")
+def _pi_over(flag: str, field: str, help: str) -> _Flag:
+    """A step or range of the orientation search, set as pi/N."""
+    def value(n):
+        if n == 0:
+            raise ValueError(f"{flag} must be nonzero")
+        return math.pi / float(n)
+    return _Flag("flow", flag, field, _or_word(int, "inf"), value,
+                 lambda step: "inf" if step == 0 else str(round(math.pi / step)), help=help)
+
+
+# one row per settable value of PipelineConfig and SyntheticSpec, but synth's --width and --height
+_FLAGS = (
+    _Flag("pipeline", "--iterations", "iterations"),
+    _Flag("flow", "--stride", "flow.stride", help="grid stride in pixels"),
+    _Flag("flow", "--tangent-half", "flow.tangent_half_length", help="tangent segment half length"),
+    _Flag("flow", "--perp-half", "flow.perp_half_length", help="perpendicular segment half length"),
+    _pi_over("--coarse-step-denom", "flow.coarse_step", "coarse angular step = pi/N"),
+    _pi_over("--fine-step-denom", "flow.fine_step", "fine angular step = pi/N"),
+    _pi_over("--fine-half-range-denom", "flow.fine_half_range", "fine search half range = pi/N; inf for no fine phase"),
+    _Flag("flow", "--bg-var-threshold", "flow.background_variance_threshold", float,
+          help="background patch-variance threshold"),
+    _Flag("flow", "--no-half-line-rule", "flow.use_half_line_rule", None, operator.not_, lambda on: str(not on),
+          help="use full-segment deviations only"),
+    _Flag("flow", "--method", "flow_method", str, choices=FLOW_METHODS),
+    _Flag("flow", "--grad-window-half", "flow.gradient_window_half", help="structure tensor window half size"),
+    _Flag("flow", "--grad-weight-sigma", "flow.gradient_weight_sigma", _or_word(float, "none"),
+          lambda s: None if s == "none" else s, lambda s: "none" if s is None else str(s),
+          help="structure tensor Gaussian weight sigma; none for uniform weights"),
+    _Flag("flow", "--coherence-threshold", "flow.coherence_threshold", float, help="tensor coherence validity cutoff"),
+    _Flag("binarize", "--bin-half", "binarize.line_half_length", help="binarization segment half length"),
+    _Flag("binarize", "--path", "path_mode", str, choices=tuple(PATHS), help="sampling path geometry"),
+    _Flag("enhance", "--sigma", "enhance.gaussian_sigma", float, help="smoothing Gaussian sigma"),
+    _Flag("enhance", "--kernel-half", "enhance.kernel_half_length", help="smoothing kernel half length"),
+    _Flag("synth", "--pattern", "pattern", str, choices=PATTERNS),
+    _Flag("synth", "--period", "period", float),
+    # a non-finite angle is passed on as read, for SyntheticSpec to name
+    _Flag("synth", "--orientation-deg", "orientation", float,
+          lambda deg: math.radians(deg) % math.pi if math.isfinite(deg) else deg,
+          lambda theta: str(math.degrees(theta)), help="ridge direction in degrees"),
+    _Flag("synth", "--amplitude", "amplitude", float),
+    _Flag("synth", "--offset", "offset", float),
+    _Flag("synth", "--noise-sigma", "noise_sigma", float),
+    _Flag("synth", "--seed", "rng_seed"),
+)
+# the subcommands that take settings, and the groups of rows whose flags each takes
+_GROUPS = {"flow": ("flow",), "binarize": ("flow", "binarize"), "enhance": ("flow", "binarize", "enhance"),
+           "pipeline": ("pipeline", "flow", "binarize", "enhance"), "compare": ("flow",), "synth": ("synth",),
+           "viz": ("flow",)}
+
+
+def _settings(args, base):
+    """``base`` with the field of each row the subcommand takes set from its flag in ``args``."""
+    changes: dict[str, dict[str, Any]] = {}
+    for row in _FLAGS:
+        if row.group in _GROUPS[args.command]:
+            owner, _, name = row.field.rpartition(".")
+            changes.setdefault(owner, {})[name] = row.value(getattr(args, row.flag[2:].replace("-", "_")))
+    top = changes.pop("", {})
+    return replace(base, **top, **{owner: replace(getattr(base, owner), **kw) for owner, kw in changes.items()})
 
 
 def build_parser() -> argparse.ArgumentParser:
     d = PipelineConfig()
     parser = _Parser(prog="ridgeflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_flow = sub.add_parser("flow", help="estimate an orientation flow field", parents=[], add_help=True)
-    p_flow.add_argument("input", help="input PGM image")
-    p_flow.add_argument("--out", help="output flow CSV path")
-    _add_flow_flags(p_flow, d)
-
-    p_bin = sub.add_parser("binarize", help="classify pixels into ridge/valley")
-    p_bin.add_argument("input")
-    p_bin.add_argument("--out", help="output PGM (0 = ridge, 255 = valley)")
-    _add_flow_flags(p_bin, d)
-    _add_binarize_flags(p_bin, d)
-
-    p_enh = sub.add_parser("enhance", help="directionally smooth an image")
-    p_enh.add_argument("input")
-    p_enh.add_argument("--out", help="output PGM")
-    _add_flow_flags(p_enh, d)
-    _add_binarize_flags(p_enh, d)
-    _add_enhance_flags(p_enh, d)
-
-    p_pipe = sub.add_parser("pipeline", help="iterate flow -> binarize -> enhance")
-    p_pipe.add_argument("input")
-    p_pipe.add_argument("--out-prefix", help="prefix for flow_K.csv, bin_K.pgm, enh_K.pgm outputs")
-    p_pipe.add_argument("--iterations", type=int, default=d.iterations)
-    _add_flow_flags(p_pipe, d)
-    _add_binarize_flags(p_pipe, d)
-    _add_enhance_flags(p_pipe, d)
-
-    p_cmp = sub.add_parser("compare", help="projection vs gradient flow on one image")
-    p_cmp.add_argument("input")
-    p_cmp.add_argument("--truth", help="ground-truth flow CSV")
-    p_cmp.add_argument("--out", help="per-site comparison CSV")
-    p_cmp.add_argument("--interior-margin", type=float, help="skip sites within this many pixels of the border")
-    _add_flow_flags(p_cmp, d)
-
-    p_syn = sub.add_parser("synth", help="generate a synthetic ridge pattern")
-    p_syn.add_argument("--out", help="output PGM path")
-    p_syn.add_argument("--truth-out", help="ground-truth flow CSV path")
-    p_syn.add_argument("--pattern", choices=list(PATTERNS), default=SyntheticSpec.pattern)
-    p_syn.add_argument("--width", type=int, default=128)
-    p_syn.add_argument("--height", type=int, default=128)
-    p_syn.add_argument("--period", type=float, default=SyntheticSpec.period)
-    p_syn.add_argument("--orientation-deg", type=float, default=math.degrees(SyntheticSpec.orientation),
-                       help="ridge direction in degrees")
-    p_syn.add_argument("--amplitude", type=float, default=SyntheticSpec.amplitude)
-    p_syn.add_argument("--offset", type=float, default=SyntheticSpec.offset)
-    p_syn.add_argument("--noise-sigma", type=float, default=SyntheticSpec.noise_sigma)
-    p_syn.add_argument("--seed", type=int, default=SyntheticSpec.rng_seed)
-    p_syn.add_argument("--stride", type=int, default=d.flow.stride, help="truth grid stride")
-
-    p_viz = sub.add_parser("viz", help="render a flow field over its image as SVG")
-    p_viz.add_argument("input")
-    p_viz.add_argument("--flow", help="flow CSV to draw; computed with the flags below when omitted")
-    p_viz.add_argument("--out", help="output SVG path")
-    _add_flow_flags(p_viz, d)
-
-    for p in (p_flow, p_bin, p_enh, p_pipe, p_cmp, p_syn, p_viz):
-        p.add_argument("--print-config", action="store_true", help="print effective flag values and exit")
+    p = {command: sub.add_parser(command, help=help) for command, help in (
+        ("flow", "estimate an orientation flow field"),
+        ("binarize", "classify pixels into ridge/valley"),
+        ("enhance", "directionally smooth an image"),
+        ("pipeline", "iterate flow -> binarize -> enhance"),
+        ("compare", "projection vs gradient flow on one image"),
+        ("synth", "generate a synthetic ridge pattern"),
+        ("viz", "render a flow field over its image as SVG"))}
+    for command in ("flow", "binarize", "enhance", "pipeline", "compare", "viz"):
+        p[command].add_argument("input", help="input PGM image")
+    p["flow"].add_argument("--out", help="output flow CSV path")
+    p["binarize"].add_argument("--out", help="output PGM (0 = ridge, 255 = valley)")
+    p["enhance"].add_argument("--out", help="output PGM")
+    p["pipeline"].add_argument("--out-prefix", help="prefix for flow_K.csv, bin_K.pgm, enh_K.pgm outputs")
+    for command in ("binarize", "enhance", "pipeline"):
+        p[command].add_argument("--invert-polarity", action="store_true", help="treat bright lines as ridges")
+    p["compare"].add_argument("--truth", help="ground-truth flow CSV")
+    p["compare"].add_argument("--out", help="per-site comparison CSV")
+    p["compare"].add_argument("--interior-margin", type=float, help="skip sites within this many pixels of the border")
+    p["synth"].add_argument("--out", help="output PGM path")
+    p["synth"].add_argument("--truth-out", help="ground-truth flow CSV path")
+    p["synth"].add_argument("--width", type=int, default=128)
+    p["synth"].add_argument("--height", type=int, default=128)
+    p["synth"].add_argument("--stride", type=int, default=d.flow.stride, help="truth grid stride")
+    p["viz"].add_argument("--flow", help="flow CSV to draw; computed with the flags below when omitted")
+    p["viz"].add_argument("--out", help="output SVG path")
+    for command in p:
+        for row in (row for row in _FLAGS if row.group in _GROUPS[command]):
+            if row.parse is None:
+                p[command].add_argument(row.flag, action="store_true", help=row.help)
+            else:  # argparse reads a text default as it reads a given one
+                default = reduce(getattr, row.field.split("."), SyntheticSpec if command == "synth" else d)
+                p[command].add_argument(row.flag, type=row.parse, choices=row.choices, help=row.help,
+                                        default=row.text(default))
+        p[command].add_argument("--print-config", action="store_true", help="print effective flag values and exit")
     return parser
 
 
-def _flow_config(args) -> FlowConfig:
-    for flag in ("coarse_step_denom", "fine_step_denom", "fine_half_range_denom"):
-        if getattr(args, flag) == 0:
-            raise ValueError(f"--{flag.replace('_', '-')} must be nonzero")
-    return FlowConfig(
-        tangent_half_length=args.tangent_half,
-        perp_half_length=args.perp_half,
-        coarse_step=math.pi / args.coarse_step_denom,
-        fine_step=math.pi / args.fine_step_denom,
-        fine_half_range=math.pi / args.fine_half_range_denom,
-        stride=args.stride,
-        background_variance_threshold=args.bg_var_threshold,
-        use_half_line_rule=not args.no_half_line_rule,
-        gradient_window_half=args.grad_window_half,
-        gradient_weight_sigma=args.grad_weight_sigma,
-        coherence_threshold=args.coherence_threshold,
-    )
-
-
 def _pipeline_config(args) -> PipelineConfig:
-    d = PipelineConfig()
-    return PipelineConfig(
-        iterations=getattr(args, "iterations", d.iterations),
-        path_mode=getattr(args, "path", d.path_mode),
-        flow_method=args.method,
-        flow=_flow_config(args),
-        binarize=BinarizeConfig(line_half_length=getattr(args, "bin_half", d.binarize.line_half_length)),
-        enhance=EnhanceConfig(gaussian_sigma=getattr(args, "sigma", d.enhance.gaussian_sigma),
-                              kernel_half_length=getattr(args, "kernel_half", d.enhance.kernel_half_length)),
-    )
+    return _settings(args, PipelineConfig())
 
 
 def _require_out(args, attr: str, parser_hint: str) -> str:
@@ -229,17 +242,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_synth(args) -> int:
     out = _require_out(args, "out", "synth")
-    spec = SyntheticSpec(
-        width=args.width,
-        height=args.height,
-        pattern=args.pattern,
-        orientation=math.radians(args.orientation_deg) % math.pi,
-        period=args.period,
-        amplitude=args.amplitude,
-        offset=args.offset,
-        noise_sigma=args.noise_sigma,
-        rng_seed=args.seed,
-    )
+    spec = _settings(args, SyntheticSpec(width=args.width, height=args.height))
     image, truth = generate(spec, stride=args.stride)
     save_pgm(image, out)
     if args.truth_out:
@@ -267,14 +270,9 @@ _COMMANDS = {
 
 
 def _print_config(args) -> None:
-    skip = {"command", "print_config"}
-    for key in sorted(vars(args)):
-        if key in skip:
-            continue
-        value = getattr(args, key)
-        if value is None:
-            value = ""
-        print(f"{key}={value}")
+    for key, value in sorted(vars(args).items()):
+        if key not in ("command", "print_config"):
+            print(f"{key}={'' if value is None else value}")
 
 
 def run_cli(argv: list[str]) -> int:

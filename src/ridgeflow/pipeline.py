@@ -165,10 +165,8 @@ def save_comparison_csv(report: ComparisonReport, path) -> None:
 
 
 def summary_lines(report: ComparisonReport) -> list[str]:
-    if report.mae_projection is not None:
-        return [
-            "mae_projection,mae_gradient,n_sites",
-            f"{report.mae_projection:.6f},{report.mae_gradient:.6f},{report.n_sites}",
-        ]
-    dis = "" if report.mean_disagreement is None else f"{report.mean_disagreement:.6f}"
-    return ["mean_disagreement,n_sites", f"{dis},{report.n_sites}"]
+    """A header and one row: the two MAEs when truth is given, else the methods' mean disagreement; empty cells
+    where no site is left."""
+    names = ["mae_projection", "mae_gradient"] if report.truth is not None else ["mean_disagreement"]
+    cells = ["" if v is None else f"{v:.6f}" for v in (getattr(report, name) for name in names)]
+    return [",".join(names + ["n_sites"]), ",".join(cells + [str(report.n_sites)])]

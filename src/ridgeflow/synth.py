@@ -95,7 +95,8 @@ def generate(spec: SyntheticSpec, stride: int = 2) -> tuple[GrayImage, FlowField
         ny = 0.0 if abs(ny) < 1e-12 else ny
         phase = (X * nx + Y * ny) * omega
         values = spec.offset + spec.amplitude * np.cos(phase)
-        angles = np.full(GX.shape, spec.orientation % math.pi)
+        theta = spec.orientation % math.pi  # exactly pi a hair below 0, which is 0 on the half circle, as in angles_at
+        angles = np.full(GX.shape, theta if theta < math.pi else 0.0)
         valid = np.ones(GX.shape, dtype=bool)
     elif spec.pattern == "concentric":
         cx = (spec.width - 1) / 2.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -6,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ridgeflow as rf
-from ridgeflow.cli import _pipeline_config, build_parser, run_cli
+from ridgeflow.cli import _FLAGS, _GROUPS, _pipeline_config, _settings, build_parser, run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -168,6 +171,7 @@ class TestExitCodes:
         (["flow", "IN", "--method", "gradient", "--grad-weight-sigma", "1e-200"],
          "gradient_weight_sigma 1e-200 is too small: 2 * gradient_weight_sigma**2 underflows to 0"),
         (["synth", "--stride", "0"], "stride must be >= 1"),
+        (["synth", "--orientation-deg", "inf"], "orientation must be finite, got inf"),
         (["enhance", "IN", "--sigma", "1e-300"], "gaussian_sigma 1e-300 is too small: 2 * gaussian_sigma**2 underflows to 0"),
     ])
     def test_bad_setting_is_data_error_naming_it(self, sample, tmp_path, capsys, argv, message):
@@ -292,6 +296,71 @@ class TestDefaults:
     @pytest.mark.parametrize("command", ["flow", "binarize", "enhance", "pipeline", "compare", "viz"])
     def test_no_flags_build_the_default_config(self, command):
         assert _pipeline_config(build_parser().parse_args([command, "x"])) == rf.PipelineConfig()
+
+
+_sizes = st.integers(1, 2**40)
+
+
+@st.composite
+def _pipeline_configs(draw):
+    """A valid ``PipelineConfig`` of values the flags can spell: steps of pi/N, and a fine half range of 0 or pi/N."""
+    coarse = draw(st.integers(1, 2**20))
+    fine = draw(st.integers(coarse, 2**21))
+    half_range = draw(st.just(0.0) | st.integers(2 * coarse, 2**22).map(lambda n: math.pi / n))
+    sigma = draw(st.floats(1e-150, 1e150))
+    enhance = rf.EnhanceConfig(gaussian_sigma=sigma, kernel_half_length=math.ceil(2 * sigma) + draw(st.integers(0, 9)))
+    flow = rf.FlowConfig(tangent_half_length=draw(_sizes), perp_half_length=draw(_sizes), coarse_step=math.pi / coarse,
+                         fine_step=math.pi / fine, fine_half_range=half_range, stride=draw(_sizes),
+                         background_variance_threshold=draw(st.floats(0, allow_infinity=False)),
+                         use_half_line_rule=draw(st.booleans()), gradient_window_half=draw(st.integers(0, 2**40)),
+                         gradient_weight_sigma=draw(st.none() | st.floats(1e-150, 1e150)),
+                         coherence_threshold=draw(st.floats(allow_nan=False, allow_infinity=False)))
+    return rf.PipelineConfig(iterations=draw(_sizes), path_mode=draw(st.sampled_from(["linear", "contour"])),
+                             flow_method=draw(st.sampled_from(["projection", "gradient"])), flow=flow,
+                             binarize=rf.BinarizeConfig(line_half_length=draw(_sizes)), enhance=enhance)
+
+
+@st.composite
+def _specs(draw):
+    """A valid ``SyntheticSpec`` whose orientation lies in [0, pi), as the flags give it."""
+    amplitude = draw(st.floats(0, 127.5))
+    return rf.SyntheticSpec(width=draw(_sizes), height=draw(_sizes),
+                            pattern=draw(st.sampled_from(["parallel", "concentric", "half_plane_stripe"])),
+                            orientation=draw(st.floats(0, math.pi, exclude_max=True)),
+                            period=draw(st.floats(4, 1e300)), amplitude=amplitude,
+                            offset=draw(st.floats(amplitude, 255 - amplitude)),
+                            noise_sigma=draw(st.floats(0, 1e300)), rng_seed=draw(st.integers(-2**70, 2**70)))
+
+
+def _argv(command: str, values) -> list[str]:
+    """The flags of ``command`` that set ``values``, each written with its row's ``text``."""
+    argv = [command]
+    for row in _FLAGS:
+        if row.group in _GROUPS[command]:
+            value = values
+            for name in row.field.split("."):
+                value = getattr(value, name)
+            text = row.text(value)
+            if row.parse is None:  # a switch is given or left out
+                argv += [row.flag] if text == "True" else []
+            else:  # after "=", a negative value is not read as an option
+                argv.append(f"{row.flag}={text}")
+    return argv
+
+
+class TestFlagTable:
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=_pipeline_configs(), spec=_specs())
+    def test_every_setting_round_trips_through_its_flag(self, cfg, spec):
+        """Each of the 26 settable values, written as its flag's text and parsed back, is the value drawn,
+        ``gradient_weight_sigma=None`` and ``fine_half_range=0`` among them. The orientation alone is converted
+        inexactly, from radians to degrees and back, so it comes back within one ulp."""
+        parser = build_parser()
+        assert _pipeline_config(parser.parse_args(_argv("pipeline", cfg) + ["x"])) == cfg
+        args = parser.parse_args(_argv("synth", spec) + [f"--width={spec.width}", f"--height={spec.height}"])
+        got = _settings(args, rf.SyntheticSpec(width=args.width, height=args.height))
+        assert abs(got.orientation - spec.orientation) <= math.ulp(spec.orientation)
+        assert dataclasses.replace(got, orientation=spec.orientation) == spec
 
 
 class TestReproducibility:

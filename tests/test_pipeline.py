@@ -285,6 +285,13 @@ class TestCompareMethods:
         assert report.mean_disagreement is not None
         assert report.n_sites > 0
 
+    def test_summary_with_no_site_left_keeps_its_header(self):
+        img, truth = noisy()
+        with_truth = rf.compare_methods(img, truth=truth, interior_margin=1e308)
+        assert with_truth.n_sites == 0
+        assert rf.summary_lines(with_truth) == ["mae_projection,mae_gradient,n_sites", ",,0"]
+        assert rf.summary_lines(dataclasses.replace(with_truth, truth=None)) == ["mean_disagreement,n_sites", ",0"]
+
     def test_non_finite_interior_margin_is_rejected(self):
         img, _ = noisy()
         with pytest.raises(ValueError, match="interior_margin must be finite"):

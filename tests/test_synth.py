@@ -100,6 +100,14 @@ def test_non_positive_stride_is_rejected(stride):
         rf.generate(rf.SyntheticSpec(width=16, height=16), stride=stride)
 
 
+@pytest.mark.parametrize("orientation", [-1e-300, -1e-17])
+def test_orientation_a_hair_below_zero_gives_truth_angle_zero(orientation):
+    # orientation % pi is exactly pi here; the ridges are those of orientation 0
+    img, truth = rf.generate(rf.SyntheticSpec(width=8, height=8, orientation=orientation))
+    assert (truth.angles == 0.0).all()
+    assert np.array_equal(img.pixels, rf.generate(rf.SyntheticSpec(width=8, height=8))[0].pixels)
+
+
 def test_truth_grid_follows_stride():
     spec = rf.SyntheticSpec(width=65, height=33, pattern="parallel", orientation=0.0, period=8.0)
     _, truth = rf.generate(spec, stride=2)
