@@ -7,7 +7,7 @@ binarizer, a flow-guided smoother, contour tracing, an iterative pipeline
 and a synthetic-pattern harness round out the toolkit.
 """
 
-from .binarize import BinarizeConfig, binarize_image, binarize_pixel
+from .binarize import BinarizeConfig, binarize_image
 from .contour import (
     ContourPath,
     binarize_image_contour,
@@ -15,7 +15,7 @@ from .contour import (
     enhance_image_contour,
     trace_contour,
 )
-from .enhance import EnhanceConfig, enhance_image, enhance_pixel, enhance_values, gaussian_kernel
+from .enhance import EnhanceConfig, enhance_image, enhance_values, gaussian_kernel
 from .flowfield import (
     FlowField,
     angles_at,
@@ -33,7 +33,6 @@ from .image import (
     binary_as_gray,
     invert,
     load_pgm,
-    sample_bilinear,
     save_pgm,
 )
 from .pipeline import (
@@ -71,7 +70,6 @@ __all__ = [
     "angular_distance",
     "binarize_image",
     "binarize_image_contour",
-    "binarize_pixel",
     "binary_as_gray",
     "compare_methods",
     "compute_flow_field",
@@ -79,7 +77,6 @@ __all__ = [
     "contour_enhance_values",
     "enhance_image",
     "enhance_image_contour",
-    "enhance_pixel",
     "enhance_values",
     "flow_overlay_svg",
     "gaussian_kernel",
@@ -92,7 +89,6 @@ __all__ = [
     "render_flow_overlay",
     "run_iteration",
     "run_pipeline",
-    "sample_bilinear",
     "save_comparison_csv",
     "save_flow_csv",
     "save_pgm",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flowfield import FlowField, _band_sites, angles_at, check_flow_grid
-from .image import BinaryImage, GrayImage, Point, _check_sizes, _tap_mean, band_rows, bilinear_many
+from .image import BinaryImage, GrayImage, _check_sizes, _tap_mean, band_rows, bilinear_many
 
 
 # Decision margin: means closer than this count as a tie (valley). Intensity
@@ -101,13 +101,6 @@ def _ridge(img: np.ndarray, path, sites, xs, ys, theta, half: int) -> np.ndarray
     """Ridge mask along ``path``, each along-ridge tap summed in order as it is sampled."""
     taps = _in_order(_taps(img, path, sites, xs, ys, theta, half, False), half)
     return _is_ridge(img, (v for v, _ in taps), xs, ys, theta, half)
-
-
-def binarize_pixel(image: GrayImage, p: Point, theta: float, cfg: BinarizeConfig = BinarizeConfig()) -> int:
-    """Bit at ``p`` given orientation ``theta`` (pi-periodic); a non-finite ``theta`` gives no orientation."""
-    xs, ys = (np.array([c], dtype=np.float64) for c in p)
-    theta = np.array([theta if math.isfinite(theta) else math.nan])
-    return 0 if _ridge(image.pixels, _line_path, None, xs, ys, theta, cfg.line_half_length)[0] else 1
 
 
 def _binarize_image(image: GrayImage, flow: FlowField, cfg: BinarizeConfig, path) -> BinaryImage:

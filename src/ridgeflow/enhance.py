@@ -12,7 +12,7 @@ import numpy as np
 
 from .binarize import BinarizeConfig, _bands, _check_binary, _in_order, _is_ridge, _line_path, _nearest, _taps
 from .flowfield import FlowField
-from .image import BinaryImage, GrayImage, Point, _check_sizes, _round_bytes, _two_sigma_squared, bilinear_many
+from .image import BinaryImage, GrayImage, _check_sizes, _round_bytes, _two_sigma_squared
 
 
 @dataclass(frozen=True)
@@ -63,20 +63,6 @@ def _blend(img: np.ndarray, bits: np.ndarray, path, sites, xs, ys, theta, weight
     k = len(weights) // 2
     taps = _in_order(_taps(img, path, sites, xs, ys, theta, k, True), k)
     return _masked_blend(img, bits, taps, _nearest(ys, h) * w + _nearest(xs, w), weights)
-
-
-def enhance_pixel(
-    image: GrayImage, binary: BinaryImage, p: Point, theta: float, cfg: EnhanceConfig = EnhanceConfig()
-) -> float:
-    """Smoothed intensity at ``p`` (pre-rounding); where ``theta`` is not finite, the bilinear sample at ``p``,
-    as the image stages pass an undefined pixel through, and NaN outside the raster, as ``sample_bilinear``."""
-    _check_binary(image, binary)
-    xs, ys = (np.array([c], dtype=np.float64) for c in p)
-    sample = float(bilinear_many(image.pixels, xs, ys)[0])
-    if math.isnan(sample) or not math.isfinite(theta):
-        return sample
-    weights = gaussian_kernel(cfg.gaussian_sigma, cfg.kernel_half_length)
-    return float(_blend(image.pixels, binary.bits, _line_path, None, xs, ys, np.array([theta]), weights)[0])
 
 
 def _enhance(image: GrayImage, binary: BinaryImage, flow: FlowField, path, cfg: EnhanceConfig,

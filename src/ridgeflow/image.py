@@ -314,11 +314,6 @@ def band_rows(width: int, height: int, pixels: int | None = None) -> Iterator[sl
         yield slice(y0, min(y0 + step, height))
 
 
-def sample_bilinear(image: GrayImage, p: Point) -> float:
-    """Bilinear intensity at ``p``; NaN when the sample needs out-of-raster pixels."""
-    return float(bilinear_many(image.pixels, np.array([p[0]]), np.array([p[1]]))[0])
-
-
 @dataclass(frozen=True)
 class RotationFrame:
     """The canvas of a raster rotated about its center by -angle, and the map onto it.

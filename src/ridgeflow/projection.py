@@ -102,6 +102,8 @@ class FlowConfig:
         _check_sizes(1, "stride must be >= 1", stride=self.stride)
         if self.background_variance_threshold < 0:
             raise ValueError("background_variance_threshold must be non-negative")
+        if not isinstance(self.use_half_line_rule, (bool, np.bool_)):
+            raise ValueError(f"use_half_line_rule must be a bool, got {self.use_half_line_rule!r}")
         half, sigma = self.gradient_window_half, self.gradient_weight_sigma
         _check_sizes(0, f"gradient window half size must be >= 0, got {half}", **{"gradient window half size": half})
         if sigma is not None:

@@ -1,7 +1,9 @@
 """Independent helpers shared by the test modules.
 
 These deliberately re-derive values with plain loops/formulas rather than
-calling back into the code paths they check.
+calling back into the code paths they check. The single-point entry points
+are the exception: they run the library's band kernels on one point, so a
+test can ask for one pixel's value and compare it with the image stages'.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 import ridgeflow as rf
-from ridgeflow.binarize import BinarizeConfig, _check_binary, _nearest, _ridge
+from ridgeflow.binarize import BinarizeConfig, _check_binary, _line_path, _nearest, _ridge
 from ridgeflow.contour import _trace_path
 from ridgeflow.enhance import EnhanceConfig, _blend, gaussian_kernel
 from ridgeflow.flowfield import FlowField, _grid_sites, angles_at, check_flow_grid
@@ -89,13 +91,40 @@ def squared_intensities(image: rf.GrayImage) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Single-point entry points that only tests use, moved out of
-# ``ridgeflow.flowfield`` and ``ridgeflow.contour``
+# ``ridgeflow.image``, ``ridgeflow.flowfield``, ``ridgeflow.binarize``,
+# ``ridgeflow.enhance`` and ``ridgeflow.contour``: the band kernels run on one point
+
+
+def sample_bilinear(image: GrayImage, p: Point) -> float:
+    """Bilinear intensity at ``p``; NaN when the sample needs out-of-raster pixels."""
+    return float(bilinear_many(image.pixels, np.array([p[0]]), np.array([p[1]]))[0])
 
 
 def angle_at(flow: FlowField, p: Point) -> float | None:
     """Interpolated orientation at a single point, or None where undefined."""
     theta, ok = angles_at(flow, np.array([p[0]]), np.array([p[1]]))
     return float(theta[0]) if bool(ok[0]) else None
+
+
+def binarize_pixel(image: GrayImage, p: Point, theta: float, cfg: BinarizeConfig = BinarizeConfig()) -> int:
+    """Bit at ``p`` given orientation ``theta`` (pi-periodic); a non-finite ``theta`` gives no orientation."""
+    xs, ys = (np.array([c], dtype=np.float64) for c in p)
+    theta = np.array([theta if math.isfinite(theta) else math.nan])
+    return 0 if _ridge(image.pixels, _line_path, None, xs, ys, theta, cfg.line_half_length)[0] else 1
+
+
+def enhance_pixel(
+    image: GrayImage, binary: rf.BinaryImage, p: Point, theta: float, cfg: EnhanceConfig = EnhanceConfig()
+) -> float:
+    """Smoothed intensity at ``p`` (pre-rounding); where ``theta`` is not finite, the bilinear sample at ``p``,
+    as the image stages pass an undefined pixel through, and NaN outside the raster, as ``sample_bilinear``."""
+    _check_binary(image, binary)
+    xs, ys = (np.array([c], dtype=np.float64) for c in p)
+    sample = float(bilinear_many(image.pixels, xs, ys)[0])
+    if math.isnan(sample) or not math.isfinite(theta):
+        return sample
+    weights = gaussian_kernel(cfg.gaussian_sigma, cfg.kernel_half_length)
+    return float(_blend(image.pixels, binary.bits, _line_path, None, xs, ys, np.array([theta]), weights)[0])
 
 
 def binarize_pixel_contour(image: GrayImage, p: Point, flow: FlowField, cfg: BinarizeConfig | None = None) -> int:

@@ -7,9 +7,10 @@ its truth flow, both flow methods, both pipeline paths at three settings of
 the binarize and enhance half lengths, the standalone stages
 (``binarize_image``, ``binarize_image_contour``, ``enhance_values``,
 ``contour_enhance_values``, ``enhance_image`` and ``enhance_image_contour``)
-at the same settings, ``binarize_pixel`` and ``enhance_pixel`` at pixel
-centres, sub-pixel, off-raster and NaN points for a few angles,
-``trace_contour`` from a few seeds with and without bounds, the flow CSV bytes,
+at the same settings, ``binarize_pixel`` and ``enhance_pixel`` of
+``oracles`` (the band kernels run on one point, which the library does not
+export) at pixel centres, sub-pixel, off-raster and NaN points for a few
+angles, ``trace_contour`` from a few seeds with and without bounds, the flow CSV bytes,
 the comparison CSV and summary lines with and without truth, and the
 interior site mask; then projection flows at the default settings of a
 parallel and a concentric image large enough that every coarse angle's map
@@ -41,6 +42,8 @@ import numpy as np
 
 import ridgeflow as rf
 from ridgeflow.cli import run_cli
+
+from oracles import binarize_pixel, enhance_pixel
 
 SIZES = ((48, 51), (67, 64))
 STRIDES = (1, 2, 3)
@@ -123,8 +126,8 @@ def _single_points(h, image: rf.GrayImage, binary: rf.BinaryImage, bcfg, ecfg) -
               (-0.5, 3.0), (w + 2.0, ht / 2), (3.0, ht - 0.5), (math.nan, 5.0)]
     for (x, y), theta in itertools.product(points, (0.0, 0.7, math.pi / 2, 2.5)):
         p = rf.Point(float(x), float(y))
-        value = rf.enhance_pixel(image, binary, p, theta, ecfg)
-        h.update(f"pixel {p} {theta!r} {rf.binarize_pixel(image, p, theta, bcfg)} {value!r}".encode())
+        value = enhance_pixel(image, binary, p, theta, ecfg)
+        h.update(f"pixel {p} {theta!r} {binarize_pixel(image, p, theta, bcfg)} {value!r}".encode())
 
 
 def _traces(h, flow: rf.FlowField, width: int, height: int) -> None:

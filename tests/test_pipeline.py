@@ -41,6 +41,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="gradient"):
             rf.FlowConfig(**kw)
 
+    # a string was read by its truth value, so "False" and "no" turned the rule on, and None turned it off
+    @pytest.mark.parametrize("value", ["False", "no", None, 0, 1])
+    def test_half_line_rule_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match="^use_half_line_rule must be a bool, got "):
+            rf.FlowConfig(use_half_line_rule=value)
+
+    @pytest.mark.parametrize("value", [np.True_, np.False_], ids=repr)
+    def test_half_line_rule_takes_numpy_bools(self, value):
+        assert rf.FlowConfig(use_half_line_rule=value).use_half_line_rule == value
+
     def test_gradient_uniform_weights_and_zero_window_allowed(self):
         cfg = rf.FlowConfig(gradient_window_half=0, gradient_weight_sigma=None)
         assert cfg.gradient_weight_sigma is None
@@ -58,10 +68,29 @@ FROZEN = {
     "FlowField": lambda: rf.FlowField(np.zeros((3, 3)), np.ones((3, 3), dtype=bool), 2, coherence=np.ones((3, 3))),
 }
 SETTINGS = (rf.FlowConfig, rf.BinarizeConfig, rf.EnhanceConfig, rf.PipelineConfig)
-ENTRY_POINTS = (rf.compute_flow_field, rf.compute_flow_field_gradient, rf.binarize_pixel, rf.binarize_image,
-                rf.enhance_pixel, rf.enhance_values, rf.enhance_image, rf.binarize_image_contour,
-                rf.contour_enhance_values, rf.enhance_image_contour, rf.run_iteration, rf.run_pipeline,
-                rf.compare_methods)
+ENTRY_POINTS = (rf.compute_flow_field, rf.compute_flow_field_gradient, rf.binarize_image, rf.enhance_values,
+                rf.enhance_image, rf.binarize_image_contour, rf.contour_enhance_values, rf.enhance_image_contour,
+                rf.run_iteration, rf.run_pipeline, rf.compare_methods)
+# the public surface, sorted; a name added or removed here is a change to the library's API
+PUBLIC_NAMES = [
+    "BinarizeConfig", "BinaryImage", "ComparisonReport", "ContourPath", "EnhanceConfig", "FlowConfig", "FlowField",
+    "GrayImage", "IterationRecord", "PgmFormatError", "PipelineConfig", "PipelineResult", "Point",
+    "RotatedDeviationEvaluator", "SyntheticSpec", "angles_at", "angular_distance", "binarize_image",
+    "binarize_image_contour", "binary_as_gray", "compare_methods", "compute_flow_field", "compute_flow_field_gradient",
+    "contour_enhance_values", "enhance_image", "enhance_image_contour", "enhance_values", "flow_overlay_svg",
+    "gaussian_kernel", "generate", "interior_site_mask", "invert", "load_flow_csv", "load_pgm", "patch_variance_grid",
+    "render_flow_overlay", "run_iteration", "run_pipeline", "save_comparison_csv", "save_flow_csv", "save_pgm",
+    "seeded_normals", "summary_lines", "trace_contour",
+]
+
+
+def test_public_surface_is_pinned():
+    assert rf.__all__ == PUBLIC_NAMES == sorted(PUBLIC_NAMES) and len(PUBLIC_NAMES) == 44
+    for name in PUBLIC_NAMES:
+        assert getattr(rf, name) is not None
+    # the band kernels run on one point are test oracles, not library entry points
+    for name in ("binarize_pixel", "enhance_pixel", "sample_bilinear"):
+        assert not hasattr(rf, name)
 
 
 class TestFrozen:

@@ -14,8 +14,8 @@ import ridgeflow.projection as rproj
 from ridgeflow.binarize import _bands
 from ridgeflow.flowfield import _grid_sites
 
-from oracles import (binarize_pixel_contour, canvas, canvas_reader, check_band_reads, enhance_pixel_contour,
-                     reference_mean_deviation_map)
+from oracles import (binarize_pixel, binarize_pixel_contour, canvas, canvas_reader, check_band_reads,
+                     enhance_pixel, enhance_pixel_contour, reference_mean_deviation_map, sample_bilinear)
 
 W, H = 131, 97  # non-square; 7 rows per band does not divide H
 
@@ -206,8 +206,8 @@ class TestBoundedMemory:
     def test_single_pixel_calls_copy_no_image(self, large):
         img, _ = large
         p = rf.Point(100.25, 200.75)
-        assert self._peak_mib(lambda: rf.sample_bilinear(img, p)) < self.SINGLE_PIXEL_CEILING_MIB
-        assert self._peak_mib(lambda: rf.binarize_pixel(img, p, 0.3)) < self.SINGLE_PIXEL_CEILING_MIB
+        assert self._peak_mib(lambda: sample_bilinear(img, p)) < self.SINGLE_PIXEL_CEILING_MIB
+        assert self._peak_mib(lambda: binarize_pixel(img, p, 0.3)) < self.SINGLE_PIXEL_CEILING_MIB
 
     # GrayImage.from_float rounds and clamps in one float buffer and casts it
     # to bytes: 2.50 MiB at 512x512, where four image-sized temporaries took
@@ -414,7 +414,7 @@ class TestPixelEntryContract:
         flow = self._flow(flow_size)
         p = rf.Point(20.0, 20.0)
         calls = {
-            "enhance_pixel": lambda: rf.enhance_pixel(image, binary, p, 0.5),
+            "enhance_pixel": lambda: enhance_pixel(image, binary, p, 0.5),
             "enhance_pixel_contour": lambda: enhance_pixel_contour(image, binary, p, flow),
             "binarize_pixel_contour": lambda: binarize_pixel_contour(image, p, flow),
         }

@@ -13,9 +13,9 @@ before it was traced lazily, and the fused iteration, which binarizes and
 enhances in one band sweep, against the references composed.
 
 For one query point numpy reduces the single column pairwise instead, so
-the single-pixel entry points (the contour ones from ``oracles``) are
-checked against the references evaluated on that point inside a batch:
-they give exactly the value the image stages give at the same point.
+the single-pixel entry points of ``oracles``, the band kernels run on one
+point, are checked against the references evaluated on that point inside a
+batch: they give exactly the value the image stages give at the same point.
 """
 
 import math
@@ -34,8 +34,9 @@ from ridgeflow.enhance import _masked_blend
 from ridgeflow.flowfield import _grid_sites
 from ridgeflow.image import _tap_mean
 
-from oracles import (binarize_pixel_contour, enhance_pixel_contour, reference_line_path, reference_masked_blend,
-                     reference_path_mean, reference_trace_batch)
+from oracles import (binarize_pixel, binarize_pixel_contour, enhance_pixel, enhance_pixel_contour,
+                     reference_line_path, reference_masked_blend, reference_path_mean, reference_trace_batch,
+                     sample_bilinear)
 
 # (streamed path, the same path as the references take it)
 PATHS = {"line": (_line_path, reference_line_path), "contour": (_trace_path, reference_trace_batch)}
@@ -206,14 +207,14 @@ def test_single_pixel_entry_points_match_reference(seed, width, height, stride, 
     theta = rng.uniform(0.0, math.pi)
     given_theta = (np.full(2, theta), np.ones(2, dtype=bool))
     flow_theta = rf.angles_at(flow, xs, ys)
-    sample = rf.sample_bilinear(image, p)
+    sample = sample_bilinear(image, p)
 
-    assert rf.binarize_pixel(image, p, theta) == _reference_bit(img, reference_line_path, None, xs, ys,
-                                                                 *given_theta, half)
+    assert binarize_pixel(image, p, theta) == _reference_bit(img, reference_line_path, None, xs, ys,
+                                                              *given_theta, half)
     assert binarize_pixel_contour(image, p, flow) == _reference_bit(img, reference_trace_batch, flow, xs, ys,
                                                                         *flow_theta, half)
 
-    got = rf.enhance_pixel(image, binary, p, theta)
+    got = enhance_pixel(image, binary, p, theta)
     want = reference_masked_blend(img, binary.bits, reference_line_path, None, xs, ys, *given_theta, ecfg)[0]
     assert np.array_equal(got, math.nan if math.isnan(sample) else want, equal_nan=True)
 
@@ -237,9 +238,9 @@ def test_single_pixel_entry_points_equal_the_image_stages():
     pick = np.random.default_rng(0).permutation(np.count_nonzero(defined))[:150]
     for y, x in zip(*(axis[pick] for axis in np.nonzero(defined))):
         p = rf.Point(float(x), float(y))
-        assert rf.binarize_pixel(image, p, theta[y, x]) == binary.bits[y, x]
+        assert binarize_pixel(image, p, theta[y, x]) == binary.bits[y, x]
         assert binarize_pixel_contour(image, p, flow) == contour_binary.bits[y, x]
-        assert rf.enhance_pixel(image, binary, p, theta[y, x]) == enhanced[y, x]
+        assert enhance_pixel(image, binary, p, theta[y, x]) == enhanced[y, x]
         assert enhance_pixel_contour(image, contour_binary, p, flow) == contour_enhanced[y, x]
 
 
