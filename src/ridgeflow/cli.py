@@ -30,19 +30,15 @@ from .synth import PATTERNS, SyntheticSpec, generate
 from .viz import render_flow_overlay
 
 
-class _UsageError(Exception):
-    def __init__(self, message: str, parser: argparse.ArgumentParser):
-        super().__init__(message)
-        self.parser = parser
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message, self)
+class _Command(NamedTuple):
+    """A subcommand: what runs it, its help, and the groups of ``_FLAGS`` rows whose flags it takes."""
+    run: Callable[[Any], int]
+    help: str
+    groups: tuple[str, ...]
 
 
 class _Flag(NamedTuple):
-    """One settable value's flag, which each subcommand whose ``_GROUPS`` entry holds ``group`` takes.
+    """One settable value's flag, which each subcommand whose ``_COMMANDS`` row holds ``group`` takes.
 
     ``parse`` is argparse's ``type``, so text it cannot read is a usage error; ``None`` makes a switch.
     ``value`` turns what it read into the value of ``field`` after parsing, so a value the settings reject is
@@ -111,17 +107,13 @@ _FLAGS = (
     _Flag("synth", "--noise-sigma", "noise_sigma", float),
     _Flag("synth", "--seed", "rng_seed"),
 )
-# the subcommands that take settings, and the groups of rows whose flags each takes
-_GROUPS = {"flow": ("flow",), "binarize": ("flow", "binarize"), "enhance": ("flow", "binarize", "enhance"),
-           "pipeline": ("pipeline", "flow", "binarize", "enhance"), "compare": ("flow",), "synth": ("synth",),
-           "viz": ("flow",)}
 
 
 def _settings(args, base):
     """``base`` with the field of each row the subcommand takes set from its flag in ``args``."""
     changes: dict[str, dict[str, Any]] = {}
     for row in _FLAGS:
-        if row.group in _GROUPS[args.command]:
+        if row.group in _COMMANDS[args.command].groups:
             owner, _, name = row.field.rpartition(".")
             changes.setdefault(owner, {})[name] = row.value(getattr(args, row.flag[2:].replace("-", "_")))
     top = changes.pop("", {})
@@ -130,18 +122,9 @@ def _settings(args, base):
 
 def build_parser() -> argparse.ArgumentParser:
     d = PipelineConfig()
-    parser = _Parser(prog="ridgeflow", description=__doc__)
+    parser = argparse.ArgumentParser(prog="ridgeflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    p = {command: sub.add_parser(command, help=help) for command, help in (
-        ("flow", "estimate an orientation flow field"),
-        ("binarize", "classify pixels into ridge/valley"),
-        ("enhance", "directionally smooth an image"),
-        ("pipeline", "iterate flow -> binarize -> enhance"),
-        ("compare", "projection vs gradient flow on one image"),
-        ("synth", "generate a synthetic ridge pattern"),
-        ("viz", "render a flow field over its image as SVG"))}
-    for command in ("flow", "binarize", "enhance", "pipeline", "compare", "viz"):
-        p[command].add_argument("input", help="input PGM image")
+    p = {name: sub.add_parser(name, help=command.help) for name, command in _COMMANDS.items()}
     p["flow"].add_argument("--out", help="output flow CSV path")
     p["binarize"].add_argument("--out", help="output PGM (0 = ridge, 255 = valley)")
     p["enhance"].add_argument("--out", help="output PGM")
@@ -159,7 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p["viz"].add_argument("--flow", help="flow CSV to draw; computed with the flags below when omitted")
     p["viz"].add_argument("--out", help="output SVG path")
     for command in p:
-        for row in (row for row in _FLAGS if row.group in _GROUPS[command]):
+        if command != "synth":  # synth makes its image; every other subcommand reads one
+            p[command].add_argument("input", help="input PGM image")
+        for row in (row for row in _FLAGS if row.group in _COMMANDS[command].groups):
             if row.parse is None:
                 p[command].add_argument(row.flag, action="store_true", help=row.help)
             else:  # argparse reads a text default as it reads a given one
@@ -174,10 +159,10 @@ def _pipeline_config(args) -> PipelineConfig:
     return _settings(args, PipelineConfig())
 
 
-def _require_out(args, attr: str, parser_hint: str) -> str:
+def _require_out(args, attr: str) -> str:
     value = getattr(args, attr)
     if not value:
-        raise ValueError(f"{parser_hint} requires --{attr.replace('_', '-')}")
+        raise ValueError(f"{args.command} requires --{attr.replace('_', '-')}")
     return value
 
 
@@ -191,7 +176,7 @@ def _classify(image: GrayImage, args):
 
 def _cmd_flow(args) -> int:
     image = load_pgm(args.input)
-    out = _require_out(args, "out", "flow")
+    out = _require_out(args, "out")
     field = _flow_for(image, _pipeline_config(args))
     save_flow_csv(field, out)
     return 0
@@ -199,14 +184,14 @@ def _cmd_flow(args) -> int:
 
 def _cmd_binarize(args) -> int:
     image = load_pgm(args.input)
-    out = _require_out(args, "out", "binarize")
+    out = _require_out(args, "out")
     save_pgm(binary_as_gray(_classify(image, args)[2]), out)
     return 0
 
 
 def _cmd_enhance(args) -> int:
     image = load_pgm(args.input)
-    out = _require_out(args, "out", "enhance")
+    out = _require_out(args, "out")
     cfg, flow, binary = _classify(image, args)
     save_pgm(GrayImage._of_bytes(_enhance(image, binary, flow, PATHS[cfg.path_mode], cfg.enhance, True)), out)
     return 0
@@ -214,7 +199,7 @@ def _cmd_enhance(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     image = load_pgm(args.input)
-    prefix = _require_out(args, "out_prefix", "pipeline")
+    prefix = _require_out(args, "out_prefix")
     cfg = _pipeline_config(args)
     source = invert(image) if args.invert_polarity else image
     result = run_pipeline(source, cfg)
@@ -241,7 +226,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    out = _require_out(args, "out", "synth")
+    out = _require_out(args, "out")
     spec = _settings(args, SyntheticSpec(width=args.width, height=args.height))
     image, truth = generate(spec, stride=args.stride)
     save_pgm(image, out)
@@ -252,20 +237,22 @@ def _cmd_synth(args) -> int:
 
 def _cmd_viz(args) -> int:
     image = load_pgm(args.input)
-    out = _require_out(args, "out", "viz")
+    out = _require_out(args, "out")
     flow = load_flow_csv(args.flow) if args.flow else _flow_for(image, _pipeline_config(args))
     render_flow_overlay(image, flow, out)
     return 0
 
 
+# one row per subcommand, from which the parser and, with _FLAGS, each run's settings are built
 _COMMANDS = {
-    "flow": _cmd_flow,
-    "binarize": _cmd_binarize,
-    "enhance": _cmd_enhance,
-    "pipeline": _cmd_pipeline,
-    "compare": _cmd_compare,
-    "synth": _cmd_synth,
-    "viz": _cmd_viz,
+    "flow": _Command(_cmd_flow, "estimate an orientation flow field", ("flow",)),
+    "binarize": _Command(_cmd_binarize, "classify pixels into ridge/valley", ("flow", "binarize")),
+    "enhance": _Command(_cmd_enhance, "directionally smooth an image", ("flow", "binarize", "enhance")),
+    "pipeline": _Command(_cmd_pipeline, "iterate flow -> binarize -> enhance",
+                         ("pipeline", "flow", "binarize", "enhance")),
+    "compare": _Command(_cmd_compare, "projection vs gradient flow on one image", ("flow",)),
+    "synth": _Command(_cmd_synth, "generate a synthetic ridge pattern", ("synth",)),
+    "viz": _Command(_cmd_viz, "render a flow field over its image as SVG", ("flow",)),
 }
 
 
@@ -276,20 +263,15 @@ def _print_config(args) -> None:
 
 
 def run_cli(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as err:
-        err.parser.print_usage(sys.stderr)
-        print(f"{err.parser.prog}: error: {err}", file=sys.stderr)
-        return 1
-    except SystemExit as exit_:  # --help
-        return int(exit_.code or 0)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exit_:  # argparse has printed the help (0) or the usage and its error (2)
+        return 1 if exit_.code == 2 else int(exit_.code or 0)
     if args.print_config:
         _print_config(args)
         return 0
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except (ValueError, OSError) as err:
         print(f"ridgeflow {args.command}: error: {err}", file=sys.stderr)
         return 2

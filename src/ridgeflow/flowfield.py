@@ -231,12 +231,11 @@ def load_flow_csv(path) -> FlowField:
     if header[:4] != ["x", "y", "theta_radians", "valid"]:
         raise ValueError(f"{path}: unexpected flow CSV header {lines[0]!r}")
     has_coh = len(header) >= 5 and header[4] == "coherence"
-    xs, ys, thetas, valids, cohs, linenos = [], [], [], [], [], []
+    rows, linenos = [], []  # rows of (x, y, theta, valid, coherence), and the line each came from
     n_fields = 5 if has_coh else 4
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
-        linenos.append(lineno)
         parts = ln.split(",")
         try:
             if len(parts) < n_fields:
@@ -249,17 +248,15 @@ def load_flow_csv(path) -> FlowField:
             coh = float(parts[4]) if has_coh else 0.0
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: malformed row {ln!r} ({err})") from None
-        xs.append(x)
-        ys.append(y)
-        thetas.append(theta)
-        valids.append(v)
-        cohs.append(coh)
-    if not xs:
+        rows.append((x, y, theta, v, coh))
+        linenos.append(lineno)
+    if not rows:
         raise ValueError(f"{path}: no sites")
-    ux = np.unique(np.asarray(xs))
-    uy = np.unique(np.asarray(ys))
+    xs, ys, thetas, valids, cohs = np.array(rows, dtype=np.float64).T
+    ux = np.unique(xs)
+    uy = np.unique(ys)
     gw, gh = len(ux), len(uy)
-    if gw * gh != len(xs):
+    if gw * gh != len(rows):
         raise ValueError(f"{path}: sites do not form a complete grid")
     if gw > 1:
         stride = ux[1] - ux[0]
@@ -271,19 +268,19 @@ def load_flow_csv(path) -> FlowField:
         raise ValueError(f"{path}: non-integer grid stride {stride}")
     stride = int(round(stride))
     # row i must be site (i % gw, i // gw) * stride
-    i = np.arange(len(xs))
+    i = np.arange(len(rows))
     ex = (i % gw) * stride
     ey = (i // gw) * stride
-    off = np.flatnonzero((np.abs(np.asarray(xs) - ex) > 1e-6) | (np.abs(np.asarray(ys) - ey) > 1e-6))
+    off = np.flatnonzero((np.abs(xs - ex) > 1e-6) | (np.abs(ys - ey) > 1e-6))
     if off.size:
         j = off[0]
         raise ValueError(
             f"{path}:{linenos[j]}: site ({xs[j]:g}, {ys[j]:g}) should be ({ex[j]:g}, {ey[j]:g}); rows must "
             f"list the grid from (0, 0) with stride {stride} in row-major order"
         )
-    angles = np.asarray(thetas, dtype=np.float64).reshape(gh, gw)
-    valid = np.asarray(valids, dtype=int).reshape(gh, gw).astype(bool)
-    coherence = np.asarray(cohs, dtype=np.float64).reshape(gh, gw) if has_coh else None
+    angles = thetas.reshape(gh, gw)
+    valid = valids.reshape(gh, gw).astype(bool)
+    coherence = cohs.reshape(gh, gw).copy() if has_coh else None  # not a view that keeps the whole table
     try:
         return FlowField(angles, valid, stride, coherence)
     except ValueError as err:

@@ -11,6 +11,7 @@ center. Angles are measured from +x toward +y and are pi-periodic.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -148,30 +149,21 @@ def invert(image: GrayImage) -> GrayImage:
 # PGM (binary P5) I/O
 
 
+# a PGM header's separators (whitespace, and comments from "#" to the end of the line) and its tokens
+_PGM_SEPARATORS = re.compile(rb"(?:[ \t\r\n]|#[^\n]*)*")
+_PGM_TOKEN = re.compile(rb"[^ \t\r\n]*")
+
+
 def load_pgm(path) -> GrayImage:
     """Read a binary PGM (P5, maxval 255) file without any value scaling."""
     path = Path(path)
     raw = path.read_bytes()
     pos = 0
 
-    def skip_separators():
-        nonlocal pos
-        while pos < len(raw):
-            c = raw[pos]
-            if c in b" \t\r\n":
-                pos += 1
-            elif c == ord("#"):
-                while pos < len(raw) and raw[pos] != ord("\n"):
-                    pos += 1
-            else:
-                break
-
     def read_token(what: str) -> tuple[bytes, int]:
         nonlocal pos
-        skip_separators()
-        start = pos
-        while pos < len(raw) and raw[pos] not in b" \t\r\n":
-            pos += 1
+        start = _PGM_SEPARATORS.match(raw, pos).end()
+        pos = _PGM_TOKEN.match(raw, start).end()
         if start == pos:
             raise PgmFormatError(f"{path}: missing {what} at byte {start}")
         return raw[start:pos], start

@@ -37,6 +37,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         _check_sizes(1, "iterations must be >= 1", iterations=self.iterations)
+        for name, kind in (("flow", FlowConfig), ("binarize", BinarizeConfig), ("enhance", EnhanceConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be an instance of {kind.__name__}, got {getattr(self, name)!r}")
         if self.path_mode not in tuple(PATHS):  # not the dict, whose lookup raises TypeError for a list
             raise ValueError(f"path_mode must be one of {tuple(PATHS)}")
         if self.flow_method not in FLOW_METHODS:

@@ -26,7 +26,7 @@ def _splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Outputs offset+1 .. offset+count of the SplitMix64 stream for ``seed``."""
     idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN
+        z = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN
         z = (z ^ (z >> np.uint64(30))) * _MIX1
         z = (z ^ (z >> np.uint64(27))) * _MIX2
         z = z ^ (z >> np.uint64(31))
@@ -67,6 +67,7 @@ class SyntheticSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         _check_sizes(1, "dimensions must be positive", width=self.width, height=self.height)
+        _check_sizes(-math.inf, "", rng_seed=self.rng_seed)  # any integer, no least: the stream takes its low 64 bits
         if self.pattern not in PATTERNS:
             raise ValueError(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
         if self.period < 4:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridgeflow as rf
-from ridgeflow.cli import _FLAGS, _GROUPS, _pipeline_config, _settings, build_parser, run_cli
+from ridgeflow.cli import _COMMANDS, _FLAGS, _pipeline_config, _settings, build_parser, run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -336,7 +336,7 @@ def _argv(command: str, values) -> list[str]:
     """The flags of ``command`` that set ``values``, each written with its row's ``text``."""
     argv = [command]
     for row in _FLAGS:
-        if row.group in _GROUPS[command]:
+        if row.group in _COMMANDS[command].groups:
             value = values
             for name in row.field.split("."):
                 value = getattr(value, name)

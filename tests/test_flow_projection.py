@@ -309,6 +309,9 @@ class TestAngleInterpolation:
         assert angle_at(flow, rf.Point(1.0, 1.0)) is None
 
 
+_HEADER = "x,y,theta_radians,valid\n"
+
+
 class TestFlowCsv:
     def test_round_trip_exact(self, tmp_path):
         img, _ = rf.generate(rf.SyntheticSpec(width=64, height=64, pattern="parallel",
@@ -390,6 +393,33 @@ class TestFlowCsv:
         p.write_text("x,y,theta_radians,valid\n", encoding="ascii")
         with pytest.raises(ValueError, match=r"f\.csv: no sites"):
             rf.load_flow_csv(p)
+
+    # every message of the reader, after its path and, where a row is at fault, the line
+    @pytest.mark.parametrize("text, message", [
+        ("", ": empty flow CSV"),
+        ("x,y,theta,valid\n0,0,0.1,1\n", ": unexpected flow CSV header 'x,y,theta,valid'"),
+        (_HEADER + "0,0,0.1,1\n2,0,0.1\n", ":3: malformed row '2,0,0.1' (expected 4 fields)"),
+        ("x,y,theta_radians,valid,coherence\n0,0,0.1,1,0.5\n2,0,0.1,1\n",
+         ":3: malformed row '2,0,0.1,1' (expected 5 fields)"),
+        (_HEADER + "0,0,0.1,1\n2,0,abc,1\n",
+         ":3: malformed row '2,0,abc,1' (could not convert string to float: 'abc')"),
+        (_HEADER + "0,0,0.1,1\n2,inf,0.1,1\n", ":3: malformed row '2,inf,0.1,1' (site coordinates must be finite)"),
+        (_HEADER + "0,0,0.1,1\n2,0,0.1,2\n", ":3: malformed row '2,0,0.1,2' (valid must be 0 or 1, not 2)"),
+        (_HEADER + "\n\n", ": no sites"),
+        (_HEADER + "0,0,0.1,1\n2,0,0.1,1\n0,2,0.1,1\n", ": sites do not form a complete grid"),
+        (_HEADER + "0,0,0.1,1\n1.5,0,0.1,1\n", ": non-integer grid stride 1.5"),
+        (_HEADER + "0,0,0.1,1\n0,2,0.2,1\n2,0,0.3,1\n2,2,0.4,1\n",
+         ":3: site (0, 2) should be (2, 0); rows must list the grid from (0, 0) with stride 2 in row-major order"),
+        (_HEADER + "0,0,nan,1\n2,0,0.1,1\n", ": valid angles must be finite and lie in [0, pi)"),
+    ], ids=["empty", "header", "too-few-fields", "too-few-with-coherence", "unreadable-number", "non-finite-site",
+            "valid-not-0-or-1", "no-sites", "incomplete-grid", "non-integer-stride", "misplaced-site",
+            "flow-field-error"])
+    def test_each_error_message(self, tmp_path, text, message):
+        p = tmp_path / "f.csv"
+        p.write_text(text, encoding="ascii")
+        with pytest.raises(ValueError) as err:
+            rf.load_flow_csv(p)
+        assert str(err.value) == f"{p}{message}"
 
 
 class TestFlowFieldContract:

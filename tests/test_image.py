@@ -39,6 +39,33 @@ class TestPgm:
         with pytest.raises(rf.PgmFormatError, match="truncated.*byte"):
             rf.load_pgm(p)
 
+    # every message of the reader, with the byte it names; the path leads each
+    @pytest.mark.parametrize("payload, message", [
+        (b"", "missing magic number at byte 0"),
+        (b" \n# only a comment", "missing magic number at byte 18"),
+        (b"P6\n2 2\n255\n" + bytes(12), "expected binary PGM magic 'P5' at byte 0, found b'P6'"),
+        (b"\nP5#x 2 2 255\n" + bytes(4), "expected binary PGM magic 'P5' at byte 1, found b'P5#x'"),
+        (b"P5\n", "missing width at byte 3"),
+        (b"P5 2x 2 255\n", "malformed width b'2x' at byte 3"),
+        (b"P5 0123456789abcdefghij 2 255\n", "malformed width b'0123456789abcdef' at byte 3"),
+        (b"P5 2\n# h\n", "missing height at byte 9"),
+        (b"P5 2 -2 255\n", "malformed height b'-2' at byte 5"),
+        (b"P5 2 2", "missing maxval at byte 6"),
+        (b"P5 2 2 +255\n", "malformed maxval b'+255' at byte 7"),
+        (b"P5 0 2 255\n", "non-positive dimensions 0x2 at byte 3"),
+        (b"P5 3 0 255\n", "non-positive dimensions 3x0 at byte 3"),
+        (b"P5 2 2 65535\n" + bytes(8), "unsupported maxval 65535 at byte 7 (only 255 is supported)"),
+        (b"P5 2 2 255", "missing whitespace after maxval at byte 10"),
+        (b"P5\n4 4\n255\n" + bytes(7), "truncated pixel data at byte 18 (need 16 bytes from byte 11)"),
+    ], ids=["empty", "comment-only", "wrong-magic", "magic-with-hash", "no-width", "malformed-width",
+            "long-token-cut", "no-height", "negative-height", "no-maxval", "signed-maxval", "zero-width",
+            "zero-height", "wide-maxval", "no-whitespace-after-maxval", "truncated"])
+    def test_each_format_error_message(self, tmp_path, payload, message):
+        p = _write(tmp_path, "a.pgm", payload)
+        with pytest.raises(rf.PgmFormatError) as err:
+            rf.load_pgm(p)
+        assert str(err.value) == f"{p}: {message}"
+
     def test_load_skips_comments(self, tmp_path):
         p = _write(tmp_path, "a.pgm", b"P5\n# a comment\n1 1\n255\n\x2a")
         assert rf.load_pgm(p).pixels[0, 0] == 42

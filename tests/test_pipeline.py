@@ -51,6 +51,17 @@ class TestConfig:
     def test_half_line_rule_takes_numpy_bools(self, value):
         assert rf.FlowConfig(use_half_line_rule=value).use_half_line_rule == value
 
+    # each was accepted, and run_pipeline then failed with AttributeError in the middle of the run
+    @pytest.mark.parametrize("field, value, message", [
+        ("flow", None, "flow must be an instance of FlowConfig, got None"),
+        ("binarize", rf.EnhanceConfig(), "binarize must be an instance of BinarizeConfig, got EnhanceConfig("),
+        ("enhance", rf.BinarizeConfig(), "enhance must be an instance of EnhanceConfig, got BinarizeConfig("),
+    ], ids=["flow", "binarize", "enhance"])
+    def test_sub_settings_must_have_their_type(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            rf.PipelineConfig(**{field: value})
+        assert str(err.value).startswith(message)
+
     def test_gradient_uniform_weights_and_zero_window_allowed(self):
         cfg = rf.FlowConfig(gradient_window_half=0, gradient_weight_sigma=None)
         assert cfg.gradient_weight_sigma is None

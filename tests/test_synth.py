@@ -87,6 +87,22 @@ def test_spec_validation():
         rf.SyntheticSpec(width=0, height=8)
 
 
+# a float or a string was accepted and failed inside generate, and True acted as seed 1
+@pytest.mark.parametrize("seed", [1.5, "7", None, True, np.float64(3.0)], ids=repr)
+def test_seed_must_be_an_integer(seed):
+    with pytest.raises(ValueError) as err:
+        rf.SyntheticSpec(width=8, height=8, rng_seed=seed)
+    assert str(err.value) == f"rng_seed must be an integer, got {seed!r}"
+
+
+# numpy's integers overflowed where the stream masks the seed to 64 bits
+@pytest.mark.parametrize("seed", [np.int64(5), np.int64(-3), np.int32(99), np.uint64(2**64 - 1)], ids=repr)
+def test_numpy_integer_seed_gives_the_bytes_of_its_python_int(seed):
+    kw = dict(width=16, height=12, noise_sigma=10.0)
+    image, _ = rf.generate(rf.SyntheticSpec(**kw, rng_seed=seed))
+    assert np.array_equal(image.pixels, rf.generate(rf.SyntheticSpec(**kw, rng_seed=int(seed)))[0].pixels)
+
+
 def test_noise_applied_before_clamping():
     spec = rf.SyntheticSpec(width=64, height=64, pattern="parallel", orientation=0.0,
                             period=8.0, noise_sigma=60.0, rng_seed=1)
