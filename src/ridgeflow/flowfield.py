@@ -32,7 +32,7 @@ class FlowField:
         val = np.asarray(self.valid, dtype=bool)
         if ang.ndim != 2 or ang.shape != val.shape:
             raise ValueError("angles and valid must be 2-D arrays of equal shape")
-        _check_sizes(1, "stride must be >= 1", stride=self.stride)
+        _check_stride(self.stride, max(ang.shape))
         if np.any(val & ~((ang >= 0.0) & (ang < math.pi))):
             raise ValueError("valid angles must be finite and lie in [0, pi)")
         ang = np.where(val, ang, 0.0)
@@ -62,6 +62,14 @@ class FlowField:
 
     def site_ys(self) -> np.ndarray:
         return np.arange(self.grid_height) * self.stride
+
+
+def _check_stride(stride, sites: int = 2) -> None:
+    """ValueError unless ``stride`` is an integer >= 1 and a row of ``sites`` sites (two at least, so the stride
+    itself counts) ends within int64, numpy's type for the grid's coordinates."""
+    _check_sizes(1, "stride must be >= 1", stride=stride)
+    if max(sites - 1, 1) * int(stride) > np.iinfo(np.int64).max:
+        raise ValueError(f"stride {stride} puts grid sites past the int64 range")
 
 
 def _grid_sites(width: int, height: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
@@ -253,8 +261,8 @@ def load_flow_csv(path) -> FlowField:
     if not rows:
         raise ValueError(f"{path}: no sites")
     xs, ys, thetas, valids, cohs = np.array(rows, dtype=np.float64).T
-    ux = np.unique(xs)
-    uy = np.unique(ys)
+    # Python floats, whose difference past the float64 range is inf without a warning
+    ux, uy = np.unique(xs).tolist(), np.unique(ys).tolist()
     gw, gh = len(ux), len(uy)
     if gw * gh != len(rows):
         raise ValueError(f"{path}: sites do not form a complete grid")
@@ -264,13 +272,13 @@ def load_flow_csv(path) -> FlowField:
         stride = uy[1] - uy[0]
     else:
         stride = 1.0
-    if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
+    if not (math.isfinite(stride) and abs(stride - round(stride)) <= 1e-9) or round(stride) < 1:
         raise ValueError(f"{path}: non-integer grid stride {stride}")
     stride = int(round(stride))
-    # row i must be site (i % gw, i // gw) * stride
+    # row i must be site (i % gw, i // gw) * stride, in float64 like the sites read, so no stride overflows
     i = np.arange(len(rows))
-    ex = (i % gw) * stride
-    ey = (i // gw) * stride
+    ex = (i % gw) * float(stride)
+    ey = (i // gw) * float(stride)
     off = np.flatnonzero((np.abs(xs - ex) > 1e-6) | (np.abs(ys - ey) > 1e-6))
     if off.size:
         j = off[0]

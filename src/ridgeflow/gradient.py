@@ -44,7 +44,8 @@ def _tensor_sums(pixels: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndar
     Per band of site rows, the Sobel gradients of the pixel rows its windows
     reach (indices clamped, which replicates the borders) give the three
     products, zero outside the image. Split into contiguous stride-phase
-    planes, each kept tap reads one plane at a fixed offset for all three.
+    planes, no more per axis than the kernel's side, since no tap reaches
+    past it, each kept tap reads one plane at a fixed offset for all three.
     """
     h, w = pixels.shape
     c = kernel.shape[0] // 2
@@ -65,7 +66,8 @@ def _tensor_sums(pixels: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndar
         for k, (a, b) in enumerate(((gx, gx), (gx, gy), (gy, gy))):
             np.multiply(a, b, out=prod[k, y0 - top : y1 - top, c : c + w])
         del gx, gy, a, b
-        planes = [[np.ascontiguousarray(prod[:, p::stride, q::stride]) for q in range(stride)] for p in range(stride)]
+        phases = range(min(stride, kernel.shape[0]))
+        planes = [[np.ascontiguousarray(prod[:, p::stride, q::stride]) for q in phases] for p in phases]
         del prod
         acc = out[:, rows]
         term = np.empty(acc.shape)

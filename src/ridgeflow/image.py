@@ -388,10 +388,8 @@ def rotate_raster(
     for lattice-preserving angles.
 
     Rows are resampled in bands, so the sampling temporaries stay small.
-    Each band samples only the columns whose source position can be in
-    bounds on the band's first or last row (and so on any row between),
-    widened by a source pixel and a column; the rest stay NaN, and
-    ``bilinear_many`` alone decides which samples inside are NaN.
+    Each band samples every column of the window, and ``bilinear_many``
+    alone decides which samples are NaN.
     """
     h, w = values.shape
     frame = RotationFrame.of((h, w), angle, source_offset)
@@ -399,27 +397,11 @@ def rotate_raster(
     c = math.cos(angle)
     s = math.sin(angle)
     (scx, scy), (dcx, dcy) = frame.src_center, frame.dst_center
-    out = np.full((len(rows), len(cols)), np.nan)
+    out = np.empty((len(rows), len(cols)))
     dx = (np.arange(cols.start, cols.stop, dtype=np.float64) - dcx)[None, :]
     for band in band_rows(max(len(cols), 1), len(rows)):
-        y0, y1 = rows[band.start], rows[band.stop - 1]
-        # each source coordinate, base + k * dx + m * dy, must lie in
-        # [-1, size]: per row an interval of dx, and over the band's rows one
-        # within the hull of the intervals of its first and last row
-        lo, hi = -math.inf, math.inf
-        for k, m, base, size in ((c, -s, scx + source_offset[0], w), (s, c, scy + source_offset[1], h)):
-            if k != 0.0:
-                ends = [(edge - base - m * (y - dcy)) / k for edge in (-1.0, size) for y in (y0, y1)]
-                lo = max(lo, min(ends))
-                hi = min(hi, max(ends))
-        if lo == math.inf or hi == -math.inf:  # a subnormal k: the band's rows miss the source
-            continue
-        a = max(math.floor(lo + dcx) - 1 - cols.start, 0)
-        b = min(math.ceil(hi + dcx) + 2 - cols.start, len(cols))
-        if a >= b:
-            continue
-        dy = (np.arange(y0, y1 + 1, dtype=np.float64) - dcy)[:, None]
-        sx = scx + source_offset[0] + c * dx[:, a:b] - s * dy
-        sy = scy + source_offset[1] + s * dx[:, a:b] + c * dy
-        out[band, a:b] = bilinear_many(values, sx, sy)
+        dy = (np.arange(rows[band.start], rows[band.stop - 1] + 1, dtype=np.float64) - dcy)[:, None]
+        sx = scx + source_offset[0] + c * dx - s * dy
+        sy = scy + source_offset[1] + s * dx + c * dy
+        out[band] = bilinear_many(values, sx, sy)
     return RotatedRaster(out, frame, (rows.start, cols.start))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flowfield import FlowField, _grid_sites
+from .flowfield import FlowField, _check_stride, _grid_sites
 from .image import GrayImage, RotationFrame, _check_sizes, _tap_mean, _two_sigma_squared, rotate_raster
 
 # Variances below this are floating-point dust from interpolation; treating
@@ -99,7 +99,7 @@ class FlowConfig:
             raise ValueError("fine_step must be positive and <= coarse_step")
         if self.fine_half_range < 0 or self.fine_half_range > self.coarse_step / 2 + self.fine_step + 1e-12:
             raise ValueError("fine_half_range must lie in [0, coarse_step/2 + fine_step]")
-        _check_sizes(1, "stride must be >= 1", stride=self.stride)
+        _check_stride(self.stride)
         if self.background_variance_threshold < 0:
             raise ValueError("background_variance_threshold must be non-negative")
         if not isinstance(self.use_half_line_rule, (bool, np.bool_)):

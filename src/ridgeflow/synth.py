@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flowfield import FlowField, _grid_sites
+from .flowfield import FlowField, _check_stride, _grid_sites
 from .image import GrayImage, _check_sizes
 
 PATTERNS = ("parallel", "concentric", "half_plane_stripe")
@@ -80,7 +80,7 @@ class SyntheticSpec:
 
 def generate(spec: SyntheticSpec, stride: int = 2) -> tuple[GrayImage, FlowField]:
     """Render the pattern and its ground-truth flow on a ``stride`` grid."""
-    _check_sizes(1, f"stride must be >= 1, got {stride}", stride=stride)
+    _check_stride(stride)
     xs = np.arange(spec.width, dtype=np.float64)
     ys = np.arange(spec.height, dtype=np.float64)
     X, Y = np.meshgrid(xs, ys)

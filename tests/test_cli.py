@@ -161,6 +161,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["flow", "IN", "--stride", "100000000000000000000", "--out", "OUT.csv"],
+        ["flow", "IN", "--method", "gradient", "--stride", "100000000000000000000", "--out", "OUT.csv"],
+        ["synth", "--out", "OUT.pgm", "--truth-out", "OUT.csv", "--stride", "100000000000000000000"],
+        ["viz", "IN", "--flow", "HUGE", "--out", "OUT.svg"],
+    ], ids=["flow", "gradient-flow", "synth", "viz"])
+    def test_stride_past_int64_is_data_error(self, sample, tmp_path, capsys, argv):
+        img_path, _ = sample
+        huge = tmp_path / "huge.csv"  # sites 1e93 apart
+        huge.write_text("x,y,theta_radians,valid\n0,0,0,0\n0,1e93,1,1\n", encoding="ascii")
+        subs = {"IN": str(img_path), "HUGE": str(huge)}
+        argv = [subs.get(a, a.replace("OUT", str(tmp_path / "out"))) for a in argv]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ridgeflow {argv[0]}: error: ") and err.count("\n") == 1
+        assert "puts grid sites past the int64 range" in err
+        assert not list(tmp_path.glob("out*"))
+
     @pytest.mark.parametrize("argv, message", [
         (["flow", "IN", "--coarse-step-denom", "0"], "--coarse-step-denom must be nonzero"),
         (["flow", "IN", "--fine-step-denom", "0"], "--fine-step-denom must be nonzero"),

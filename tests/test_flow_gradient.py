@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -214,6 +215,22 @@ class TestGradientFlowField:
             assert flow.angles.tobytes() == flows[0].angles.tobytes()
             assert flow.valid.tobytes() == flows[0].valid.tobytes()
             assert flow.coherence.tobytes() == flows[0].coherence.tobytes()
+
+    def test_stride_past_the_window_builds_only_the_phases_it_reads(self):
+        # a window of side 2c + 1 reads at most 2c + 1 stride phases per axis; all
+        # stride x stride planes took 0.74 s and 190 MiB of RSS at stride 1000
+        img, _ = rf.generate(rf.SyntheticSpec(width=32, height=32, pattern="concentric", noise_sigma=20.0, rng_seed=3))
+        want = rf.compute_flow_field_gradient(img, rf.FlowConfig(stride=32))
+        tracemalloc.start()
+        try:
+            got = rf.compute_flow_field_gradient(img, rf.FlowConfig(stride=1000))
+            peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak_mib <= 1.0  # about 0.08 MiB
+        assert got.angles.tobytes() == want.angles.tobytes()
+        assert got.valid.tobytes() == want.valid.tobytes()
+        assert got.coherence.tobytes() == want.coherence.tobytes()
 
     def test_uniform_weights_allowed(self):
         img, _ = sinusoid(30)

@@ -45,6 +45,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             rf.FlowConfig(fine_half_range=math.pi / 2)
 
+    def test_stride_must_fit_int64(self):
+        # numpy holds the grid's coordinates in int64: np.arange(0, w, 10**20) is an object array
+        for stride in (2**63, 10**20, np.uint64(2**63)):
+            with pytest.raises(ValueError, match=f"^stride {stride} puts grid sites past the int64 range$"):
+                rf.FlowConfig(stride=stride)
+        img, _ = rf.generate(rf.SyntheticSpec(width=32, height=32, noise_sigma=20.0, rng_seed=2))
+        for method in (rf.compute_flow_field, rf.compute_flow_field_gradient):
+            flow = method(img, rf.FlowConfig(stride=2**63 - 1))
+            assert flow.angles.shape == (1, 1) and flow.site_xs().tolist() == [0]
+
     @pytest.mark.parametrize("name", ["coarse_step", "fine_step", "fine_half_range", "background_variance_threshold"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_setting_is_rejected(self, name, value):
@@ -411,9 +421,11 @@ class TestFlowCsv:
         (_HEADER + "0,0,0.1,1\n0,2,0.2,1\n2,0,0.3,1\n2,2,0.4,1\n",
          ":3: site (0, 2) should be (2, 0); rows must list the grid from (0, 0) with stride 2 in row-major order"),
         (_HEADER + "0,0,nan,1\n2,0,0.1,1\n", ": valid angles must be finite and lie in [0, pi)"),
+        (_HEADER + "0,0,0,0\n0,1e93,1,1\n", f": stride {int(1e93)} puts grid sites past the int64 range"),
+        (_HEADER + "-1.7e308,0,0,0\n1.7e308,0,1,1\n", ": non-integer grid stride inf"),
     ], ids=["empty", "header", "too-few-fields", "too-few-with-coherence", "unreadable-number", "non-finite-site",
             "valid-not-0-or-1", "no-sites", "incomplete-grid", "non-integer-stride", "misplaced-site",
-            "flow-field-error"])
+            "flow-field-error", "stride-past-int64", "spacing-past-float64"])
     def test_each_error_message(self, tmp_path, text, message):
         p = tmp_path / "f.csv"
         p.write_text(text, encoding="ascii")
@@ -437,6 +449,15 @@ class TestFlowFieldContract:
     def test_coherence_bounds_are_inclusive(self):
         flow = rf.FlowField(np.zeros((1, 2)), np.ones((1, 2), dtype=bool), 2, coherence=np.array([[0.0, 1.0]]))
         assert flow.coherence.tolist() == [[0.0, 1.0]]
+
+    def test_site_coordinates_must_fit_int64(self):
+        top = np.iinfo(np.int64).max
+        flow = rf.FlowField(np.zeros((1, 3)), np.ones((1, 3), dtype=bool), top // 2)
+        assert flow.site_xs().tolist() == [0, top // 2, top - 1]
+        # a one-site grid's stride must fit too: it is the next site's coordinate
+        for shape, stride in (((1, 3), top // 2 + 1), ((3, 1), top // 2 + 1), ((1, 1), top + 1)):
+            with pytest.raises(ValueError, match=f"^stride {stride} puts grid sites past the int64 range$"):
+                rf.FlowField(np.zeros(shape), np.ones(shape, dtype=bool), stride)
 
     def test_non_finite_angle_at_invalid_site_is_zeroed(self):
         flow = rf.FlowField(np.array([[np.nan, 0.1]]), np.array([[False, True]]), 2)

@@ -116,6 +116,13 @@ def test_non_positive_stride_is_rejected(stride):
         rf.generate(rf.SyntheticSpec(width=16, height=16), stride=stride)
 
 
+def test_stride_past_int64_is_rejected():
+    with pytest.raises(ValueError, match="^stride 100000000000000000000 puts grid sites past the int64 range$"):
+        rf.generate(rf.SyntheticSpec(width=16, height=16), stride=10**20)
+    _, truth = rf.generate(rf.SyntheticSpec(width=16, height=16), stride=2**63 - 1)
+    assert truth.site_xs().tolist() == truth.site_ys().tolist() == [0]
+
+
 @pytest.mark.parametrize("orientation", [-1e-300, -1e-17])
 def test_orientation_a_hair_below_zero_gives_truth_angle_zero(orientation):
     # orientation % pi is exactly pi here; the ridges are those of orientation 0

@@ -32,7 +32,7 @@ BOUNDS = st.integers(-5, 60)  # canvases of 40x40 rasters reach 57 pixels; a win
     offset=st.tuples(OFFSETS, OFFSETS),
     window=st.one_of(st.none(), st.tuples(BOUNDS, BOUNDS, BOUNDS, BOUNDS)),
 )
-# a subnormal sine overflowed the column interval to infinity
+# a subnormal sine, which once overflowed a per-band column interval to infinity
 @example(seed=0, height=1, width=1, angle=2.2250738585e-313, offset=(0.0, 2.0), window=None)
 def test_windowed_rotation_is_the_reference_slice(seed, height, width, angle, offset, window):
     values = np.random.default_rng(seed).integers(0, 256, (height, width)).astype(np.float64)
