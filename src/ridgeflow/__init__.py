@@ -15,7 +15,7 @@ from .contour import (
     enhance_image_contour,
     trace_contour,
 )
-from .enhance import EnhanceConfig, enhance_image, enhance_values, gaussian_kernel
+from .enhance import EnhanceConfig, enhance_image, enhance_values
 from .flowfield import (
     FlowField,
     angles_at,
@@ -46,9 +46,9 @@ from .pipeline import (
     save_comparison_csv,
     summary_lines,
 )
-from .projection import FlowConfig, RotatedDeviationEvaluator, compute_flow_field, patch_variance_grid
-from .synth import SyntheticSpec, generate, seeded_normals
-from .viz import flow_overlay_svg, render_flow_overlay
+from .projection import FlowConfig, compute_flow_field, patch_variance_grid
+from .synth import SyntheticSpec, generate
+from .viz import render_flow_overlay
 
 __all__ = [
     "BinarizeConfig",
@@ -64,7 +64,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "Point",
-    "RotatedDeviationEvaluator",
     "SyntheticSpec",
     "angles_at",
     "angular_distance",
@@ -78,8 +77,6 @@ __all__ = [
     "enhance_image",
     "enhance_image_contour",
     "enhance_values",
-    "flow_overlay_svg",
-    "gaussian_kernel",
     "generate",
     "interior_site_mask",
     "invert",
@@ -92,7 +89,6 @@ __all__ = [
     "save_comparison_csv",
     "save_flow_csv",
     "save_pgm",
-    "seeded_normals",
     "summary_lines",
     "trace_contour",
 ]

@@ -30,7 +30,7 @@ class EnhanceConfig:
                      kernel_half_length=self.kernel_half_length)
 
 
-def gaussian_kernel(sigma: float, half_length: int) -> np.ndarray:
+def _gaussian_kernel(sigma: float, half_length: int) -> np.ndarray:
     """Discrete Gaussian weights over [-half_length, half_length], sum 1."""
     _check_sizes(0, f"half_length must be >= 0, got {half_length}", half_length=half_length)
     denom = _two_sigma_squared(sigma, "sigma")
@@ -71,7 +71,7 @@ def _enhance(image: GrayImage, binary: BinaryImage, flow: FlowField, path, cfg: 
     ``rounded``, the bytes of ``GrayImage.from_float``, rounded band by band as they are made."""
     _check_binary(image, binary)
     img = image.pixels
-    weights = gaussian_kernel(cfg.gaussian_sigma, cfg.kernel_half_length)
+    weights = _gaussian_kernel(cfg.gaussian_sigma, cfg.kernel_half_length)
     out = np.empty(img.shape, np.uint8 if rounded else np.float64)
     for rows, sites, X, Y, theta in _bands(image, flow, cfg.kernel_half_length):
         out[rows] = (_round_bytes if rounded else np.asarray)(
@@ -89,7 +89,7 @@ def _sweep(image: GrayImage, flow: FlowField, path, bcfg: BinarizeConfig, ecfg: 
     h, w = img.shape
     kb, ke = bcfg.line_half_length, ecfg.kernel_half_length
     k = max(kb, ke)
-    weights = gaussian_kernel(ecfg.gaussian_sigma, ke)
+    weights = _gaussian_kernel(ecfg.gaussian_sigma, ke)
     bits, out = np.empty((h, w), np.uint8), np.empty((h, w), np.uint8)
     vals, y0 = None, 0  # y0: the first row not yet enhanced, the tap table's top row
     for rows, sites, X, Y, theta in _bands(image, flow, k):

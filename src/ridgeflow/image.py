@@ -206,15 +206,21 @@ def save_pgm(image: GrayImage, path) -> None:
 
 
 def bilinear_many(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Bilinear float64 samples of a uint8 or real raster; NaN where a needed pixel is outside.
+    """Bilinear float64 samples of a finite uint8 or real raster; NaN where a needed pixel is outside.
 
     Coordinates within 1e-9 of the raster edge count as inside, so exact
     boundary samples survive the rounding noise of rotation transforms;
-    non-finite coordinates are outside. The four corners are read with flat
-    ``take`` indices, which is faster than 2-D fancy indexing, and every
-    temporary is reused in place; the weighted sum keeps one fixed order.
-    A uint8 raster's corners are gathered as bytes and widened exactly, so
-    it gives the bytes of its float64 promotion without a copy of it.
+    non-finite coordinates are outside. Each corner is one flat ``take`` of
+    the upper-left corner's index from a view shifted by the corner's offset
+    (0, 1, w, w + 1), as ``flowfield.angles_at`` reads its table; every
+    temporary is reused in place, and the weighted sum keeps one fixed order.
+    The coordinates are clamped to the raster first, so a right or lower
+    neighbour past the last column or row has weight exactly 0: the pixel the
+    view reads there (the next in flat order, or the last one) adds a zero.
+    So the raster must be finite; the sum keeps its value, though a -0.0 may
+    become +0.0, as a weight-0 neighbour inside the raster makes it. A uint8
+    raster's corners are gathered as bytes and widened exactly, so it gives
+    the bytes of its float64 promotion without a copy of it.
     """
     eps = 1e-9
     h, w = values.shape
@@ -234,45 +240,31 @@ def bilinear_many(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     fy -= y0
     gx = 1.0 - fx
     gy = 1.0 - fy
-    # flat index of (y0, x0); the right and lower neighbours clamp at the edge
-    dx = x0 < w - 1.0
-    dy = y0 < h - 1.0
     y0 *= w
     y0 += x0
     corner = y0.astype(np.intp)
     flat = values.ravel() if values.dtype == np.uint8 else np.asarray(values, dtype=np.float64).ravel()
     gathered = np.empty(corner.shape, np.uint8) if flat.dtype == np.uint8 else None
 
-    def corners(out: np.ndarray) -> np.ndarray:
+    def corners(off: int, out: np.ndarray) -> np.ndarray:
+        # a view past the last pixel (a 1-tall raster's w, a 1x1 raster's 1) starts at the last one, which has
+        # weight 0 there too; mode="clip" reads past the end as the last pixel and skips the copy that ``take``
+        # makes for ``out`` in its default mode
+        shifted = flat[min(off, flat.size - 1):]
         if gathered is None:
-            return flat.take(corner, out=out, mode="clip")
-        np.copyto(out, flat.take(corner, out=gathered, mode="clip"))  # cheaper than a mixed-type multiply
+            return shifted.take(corner, out=out, mode="clip")
+        np.copyto(out, shifted.take(corner, out=gathered, mode="clip"))  # cheaper than a mixed-type multiply
         return out
 
-    # The corner positions are spent, so their buffers take the terms. The
-    # index walks (x0, y0), (x0+1, y0), (x0, y0+1), (x0+1, y0+1) in place;
-    # every index is in range, and mode="clip" skips the copy that ``take``
-    # makes for ``out`` in its default mode.
-    v = corners(x0)
+    # the corner positions are spent, so their buffers take the terms
+    v = corners(0, x0)
     v *= gx
     v *= gy
-    t = y0
-    corner += dx
-    corners(t)
-    t *= fx
-    t *= gy
-    v += t
-    np.add(corner, w, out=corner, where=dy)
-    corner -= dx
-    corners(t)
-    t *= gx
-    t *= fy
-    v += t
-    corner += dx
-    corners(t)
-    t *= fx
-    t *= fy
-    v += t
+    for off, a, b in ((1, fx, gy), (w, gx, fy), (w + 1, fx, fy)):
+        t = corners(off, y0)
+        t *= a
+        t *= b
+        v += t
     np.copyto(v, np.nan, where=outside)
     return v.reshape(shape)
 

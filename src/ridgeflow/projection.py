@@ -148,7 +148,8 @@ def _site_mean_deviations(
     row-shifted slices of column prefix sums; the upper half span of a row
     is the lower half span of the row s below it. A site's tangent mean is
     the ``_tap_mean`` of the 2t+1 span deviations of its row at columns
-    c - 2t .. c, each tap gathered at the sites alone; a NaN adds no tap.
+    c - 2t .. c, tap i gathered at the sites alone from the deviations
+    shifted by i, as ``bilinear_many`` reads its corners; a NaN adds no tap.
 
     Each sample is rounded to a multiple of 1/256 as it is read, so a value
     has at most 16 significant bits and a square 32, and every column sum
@@ -212,7 +213,7 @@ def _site_mean_deviations(
             del half
         at_site = np.ravel_multi_index((row[sites] - r0, col[sites] - 2 * t - c0), sig.shape)
         flat = sig.ravel()
-        out[sites] = _tap_mean((flat.take(at_site + i) for i in range(2 * t + 1)), len(sites))
+        out[sites] = _tap_mean((flat[i:].take(at_site) for i in range(2 * t + 1)), len(sites))
     return out
 
 

@@ -33,7 +33,7 @@ def _splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
     return z
 
 
-def seeded_normals(seed: int, count: int) -> np.ndarray:
+def _seeded_normals(seed: int, count: int) -> np.ndarray:
     """Standard normal draws via Box-Muller over the SplitMix64 stream."""
     z = _splitmix64(seed, 2 * count)
     # 53-bit uniforms; u1 shifted into (0, 1] so log() is finite
@@ -114,6 +114,6 @@ def generate(spec: SyntheticSpec, stride: int = 2) -> tuple[GrayImage, FlowField
         valid = GX < boundary
 
     if spec.noise_sigma > 0:
-        noise = seeded_normals(spec.rng_seed, values.size).reshape(values.shape)
+        noise = _seeded_normals(spec.rng_seed, values.size).reshape(values.shape)
         values = values + spec.noise_sigma * noise
     return GrayImage.from_float(values), FlowField(angles, valid, stride)

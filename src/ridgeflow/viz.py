@@ -36,7 +36,7 @@ def png_bytes(pixels: np.ndarray) -> bytes:
     )
 
 
-def flow_overlay_svg(image: GrayImage, flow: FlowField) -> str:
+def _flow_overlay_svg(image: GrayImage, flow: FlowField) -> str:
     w, h = image.width, image.height
     check_flow_grid(flow, w, h)
     encoded = base64.b64encode(png_bytes(image.pixels)).decode("ascii")
@@ -67,4 +67,4 @@ def flow_overlay_svg(image: GrayImage, flow: FlowField) -> str:
 
 
 def render_flow_overlay(image: GrayImage, flow: FlowField, out) -> None:
-    Path(out).write_text(flow_overlay_svg(image, flow), encoding="ascii")
+    Path(out).write_text(_flow_overlay_svg(image, flow), encoding="ascii")

@@ -18,7 +18,7 @@ from scipy import ndimage
 import ridgeflow as rf
 from ridgeflow.binarize import BinarizeConfig, _check_binary, _line_path, _nearest, _ridge
 from ridgeflow.contour import _trace_path
-from ridgeflow.enhance import EnhanceConfig, _blend, gaussian_kernel
+from ridgeflow.enhance import EnhanceConfig, _blend
 from ridgeflow.flowfield import FlowField, _grid_sites, angles_at, check_flow_grid
 from ridgeflow.gradient import _window_weights
 from ridgeflow.image import GrayImage, Point, band_rows, bilinear_many, rotate_raster
@@ -30,6 +30,11 @@ from ridgeflow.projection import (
     _span_deviation,
     patch_variance_grid,
 )
+
+try:
+    from ridgeflow.enhance import _gaussian_kernel as gaussian_kernel
+except ImportError:  # its public name in older trees, whose src/ CI also runs the digest script on
+    from ridgeflow.enhance import gaussian_kernel
 
 INTERIOR_MARGIN = 16  # tangent + perpendicular half lengths at defaults
 

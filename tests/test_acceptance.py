@@ -17,6 +17,7 @@ import pytest
 
 import ridgeflow as rf
 from ridgeflow.cli import run_cli
+from ridgeflow.projection import RotatedDeviationEvaluator
 
 from oracles import (
     INTERIOR_MARGIN,
@@ -185,7 +186,7 @@ def test_criterion_6_fast_path_equivalence(clean_suite, clean_flows):
         px = xs.astype(np.float64) * cfg.stride
         py = ys.astype(np.float64) * cfg.stride
         alpha_star = (spec.orientation - math.pi / 2) % math.pi
-        mu_fast = rf.RotatedDeviationEvaluator(img, cfg).mean_deviation(alpha_star, px, py)
+        mu_fast = RotatedDeviationEvaluator(img, cfg).mean_deviation(alpha_star, px, py)
         mu_slow = DirectDeviationEvaluator(img, cfg).mean_deviation(alpha_star, px, py)
         worst_mu = max(worst_mu, float(np.nanmax(np.abs(mu_fast - mu_slow))))
     frac = agree_num / agree_den
@@ -237,7 +238,7 @@ def test_criterion_8_coarse_to_fine_near_exhaustive(clean_suite, clean_flows):
     grid = np.arange(32) * PI_32
     hit = total = 0
     for (_, img, _), flow in zip(clean_suite, flows):
-        ev = rf.RotatedDeviationEvaluator(img, cfg)
+        ev = RotatedDeviationEvaluator(img, cfg)
         ys, xs = np.nonzero(flow.valid)
         px = xs.astype(np.float64) * cfg.stride
         py = ys.astype(np.float64) * cfg.stride

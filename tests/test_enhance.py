@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ridgeflow as rf
+from ridgeflow.enhance import _gaussian_kernel
 
 from oracles import enhance_pixel, enhance_pixel_contour, inner_pixel_mask, manual_bilinear, sample_bilinear
 
@@ -17,39 +18,39 @@ def noisy_sinusoid(seed=42, noise=40.0, size=128, deg=30):
 
 class TestKernel:
     def test_tiny_sigma_approaches_delta(self):
-        k = rf.gaussian_kernel(0.1, 2)
+        k = _gaussian_kernel(0.1, 2)
         assert k[2] == pytest.approx(1.0, abs=1e-12)
         assert k[[0, 1, 3, 4]].max() < 1e-12
 
     def test_symmetry_is_exact(self):
-        k = rf.gaussian_kernel(3.0, 9)
+        k = _gaussian_kernel(3.0, 9)
         assert (k == k[::-1]).all()
 
     def test_sum_is_one(self):
         for sigma, hl in ((3.0, 9), (1.0, 4), (5.0, 12)):
-            assert abs(rf.gaussian_kernel(sigma, hl).sum() - 1.0) <= 1e-12
+            assert abs(_gaussian_kernel(sigma, hl).sum() - 1.0) <= 1e-12
 
     def test_center_weight_matches_direct_formula(self):
-        k = rf.gaussian_kernel(3.0, 9)
+        k = _gaussian_kernel(3.0, 9)
         denom = sum(math.exp(-(i * i) / 18.0) for i in range(-9, 10))
         assert k[9] == pytest.approx(1.0 / denom, rel=1e-12)
 
     def test_vanishing_sigma_is_rejected(self):
         # 2 * sigma**2 underflows to 0, which made every weight 0/0
         with pytest.raises(ValueError, match="sigma 1e-300 is too small"):
-            rf.gaussian_kernel(1e-300, 1)
+            _gaussian_kernel(1e-300, 1)
         with pytest.raises(ValueError, match="gaussian_sigma 1e-300 is too small"):
             rf.EnhanceConfig(gaussian_sigma=1e-300)
 
     def test_negative_half_length_is_rejected(self):
         # it gave an empty kernel
         with pytest.raises(ValueError, match="^half_length must be >= 0, got -1$"):
-            rf.gaussian_kernel(3.0, -1)
-        assert rf.gaussian_kernel(3.0, 0).tolist() == [1.0]
+            _gaussian_kernel(3.0, -1)
+        assert _gaussian_kernel(3.0, 0).tolist() == [1.0]
 
     def test_tiny_sigma_whose_exponents_overflow_is_a_delta(self):
         with np.errstate(all="raise"):
-            k = rf.gaussian_kernel(1e-160, 9)
+            k = _gaussian_kernel(1e-160, 9)
         assert k.tobytes() == np.eye(1, 19, 9).ravel().tobytes()
 
     def test_config_validation(self):
@@ -117,7 +118,7 @@ class TestEnhancePixel:
         binary = rf.binarize_image(img, flow)
         cfg = rf.EnhanceConfig()
         f = img.as_float()
-        weights = rf.gaussian_kernel(cfg.gaussian_sigma, cfg.kernel_half_length)
+        weights = _gaussian_kernel(cfg.gaussian_sigma, cfg.kernel_half_length)
         rng = np.random.RandomState(4)
         for _ in range(25):
             p = rf.Point(float(rng.randint(16, 48)), float(rng.randint(16, 48)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ridgeflow as rf
-from ridgeflow.projection import _STAT_OFFSET
+from ridgeflow.projection import _STAT_OFFSET, RotatedDeviationEvaluator
 
 from oracles import (
     DirectDeviationEvaluator,
@@ -158,7 +158,7 @@ class TestMeanDeviation:
         alpha = (math.radians(60) - math.pi / 2) % math.pi
         direct = mean_perpendicular_deviation(img, p, alpha, cfg)
         fast = float(
-            rf.RotatedDeviationEvaluator(img, cfg).mean_deviation(alpha, np.array([p.x]), np.array([p.y]))[0]
+            RotatedDeviationEvaluator(img, cfg).mean_deviation(alpha, np.array([p.x]), np.array([p.y]))[0]
         )
         assert abs(direct - fast) <= 2.0
 
@@ -259,7 +259,7 @@ class TestFlowField:
         img, _ = rf.generate(spec)
         cfg = rf.FlowConfig()
         flow = rf.compute_flow_field(img, cfg)
-        ev = rf.RotatedDeviationEvaluator(img, cfg)
+        ev = RotatedDeviationEvaluator(img, cfg)
         ys, xs = np.nonzero(flow.valid)
         px = xs.astype(np.float64) * cfg.stride
         py = ys.astype(np.float64) * cfg.stride

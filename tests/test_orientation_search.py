@@ -72,7 +72,7 @@ def test_direct_evaluator_search_unchanged(steps):
 def test_each_angle_is_rotated_and_evaluated_once_coarse_first(monkeypatch, steps):
     calls, rotations = [], []
     rotate = rproj.rotate_raster
-    evaluate = rf.RotatedDeviationEvaluator.mean_deviation
+    evaluate = rproj.RotatedDeviationEvaluator.mean_deviation
 
     def counting_rotate(values, angle, *args):
         rotations.append(angle)
@@ -83,7 +83,7 @@ def test_each_angle_is_rotated_and_evaluated_once_coarse_first(monkeypatch, step
         return evaluate(self, alpha, xs, ys)
 
     monkeypatch.setattr(rproj, "rotate_raster", counting_rotate)
-    monkeypatch.setattr(rf.RotatedDeviationEvaluator, "mean_deviation", recording_evaluate)
+    monkeypatch.setattr(rproj.RotatedDeviationEvaluator, "mean_deviation", recording_evaluate)
     img = _image(11, 96, 96, "concentric", 0)
     coarse, fine, half_range = steps
     cfg = rf.FlowConfig(coarse_step=coarse, fine_step=fine, fine_half_range=half_range)

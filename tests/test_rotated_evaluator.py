@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridgeflow as rf
+from ridgeflow.projection import RotatedDeviationEvaluator
 
 from oracles import PerSitePrefixEvaluator
 
@@ -43,7 +44,7 @@ def noisy_image():
 @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "no-half-rule", "t5-s3-stride3", "t5-s3-stride3-no-half-rule"])
 def test_bitwise_equal_to_per_site_oracle_on_pi_over_32_grid(noisy_image, cfg):
     xs, ys = random_sites(np.random.default_rng(17), noisy_image.width, noisy_image.height, 2000)
-    fast = rf.RotatedDeviationEvaluator(noisy_image, cfg)
+    fast = RotatedDeviationEvaluator(noisy_image, cfg)
     oracle = PerSitePrefixEvaluator(noisy_image, cfg)
     off_canvas_nan = False
     for alpha in GRID:
@@ -57,7 +58,7 @@ def test_bitwise_equal_to_per_site_oracle_on_pi_over_32_grid(noisy_image, cfg):
 
 def test_repeated_and_far_off_queries(noisy_image):
     cfg = rf.FlowConfig()
-    ev = rf.RotatedDeviationEvaluator(noisy_image, cfg)
+    ev = RotatedDeviationEvaluator(noisy_image, cfg)
     # far-off and non-finite sites go through the band loop like any other and read only NaN, with no warning
     nan, inf = math.nan, math.inf
     xs = np.array([40.0, -1e6, 40.0, 1e6, 95.0, nan, 40.0, inf, 40.0, -inf, 40.0, inf])
@@ -78,7 +79,7 @@ def test_repeated_and_far_off_queries(noisy_image):
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_angle_is_a_value_error_that_names_it(noisy_image, alpha):
-    ev = rf.RotatedDeviationEvaluator(noisy_image, rf.FlowConfig())
+    ev = RotatedDeviationEvaluator(noisy_image, rf.FlowConfig())
     with pytest.raises(ValueError, match=f"angle must be finite, got {alpha}"):
         ev.mean_deviation(alpha, np.array([40.0]), np.array([30.0]))
 
@@ -98,7 +99,7 @@ def test_property_random_images_and_angles(seed, width, height, alpha, tangent, 
     img = rf.GrayImage(rng.integers(0, 256, (height, width)))
     cfg = rf.FlowConfig(tangent_half_length=tangent, perp_half_length=perp, use_half_line_rule=half_rule)
     xs, ys = random_sites(rng, width, height, 300, margin=float(tangent + perp + 4))
-    got = rf.RotatedDeviationEvaluator(img, cfg).mean_deviation(alpha, xs, ys)
+    got = RotatedDeviationEvaluator(img, cfg).mean_deviation(alpha, xs, ys)
     want = PerSitePrefixEvaluator(img, cfg).mean_deviation(alpha, xs, ys)
     assert np.array_equal(got, want, equal_nan=True)
 
@@ -107,7 +108,7 @@ def test_property_random_images_and_angles(seed, width, height, alpha, tangent, 
 def test_points_of_any_shape_give_values_of_that_shape(shape):
     # as ``angles_at``: the points are taken flat, and each value is the 1-D call's at the same point
     img, _ = rf.generate(rf.SyntheticSpec(width=64, height=64, pattern="concentric", period=8.0, rng_seed=5))
-    ev = rf.RotatedDeviationEvaluator(img, rf.FlowConfig())
+    ev = RotatedDeviationEvaluator(img, rf.FlowConfig())
     n = math.prod(shape)
     xs, ys = np.array([31.0, 20.5])[:n], np.array([30.0, 41.25])[:n]
     got = ev.mean_deviation(0.3, xs.reshape(shape), ys.reshape(shape))

@@ -13,6 +13,7 @@ import ridgeflow.pipeline as rpipeline
 import ridgeflow.projection as rproj
 from ridgeflow.binarize import _bands
 from ridgeflow.flowfield import _grid_sites
+from ridgeflow.viz import _flow_overlay_svg
 
 from oracles import (binarize_pixel, binarize_pixel_contour, canvas, canvas_reader, check_band_reads,
                      enhance_pixel, enhance_pixel_contour, reference_mean_deviation_map, sample_bilinear)
@@ -374,7 +375,7 @@ class TestFlowGridContract:
             "binarize_image_contour": lambda: rf.binarize_image_contour(big, flow),
             "enhance_image": lambda: rf.enhance_image(big, binary, flow),
             "enhance_image_contour": lambda: rf.enhance_image_contour(big, binary, flow),
-            "flow_overlay_svg": lambda: rf.flow_overlay_svg(big, flow),
+            "flow_overlay_svg": lambda: _flow_overlay_svg(big, flow),
             "compare_methods": lambda: rf.compare_methods(big, truth=flow),
         }
         with pytest.raises(ValueError, match="grid"):

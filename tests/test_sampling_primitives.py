@@ -1,13 +1,14 @@
 """``angles_at`` and ``bilinear_many`` against their reference copies.
 
 The fast versions must give the same bytes as the references in ``oracles``,
-NaNs included. ``bilinear_many`` reads the same values and does the same
-arithmetic in the same order. ``angles_at`` blends the same corners in the
-same order, then takes other steps to the same bytes: the squared-norm test
-that the reference also makes, and an exact branch in place of ``mod``.
-Random inputs never reach those edges, so tests below build them. Neither
-fast version may warn, for any input. ``angles_at`` gives NaN exactly where
-a point has no orientation.
+NaNs included. ``bilinear_many`` does the same arithmetic in the same order
+on the same values, but for a neighbour of weight 0 past the last column or
+row, which it reads from another pixel; the edge tests below make that pixel
+differ. ``angles_at`` blends the same corners in the same order, then takes
+other steps to the same bytes: the squared-norm test that the reference also
+makes, and an exact branch in place of ``mod``. Random inputs never reach
+those edges, so tests below build them. Neither fast version may warn, for
+any input. ``angles_at`` gives NaN exactly where a point has no orientation.
 
 A row band's lookup table holds only the site rows that its points reach,
 and gives the bytes of the reference for every point within that reach.
@@ -261,6 +262,40 @@ def test_byte_raster_rotates_as_its_float_promotion(seed, width, height, angle, 
     assert got.values.dtype == np.float64
     assert got.values.tobytes() == want.values.tobytes()  # NaN at the same pixels too
     assert (got.frame, got.origin) == (want.frame, want.origin)
+
+
+def _edge_raster(height, width, edge):
+    """255 on the last two columns (``edge`` "column") or rows ("row"), 0 elsewhere and at the last pixel of a
+    raster wider than one pixel. So a right or lower neighbour past the edge that is read from another pixel
+    reads a 0: the first pixel of the next row past the last column of three or more, the last pixel past
+    the last row."""
+    raster = np.zeros((height, width), dtype=np.uint8)
+    if edge == "column":
+        raster[:, -2:] = 255
+    else:
+        raster[-2:, :] = 255
+        if width > 1:
+            raster[-1, -1] = 0
+    return raster
+
+
+@pytest.mark.parametrize("edge", ["column", "row"])
+@pytest.mark.parametrize("height, width", [(1, 1), (1, 5), (5, 1), (4, 5), (5, 3)])
+def test_neighbour_past_the_edge_has_zero_weight(height, width, edge):
+    # bilinear_many reads a right or lower neighbour past the last column or row from a shifted view, where
+    # it is the next pixel in flat order or, past the end, the last one; the clamped coordinate gives it
+    # weight 0, so a sample on the edge or within 1e-9 of it is the edge pixel, whatever that pixel holds
+    raster = _edge_raster(height, width, edge)
+    near = np.array([0.0, 1e-9, -1e-9, 5e-10, -5e-10])
+    if edge == "column":
+        ys, xs = np.meshgrid(np.arange(height, dtype=np.float64), width - 1.0 + near)
+    else:
+        ys, xs = np.meshgrid(height - 1.0 + near, np.arange(max(width - 1, 1), dtype=np.float64))
+    promoted = raster.astype(np.float64)
+    got = _no_warnings(bilinear_many, raster, xs, ys)
+    want = _no_warnings(bilinear_many, promoted, xs, ys)
+    assert got.tobytes() == want.tobytes() == reference_bilinear_many(promoted, xs, ys).tobytes()
+    assert (got == 255.0).all()
 
 
 def test_zero_dimensional_queries_keep_their_shape():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ridgeflow as rf
-from ridgeflow.synth import seeded_normals
+from ridgeflow.synth import _seeded_normals
 
 
 def test_vertical_orientation_is_constant_along_columns():
@@ -34,8 +34,8 @@ def test_seeded_generation_is_reproducible():
 
 
 def test_normals_are_counter_based_and_plausible():
-    a = seeded_normals(5, 10000)
-    b = seeded_normals(5, 10000)
+    a = _seeded_normals(5, 10000)
+    b = _seeded_normals(5, 10000)
     assert np.array_equal(a, b)
     assert abs(a.mean()) < 0.05
     assert abs(a.std() - 1.0) < 0.05

@@ -30,7 +30,7 @@ import ridgeflow.image as rimage
 import ridgeflow.pipeline as rpipeline
 from ridgeflow.binarize import _TIE_EPS, _in_order, _line_path, _nearest, _taps
 from ridgeflow.contour import _trace_path
-from ridgeflow.enhance import _masked_blend
+from ridgeflow.enhance import _gaussian_kernel, _masked_blend
 from ridgeflow.flowfield import _grid_sites
 from ridgeflow.image import _tap_mean
 
@@ -160,7 +160,7 @@ def test_masked_blend_matches_reference(seed, width, height, stride, valid_frac,
     streamed, reference = PATHS[path]
     taps = _in_order(_taps(img, streamed, flow, xs, ys, np.where(defined, theta, np.nan), half, True), half)
     center = _nearest(ys, img.shape[0]) * img.shape[1] + _nearest(xs, img.shape[1])
-    got = _masked_blend(img, bits, taps, center, rf.gaussian_kernel(cfg.gaussian_sigma, half))
+    got = _masked_blend(img, bits, taps, center, _gaussian_kernel(cfg.gaussian_sigma, half))
     want = reference_masked_blend(img, bits, reference, flow, xs, ys, theta, defined, cfg)
     assert got.shape == xs.shape
     assert np.array_equal(got, want, equal_nan=True)

@@ -110,7 +110,7 @@ def test_any_site_subset_reads_the_cached_whole_canvas_map(seed, n_sites, angle,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rproj, "_MAP_BAND_PIXELS", band_pixels)
         mp.setattr(rproj, "rotate_raster", recording_rotate)
-        got = rf.RotatedDeviationEvaluator(img, cfg).mean_deviation(angle, xs, ys)
+        got = rproj.RotatedDeviationEvaluator(img, cfg).mean_deviation(angle, xs, ys)
     want = CachedRotatedEvaluator(img, cfg).mean_deviation(angle, xs, ys)
     assert got.tobytes() == want.tobytes()
     # each band reads only the rows and columns its own sites need
@@ -138,7 +138,7 @@ def test_one_site_query_rotates_a_window_2t_plus_1_wide(monkeypatch):
     for size, points in [(96, [(0, 0), (48, 50), (95, 98), (0, 98), (95, 0)]),
                          (512, [(0, 0), (256, 257), (511, 514), (0, 514), (511, 0)])]:
         img = _image(size)
-        ev = rf.RotatedDeviationEvaluator(img, cfg)
+        ev = rproj.RotatedDeviationEvaluator(img, cfg)
         reference = CachedRotatedEvaluator(img, cfg)
         shapes.clear()
         for alpha in cfg.coarse_angles():
